@@ -255,23 +255,46 @@ def partition_noniid(data: Dataset, num_clients: int, tau: float,
     return shards
 
 
+@dataclass(frozen=True)
+class ViewDraw:
+    """The randomness of one augmented view: additive Gaussian noise and
+    the mask of coordinates that survive dropout."""
+
+    noise: np.ndarray
+    keep: np.ndarray
+
+    def apply(self, batch: np.ndarray) -> np.ndarray:
+        return np.where(self.keep, batch + self.noise, 0.0)
+
+
+def draw_views(spec: AugmentSpec, shape: tuple[int, ...],
+               seed) -> tuple[ViewDraw, ViewDraw]:
+    """The draws behind two augmented views of a batch of the given shape.
+
+    Draw order is fixed: view 1 noise, view 1 mask, view 2 noise, view 2
+    mask. The draws depend on the shape alone, never on feature values,
+    so one draw can serve every batch of that shape.
+    """
+    rng = as_generator(seed)
+
+    def one_view() -> ViewDraw:
+        noise = rng.normal(0.0, spec.noise_std, size=shape)
+        keep = rng.random(size=shape) >= spec.mask_prob
+        return ViewDraw(noise, keep)
+
+    return one_view(), one_view()
+
+
 def augment(spec: AugmentSpec, batch: np.ndarray,
             seed) -> tuple[np.ndarray, np.ndarray]:
     """Two independent augmented views of a batch.
 
     Each view adds Gaussian noise, then zeroes coordinates independently
-    with probability mask_prob. Draw order is fixed: view 1 noise, view 1
-    mask, view 2 noise, view 2 mask.
+    with probability mask_prob; draw_views fixes the draw order.
     """
-    rng = as_generator(seed)
     x = np.asarray(batch, dtype=np.float64)
-
-    def one_view() -> np.ndarray:
-        noisy = x + rng.normal(0.0, spec.noise_std, size=x.shape)
-        keep = rng.random(size=x.shape) >= spec.mask_prob
-        return np.where(keep, noisy, 0.0)
-
-    return one_view(), one_view()
+    first, second = draw_views(spec, x.shape, seed)
+    return first.apply(x), second.apply(x)
 
 
 def save_dataset(dataset: Dataset, directory, meta: dict | None = None) -> None:

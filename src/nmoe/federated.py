@@ -34,7 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels, seeding
-from .datasets import AugmentSpec, Dataset, Shard, apportion, augment
+from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
+                       draw_views)
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, gate_topk, load_balance_loss
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
@@ -288,16 +289,30 @@ def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
                             sample_weight=q)
 
 
+def _spectral_plan(shape: tuple[int, int], aug_spec: AugmentSpec,
+                   epochs: int, batch_size: int, rng: np.random.Generator):
+    """Batch orders and augmentation draws for every local epoch, drawn
+    in the order the epochs consume them.
+
+    They depend on the shard's shape alone, so clients whose shards have
+    equal sizes share one plan per round.
+    """
+    n, dim = shape
+    return [[(rows, draw_views(aug_spec, (rows.size, dim), rng))
+             for rows in _batches(n, batch_size, rng)]
+            for _ in range(epochs)]
+
+
 def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
-                        features: np.ndarray, aug_spec: AugmentSpec,
-                        rbar: np.ndarray, q: float, lr: float,
-                        batch_size: int, rng: np.random.Generator):
+                        features: np.ndarray, batches, rbar: np.ndarray,
+                        q: float, lr: float):
+    """One spectral-contrastive epoch over one epoch of a _spectral_plan."""
     n = features.shape[0]
     total = 0.0
-    for rows in _batches(n, batch_size, rng):
-        v1, v2 = augment(aug_spec, features[rows], rng)
-        z1, tape1 = forward(fe_spec, fe, v1, want_tape=True)
-        z2, tape2 = forward(fe_spec, fe, v2, want_tape=True)
+    for rows, (draw1, draw2) in batches:
+        x = features[rows]
+        z1, tape1 = forward(fe_spec, fe, draw1.apply(x), want_tape=True)
+        z2, tape2 = forward(fe_spec, fe, draw2.apply(x), want_tape=True)
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
         g1, _ = backward(tape1, dz1)
         g2, _ = backward(tape2, dz2)
@@ -374,7 +389,9 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     everyone else's shares; clients run spectral-contrastive epochs on
     augmented view pairs; extractors are averaged by shard size. A lone
     client sees a zero aggregate, which reduces the loss to its
-    single-client form.
+    single-client form. Every client derives the same local-training
+    stream, so each round draws its batch orders and augmentations once
+    per distinct shard size.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -399,6 +416,7 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
             for c, shard in enumerate(clients)
         ]
+        plans = {}
         locals_fe = []
         losses: dict[int, float] = {}
         for c, shard in enumerate(clients):
@@ -410,13 +428,16 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                     if i != c:
                         acc = acc + float(q[i]) * share.matrix
                 rbar = acc / (1.0 - float(q[c]))
-            rng = derive_rng(seed, seeding.STAGE1, r, 0)
+            features = shard.train.features
+            if features.shape not in plans:
+                plans[features.shape] = _spectral_plan(
+                    features.shape, aug_spec, local_epochs, batch_size,
+                    derive_rng(seed, seeding.STAGE1, r, 0))
             fe_c = fe
             epoch_losses = []
-            for _ in range(local_epochs):
+            for batches in plans[features.shape]:
                 fe_c, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_c, shard.train.features, aug_spec, rbar,
-                    float(q[c]), lr, batch_size, rng)
+                    fe_spec, fe_c, features, batches, rbar, float(q[c]), lr)
                 _check_finite(loss, "stage1_fedsc", shard.client_id, r)
                 epoch_losses.append(loss)
             locals_fe.append(fe_c)
@@ -583,24 +604,27 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     load-balance penalty, gradients normalized before each step.
 
     Experts are frozen, so their logits arrive precomputed for the whole
-    shard.
+    shard as (experts, rows, classes). Each batch gathers only its k
+    routed slots, expert_logits[indices.T, rows] of shape (k, rows,
+    classes), once; the mixture and the gate gradient both read that
+    gather, so the per-batch cost does not grow with the expert count.
     """
     n = latents.shape[0]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
         x = np.ascontiguousarray(latents[rows])
-        outs = np.ascontiguousarray(expert_logits[:, rows, :])
         decision, probs = gate_topk(x, gate, k, rng=rng)
+        chosen = expert_logits[decision.indices.T, rows]
         ridx = np.arange(rows.size)
         gathered = probs[ridx[:, None], decision.indices]
-        combined = kernels.combine_topk(outs, decision.indices, gathered)
+        slots = np.broadcast_to(np.arange(k), decision.indices.shape)
+        combined = kernels.combine_topk(chosen, slots, gathered)
         ce, dlogits = cross_entropy(combined, labels[rows])
         lb, dlb = load_balance_loss(probs, multiplier=multiplier)
         dprob = lambda_load * dlb
         for s in range(k):
-            cols = decision.indices[:, s]
-            chosen = outs[cols, ridx, :]
-            dprob[ridx, cols] += np.sum(dlogits * chosen, axis=1)
+            dprob[ridx, decision.indices[:, s]] += np.sum(
+                dlogits * chosen[s], axis=1)
         dgate_logits = softmax_backward(probs, dprob)
         grads = grad_normalize(
             ParamSet({"w0": x.T @ dgate_logits,
@@ -736,11 +760,12 @@ def centralized_spectral(train: Dataset, fe_spec: MlpSpec, rounds: int,
     rbar = np.zeros((fe_spec.out_width, fe_spec.out_width))
     losses = []
     for r in range(rounds):
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        for _ in range(local_epochs):
+        plan = _spectral_plan(train.features.shape, aug_spec, local_epochs,
+                              batch_size,
+                              derive_rng(seed, seeding.STAGE1, r, 0))
+        for batches in plan:
             fe, loss = _sgd_spectral_epoch(
-                fe_spec, fe, train.features, aug_spec, rbar, 1.0, lr,
-                batch_size, rng)
+                fe_spec, fe, train.features, batches, rbar, 1.0, lr)
             _check_finite(loss, "centralized_spectral", 0, r)
             losses.append(loss)
     return fe, losses

@@ -200,21 +200,28 @@ def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
     default multiplier is the expert count, which puts the minimum at 1
     for uniform routing. Pass validate=False to skip the probability-row
     check (finite-difference probes perturb single entries).
+
+    The sum runs over routed experts only: an expert with f_i = 0 adds an
+    exact 0.0 for finite probabilities, so the loss equals the sum over
+    all m columns bit for bit while the cost follows the batch, not m.
     """
     p = np.ascontiguousarray(probs, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 1:
         raise DataError(f"expected a nonempty 2-d array, got shape {p.shape}")
     n, m = p.shape
     if validate:
-        if (p < 0.0).any() or not np.allclose(p.sum(axis=1), 1.0, atol=1e-6):
+        # np.allclose(row_sums, 1.0, atol=1e-6) written out; NaN fails
+        err = np.abs(p.sum(axis=1) - 1.0)
+        if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
             raise DataError("rows must be probability vectors")
     mult = float(m if multiplier is None else multiplier)
-    routed = np.argmax(p, axis=1)
-    f = np.bincount(routed, minlength=m).astype(np.float64) / n
+    counts = np.bincount(np.argmax(p, axis=1), minlength=m)
+    f = counts.astype(np.float64) / n
+    used = np.flatnonzero(counts)
     # exact accumulation keeps the fixtures bitwise (uniform routing over a
     # power-of-two batch gives exactly 1.0, full collapse exactly m)
-    col_mean = np.array([math.fsum(p[:, j]) for j in range(m)]) / n
-    loss = mult * math.fsum(f[j] * col_mean[j] for j in range(m))
+    col_mean = np.array([math.fsum(col) for col in p[:, used].T.tolist()]) / n
+    loss = mult * math.fsum((f[used] * col_mean).tolist())
     dprobs = np.tile(mult * f / n, (n, 1))
     return loss, dprobs
 

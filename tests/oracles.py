@@ -6,6 +6,8 @@ so that agreement with the package is evidence, not tautology.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from nmoe.numerics import ParamSet
@@ -117,3 +119,17 @@ def dense_mixture(latents: np.ndarray, gate_w: np.ndarray,
         for j in range(expert_outputs.shape[0]):
             out[i] += probs[j] * expert_outputs[j, i]
     return out
+
+
+def load_balance_all_columns(probs: np.ndarray, multiplier=None):
+    """Balance loss multiplier * sum_j f_j * P_j and its gradient, with
+    every one of the m columns summed exactly, routed or not."""
+    n, m = probs.shape
+    mult = float(m if multiplier is None else multiplier)
+    f = np.zeros(m)
+    for i in range(n):
+        f[int(np.argmax(probs[i]))] += 1.0
+    f /= n
+    col_mean = np.array([math.fsum(probs[:, j]) for j in range(m)]) / n
+    loss = mult * math.fsum(f[j] * col_mean[j] for j in range(m))
+    return loss, np.tile(mult * f / n, (n, 1))

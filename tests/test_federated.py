@@ -276,6 +276,33 @@ class TestStage1FedSC:
         last = np.mean(list(result.reports[-1].client_losses.values()))
         assert last < first
 
+    def test_per_round_pins_with_two_shard_sizes(self):
+        # two clients of 60 samples share one draw plan per round, the
+        # third (45 samples) gets its own; values recorded before the
+        # plans were shared
+        clients = make_clients(3, 0.4)
+        short = clients[2]
+        clients[2] = Shard(short.client_id,
+                           short.train.take(np.arange(45)), short.test)
+        result = stage1_fedsc(clients, self.fe_spec, rounds=3,
+                              local_epochs=2, lr=0.05, aug_spec=self.aug,
+                              dp_noise_std=0.05, seed=13, batch_size=16)
+        pins = [
+            ("d0978a03f8cd05c1424ffccb111cf10812a70f3a4fd41e9615c1c024ab58a524",
+             {0: -0.16684605868690558, 1: -0.3541088747556197,
+              2: -0.17349851413945716}),
+            ("c320e5a8d228b29b27e5dcd056cc421cace797a96c6ea76cf54f5ab2f81a218c",
+             {0: -0.36127949517205765, 1: -0.6472938093346442,
+              2: -0.25521941725786934}),
+            ("15df263596e30711a2d8b91e3a9443ef49e2875761262f99c7a47667805f3633",
+             {0: -0.5597554212063411, 1: -0.7798368102750162,
+              2: -0.3726545473414351}),
+        ]
+        for report, (digest, losses) in zip(result.reports, pins,
+                                            strict=True):
+            assert (report.params_digest, report.client_losses) == \
+                (digest, losses), f"round {report.round_index}"
+
     def test_dp_noise_validation(self):
         clients = make_clients(1, 1.0)
         with pytest.raises(ConfigError):
@@ -505,6 +532,37 @@ class TestFedGate:
         first = np.mean(list(result.reports[0].client_losses.values()))
         last = np.mean(list(result.reports[-1].client_losses.values()))
         assert last < first
+
+    def test_per_round_pins_at_k2(self):
+        # values recorded before FedGate gathered only the routed experts
+        clients = make_clients(5, 0.3, num_classes=5)
+        fe_spec, fe = identity_extractor(8)
+        expert_spec = MlpSpec((8, 12, 5), (T, I))
+        experts = stage2_experts(clients, fe_spec, fe, expert_spec,
+                                 epochs=5, lr=0.1, seed=3).experts
+        gate_init = init_gate_params(8, 5, 0.01,
+                                     derive_rng(5, seeding.INIT,
+                                                seeding.INIT_GATE, 0))
+        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+                                gate_init, rounds=3, local_epochs=2,
+                                lr=0.1, lambda_load=0.05,
+                                client_fraction=0.6, grad_max_norm=1.0,
+                                k=2, seed=5, batch_size=16)
+        pins = [
+            ("20c7a07cce5002a95959a4fcb784fccba2ab142b07265c08da10ee4e673fd455",
+             {0: 1.5544487442799761, 1: 1.46109526846806,
+              2: 1.4381694812340602}),
+            ("267b558c186eeb08d3645e33c93b71b19c32aa67bb9e5d602b5d5ac267b17ccd",
+             {1: 1.4405903219760847, 2: 1.4312065225283876,
+              3: 1.678339245126431}),
+            ("7ef23dd0cd2f687d2ddd211245c8d63c7b3353d2768191043a62df887e3725e2",
+             {0: 1.5496955247984565, 1: 1.4255996119404397,
+              4: 1.6172595155335174}),
+        ]
+        for report, (digest, losses) in zip(result.reports, pins,
+                                            strict=True):
+            assert (report.params_digest, report.client_losses) == \
+                (digest, losses), f"round {report.round_index}"
 
     def test_validation(self):
         clients, fe_spec, fe, expert_spec, experts, gate_init = \

@@ -11,7 +11,7 @@ from nmoe.moe import (GateParams, MoeForward, NmoeModel, RandomGate,
 from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy, forward,
                            init_mlp_params)
 from oracles import (dense_mixture, finite_difference_params,
-                     max_relative_error_params)
+                     load_balance_all_columns, max_relative_error_params)
 
 I, T = kernels.ACT_IDENTITY, kernels.ACT_TANH
 
@@ -160,6 +160,41 @@ class TestLoadBalanceLoss:
         probs[np.arange(n), rng.integers(0, m, size=n)] = 1.0
         loss, _ = load_balance_loss(probs)
         assert loss >= 1.0 - 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 48), st.integers(1, 64),
+           st.integers(1, 48), st.sampled_from([0.1, 1.0, 10.0]))
+    def test_routed_columns_match_all_columns_bitwise(self, seed, m, n,
+                                                      active, scale):
+        # a boost on a few experts leaves most columns unrouted
+        rng = np.random.default_rng(seed)
+        z = scale * rng.normal(size=(n, m))
+        z[:, rng.permutation(m)[:min(active, m)]] += 5.0 * scale
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        for multiplier in (None, 0.5 * m):
+            loss, grad = load_balance_loss(probs, multiplier=multiplier)
+            ref_loss, ref_grad = load_balance_all_columns(probs, multiplier)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8),
+           st.floats(-3e-5, 3e-5), st.booleans())
+    def test_row_check_matches_allclose(self, seed, m, offset, nan_row):
+        rng = np.random.default_rng(seed)
+        probs = rng.random(size=(4, m))
+        probs /= probs.sum(axis=1, keepdims=True)
+        probs[0] *= 1.0 + offset
+        if nan_row:
+            probs[1, 0] = np.nan
+        accept = np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
+        assert not (accept and nan_row)
+        if accept:
+            load_balance_loss(probs)
+        else:
+            with pytest.raises(DataError):
+                load_balance_loss(probs)
 
 
 class TestMoeForward:
