@@ -16,6 +16,14 @@ bit (the centralized_* functions share the epoch helpers and the same
 derivations). Correlation noise and pseudo-label assignment keep
 per-client streams.
 
+Clients that share a stream run stacked: clients whose shards have equal
+sizes draw the same batch rows (and in FedSC the same augmentations), so
+FedCE, FedSC and stage 2 train each such group as one computation over a
+leading client axis, a ParamSet of (g, ...) arrays stepped by batched
+matmuls. Every slice gets the bits its own per-client loop would give.
+FedGate (per-client top-k) and RollGate (a sequential ring) train one
+client at a time.
+
 Communication accounting (4-byte wire scalars by default): FedCE moves
 the extractor down and up for every client each round; FedSC adds one
 correlation matrix up and one aggregate down per client each round;
@@ -41,7 +49,8 @@ from .moe import GateParams, RandomGate, gate_topk, load_balance_loss
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
                        check_compatible, cross_entropy, forward,
                        grad_normalize, init_mlp_params, params_digest,
-                       sgd_step, softmax_backward)
+                       sgd_step, softmax_backward, stack_params,
+                       unstack_params)
 from .seeding import derive_rng
 
 ROLLGATE_LOSS_TOL = 1e-4
@@ -180,6 +189,57 @@ def _check_finite(loss: float, stage: str, client: int, round_index: int):
             f"round {round_index}")
 
 
+def _size_groups(clients) -> list[list[int]]:
+    """Client positions grouped by train-shard size, groups in order of
+    first appearance. One group shares every local-training draw."""
+    groups: dict[int, list[int]] = {}
+    for c, shard in enumerate(clients):
+        groups.setdefault(shard.train.num_samples, []).append(c)
+    return list(groups.values())
+
+
+def _stack_shards(clients, members):
+    """(features, labels) of the given clients' train shards stacked
+    along a leading client axis."""
+    return (np.stack([clients[c].train.features for c in members]),
+            np.stack([clients[c].train.labels for c in members]))
+
+
+def _client_order(groups, per_group) -> list:
+    """Per-group sequences, one entry per member, merged into one list in
+    client order."""
+    out = [None] * sum(len(members) for members in groups)
+    for members, values in zip(groups, per_group):
+        for c, value in zip(members, values):
+            out[c] = value
+    return out
+
+
+def _lockstep_round(clients, groups, stage: str, round_index: int,
+                    train_group):
+    """One round of local training, one group of equal-size shards at a
+    time.
+
+    train_group(j, members) trains group j as one stack and returns its
+    (g, ...) ParamSet with one loss array per local epoch. Returns the
+    trained sets and the epoch losses of every client in client order,
+    checked in that order, so a divergence names the client a per-client
+    loop would have stopped at.
+    """
+    trained, losses = [], []
+    for j, members in enumerate(groups):
+        stack, epoch_losses = train_group(j, members)
+        trained.append(unstack_params(stack))
+        losses.append([[float(loss[i]) for loss in epoch_losses]
+                       for i in range(len(members))])
+    trained = _client_order(groups, trained)
+    losses = _client_order(groups, losses)
+    for shard, client_losses in zip(clients, losses):
+        for loss in client_losses:
+            _check_finite(loss, stage, shard.client_id, round_index)
+    return trained, losses
+
+
 def _digest_group(param_sets) -> str:
     h = hashlib.sha256()
     for ps in param_sets:
@@ -198,15 +258,20 @@ def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
                           features: np.ndarray, labels: np.ndarray,
                           lr: float, batch_size: int,
                           rng: np.random.Generator):
-    """One joint cross-entropy epoch over extractor and head."""
-    n = features.shape[0]
+    """One joint cross-entropy epoch over extractor and head.
+
+    With stacked parameters, (g, n, d) features and (g, n) labels, every
+    client of the stack steps on the same rows and the loss is an array.
+    """
+    n = features.shape[-2]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        latents, fe_tape = forward(fe_spec, fe, features[rows],
+        latents, fe_tape = forward(fe_spec, fe,
+                                   features.take(rows, axis=-2),
                                    want_tape=True)
         logits, head_tape = forward(head_spec, head, latents,
                                     want_tape=True)
-        loss, dlogits = cross_entropy(logits, labels[rows])
+        loss, dlogits = cross_entropy(logits, labels.take(rows, axis=-1))
         head_grads, dlatents = backward(head_tape, dlogits)
         fe_grads, _ = backward(fe_tape, dlatents)
         fe = sgd_step(fe, fe_grads, lr)
@@ -218,13 +283,14 @@ def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
 def _sgd_head_epoch(head_spec: MlpSpec, head: ParamSet,
                     latents: np.ndarray, labels: np.ndarray, lr: float,
                     batch_size: int, rng: np.random.Generator):
-    """One cross-entropy epoch over the head only, on fixed latents."""
-    n = latents.shape[0]
+    """One cross-entropy epoch over the head only, on fixed latents;
+    stacks like _sgd_classifier_epoch."""
+    n = latents.shape[-2]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        logits, tape = forward(head_spec, head, latents[rows],
-                               want_tape=True)
-        loss, dlogits = cross_entropy(logits, labels[rows])
+        logits, tape = forward(head_spec, head,
+                               latents.take(rows, axis=-2), want_tape=True)
+        loss, dlogits = cross_entropy(logits, labels.take(rows, axis=-1))
         grads, _ = backward(tape, dlogits)
         head = sgd_step(head, grads, lr)
         total += loss * rows.size
@@ -241,31 +307,52 @@ def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
     held-fixed aggregate of the other clients' shares and q the client's
     dataset fraction. Returns the loss and its gradients for both views;
     rbar is treated as a constant.
+
+    Stacked views (g, b, d) take g aggregates (g, d, d) and g weights,
+    and give an array of g losses, each slice reduced on its own.
     """
     z1 = np.ascontiguousarray(z1, dtype=np.float64)
     z2 = np.ascontiguousarray(z2, dtype=np.float64)
-    if z1.ndim != 2 or z1.shape != z2.shape:
+    if z1.ndim < 2 or z1.shape != z2.shape:
         raise ConfigError(
-            f"views must share one 2-d shape, got {z1.shape} and {z2.shape}")
-    d = z1.shape[1]
+            f"views must share one shape of rows, got {z1.shape} and "
+            f"{z2.shape}")
+    lead, (b, d) = z1.shape[:-2], z1.shape[-2:]
     rbar = np.asarray(rbar, dtype=np.float64)
-    if rbar.shape != (d, d):
+    if rbar.shape != lead + (d, d):
         raise ConfigError(
-            f"aggregate matrix must be {d}x{d}, got {rbar.shape}")
-    if not 0.0 < q <= 1.0:
+            f"aggregate matrix must be {lead + (d, d)}, got {rbar.shape}")
+    qs = np.asarray(q, dtype=np.float64)
+    if qs.shape != lead:
+        raise ConfigError(f"expected sample weights of shape {lead}, got "
+                          f"{qs.shape}")
+    if not ((qs > 0.0) & (qs <= 1.0)).all():
         raise ConfigError(f"sample weight must lie in (0, 1], got {q}")
-    b = z1.shape[0]
-    rp_trace = float(np.sum(z1 * z2)) / b
-    rhat = (z1.T @ z1 + z2.T @ z2) / (2.0 * b)
-    quad = float(np.sum(rhat * rhat))
-    cross = float(np.sum(rhat * rbar.T))
+    q = qs if lead else float(qs)
+    rp_trace = _slice_sums(z1 * z2) / b
+    rhat = (_t(z1) @ z1 + _t(z2) @ z2) / (2.0 * b)
+    quad = _slice_sums(rhat * rhat)
+    cross = _slice_sums(rhat * _t(rbar))
     loss = -rp_trace + 0.5 * q * quad + (1.0 - q) * cross
     # rhat enters both trailing terms; symmetrized right-factors give the
     # exact derivative of the expression as computed
-    coupling = q * (rhat + rhat.T) + (1.0 - q) * (rbar + rbar.T)
+    qs = qs[..., None, None]
+    coupling = qs * (rhat + _t(rhat)) + (1.0 - qs) * (rbar + _t(rbar))
     dz1 = (-z2 + 0.5 * (z1 @ coupling)) / b
     dz2 = (-z1 + 0.5 * (z2 @ coupling)) / b
     return loss, dz1, dz2
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _slice_sums(a: np.ndarray):
+    """np.sum over the trailing two axes: a float for a 2-d array, one
+    sum per slice of a stack, each the same pairwise sum over the slice's
+    contiguous block as np.sum of that slice."""
+    sums = a.reshape(a.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(sums) if a.ndim == 2 else sums
 
 
 def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
@@ -305,12 +392,14 @@ def _spectral_plan(shape: tuple[int, int], aug_spec: AugmentSpec,
 
 def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
                         features: np.ndarray, batches, rbar: np.ndarray,
-                        q: float, lr: float):
-    """One spectral-contrastive epoch over one epoch of a _spectral_plan."""
-    n = features.shape[0]
+                        q, lr: float):
+    """One spectral-contrastive epoch over one epoch of a _spectral_plan;
+    stacks like _sgd_classifier_epoch, every client applying the plan's
+    draws to its own rows."""
+    n = features.shape[-2]
     total = 0.0
     for rows, (draw1, draw2) in batches:
-        x = features[rows]
+        x = features.take(rows, axis=-2)
         z1, tape1 = forward(fe_spec, fe, draw1.apply(x), want_tape=True)
         z2, tape2 = forward(fe_spec, fe, draw2.apply(x), want_tape=True)
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
@@ -341,38 +430,41 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
             f"extractor output {fe_spec.out_width}")
     m = len(clients)
     sizes = [float(s.train.num_samples) for s in clients]
+    groups = _size_groups(clients)
+    data = [_stack_shards(clients, members) for members in groups]
     fe = init_mlp_params(
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
-    heads = [head0] * m
+    heads = [stack_params([head0] * len(members)) for members in groups]
     reports = []
     for r in range(rounds):
         t0 = time.perf_counter()
-        locals_fe = []
-        losses: dict[int, float] = {}
-        for c, shard in enumerate(clients):
+
+        def train_group(j, members):
             rng = derive_rng(seed, seeding.STAGE1, r, 0)
-            fe_c, head_c = fe, heads[c]
+            fe_g = stack_params([fe] * len(members))
             epoch_losses = []
             for _ in range(local_epochs):
-                fe_c, head_c, loss = _sgd_classifier_epoch(
-                    fe_spec, fe_c, head_spec, head_c,
-                    shard.train.features, shard.train.labels, lr,
+                fe_g, heads[j], loss = _sgd_classifier_epoch(
+                    fe_spec, fe_g, head_spec, heads[j], *data[j], lr,
                     batch_size, rng)
-                _check_finite(loss, "stage1_fedce", shard.client_id, r)
                 epoch_losses.append(loss)
-            locals_fe.append(fe_c)
-            heads[c] = head_c
-            losses[shard.client_id] = float(np.mean(epoch_losses))
+            return fe_g, epoch_losses
+
+        locals_fe, losses = _lockstep_round(clients, groups, "stage1_fedce",
+                                            r, train_group)
         fe = fedavg(locals_fe, sizes)
         reports.append(FedRoundReport(
             stage="stage1_fedce", round_index=r,
             participants=tuple(s.client_id for s in clients),
-            client_losses=losses, params_digest=params_digest(fe),
+            client_losses={s.client_id: float(np.mean(v))
+                           for s, v in zip(clients, losses)},
+            params_digest=params_digest(fe),
             bytes_sent=classifier_round_bytes(m, fe.size(),
                                               bytes_per_scalar),
             wall_clock=time.perf_counter() - t0))
+    heads = _client_order(groups, [unstack_params(h) for h in heads])
     return Stage1Result(fe_params=fe, heads=tuple(heads),
                         reports=tuple(reports))
 
@@ -405,6 +497,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         raise InternalError("a client weight reached 1 with several "
                             "clients; weights must be normalized")
     d = fe_spec.out_width
+    groups = _size_groups(clients)
+    features = [_stack_shards(clients, members)[0] for members in groups]
     fe = init_mlp_params(
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
     reports = []
@@ -416,37 +510,40 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
             for c, shard in enumerate(clients)
         ]
-        plans = {}
-        locals_fe = []
-        losses: dict[int, float] = {}
-        for c, shard in enumerate(clients):
+
+        def aggregate(c):
+            """The weighted mean of every share but client c's."""
             if m == 1:
-                rbar = np.zeros((d, d))
-            else:
-                acc = np.zeros((d, d))
-                for i, share in enumerate(shares):
-                    if i != c:
-                        acc = acc + float(q[i]) * share.matrix
-                rbar = acc / (1.0 - float(q[c]))
-            features = shard.train.features
-            if features.shape not in plans:
-                plans[features.shape] = _spectral_plan(
-                    features.shape, aug_spec, local_epochs, batch_size,
-                    derive_rng(seed, seeding.STAGE1, r, 0))
-            fe_c = fe
+                return np.zeros((d, d))
+            acc = np.zeros((d, d))
+            for i, share in enumerate(shares):
+                if i != c:
+                    acc = acc + float(q[i]) * share.matrix
+            return acc / (1.0 - float(q[c]))
+
+        def train_group(j, members):
+            plan = _spectral_plan(features[j].shape[1:], aug_spec,
+                                  local_epochs, batch_size,
+                                  derive_rng(seed, seeding.STAGE1, r, 0))
+            rbar = np.stack([aggregate(c) for c in members])
+            fe_g = stack_params([fe] * len(members))
             epoch_losses = []
-            for batches in plans[features.shape]:
-                fe_c, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_c, features, batches, rbar, float(q[c]), lr)
-                _check_finite(loss, "stage1_fedsc", shard.client_id, r)
+            for batches in plan:
+                fe_g, loss = _sgd_spectral_epoch(
+                    fe_spec, fe_g, features[j], batches, rbar, q[members],
+                    lr)
                 epoch_losses.append(loss)
-            locals_fe.append(fe_c)
-            losses[shard.client_id] = float(np.mean(epoch_losses))
+            return fe_g, epoch_losses
+
+        locals_fe, losses = _lockstep_round(clients, groups, "stage1_fedsc",
+                                            r, train_group)
         fe = fedavg(locals_fe, sizes)
         reports.append(FedRoundReport(
             stage="stage1_fedsc", round_index=r,
             participants=tuple(s.client_id for s in clients),
-            client_losses=losses, params_digest=params_digest(fe),
+            client_losses={s.client_id: float(np.mean(v))
+                           for s, v in zip(clients, losses)},
+            params_digest=params_digest(fe),
             bytes_sent=spectral_round_bytes(m, fe.size(), d,
                                             bytes_per_scalar),
             wall_clock=time.perf_counter() - t0))
@@ -481,23 +578,31 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         template = init_mlp_params(expert_spec, np.random.default_rng(0))
         for ps in experts:
             check_compatible(template, ps)
-    latents = [forward(fe_spec, fe_params, s.train.features)
-               for s in clients]
-    rngs = [derive_rng(seed, seeding.STAGE2, 0, 0) for _ in clients]
+    groups = _size_groups(clients)
+    data = [(np.stack([forward(fe_spec, fe_params, clients[c].train.features)
+                       for c in members]),
+             _stack_shards(clients, members)[1]) for members in groups]
+    stacks = [stack_params([experts[c] for c in members])
+              for members in groups]
+    # one stream per group, carried across epochs like each client's own
+    rngs = [derive_rng(seed, seeding.STAGE2, 0, 0) for _ in groups]
     reports = []
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        losses: dict[int, float] = {}
-        for c, shard in enumerate(clients):
-            experts[c], loss = _sgd_head_epoch(
-                expert_spec, experts[c], latents[c], shard.train.labels,
-                lr, batch_size, rngs[c])
-            _check_finite(loss, "stage2_experts", shard.client_id, epoch)
-            losses[shard.client_id] = loss
+
+        def train_group(j, members):
+            stacks[j], loss = _sgd_head_epoch(
+                expert_spec, stacks[j], *data[j], lr, batch_size, rngs[j])
+            return stacks[j], [loss]
+
+        experts, losses = _lockstep_round(clients, groups, "stage2_experts",
+                                          epoch, train_group)
         reports.append(FedRoundReport(
             stage="stage2_experts", round_index=epoch,
             participants=tuple(s.client_id for s in clients),
-            client_losses=losses, params_digest=_digest_group(experts),
+            client_losses={s.client_id: v[0]
+                           for s, v in zip(clients, losses)},
+            params_digest=_digest_group(experts),
             bytes_sent=0, wall_clock=time.perf_counter() - t0))
     if params_digest(fe_params) != fe_before:
         raise InternalError("stage 2 mutated the frozen extractor")

@@ -1,20 +1,13 @@
-"""Dense compute kernels with a compiled fast path and a numpy fallback.
+"""Dense compute kernels in numpy.
 
-The fast path uses numba's nopython mode. Which path the package uses is
-decided once, at import time, from the NMOE_NUMBA environment variable:
-set it to "0", "false" or "off" to force the numpy fallback. Both
-implementations stay importable either way so tests and the benchmark in
-benchmarks/bench_kernels.py can compare them directly.
-
-The two paths agree to floating-point noise (hardware BLAS is shared;
-elementwise math may differ in the last bit) and produce identical
-integer outputs. Reproducibility of run artifacts is guaranteed within
-one path.
+dense_forward and dense_backward take inputs of shape (..., rows, width)
+with parameters of matching leading shape: one layer of g independent
+networks runs as one batched matmul over a (g, rows, width) stack. On
+2-d inputs they are the plain single-network layer, and each slice of a
+stacked call is bitwise equal to the 2-d call on that slice.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -26,29 +19,10 @@ ACT_TANH = 2
 VALID_ACTIVATIONS = (ACT_IDENTITY, ACT_RELU, ACT_TANH)
 
 
-def numba_requested(value: str | None) -> bool:
-    """Interpret the NMOE_NUMBA setting; anything but 0/false/off enables."""
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "off")
-
-
-try:
-    from numba import njit
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    NUMBA_AVAILABLE = False
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and numba_requested(os.environ.get("NMOE_NUMBA"))
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def _dense_forward_np(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                      act: int) -> np.ndarray:
-    out = x @ w + b
+def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                  act: int) -> np.ndarray:
+    """act(x @ w + b) for x (..., rows, in), w (..., in, out), b (..., out)."""
+    out = x @ w + b[..., None, :]
     if act == ACT_RELU:
         np.maximum(out, 0.0, out=out)
     elif act == ACT_TANH:
@@ -56,8 +30,10 @@ def _dense_forward_np(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     return out
 
 
-def _dense_backward_np(x: np.ndarray, w: np.ndarray, out: np.ndarray,
-                       dout: np.ndarray, act: int):
+def dense_backward(x: np.ndarray, w: np.ndarray, out: np.ndarray,
+                   dout: np.ndarray, act: int):
+    """(dx, dw, db) of dense_forward given its output and the gradient on
+    that output; dw and db keep the leading shape of w and b."""
     if act == ACT_RELU:
         # out > 0 iff the pre-activation was > 0; the kink at 0 gets slope 0
         dpre = np.where(out > 0.0, dout, 0.0)
@@ -65,28 +41,28 @@ def _dense_backward_np(x: np.ndarray, w: np.ndarray, out: np.ndarray,
         dpre = dout * (1.0 - out * out)
     else:
         dpre = np.array(dout)
-    dw = x.T @ dpre
-    db = dpre.sum(axis=0)
-    dx = dpre @ w.T
+    dw = np.swapaxes(x, -1, -2) @ dpre
+    db = dpre.sum(axis=-2)
+    dx = dpre @ np.swapaxes(w, -1, -2)
     return dx, dw, db
 
 
-def _softmax_rows_np(z: np.ndarray) -> np.ndarray:
+def softmax_rows(z: np.ndarray) -> np.ndarray:
     m = np.max(z, axis=1, keepdims=True)
     e = np.exp(z - m)
     s = e.sum(axis=1, keepdims=True)
     return e / s
 
 
-def _topk_indices_np(z: np.ndarray, k: int) -> np.ndarray:
+def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
     # Stable sort of the negated row keeps equal values in input order,
     # which breaks ties at the boundary toward the lowest index.
     order = np.argsort(-z, axis=1, kind="stable")
     return np.ascontiguousarray(order[:, :k])
 
 
-def _combine_topk_np(all_logits: np.ndarray, idx: np.ndarray,
-                     weights: np.ndarray) -> np.ndarray:
+def combine_topk(all_logits: np.ndarray, idx: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
     # all_logits: (experts, rows, classes); idx, weights: (rows, slots)
     n = idx.shape[0]
     out = np.zeros((n, all_logits.shape[2]))
@@ -94,116 +70,3 @@ def _combine_topk_np(all_logits: np.ndarray, idx: np.ndarray,
     for s in range(idx.shape[1]):
         out += weights[:, s, None] * all_logits[idx[:, s], rows, :]
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _dense_forward_nb(x, w, b, act):
-        out = np.dot(x, w)
-        n, c = out.shape
-        if act == ACT_RELU:
-            for i in range(n):
-                for j in range(c):
-                    v = out[i, j] + b[j]
-                    out[i, j] = v if v > 0.0 else 0.0
-        elif act == ACT_TANH:
-            for i in range(n):
-                for j in range(c):
-                    out[i, j] = np.tanh(out[i, j] + b[j])
-        else:
-            for i in range(n):
-                for j in range(c):
-                    out[i, j] += b[j]
-        return out
-
-    @njit(cache=True)
-    def _dense_backward_nb(x, w, out, dout, act):
-        n, c = out.shape
-        dpre = np.empty((n, c))
-        if act == ACT_RELU:
-            for i in range(n):
-                for j in range(c):
-                    dpre[i, j] = dout[i, j] if out[i, j] > 0.0 else 0.0
-        elif act == ACT_TANH:
-            for i in range(n):
-                for j in range(c):
-                    dpre[i, j] = dout[i, j] * (1.0 - out[i, j] * out[i, j])
-        else:
-            for i in range(n):
-                for j in range(c):
-                    dpre[i, j] = dout[i, j]
-        dw = np.dot(np.ascontiguousarray(x.T), dpre)
-        db = np.zeros(c)
-        for i in range(n):
-            for j in range(c):
-                db[j] += dpre[i, j]
-        dx = np.dot(dpre, np.ascontiguousarray(w.T))
-        return dx, dw, db
-
-    @njit(cache=True)
-    def _softmax_rows_nb(z):
-        n, c = z.shape
-        out = np.empty((n, c))
-        for i in range(n):
-            m = z[i, 0]
-            for j in range(1, c):
-                if z[i, j] > m:
-                    m = z[i, j]
-            s = 0.0
-            for j in range(c):
-                e = np.exp(z[i, j] - m)
-                out[i, j] = e
-                s += e
-            for j in range(c):
-                out[i, j] /= s
-        return out
-
-    @njit(cache=True)
-    def _topk_indices_nb(z, k):
-        n, c = z.shape
-        idx = np.empty((n, k), dtype=np.int64)
-        taken = np.zeros(c, dtype=np.bool_)
-        for i in range(n):
-            for j in range(c):
-                taken[j] = False
-            for s in range(k):
-                best = -1
-                bestv = 0.0
-                for j in range(c):
-                    if not taken[j] and (best < 0 or z[i, j] > bestv):
-                        best = j
-                        bestv = z[i, j]
-                idx[i, s] = best
-                taken[best] = True
-        return idx
-
-    @njit(cache=True)
-    def _combine_topk_nb(all_logits, idx, weights):
-        n, slots = idx.shape
-        classes = all_logits.shape[2]
-        out = np.zeros((n, classes))
-        for s in range(slots):
-            for i in range(n):
-                e = idx[i, s]
-                w = weights[i, s]
-                for c in range(classes):
-                    out[i, c] += w * all_logits[e, i, c]
-        return out
-
-
-if NUMBA_ENABLED:
-    dense_forward = _dense_forward_nb
-    dense_backward = _dense_backward_nb
-    softmax_rows = _softmax_rows_nb
-    topk_indices = _topk_indices_nb
-    combine_topk = _combine_topk_nb
-else:
-    dense_forward = _dense_forward_np
-    dense_backward = _dense_backward_np
-    softmax_rows = _softmax_rows_np
-    topk_indices = _topk_indices_np
-    combine_topk = _combine_topk_np

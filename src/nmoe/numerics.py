@@ -3,6 +3,12 @@ backward passes, losses, and SGD utilities.
 
 Everything runs in float64. Backward passes are hand-derived; the test
 suite checks each one against central finite differences.
+
+forward, backward, cross_entropy, sgd_step and add_params also take a
+leading client axis: a ParamSet of (g, ...) arrays (stack_params) holds g
+networks of one topology, and a (g, rows, width) batch runs all of them
+with one batched matmul per layer. Each slice gets the bits a 2-d call
+would give it. grad_normalize takes one network's gradients only.
 """
 
 from __future__ import annotations
@@ -76,6 +82,22 @@ class ParamSet:
     def size(self) -> int:
         """Total number of scalars across all arrays."""
         return sum(a.size for a in self._arrays.values())
+
+
+def stack_params(sets) -> ParamSet:
+    """g shape-compatible sets as one set of (g, ...) arrays."""
+    sets = list(sets)
+    for other in sets[1:]:
+        check_compatible(sets[0], other)
+    return ParamSet((n, np.stack([ps[n] for ps in sets]))
+                    for n in sets[0].names)
+
+
+def unstack_params(stacked: ParamSet) -> list[ParamSet]:
+    """Inverse of stack_params: one set per leading index."""
+    g = stacked[stacked.names[0]].shape[0]
+    return [ParamSet((n, a[c]) for n, a in stacked.items())
+            for c in range(g)]
 
 
 def check_compatible(a: ParamSet, b: ParamSet) -> None:
@@ -187,16 +209,17 @@ class Tape:
 
 def forward(spec: MlpSpec, params: ParamSet, batch: np.ndarray,
             want_tape: bool = False):
-    """Run the network on a batch of rows.
+    """Run the network on a batch of rows, (rows, width), or on a stack
+    (g, rows, width) with params of (g, ...) arrays.
 
     Returns the output array, or (output, tape) when want_tape is set.
     """
     x = np.ascontiguousarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError(f"expected a 2-d batch, got shape {x.shape}")
-    if x.shape[1] != spec.in_width:
+    if x.ndim < 2:
+        raise ConfigError(f"expected a batch of rows, got shape {x.shape}")
+    if x.shape[-1] != spec.in_width:
         raise ConfigError(
-            f"batch width {x.shape[1]} does not match the network input "
+            f"batch width {x.shape[-1]} does not match the network input "
             f"width {spec.in_width}")
     _check_spec_params(spec, params)
     records = [x]
@@ -237,7 +260,7 @@ def _check_spec_params(spec: MlpSpec, params: ParamSet) -> None:
         if wname not in params or bname not in params:
             raise ConfigError(f"parameter set lacks layer {layer}")
         expect = (spec.widths[layer], spec.widths[layer + 1])
-        if params[wname].shape != expect:
+        if params[wname].shape[-2:] != expect:
             raise ConfigError(
                 f"{wname} has shape {params[wname].shape}, spec wants {expect}")
 
@@ -266,28 +289,35 @@ def cross_entropy(logits: np.ndarray,
                   labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean negative log-likelihood and its gradient wrt the logits.
 
-    The gradient is (softmax - onehot) / rows, ready to feed backward.
+    logits (rows, classes) with labels (rows,) give a float loss; stacked
+    logits (g, rows, classes) with labels (g, rows) give an array of g
+    losses, each slice reduced on its own like a 2-d call. The gradient
+    is (softmax - onehot) / rows, ready to feed backward.
     """
     z = np.ascontiguousarray(logits, dtype=np.float64)
     y = np.asarray(labels)
-    if z.ndim != 2 or y.ndim != 1 or z.shape[0] != y.shape[0]:
+    if z.ndim < 2 or y.shape != z.shape[:-1]:
         raise DataError(
             f"logits {z.shape} and labels {y.shape} do not line up")
-    y = y.astype(np.int64)
-    if z.shape[0] == 0:
+    n, classes = z.shape[-2:]
+    if n == 0:
         raise DataError("cross entropy over an empty batch")
-    if y.min() < 0 or y.max() >= z.shape[1]:
+    # every row of every slice, flattened, with its label
+    y = y.astype(np.int64).reshape(-1)
+    if y.min() < 0 or y.max() >= classes:
         raise DataError(
-            f"label outside [0, {z.shape[1]}): {int(y.min())}..{int(y.max())}")
-    rowmax = z.max(axis=1, keepdims=True)
+            f"label outside [0, {classes}): {int(y.min())}..{int(y.max())}")
+    rows = np.arange(y.size)
+    rowmax = z.max(axis=-1, keepdims=True)
     shifted = z - rowmax
-    logsum = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logsum
-    n = z.shape[0]
-    rows = np.arange(n)
-    loss = float(-logp[rows, y].mean())
+    picked = logp.reshape(-1, classes)[rows, y].reshape(z.shape[:-1])
+    loss = -picked.mean(axis=-1)
+    if z.ndim == 2:
+        loss = float(loss)
     grad = np.exp(logp)
-    grad[rows, y] -= 1.0
+    grad.reshape(-1, classes)[rows, y] -= 1.0
     grad /= n
     return loss, grad
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,14 +34,16 @@ from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, classifier_round_bytes, fedavg,
                         stage1_fedce, stage1_fedsc, stage2_experts,
                         stage3_fedgate, stage3_rangate, stage3_rollgate,
-                        _check_finite, _sgd_head_epoch)
+                        _check_finite, _lockstep_round, _sgd_head_epoch,
+                        _size_groups, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, init_gate_params, load_balance_loss,
                   moe_backward, moe_forward, save_model)
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
 from .numerics import (MlpSpec, ParamSet, cross_entropy, forward,
-                       grad_normalize, init_mlp_params, sgd_step, softmax)
+                       grad_normalize, init_mlp_params, params_digest,
+                       sgd_step, softmax, stack_params)
 from .seeding import derive_rng
 
 # Round slots within the BASELINE component, so baseline streams never
@@ -389,6 +392,53 @@ def train_centralized_moe(config: RunConfig, shards
     return model, losses
 
 
+def train_fedavg_classifier(config: RunConfig, shards
+                            ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
+    """FedAvg of the whole classifier on stage 1's schedule.
+
+    Every client starts each round from the global model and trains it
+    on its shard; clients with equal shard sizes run as one stack. A
+    report's client_losses hold each client's last-epoch loss.
+    """
+    spec = _combined_spec(config)
+    s1 = config.stage1
+    m = len(shards)
+    sizes = [float(s.train.num_samples) for s in shards]
+    groups = _size_groups(shards)
+    data = [_stack_shards(shards, members) for members in groups]
+    global_params = init_mlp_params(
+        spec, derive_rng(config.seed, seeding.BASELINE,
+                         _BASE_FEDAVG_INIT, 0))
+    reports = []
+    for r in range(s1.rounds):
+        t0 = time.perf_counter()
+
+        def train_group(j, members):
+            rng = derive_rng(config.seed, seeding.BASELINE,
+                             _BASE_FEDAVG_ROUND + r, 0)
+            params = stack_params([global_params] * len(members))
+            epoch_losses = []
+            for _ in range(s1.local_epochs):
+                params, loss = _sgd_head_epoch(
+                    spec, params, *data[j], s1.lr, config.batch_size, rng)
+                epoch_losses.append(loss)
+            return params, epoch_losses
+
+        locals_p, losses = _lockstep_round(
+            shards, groups, "baseline_fedavg_classifier", r, train_group)
+        global_params = fedavg(locals_p, sizes)
+        reports.append(FedRoundReport(
+            stage="baseline_fedavg_classifier", round_index=r,
+            participants=tuple(s.client_id for s in shards),
+            client_losses={s.client_id: v[-1]
+                           for s, v in zip(shards, losses)},
+            params_digest=params_digest(global_params),
+            bytes_sent=classifier_round_bytes(
+                m, global_params.size(), config.bytes_per_scalar),
+            wall_clock=time.perf_counter() - t0))
+    return global_params, tuple(reports)
+
+
 def run_baselines(config: RunConfig, shards=None) -> dict:
     """The three reference systems, evaluated exactly like the pipeline:
     a centralized mixture on pooled data, purely local classifiers, and
@@ -397,7 +447,6 @@ def run_baselines(config: RunConfig, shards=None) -> dict:
         shards = build_shards(config)
     num_classes = config.data.num_classes
     spec = _combined_spec(config)
-    m = len(shards)
 
     central_model, central_losses = train_centralized_moe(config, shards)
     central_inference = simulate_inference(
@@ -427,35 +476,13 @@ def run_baselines(config: RunConfig, shards=None) -> dict:
     local_report, local_log = _inference_on_own_shard(
         local_params, spec, shards, num_classes)
 
-    sizes = [float(s.train.num_samples) for s in shards]
-    global_params = init_mlp_params(
-        spec, derive_rng(config.seed, seeding.BASELINE,
-                         _BASE_FEDAVG_INIT, 0))
-    fedavg_losses = []
-    rounds = config.stage1.rounds
-    for r in range(rounds):
-        locals_p = []
-        round_losses = []
-        for shard in shards:
-            rng = derive_rng(config.seed, seeding.BASELINE,
-                             _BASE_FEDAVG_ROUND + r, 0)
-            params = global_params
-            loss = float("nan")
-            for _ in range(config.stage1.local_epochs):
-                params, loss = _sgd_head_epoch(
-                    spec, params, shard.train.features, shard.train.labels,
-                    config.stage1.lr, config.batch_size, rng)
-                _check_finite(loss, "baseline_fedavg_classifier",
-                              shard.client_id, r)
-            locals_p.append(params)
-            round_losses.append(loss)
-        global_params = fedavg(locals_p, sizes)
-        fedavg_losses.append(float(np.mean(round_losses)))
+    global_params, fedavg_rounds = train_fedavg_classifier(config, shards)
+    fedavg_losses = [float(np.mean(list(r.client_losses.values())))
+                     for r in fedavg_rounds]
     fedavg_report, fedavg_log = _inference_on_own_shard(
         {s.client_id: global_params for s in shards}, spec, shards,
         num_classes)
-    fedavg_bytes = classifier_round_bytes(
-        m, global_params.size(), config.bytes_per_scalar) * rounds
+    fedavg_bytes = sum(r.bytes_sent for r in fedavg_rounds)
 
     return {
         "centralized_moe": _baseline_entry(

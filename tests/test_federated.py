@@ -19,6 +19,7 @@ from nmoe.federated import (CorrelationShare, FedRoundReport, Stage1Result,
 from nmoe.moe import GateParams, RandomGate, gate_topk, init_gate_params
 from nmoe.numerics import MlpSpec, ParamSet, forward, init_mlp_params
 from nmoe.seeding import derive_rng
+import oracles
 from oracles import finite_difference, max_relative_error
 
 I, R, T = kernels.ACT_IDENTITY, kernels.ACT_RELU, kernels.ACT_TANH
@@ -143,6 +144,29 @@ class TestSpectralLoss:
             spectral_contrastive_local_loss(z, z, np.zeros((3, 3)), 1.0)
         with pytest.raises(ConfigError):
             spectral_contrastive_local_loss(z, z, np.zeros((2, 2)), 0.0)
+        stack = np.zeros((2, 3, 2))
+        with pytest.raises(ConfigError):
+            spectral_contrastive_local_loss(stack, stack, np.zeros((2, 2)),
+                                            np.ones(2))
+        with pytest.raises(ConfigError):
+            spectral_contrastive_local_loss(stack, stack,
+                                            np.zeros((2, 2, 2)), 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
+           st.integers(1, 10))
+    def test_stacked_matches_per_slice(self, seed, g, b, d):
+        rng = np.random.default_rng(seed)
+        z1, z2 = rng.normal(size=(2, g, b, d))
+        rbar = rng.normal(size=(g, d, d))
+        q = rng.uniform(0.05, 1.0, size=g)
+        loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
+        for c in range(g):
+            single = spectral_contrastive_local_loss(z1[c], z2[c], rbar[c],
+                                                     float(q[c]))
+            assert loss[c] == single[0]
+            assert np.array_equal(dz1[c], single[1])
+            assert np.array_equal(dz2[c], single[2])
 
 
 class TestCorrelationShare:
@@ -577,3 +601,128 @@ class TestFedGate:
                            gate_init, rounds=1, local_epochs=1, lr=0.05,
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=5)
+
+
+def lockstep_clients(num_clients, sizes):
+    """num_clients shards with train shards cut to the given sizes,
+    cycled over the clients."""
+    clients = make_clients(num_clients, 0.4, num_classes=max(num_clients, 4))
+    return [Shard(s.client_id, s.train.take(np.arange(sizes[c % len(sizes)])),
+                  s.test)
+            for c, s in enumerate(clients)]
+
+
+# (client count, train-shard sizes cycled over the clients): equal shards,
+# one short group after two full ones, and groups interleaved in client
+# order so aggregation order differs from group order
+LOCKSTEP_CASES = [(1, (60,)), (2, (60,)), (5, (60,)), (3, (60, 60, 45)),
+                  (5, (60, 45))]
+LOCKSTEP_FE = {"relu": MlpSpec((8, 12, 6), (R, I)),
+               "tanh": MlpSpec((8, 12, 6), (T, T))}
+
+
+def report_pairs(reports):
+    return [(r.params_digest, r.client_losses) for r in reports]
+
+
+@pytest.mark.parametrize("act", sorted(LOCKSTEP_FE))
+@pytest.mark.parametrize("num_clients,sizes", LOCKSTEP_CASES)
+class TestLockstepMatchesPerClient:
+    """Stacked stages against the per-client loops they replaced: every
+    round's digest and every client's loss, bit for bit."""
+
+    head_spec = MlpSpec((6, 5), (I,))
+    aug = AugmentSpec(noise_std=0.1, mask_prob=0.1)
+
+    def test_fedsc(self, num_clients, sizes, act):
+        clients = lockstep_clients(num_clients, sizes)
+        kw = dict(rounds=2, local_epochs=2, lr=0.05, aug_spec=self.aug,
+                  dp_noise_std=0.05, seed=13, batch_size=16)
+        result = stage1_fedsc(clients, LOCKSTEP_FE[act], **kw)
+        assert report_pairs(result.reports) == \
+            oracles.per_client_fedsc(clients, LOCKSTEP_FE[act], **kw)
+
+    def test_fedce(self, num_clients, sizes, act):
+        clients = lockstep_clients(num_clients, sizes)
+        kw = dict(rounds=2, local_epochs=2, lr=0.05, seed=7, batch_size=16)
+        result = stage1_fedce(clients, LOCKSTEP_FE[act], self.head_spec,
+                              **kw)
+        rounds, heads = oracles.per_client_fedce(
+            clients, LOCKSTEP_FE[act], self.head_spec, **kw)
+        assert report_pairs(result.reports) == rounds
+        assert list(result.heads) == heads
+
+    def test_stage2_experts(self, num_clients, sizes, act):
+        clients = lockstep_clients(num_clients, sizes)
+        fe_spec = LOCKSTEP_FE[act]
+        fe = init_mlp_params(fe_spec, np.random.default_rng(5))
+        expert_spec = MlpSpec((6, 10, 5), (T, I))
+        kw = dict(epochs=3, lr=0.1, seed=4, batch_size=16)
+        result = stage2_experts(clients, fe_spec, fe, expert_spec, **kw)
+        rounds, experts = oracles.per_client_experts(
+            clients, fe_spec, fe, expert_spec, **kw)
+        assert report_pairs(result.reports) == rounds
+        assert list(result.experts) == experts
+
+
+def scale_features(clients, scale, which=(1,)):
+    """The same shards with the train features of the clients at the
+    given positions multiplied by scale."""
+    out = list(clients)
+    for c in which:
+        train = out[c].train
+        out[c] = Shard(out[c].client_id,
+                       Dataset(features=train.features * scale,
+                               labels=train.labels,
+                               num_classes=train.num_classes),
+                       out[c].test)
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestStackedDivergenceNamesTheClient:
+    """Only client 1 diverges; the stacked stages must name it and the
+    round, as the per-client loops did."""
+
+    fe_spec = MlpSpec((8, 10, 6), (R, I))
+    head_spec = MlpSpec((6, 4), (I,))
+    message = r"^client 1 loss became non-finite in {} round 0$"
+
+    def test_fedce(self):
+        clients = scale_features(make_clients(3, 1.0), 1e200)
+        with pytest.raises(TrainingError,
+                           match=self.message.format("stage1_fedce")):
+            stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,
+                         local_epochs=2, lr=0.05, seed=1, batch_size=16)
+
+    def test_fedsc(self):
+        # 1e100 keeps client 1's correlation share finite, so the other
+        # clients' aggregates stay finite; one batch per round means they
+        # report the loss at the shared starting point, while client 1's
+        # quadratic term overflows at once
+        clients = scale_features(make_clients(3, 1.0), 1e100)
+        with pytest.raises(TrainingError,
+                           match=self.message.format("stage1_fedsc")):
+            stage1_fedsc(clients, self.fe_spec, rounds=2, local_epochs=1,
+                         lr=0.05, aug_spec=AugmentSpec(0.1, 0.1),
+                         dp_noise_std=0.0, seed=1, batch_size=64)
+
+    def test_stage2_experts(self):
+        clients = scale_features(make_clients(3, 1.0), 1e200)
+        fe = init_mlp_params(self.fe_spec, np.random.default_rng(0))
+        with pytest.raises(TrainingError,
+                           match=self.message.format("stage2_experts")):
+            stage2_experts(clients, self.fe_spec, fe, self.head_spec,
+                           epochs=2, lr=0.05, seed=1, batch_size=16)
+
+    def test_lowest_index_wins_across_groups(self):
+        # clients 1 and 2 both diverge; client 2 trains in the first group
+        # (sizes 60, 45, 60 group clients 0 and 2 ahead of client 1), and
+        # the error must still name client 1
+        clients = scale_features(make_clients(3, 1.0), 1e200, (1, 2))
+        clients[1] = Shard(1, clients[1].train.take(np.arange(45)),
+                           clients[1].test)
+        with pytest.raises(TrainingError,
+                           match=self.message.format("stage1_fedce")):
+            stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,
+                         local_epochs=2, lr=0.05, seed=1, batch_size=16)

@@ -1,5 +1,4 @@
-"""Both kernel paths must agree: exactly for integer outputs, to
-floating-point noise for real ones."""
+"""Kernel fixtures, and stacked dense layers against per-slice 2-d calls."""
 
 import numpy as np
 import pytest
@@ -10,17 +9,10 @@ import nmoe.kernels as K
 
 RNG = np.random.default_rng(20240817)
 
-FORWARD = [("numpy", K._dense_forward_np)]
-BACKWARD = [("numpy", K._dense_backward_np)]
-SOFTMAX = [("numpy", K._softmax_rows_np)]
-TOPK = [("numpy", K._topk_indices_np)]
-COMBINE = [("numpy", K._combine_topk_np)]
-if K.NUMBA_AVAILABLE:
-    FORWARD.append(("numba", K._dense_forward_nb))
-    BACKWARD.append(("numba", K._dense_backward_nb))
-    SOFTMAX.append(("numba", K._softmax_rows_nb))
-    TOPK.append(("numba", K._topk_indices_nb))
-    COMBINE.append(("numba", K._combine_topk_nb))
+FORWARD = [("numpy", K.dense_forward)]
+SOFTMAX = [("numpy", K.softmax_rows)]
+TOPK = [("numpy", K.topk_indices)]
+COMBINE = [("numpy", K.combine_topk)]
 
 
 def ids(impls):
@@ -47,23 +39,6 @@ def test_dense_forward_bias(impl):
     assert np.array_equal(out, np.tile(b, (3, 1)))
 
 
-def test_paths_agree_dense():
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba unavailable")
-    for act in K.VALID_ACTIVATIONS:
-        x = RNG.normal(size=(7, 5))
-        w = RNG.normal(size=(5, 4))
-        b = RNG.normal(size=4)
-        a = K._dense_forward_np(x, w, b, act)
-        n = K._dense_forward_nb(x, w, b, act)
-        np.testing.assert_allclose(a, n, rtol=1e-13, atol=1e-14)
-        dout = RNG.normal(size=(7, 4))
-        out = a
-        for lhs, rhs in zip(K._dense_backward_np(x, w, out, dout, act),
-                            K._dense_backward_nb(x, w, out, dout, act)):
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-13, atol=1e-14)
-
-
 @pytest.mark.parametrize("impl", [f for _, f in SOFTMAX], ids=ids(SOFTMAX))
 def test_softmax_rows_fixtures(impl):
     out = impl(np.array([[0.0, 0.0, 0.0]]))
@@ -80,15 +55,6 @@ def test_softmax_rows_sum_to_one(impl):
     out = impl(z)
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
     assert (out >= 0.0).all()
-
-
-def test_paths_agree_softmax():
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba unavailable")
-    z = RNG.normal(size=(11, 9)) * 4.0
-    z[2, 3] = -np.inf
-    np.testing.assert_allclose(K._softmax_rows_np(z), K._softmax_rows_nb(z),
-                               rtol=1e-13, atol=1e-16)
 
 
 @pytest.mark.parametrize("impl", [f for _, f in TOPK], ids=ids(TOPK))
@@ -112,20 +78,6 @@ def test_topk_descending_order(impl):
     assert all(len(set(row)) == 5 for row in idx.tolist())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6))
-def test_paths_agree_topk(seed, rows, cols):
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(seed)
-    # integer-valued entries force plenty of ties
-    z = rng.integers(-2, 3, size=(rows, cols)).astype(np.float64)
-    for k in range(1, cols + 1):
-        a = K._topk_indices_np(z, k)
-        b = K._topk_indices_nb(z, k)
-        assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("impl", [f for _, f in COMBINE], ids=ids(COMBINE))
 def test_combine_topk_single_slot(impl):
     all_logits = RNG.normal(size=(3, 5, 4))
@@ -136,27 +88,25 @@ def test_combine_topk_single_slot(impl):
     assert np.array_equal(out, expect)
 
 
-def test_paths_agree_combine():
-    if not K.NUMBA_AVAILABLE:
-        pytest.skip("numba unavailable")
-    all_logits = RNG.normal(size=(4, 9, 6))
-    idx = RNG.integers(0, 4, size=(9, 3)).astype(np.int64)
-    w = RNG.random(size=(9, 3))
-    a = K._combine_topk_np(all_logits, idx, w)
-    b = K._combine_topk_nb(all_logits, idx, w)
-    np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
-
-
-def test_flag_parsing():
-    assert K.numba_requested(None)
-    assert K.numba_requested("1")
-    assert K.numba_requested("yes")
-    for value in ("0", "false", "False", "OFF", " off "):
-        assert not K.numba_requested(value)
-
-
-def test_active_binding_matches_flag():
-    if K.NUMBA_ENABLED:
-        assert K.dense_forward is K._dense_forward_nb
-    else:
-        assert K.dense_forward is K._dense_forward_np
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
+       st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from(K.VALID_ACTIVATIONS))
+def test_stacked_dense_matches_per_slice(seed, g, rows, fan_in, fan_out,
+                                         act):
+    # one (g, rows, width) call must give every slice the exact bits of
+    # the 2-d call on that slice
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(g, rows, fan_in))
+    w = rng.normal(size=(g, fan_in, fan_out))
+    b = rng.normal(size=(g, fan_out))
+    dout = rng.normal(size=(g, rows, fan_out))
+    out = K.dense_forward(x, w, b, act)
+    dx, dw, db = K.dense_backward(x, w, out, dout, act)
+    for c in range(g):
+        out_c = K.dense_forward(x[c], w[c], b[c], act)
+        assert np.array_equal(out[c], out_c)
+        for stacked, single in zip(
+                (dx, dw, db), K.dense_backward(x[c], w[c], out_c, dout[c],
+                                               act)):
+            assert np.array_equal(stacked[c], single)

@@ -10,7 +10,8 @@ from nmoe.errors import ConfigError, DataError, InternalError
 from nmoe.numerics import (MlpSpec, ParamSet, backward, cross_entropy,
                            decode_params, encode_params, forward,
                            grad_normalize, init_mlp_params, params_digest,
-                           sgd_step, softmax, softmax_backward)
+                           sgd_step, softmax, softmax_backward, stack_params,
+                           unstack_params)
 from oracles import (finite_difference, finite_difference_params,
                      max_relative_error, max_relative_error_params)
 
@@ -169,6 +170,19 @@ class TestSoftmax:
         assert max_relative_error(dz, fd) < 1e-4
 
 
+class TestStackParams:
+    def test_round_trip_and_shapes(self):
+        sets = [mlp((3, 2), (I,), seed=s)[1] for s in range(3)]
+        stacked = stack_params(sets)
+        assert stacked["w0"].shape == (3, 3, 2)
+        assert stacked["b0"].shape == (3, 2)
+        assert unstack_params(stacked) == sets
+
+    def test_incompatible_sets_rejected(self):
+        with pytest.raises(ConfigError):
+            stack_params([mlp((3, 2), (I,))[1], mlp((3, 4), (I,))[1]])
+
+
 class TestCrossEntropy:
     def test_symmetric_pair_gives_log_two(self):
         loss, _ = cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
@@ -193,6 +207,24 @@ class TestCrossEntropy:
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
         with pytest.raises(DataError):
             cross_entropy(np.zeros((2, 3)), np.array([-1, 0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
+           st.integers(1, 12))
+    def test_stacked_matches_per_slice(self, seed, g, rows, classes):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(g, rows, classes)) * 5.0
+        y = rng.integers(0, classes, size=(g, rows))
+        loss, grad = cross_entropy(z, y)
+        assert loss.shape == (g,)
+        for c in range(g):
+            single_loss, single_grad = cross_entropy(z[c], y[c])
+            assert loss[c] == single_loss
+            assert np.array_equal(grad[c], single_grad)
+
+    def test_stacked_labels_must_line_up(self):
+        with pytest.raises(DataError):
+            cross_entropy(np.zeros((2, 3, 4)), np.zeros(3, dtype=int))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -10,8 +10,11 @@ from nmoe.errors import ConfigError, TrainingError
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
 from nmoe.netsim import CostModel, simulate_inference
+from nmoe.datasets import Shard
 from nmoe.pipeline import (RunResult, build_shards, run_ablation,
-                           run_baselines, run_pipeline, write_sweep_csv)
+                           run_baselines, run_pipeline,
+                           train_fedavg_classifier, write_sweep_csv)
+from oracles import per_client_fedavg_classifier
 from nmoe.seeding import derive_rng
 
 ARTIFACTS = ("config.json", "results.json", "training_log.jsonl",
@@ -208,6 +211,23 @@ def test_fedavg_classifier_pays_full_model_traffic(small_baselines):
 def test_baselines_deterministic(small_baselines):
     again = run_baselines(small_config())
     assert again == small_baselines
+
+
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("num_clients,sizes",
+                         [(1, (60,)), (2, (60,)), (5, (60,)),
+                          (3, (60, 60, 45)), (5, (60, 45))])
+def test_fedavg_classifier_matches_per_client_loop(num_clients, sizes, act):
+    config = small_config(
+        data={"num_clients": num_clients, "train_per_client": 60},
+        model={"fe_activations": [act, act]},
+        stage1={"rounds": 2, "local_epochs": 2}, k=1)
+    shards = [Shard(s.client_id,
+                    s.train.take(np.arange(sizes[c % len(sizes)])), s.test)
+              for c, s in enumerate(build_shards(config))]
+    _, reports = train_fedavg_classifier(config, shards)
+    assert [(r.params_digest, r.client_losses) for r in reports] == \
+        per_client_fedavg_classifier(config, shards)
 
 
 # --- sweeps ------------------------------------------------------------
