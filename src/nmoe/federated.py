@@ -18,11 +18,13 @@ per-client streams.
 
 Clients that share a stream run stacked: clients whose shards have equal
 sizes draw the same batch rows (and in FedSC the same augmentations), so
-FedCE, FedSC and stage 2 train each such group as one computation over a
-leading client axis, a ParamSet of (g, ...) arrays stepped by batched
-matmuls. Every slice gets the bits its own per-client loop would give.
-FedGate (per-client top-k) and RollGate (a sequential ring) train one
-client at a time.
+FedCE, FedSC, stage 2 and the FedAvg-classifier baseline train each such
+group as one computation over a leading client axis, a ParamSet of
+(g, ...) arrays stepped by batched matmuls. Every slice gets the bits
+its own per-client loop would give. FedGate (per-client top-k) and RollGate
+(a sequential ring) train one client at a time. FedCE, FedSC, FedGate
+and the FedAvg-classifier baseline share one round driver,
+_fedavg_rounds, for finiteness checks, averaging and round reports.
 
 Communication accounting (4-byte wire scalars by default): FedCE moves
 the extractor down and up for every client each round; FedSC adds one
@@ -45,7 +47,8 @@ from . import kernels, seeding
 from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
                        draw_views)
 from .errors import ConfigError, DataError, InternalError, TrainingError
-from .moe import GateParams, RandomGate, gate_topk, load_balance_loss
+from .moe import (GateParams, RandomGate, gate_spec, gate_topk,
+                  load_balance_loss)
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
                        check_compatible, cross_entropy, forward,
                        grad_normalize, init_mlp_params, params_digest,
@@ -215,16 +218,13 @@ def _client_order(groups, per_group) -> list:
     return out
 
 
-def _lockstep_round(clients, groups, stage: str, round_index: int,
-                    train_group):
+def _lockstep_round(groups, train_group):
     """One round of local training, one group of equal-size shards at a
     time.
 
     train_group(j, members) trains group j as one stack and returns its
     (g, ...) ParamSet with one loss array per local epoch. Returns the
-    trained sets and the epoch losses of every client in client order,
-    checked in that order, so a divergence names the client a per-client
-    loop would have stopped at.
+    trained sets and the epoch losses of every client in client order.
     """
     trained, losses = [], []
     for j, members in enumerate(groups):
@@ -232,12 +232,40 @@ def _lockstep_round(clients, groups, stage: str, round_index: int,
         trained.append(unstack_params(stack))
         losses.append([[float(loss[i]) for loss in epoch_losses]
                        for i in range(len(members))])
-    trained = _client_order(groups, trained)
-    losses = _client_order(groups, losses)
-    for shard, client_losses in zip(clients, losses):
-        for loss in client_losses:
-            _check_finite(loss, stage, shard.client_id, round_index)
-    return trained, losses
+    return _client_order(groups, trained), _client_order(groups, losses)
+
+
+def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
+                   train_round, round_bytes, client_loss=np.mean):
+    """Rounds of federated averaging starting from params.
+
+    train_round(r, params) trains round r's participants from params and
+    returns their positions in clients, their trained sets and their
+    epoch losses, all in client order. The losses are checked in that
+    order, so a divergence names the client a per-client loop would have
+    stopped at; the sets are averaged by shard size. round_bytes(r, n,
+    size) gives the round's traffic for n participants and a model of
+    size scalars; client_loss reduces a client's epoch losses for the
+    report. Returns the final params and the reports.
+    """
+    sizes = [float(s.train.num_samples) for s in clients]
+    reports = []
+    for r in range(rounds):
+        t0 = time.perf_counter()
+        positions, trained, losses = train_round(r, params)
+        ids = [clients[c].client_id for c in positions]
+        for client, client_losses in zip(ids, losses):
+            for loss in client_losses:
+                _check_finite(loss, stage, client, r)
+        params = fedavg(trained, [sizes[c] for c in positions])
+        reports.append(FedRoundReport(
+            stage=stage, round_index=r, participants=tuple(ids),
+            client_losses={c: float(client_loss(v))
+                           for c, v in zip(ids, losses)},
+            params_digest=params_digest(params),
+            bytes_sent=round_bytes(r, len(ids), params.size()),
+            wall_clock=time.perf_counter() - t0))
+    return params, tuple(reports)
 
 
 def _digest_group(param_sets) -> str:
@@ -419,8 +447,8 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
 
     Every round each client minimizes local cross-entropy through its own
     head for the given epochs; extractors are then averaged with weights
-    proportional to shard sizes. Heads never leave their clients and are
-    returned for warm-starting the experts.
+    proportional to shard sizes. Heads never leave their clients; they
+    are returned with the extractor.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -428,19 +456,13 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
         raise ConfigError(
             f"head input width {head_spec.in_width} does not match the "
             f"extractor output {fe_spec.out_width}")
-    m = len(clients)
-    sizes = [float(s.train.num_samples) for s in clients]
     groups = _size_groups(clients)
     data = [_stack_shards(clients, members) for members in groups]
-    fe = init_mlp_params(
-        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
     heads = [stack_params([head0] * len(members)) for members in groups]
-    reports = []
-    for r in range(rounds):
-        t0 = time.perf_counter()
 
+    def train_round(r, fe):
         def train_group(j, members):
             rng = derive_rng(seed, seeding.STAGE1, r, 0)
             fe_g = stack_params([fe] * len(members))
@@ -452,21 +474,49 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
                 epoch_losses.append(loss)
             return fe_g, epoch_losses
 
-        locals_fe, losses = _lockstep_round(clients, groups, "stage1_fedce",
-                                            r, train_group)
-        fe = fedavg(locals_fe, sizes)
-        reports.append(FedRoundReport(
-            stage="stage1_fedce", round_index=r,
-            participants=tuple(s.client_id for s in clients),
-            client_losses={s.client_id: float(np.mean(v))
-                           for s, v in zip(clients, losses)},
-            params_digest=params_digest(fe),
-            bytes_sent=classifier_round_bytes(m, fe.size(),
-                                              bytes_per_scalar),
-            wall_clock=time.perf_counter() - t0))
+        return range(len(clients)), *_lockstep_round(groups, train_group)
+
+    fe, reports = _fedavg_rounds(
+        "stage1_fedce", clients,
+        init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
+                                            seeding.INIT_EXTRACTOR, 0)),
+        rounds, train_round,
+        lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar))
     heads = _client_order(groups, [unstack_params(h) for h in heads])
-    return Stage1Result(fe_params=fe, heads=tuple(heads),
-                        reports=tuple(reports))
+    return Stage1Result(fe_params=fe, heads=tuple(heads), reports=reports)
+
+
+def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
+                      rounds: int, local_epochs: int, lr: float, round_rng,
+                      *, batch_size: int = 64,
+                      bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
+                      ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
+    """FedAvg of a whole classifier, the baseline beside stage1_fedce.
+
+    Every round each client trains the global model on its shard for the
+    given epochs, every client drawing from round_rng(r); a report's
+    client losses hold each client's last-epoch loss.
+    """
+    groups = _size_groups(clients)
+    data = [_stack_shards(clients, members) for members in groups]
+
+    def train_round(r, params):
+        def train_group(j, members):
+            rng = round_rng(r)
+            params_g = stack_params([params] * len(members))
+            epoch_losses = []
+            for _ in range(local_epochs):
+                params_g, loss = _sgd_head_epoch(
+                    spec, params_g, *data[j], lr, batch_size, rng)
+                epoch_losses.append(loss)
+            return params_g, epoch_losses
+
+        return range(len(clients)), *_lockstep_round(groups, train_group)
+
+    return _fedavg_rounds(
+        "baseline_fedavg_classifier", clients, params, rounds, train_round,
+        lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar),
+        client_loss=lambda v: v[-1])
 
 
 def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
@@ -499,11 +549,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     d = fe_spec.out_width
     groups = _size_groups(clients)
     features = [_stack_shards(clients, members)[0] for members in groups]
-    fe = init_mlp_params(
-        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
-    reports = []
-    for r in range(rounds):
-        t0 = time.perf_counter()
+
+    def train_round(r, fe):
         shares = [
             compute_correlation_share(
                 fe_spec, fe, shard, aug_spec, dp_noise_std, float(q[c]),
@@ -535,29 +582,23 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                 epoch_losses.append(loss)
             return fe_g, epoch_losses
 
-        locals_fe, losses = _lockstep_round(clients, groups, "stage1_fedsc",
-                                            r, train_group)
-        fe = fedavg(locals_fe, sizes)
-        reports.append(FedRoundReport(
-            stage="stage1_fedsc", round_index=r,
-            participants=tuple(s.client_id for s in clients),
-            client_losses={s.client_id: float(np.mean(v))
-                           for s, v in zip(clients, losses)},
-            params_digest=params_digest(fe),
-            bytes_sent=spectral_round_bytes(m, fe.size(), d,
-                                            bytes_per_scalar),
-            wall_clock=time.perf_counter() - t0))
-    return Stage1Result(fe_params=fe, heads=None, reports=tuple(reports))
+        return range(m), *_lockstep_round(groups, train_group)
+
+    fe, reports = _fedavg_rounds(
+        "stage1_fedsc", clients,
+        init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
+                                            seeding.INIT_EXTRACTOR, 0)),
+        rounds, train_round,
+        lambda r, n, size: spectral_round_bytes(n, size, d,
+                                                bytes_per_scalar))
+    return Stage1Result(fe_params=fe, heads=None, reports=reports)
 
 
 def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                    expert_spec: MlpSpec, epochs: int, lr: float, seed: int,
-                   *, batch_size: int = 64,
-                   init_experts=None) -> Stage2Result:
-    """Per-client expert training on frozen extractor features.
-
-    Pass init_experts (for example stage-1 heads) to warm-start;
-    otherwise experts initialize fresh. No bytes move in this stage.
+                   *, batch_size: int = 64) -> Stage2Result:
+    """Per-client expert training on frozen extractor features, from
+    fresh experts. No bytes move in this stage.
     """
     _check_clients(clients)
     _check_schedule(1, epochs, lr, batch_size)
@@ -565,19 +606,9 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise ConfigError(
             f"expert input width {expert_spec.in_width} does not match "
             f"the extractor output {fe_spec.out_width}")
-    m = len(clients)
     fe_before = params_digest(fe_params)
-    if init_experts is None:
-        rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
-        experts = [init_mlp_params(expert_spec, rng) for _ in range(m)]
-    else:
-        experts = list(init_experts)
-        if len(experts) != m:
-            raise ConfigError(
-                f"got {len(experts)} warm-start experts for {m} clients")
-        template = init_mlp_params(expert_spec, np.random.default_rng(0))
-        for ps in experts:
-            check_compatible(template, ps)
+    rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
+    experts = [init_mlp_params(expert_spec, rng) for _ in clients]
     groups = _size_groups(clients)
     data = [(np.stack([forward(fe_spec, fe_params, clients[c].train.features)
                        for c in members]),
@@ -595,8 +626,9 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                 expert_spec, stacks[j], *data[j], lr, batch_size, rngs[j])
             return stacks[j], [loss]
 
-        experts, losses = _lockstep_round(clients, groups, "stage2_experts",
-                                          epoch, train_group)
+        experts, losses = _lockstep_round(groups, train_group)
+        for shard, v in zip(clients, losses):
+            _check_finite(v[0], "stage2_experts", shard.client_id, epoch)
         reports.append(FedRoundReport(
             stage="stage2_experts", round_index=epoch,
             participants=tuple(s.client_id for s in clients),
@@ -654,7 +686,7 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     if m < 2:
         raise ConfigError("rolling training needs at least two clients")
     fe_before = params_digest(fe_params)
-    spec = MlpSpec((gate_init.latent_dim, m), (kernels.ACT_IDENTITY,))
+    spec = gate_spec(gate_init.latent_dim, m)
     latents = [forward(fe_spec, fe_params, s.train.features)
                for s in clients]
     pseudo = [
@@ -703,8 +735,7 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
 def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
                     labels: np.ndarray, expert_logits: np.ndarray, k: int,
                     lr: float, lambda_load: float, grad_max_norm: float,
-                    batch_size: int, rng: np.random.Generator,
-                    multiplier: float | None):
+                    batch_size: int, rng: np.random.Generator):
     """One FedGate epoch: cross-entropy of the top-k mixture plus the
     load-balance penalty, gradients normalized before each step.
 
@@ -725,7 +756,7 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
         slots = np.broadcast_to(np.arange(k), decision.indices.shape)
         combined = kernels.combine_topk(chosen, slots, gathered)
         ce, dlogits = cross_entropy(combined, labels[rows])
-        lb, dlb = load_balance_loss(probs, multiplier=multiplier)
+        lb, dlb = load_balance_loss(probs)
         dprob = lambda_load * dlb
         for s in range(k):
             dprob[ridx, decision.indices[:, s]] += np.sum(
@@ -740,14 +771,12 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     return gate, total / n
 
 
-def _expert_logit_cache(fe_spec, fe_params, expert_spec, experts, clients):
-    caches = []
-    for shard in clients:
-        latents = forward(fe_spec, fe_params, shard.train.features)
-        outs = np.stack([forward(expert_spec, e, latents)
-                         for e in experts])
-        caches.append((latents, outs))
-    return caches
+def _expert_logits(fe_spec, fe_params, expert_spec, experts, features):
+    """Frozen-extractor latents of features, with every expert's logits
+    on them stacked as (experts, rows, classes)."""
+    latents = forward(fe_spec, fe_params, features)
+    return latents, np.stack([forward(expert_spec, e, latents)
+                              for e in experts])
 
 
 def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
@@ -756,7 +785,6 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                    lambda_load: float, client_fraction: float,
                    grad_max_norm: float, k: int, seed: int, *,
                    batch_size: int = 64,
-                   load_balance_multiplier: float | None = None,
                    bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
                    ) -> Stage3Result:
     """Federated-averaged gate over frozen extractor and experts.
@@ -780,51 +808,40 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise ConfigError(f"got {len(experts)} experts for {m} clients")
     fe_before = params_digest(fe_params)
     experts_before = _digest_group(experts)
-    caches = _expert_logit_cache(fe_spec, fe_params, expert_spec, experts,
-                                 clients)
-    sizes = [float(s.train.num_samples) for s in clients]
+    caches = [_expert_logits(fe_spec, fe_params, expert_spec, experts,
+                             s.train.features) for s in clients]
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
-    gate = gate_init
-    reports = []
-    for r in range(rounds):
-        t0 = time.perf_counter()
+
+    def train_round(r, params):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
         participants = np.sort(sched.choice(m, size=count, replace=False))
-        locals_gate = []
-        losses: dict[int, float] = {}
+        trained, losses = [], []
         for c in participants:
-            shard = clients[c]
             latents, outs = caches[c]
             rng = derive_rng(seed, seeding.STAGE3, r, 0)
-            gate_c = gate
+            gate = GateParams(params=params, noise_std=gate_init.noise_std)
             epoch_losses = []
             for _ in range(local_epochs):
-                gate_c, loss = _sgd_gate_epoch(
-                    gate_c, latents, shard.train.labels, outs, k, lr,
-                    lambda_load, grad_max_norm, batch_size, rng,
-                    load_balance_multiplier)
-                _check_finite(loss, "stage3_fedgate", shard.client_id, r)
+                gate, loss = _sgd_gate_epoch(
+                    gate, latents, clients[c].train.labels, outs, k, lr,
+                    lambda_load, grad_max_norm, batch_size, rng)
                 epoch_losses.append(loss)
-            locals_gate.append(gate_c.params)
-            losses[shard.client_id] = float(np.mean(epoch_losses))
-        merged = fedavg(locals_gate, [sizes[c] for c in participants])
-        gate = GateParams(params=merged, noise_std=gate_init.noise_std)
-        bytes_sent = fedgate_round_bytes(count, merged.size(),
-                                         bytes_per_scalar)
-        if r == 0:
-            bytes_sent += setup
-        reports.append(FedRoundReport(
-            stage="stage3_fedgate", round_index=r,
-            participants=tuple(clients[c].client_id for c in participants),
-            client_losses=losses, params_digest=params_digest(merged),
-            bytes_sent=bytes_sent, wall_clock=time.perf_counter() - t0))
+            trained.append(gate.params)
+            losses.append(epoch_losses)
+        return participants, trained, losses
+
+    params, reports = _fedavg_rounds(
+        "stage3_fedgate", clients, gate_init.params, rounds, train_round,
+        lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
+        + (setup if r == 0 else 0))
     if params_digest(fe_params) != fe_before:
         raise InternalError("stage 3 mutated the frozen extractor")
     if _digest_group(experts) != experts_before:
         raise InternalError("stage 3 mutated a frozen expert")
-    return Stage3Result(gate=gate, reports=tuple(reports),
-                        setup_bytes=setup)
+    return Stage3Result(
+        gate=GateParams(params=params, noise_std=gate_init.noise_std),
+        reports=reports, setup_bytes=setup)
 
 
 def centralized_classifier(train: Dataset, fe_spec: MlpSpec,
@@ -880,13 +897,11 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
                      expert_spec: MlpSpec, experts,
                      gate_init: GateParams, rounds: int, local_epochs: int,
                      lr: float, lambda_load: float, grad_max_norm: float,
-                     k: int, seed: int, *, batch_size: int = 64,
-                     load_balance_multiplier: float | None = None):
+                     k: int, seed: int, *, batch_size: int = 64):
     """Gate-training counterpart of stage3_fedgate on one dataset."""
     _check_schedule(rounds, local_epochs, lr, batch_size)
-    experts = tuple(experts)
-    latents = forward(fe_spec, fe_params, train.features)
-    outs = np.stack([forward(expert_spec, e, latents) for e in experts])
+    latents, outs = _expert_logits(fe_spec, fe_params, expert_spec, experts,
+                                   train.features)
     gate = gate_init
     losses = []
     for r in range(rounds):
@@ -894,7 +909,7 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
         for _ in range(local_epochs):
             gate, loss = _sgd_gate_epoch(
                 gate, latents, train.labels, outs, k, lr, lambda_load,
-                grad_max_norm, batch_size, rng, load_balance_multiplier)
+                grad_max_norm, batch_size, rng)
             _check_finite(loss, "centralized_gate", 0, r)
             losses.append(loss)
     return gate, losses

@@ -165,12 +165,6 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     full-row softmax probabilities used by the load-balance loss. Ties at
     the selection boundary break toward the lowest expert index.
     """
-    decision, probs, _ = _gate_forward(latents, gate, k, rng)
-    return decision, probs
-
-
-def _gate_forward(latents: np.ndarray, gate: GateParams, k: int,
-                  rng: np.random.Generator | None):
     m = gate.num_experts
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
@@ -188,7 +182,7 @@ def _gate_forward(latents: np.ndarray, gate: GateParams, k: int,
         masked = np.full_like(logits, -np.inf)
         masked[rows, idx] = logits[rows, idx]
     weights = kernels.softmax_rows(masked)[rows, idx]
-    return GateDecision(indices=idx, weights=weights), probs, logits
+    return GateDecision(indices=idx, weights=weights), probs
 
 
 def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
@@ -267,11 +261,11 @@ def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
                                    want_tape=True)
     else:
         latents = forward(model.fe_spec, model.fe_params, batch)
-    decision, probs, _ = _gate_forward(latents, model.gate, k,
-                                       rng if train else None)
-    n = latents.shape[0]
-    rows = np.arange(n)
+    decision, probs = gate_topk(latents, model.gate, k,
+                                rng if train else None)
     if train:
+        n = latents.shape[0]
+        rows = np.arange(n)
         outputs = np.empty((model.num_experts, n, model.num_classes))
         tapes = []
         for e, expert in enumerate(model.experts):
@@ -284,7 +278,15 @@ def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
         return MoeForward(logits=logits, decision=decision, gate_probs=probs,
                           latents=latents,
                           tapes=MoeTapes(fe_tape, tuple(tapes), outputs))
-    logits = np.zeros((n, model.num_classes))
+    return MoeForward(logits=_eval_mixture(model, latents, decision),
+                      decision=decision, gate_probs=probs, latents=latents)
+
+
+def _eval_mixture(model: NmoeModel, latents: np.ndarray,
+                  decision: GateDecision) -> np.ndarray:
+    """Each row's selected experts weighted by the decision; only the
+    selected experts run, each on the rows that chose it."""
+    logits = np.zeros((latents.shape[0], model.num_classes))
     for e in range(model.num_experts):
         hit = decision.indices == e
         sel = hit.any(axis=1)
@@ -293,8 +295,7 @@ def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
         out_e = forward(model.expert_spec, model.experts[e], latents[sel])
         w_e = (decision.weights[sel] * hit[sel]).sum(axis=1)
         logits[sel] += w_e[:, None] * out_e
-    return MoeForward(logits=logits, decision=decision, gate_probs=probs,
-                      latents=latents)
+    return logits
 
 
 def _moe_forward_random(model: NmoeModel, batch: np.ndarray, k: int,
@@ -320,16 +321,8 @@ def _moe_forward_random(model: NmoeModel, batch: np.ndarray, k: int,
     weights = np.full((n, k), 1.0 / k)
     decision = GateDecision(indices=idx, weights=weights)
     probs = np.tile(gate.distribution, (n, 1))
-    logits = np.zeros((n, model.num_classes))
-    for e in range(m):
-        hit = decision.indices == e
-        sel = hit.any(axis=1)
-        if not sel.any():
-            continue
-        out_e = forward(model.expert_spec, model.experts[e], latents[sel])
-        logits[sel] += (1.0 / k) * out_e
-    return MoeForward(logits=logits, decision=decision, gate_probs=probs,
-                      latents=latents)
+    return MoeForward(logits=_eval_mixture(model, latents, decision),
+                      decision=decision, gate_probs=probs, latents=latents)
 
 
 @dataclass(frozen=True)

@@ -325,15 +325,10 @@ def cross_entropy(logits: np.ndarray,
 # ---------------------------------------------------------------------------
 # optimizer utilities
 
-def sgd_step(params: ParamSet, grads: ParamSet, lr: float,
-             weight_decay: float = 0.0) -> ParamSet:
-    """One SGD update p - lr * (g + wd * p); pure, inputs untouched."""
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
+    """One SGD update p - lr * g; pure, inputs untouched."""
     check_compatible(params, grads)
-    if weight_decay == 0.0:
-        return ParamSet((n, params[n] - lr * grads[n]) for n in params.names)
-    return ParamSet(
-        (n, params[n] - lr * (grads[n] + weight_decay * params[n]))
-        for n in params.names)
+    return ParamSet((n, params[n] - lr * grads[n]) for n in params.names)
 
 
 def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
@@ -345,10 +340,6 @@ def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
         return grads
     scale = max_norm / total
     return ParamSet((n, grads[n] * scale) for n in grads.names)
-
-
-def scale_params(params: ParamSet, factor: float) -> ParamSet:
-    return ParamSet((n, factor * params[n]) for n in params.names)
 
 
 def add_params(a: ParamSet, b: ParamSet) -> ParamSet:

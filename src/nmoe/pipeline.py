@@ -19,31 +19,28 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .config import RunConfig, config_from_dict, config_hash
+from .config import RunConfig, config_from_dict, config_hash, save_config
 from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
 from .errors import ConfigError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
-                        Stage3Result, classifier_round_bytes, fedavg,
-                        stage1_fedce, stage1_fedsc, stage2_experts,
-                        stage3_fedgate, stage3_rangate, stage3_rollgate,
-                        _check_finite, _lockstep_round, _sgd_head_epoch,
-                        _size_groups, _stack_shards)
+                        Stage3Result, fedavg_classifier, stage1_fedce,
+                        stage1_fedsc, stage2_experts, stage3_fedgate,
+                        stage3_rangate, stage3_rollgate, _check_finite,
+                        _sgd_head_epoch)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, init_gate_params, load_balance_loss,
                   moe_backward, moe_forward, save_model)
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
 from .numerics import (MlpSpec, ParamSet, cross_entropy, forward,
-                       grad_normalize, init_mlp_params, params_digest,
-                       sgd_step, softmax, stack_params)
+                       grad_normalize, init_mlp_params, sgd_step, softmax)
 from .seeding import derive_rng
 
 # Round slots within the BASELINE component, so baseline streams never
@@ -216,8 +213,7 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
         failed = out / "FAILED"
         if failed.exists():
             failed.unlink()
-        (out / "config.json").write_text(
-            json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+        save_config(config, out / "config.json")
 
     stage = "data"
     try:
@@ -394,49 +390,19 @@ def train_centralized_moe(config: RunConfig, shards
 
 def train_fedavg_classifier(config: RunConfig, shards
                             ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
-    """FedAvg of the whole classifier on stage 1's schedule.
-
-    Every client starts each round from the global model and trains it
-    on its shard; clients with equal shard sizes run as one stack. A
-    report's client_losses hold each client's last-epoch loss.
-    """
+    """FedAvg of the whole classifier on stage 1's schedule, from the
+    baseline streams."""
     spec = _combined_spec(config)
     s1 = config.stage1
-    m = len(shards)
-    sizes = [float(s.train.num_samples) for s in shards]
-    groups = _size_groups(shards)
-    data = [_stack_shards(shards, members) for members in groups]
-    global_params = init_mlp_params(
-        spec, derive_rng(config.seed, seeding.BASELINE,
-                         _BASE_FEDAVG_INIT, 0))
-    reports = []
-    for r in range(s1.rounds):
-        t0 = time.perf_counter()
-
-        def train_group(j, members):
-            rng = derive_rng(config.seed, seeding.BASELINE,
-                             _BASE_FEDAVG_ROUND + r, 0)
-            params = stack_params([global_params] * len(members))
-            epoch_losses = []
-            for _ in range(s1.local_epochs):
-                params, loss = _sgd_head_epoch(
-                    spec, params, *data[j], s1.lr, config.batch_size, rng)
-                epoch_losses.append(loss)
-            return params, epoch_losses
-
-        locals_p, losses = _lockstep_round(
-            shards, groups, "baseline_fedavg_classifier", r, train_group)
-        global_params = fedavg(locals_p, sizes)
-        reports.append(FedRoundReport(
-            stage="baseline_fedavg_classifier", round_index=r,
-            participants=tuple(s.client_id for s in shards),
-            client_losses={s.client_id: v[-1]
-                           for s, v in zip(shards, losses)},
-            params_digest=params_digest(global_params),
-            bytes_sent=classifier_round_bytes(
-                m, global_params.size(), config.bytes_per_scalar),
-            wall_clock=time.perf_counter() - t0))
-    return global_params, tuple(reports)
+    return fedavg_classifier(
+        shards, spec,
+        init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
+                                         _BASE_FEDAVG_INIT, 0)),
+        s1.rounds, s1.local_epochs, s1.lr,
+        lambda r: derive_rng(config.seed, seeding.BASELINE,
+                             _BASE_FEDAVG_ROUND + r, 0),
+        batch_size=config.batch_size,
+        bytes_per_scalar=config.bytes_per_scalar)
 
 
 def run_baselines(config: RunConfig, shards=None) -> dict:

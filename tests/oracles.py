@@ -227,12 +227,9 @@ def per_client_fedsc(clients, fe_spec, rounds, local_epochs, lr, aug_spec,
 
 
 def per_client_experts(clients, fe_spec, fe_params, expert_spec, epochs, lr,
-                       seed, batch_size=64, init_experts=None):
-    if init_experts is None:
-        rng = _derive(seed, seeding.INIT, seeding.INIT_EXPERT)
-        experts = [init_mlp_params(expert_spec, rng) for _ in clients]
-    else:
-        experts = list(init_experts)
+                       seed, batch_size=64):
+    rng = _derive(seed, seeding.INIT, seeding.INIT_EXPERT)
+    experts = [init_mlp_params(expert_spec, rng) for _ in clients]
     latents = [forward(fe_spec, fe_params, s.train.features)
                for s in clients]
     rngs = [_derive(seed, seeding.STAGE2, 0) for _ in clients]

@@ -373,15 +373,6 @@ class TestStage2Experts:
                                 result.experts[0], mixed)
         assert own > pooled
 
-    def test_warm_start_validation(self):
-        spec, params = identity_extractor(8)
-        clients = make_clients(2, 1.0)
-        expert_spec = MlpSpec((8, 4), (I,))
-        seed_params = init_mlp_params(expert_spec, np.random.default_rng(0))
-        with pytest.raises(ConfigError):
-            stage2_experts(clients, spec, params, expert_spec, epochs=1,
-                           lr=0.05, seed=0, init_experts=(seed_params,))
-
 
 class TestRanGate:
     def test_returns_validated_random_gate(self):
@@ -714,6 +705,22 @@ class TestStackedDivergenceNamesTheClient:
                            match=self.message.format("stage2_experts")):
             stage2_experts(clients, self.fe_spec, fe, self.head_spec,
                            epochs=2, lr=0.05, seed=1, batch_size=16)
+
+    def test_fedgate(self):
+        # participants train one at a time; client 1's scaled latents
+        # overflow the gate logits under the default gate scale
+        clients = scale_features(make_clients(3, 1.0), 1e307)
+        fe_spec, fe = identity_extractor(8)
+        expert_spec = MlpSpec((8, 4), (I,))
+        experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
+                        for i in range(3))
+        gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
+        with pytest.raises(TrainingError,
+                           match=self.message.format("stage3_fedgate")):
+            stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+                           gate_init, rounds=2, local_epochs=2, lr=0.05,
+                           lambda_load=0.01, client_fraction=1.0,
+                           grad_max_norm=1.0, k=1, seed=1, batch_size=16)
 
     def test_lowest_index_wins_across_groups(self):
         # clients 1 and 2 both diverge; client 2 trains in the first group

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -284,6 +285,37 @@ class TestRandomGateRouting:
                                     rng=np.random.default_rng(8))
         assert abs(local_ratio(result.log) - 0.1) < 0.02
         assert result.log.total == 10_000
+
+    @pytest.mark.parametrize("k,digest", [
+        (1, "d7beae9106fb4b25b2934bc1436b5eba048aec36677f83fb01c9ec9dbf4f241e"),
+        (2, "937df601b061d5666807f76589285ddd29fb7c04f3fb0cb869c8b533b7352c94"),
+        (3, "1fb6421529a72951d2d11594f1901f1eeb0e3f9956ddab8cac9179e5860e7318"),
+    ])
+    def test_inference_bits_pinned(self, k, digest):
+        m, dim, classes = 5, 4, 3
+        rng = np.random.default_rng(4)
+        fe_spec = MlpSpec((dim, 5), (T,))
+        expert_spec = MlpSpec((5, classes), (I,))
+        model = NmoeModel(
+            fe_spec=fe_spec,
+            fe_params=init_mlp_params(fe_spec, rng),
+            gate=RandomGate(distribution=np.array([0.1, 0.2, 0.3, 0.25,
+                                                   0.15])),
+            expert_spec=expert_spec,
+            experts=tuple(init_mlp_params(expert_spec, rng)
+                          for _ in range(m)))
+        data = np.random.default_rng(77)
+        shards = [shard_of(c, data.normal(size=(40, dim)),
+                           data.integers(0, classes, size=40), classes)
+                  for c in range(m)]
+        result = simulate_inference(model, shards, k=k,
+                                    cost=CostModel(5, classes),
+                                    rng=np.random.default_rng(8))
+        h = hashlib.sha256()
+        for c in range(m):
+            h.update(result.predictions[c].astype("<i8").tobytes())
+            h.update(result.scores[c].astype("<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_random_gate_requires_rng(self):
         model = self.build()

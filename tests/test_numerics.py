@@ -248,12 +248,6 @@ class TestSgdStep:
         g = ParamSet({"w": np.zeros(2)})
         assert sgd_step(p, g, lr=0.5) == p
 
-    def test_weight_decay_closed_form(self):
-        p = ParamSet({"w": np.array([2.0])})
-        g = ParamSet({"w": np.array([0.5])})
-        out = sgd_step(p, g, lr=0.1, weight_decay=0.01)
-        assert np.array_equal(out["w"], [2.0 - 0.1 * (0.5 + 0.01 * 2.0)])
-
     def test_pure(self):
         p = ParamSet({"w": np.array([1.0])})
         g = ParamSet({"w": np.array([0.3])})

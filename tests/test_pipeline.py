@@ -10,7 +10,7 @@ from nmoe.errors import ConfigError, TrainingError
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
 from nmoe.netsim import CostModel, simulate_inference
-from nmoe.datasets import Shard
+from nmoe.datasets import Dataset, Shard
 from nmoe.pipeline import (RunResult, build_shards, run_ablation,
                            run_baselines, run_pipeline,
                            train_fedavg_classifier, write_sweep_csv)
@@ -228,6 +228,19 @@ def test_fedavg_classifier_matches_per_client_loop(num_clients, sizes, act):
     _, reports = train_fedavg_classifier(config, shards)
     assert [(r.params_digest, r.client_losses) for r in reports] == \
         per_client_fedavg_classifier(config, shards)
+
+
+def test_fedavg_classifier_divergence_names_the_client():
+    config = small_config(data={"num_clients": 3, "train_per_client": 60},
+                          model={"fe_activations": ["relu", "relu"]},
+                          stage1={"rounds": 2, "local_epochs": 2}, k=1)
+    shards = build_shards(config)
+    train = shards[1].train
+    shards[1] = Shard(1, Dataset(train.features * 1e200, train.labels,
+                                 train.num_classes), shards[1].test)
+    with pytest.raises(TrainingError, match=r"^client 1 loss became "
+                       r"non-finite in baseline_fedavg_classifier round 0$"):
+        train_fedavg_classifier(config, shards)
 
 
 # --- sweeps ------------------------------------------------------------
