@@ -17,13 +17,14 @@ derivations). Correlation noise and pseudo-label assignment keep
 per-client streams.
 
 Clients that share a stream run stacked: clients whose shards have equal
-sizes draw the same batch rows (and in FedSC the same augmentations), so
-FedCE, FedSC, stage 2 and the FedAvg-classifier baseline train each such
-group as one computation over a leading client axis, a ParamSet of
-(g, ...) arrays stepped by batched matmuls. Every slice gets the bits
-its own per-client loop would give. FedGate (per-client top-k) and RollGate
-(a sequential ring) train one client at a time. FedCE, FedSC, FedGate
-and the FedAvg-classifier baseline share one round driver,
+sizes draw the same batch rows (in FedSC the same augmentations, in
+FedGate the same gate noise), so FedCE, FedSC, stage 2, FedGate and the
+FedAvg-classifier baseline train each such group as one computation over
+a leading client axis, a ParamSet of (g, ...) arrays stepped by batched
+matmuls. Every slice gets the bits its own per-client loop would give;
+in FedGate only the top-k picks and balance terms differ per slice.
+RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
+FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
 
 Communication accounting (4-byte wire scalars by default): FedCE moves
@@ -547,6 +548,7 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         raise InternalError("a client weight reached 1 with several "
                             "clients; weights must be normalized")
     d = fe_spec.out_width
+    ids = np.arange(m)
     groups = _size_groups(clients)
     features = [_stack_shards(clients, members)[0] for members in groups]
 
@@ -558,21 +560,20 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
             for c, shard in enumerate(clients)
         ]
 
-        def aggregate(c):
-            """The weighted mean of every share but client c's."""
-            if m == 1:
-                return np.zeros((d, d))
-            acc = np.zeros((d, d))
+        # every client's weighted mean of the other clients' shares, all
+        # built at once: aggregate c takes share i's term in list order,
+        # the additions a per-client sum would make
+        rbars = np.zeros((m, d, d))
+        if m > 1:
             for i, share in enumerate(shares):
-                if i != c:
-                    acc = acc + float(q[i]) * share.matrix
-            return acc / (1.0 - float(q[c]))
+                rbars[ids != i] += q[i] * share.matrix
+            rbars /= (1.0 - q)[:, None, None]
 
         def train_group(j, members):
             plan = _spectral_plan(features[j].shape[1:], aug_spec,
                                   local_epochs, batch_size,
                                   derive_rng(seed, seeding.STAGE1, r, 0))
-            rbar = np.stack([aggregate(c) for c in members])
+            rbar = rbars[members]
             fe_g = stack_params([fe] * len(members))
             epoch_losses = []
             for batches in plan:
@@ -735,7 +736,7 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
 def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
                     labels: np.ndarray, expert_logits: np.ndarray, k: int,
                     lr: float, lambda_load: float, grad_max_norm: float,
-                    batch_size: int, rng: np.random.Generator):
+                    batch_size: int, rng: np.random.Generator, owners=None):
     """One FedGate epoch: cross-entropy of the top-k mixture plus the
     load-balance penalty, gradients normalized before each step.
 
@@ -744,27 +745,38 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     routed slots, expert_logits[indices.T, rows] of shape (k, rows,
     classes), once; the mixture and the gate gradient both read that
     gather, so the per-batch cost does not grow with the expert count.
+
+    With owners, the arrays hold a size group's G shards: latents
+    (G, n, d), labels (G, n) and expert_logits (G, experts, n, classes).
+    A stacked gate of g slices then trains slice i on shard owners[i],
+    every slice on the same rows and noise. All three arrays are read
+    through owners with one fancy index each per batch, so the cache is
+    never copied.
     """
-    n = latents.shape[0]
+    n = latents.shape[-2]
+    own = () if owners is None else (np.asarray(owners)[:, None],)
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        x = np.ascontiguousarray(latents[rows])
+        x = np.ascontiguousarray(latents[(*own, rows)])
         decision, probs = gate_topk(x, gate, k, rng=rng)
-        chosen = expert_logits[decision.indices.T, rows]
-        ridx = np.arange(rows.size)
-        gathered = probs[ridx[:, None], decision.indices]
-        slots = np.broadcast_to(np.arange(k), decision.indices.shape)
+        idx = decision.indices
+        chosen = expert_logits[(*(o[:, None] for o in own),
+                                idx.swapaxes(-1, -2), rows)]
+        gathered = np.take_along_axis(probs, idx, axis=-1)
+        slots = np.broadcast_to(np.arange(k), idx.shape)
         combined = kernels.combine_topk(chosen, slots, gathered)
-        ce, dlogits = cross_entropy(combined, labels[rows])
+        ce, dlogits = cross_entropy(combined, labels[(*own, rows)])
         lb, dlb = load_balance_loss(probs)
         dprob = lambda_load * dlb
+        at = np.indices(idx.shape[:-1], sparse=True)
         for s in range(k):
-            dprob[ridx, decision.indices[:, s]] += np.sum(
-                dlogits * chosen[s], axis=1)
+            dprob[(*at, idx[..., s])] += np.sum(
+                dlogits * chosen[..., s, :, :], axis=-1)
         dgate_logits = softmax_backward(probs, dprob)
         grads = grad_normalize(
-            ParamSet({"w0": x.T @ dgate_logits,
-                      "b0": dgate_logits.sum(axis=0)}), grad_max_norm)
+            ParamSet({"w0": _t(x) @ dgate_logits,
+                      "b0": dgate_logits.sum(axis=-2)}), grad_max_norm,
+            stacked=owners is not None)
         gate = GateParams(params=sgd_step(gate.params, grads, lr),
                           noise_std=gate.noise_std)
         total += (ce + lambda_load * lb) * rows.size
@@ -772,11 +784,21 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
 
 
 def _expert_logits(fe_spec, fe_params, expert_spec, experts, features):
-    """Frozen-extractor latents of features, with every expert's logits
-    on them stacked as (experts, rows, classes)."""
-    latents = forward(fe_spec, fe_params, features)
-    return latents, np.stack([forward(expert_spec, e, latents)
-                              for e in experts])
+    """Frozen-extractor latents of features, (..., n, d), with every
+    expert's logits on them, (..., experts, n, classes).
+
+    features is one dataset, (n, width), or a size group's shards,
+    (G, n, width). Both results are written in place into arrays
+    allocated once, so no per-client cache is built and then copied.
+    """
+    lead, n = features.shape[:-2], features.shape[-2]
+    latents = np.empty(lead + (n, fe_spec.out_width))
+    cache = np.empty(lead + (len(experts), n, expert_spec.out_width))
+    for i in np.ndindex(lead):
+        latents[i] = forward(fe_spec, fe_params, features[i])
+        for e, expert in enumerate(experts):
+            cache[i + (e,)] = forward(expert_spec, expert, latents[i])
+    return latents, cache
 
 
 def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
@@ -792,8 +814,10 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     Each round samples ceil(client_fraction * m) participants without
     replacement; each trains the gate on its shard through the same top-k
     path used at inference, and the results are averaged by shard size.
-    Training is hosted where all experts are available, so their one-time
-    shipping cost lands in the first round's bytes.
+    Participants with equal shard sizes share the round's stream, so each
+    such group trains as one stack. Training is hosted where all experts
+    are available, so their one-time shipping cost lands in the first
+    round's bytes.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -808,28 +832,40 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise ConfigError(f"got {len(experts)} experts for {m} clients")
     fe_before = params_digest(fe_params)
     experts_before = _digest_group(experts)
-    caches = [_expert_logits(fe_spec, fe_params, expert_spec, experts,
-                             s.train.features) for s in clients]
+    # every client's position: its size group and its slot in that group
+    size_groups = _size_groups(clients)
+    where = {c: (j, i) for j, members in enumerate(size_groups)
+             for i, c in enumerate(members)}
+    shards = []
+    for members in size_groups:
+        features, labels = _stack_shards(clients, members)
+        shards.append((*_expert_logits(fe_spec, fe_params, expert_spec,
+                                       experts, features), labels))
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
 
     def train_round(r, params):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
         participants = np.sort(sched.choice(m, size=count, replace=False))
-        trained, losses = [], []
-        for c in participants:
-            latents, outs = caches[c]
+        groups = _size_groups([clients[c] for c in participants])
+
+        def train_group(_, positions):
+            j = where[int(participants[positions[0]])][0]
+            owners = np.array([where[int(participants[p])][1]
+                               for p in positions])
+            latents, cache, labels = shards[j]
             rng = derive_rng(seed, seeding.STAGE3, r, 0)
-            gate = GateParams(params=params, noise_std=gate_init.noise_std)
+            gate = GateParams(params=stack_params([params] * len(owners)),
+                              noise_std=gate_init.noise_std)
             epoch_losses = []
             for _ in range(local_epochs):
                 gate, loss = _sgd_gate_epoch(
-                    gate, latents, clients[c].train.labels, outs, k, lr,
-                    lambda_load, grad_max_norm, batch_size, rng)
+                    gate, latents, labels, cache, k, lr, lambda_load,
+                    grad_max_norm, batch_size, rng, owners)
                 epoch_losses.append(loss)
-            trained.append(gate.params)
-            losses.append(epoch_losses)
-        return participants, trained, losses
+            return gate.params, epoch_losses
+
+        return participants, *_lockstep_round(groups, train_group)
 
     params, reports = _fedavg_rounds(
         "stage3_fedgate", clients, gate_init.params, rounds, train_round,

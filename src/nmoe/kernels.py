@@ -4,7 +4,10 @@ dense_forward and dense_backward take inputs of shape (..., rows, width)
 with parameters of matching leading shape: one layer of g independent
 networks runs as one batched matmul over a (g, rows, width) stack. On
 2-d inputs they are the plain single-network layer, and each slice of a
-stacked call is bitwise equal to the 2-d call on that slice.
+stacked call is bitwise equal to the 2-d call on that slice. The row-wise
+kernels (softmax_rows, topk_indices, combine_topk) work along the last
+axis and take the same leading stack axes, with the same per-slice
+guarantee.
 """
 
 from __future__ import annotations
@@ -48,25 +51,31 @@ def dense_backward(x: np.ndarray, w: np.ndarray, out: np.ndarray,
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    m = np.max(z, axis=1, keepdims=True)
+    """Softmax along the last axis of (..., rows, width)."""
+    m = np.max(z, axis=-1, keepdims=True)
     e = np.exp(z - m)
-    s = e.sum(axis=1, keepdims=True)
+    s = e.sum(axis=-1, keepdims=True)
     return e / s
 
 
 def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries along the last axis, largest
+    first."""
     # Stable sort of the negated row keeps equal values in input order,
     # which breaks ties at the boundary toward the lowest index.
-    order = np.argsort(-z, axis=1, kind="stable")
-    return np.ascontiguousarray(order[:, :k])
+    order = np.argsort(-z, axis=-1, kind="stable")
+    return np.ascontiguousarray(order[..., :k])
 
 
 def combine_topk(all_logits: np.ndarray, idx: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    # all_logits: (experts, rows, classes); idx, weights: (rows, slots)
-    n = idx.shape[0]
-    out = np.zeros((n, all_logits.shape[2]))
+    """Each row's slots weighted and summed, slot by slot: all_logits
+    (..., experts, rows, classes) with idx and weights (..., rows, slots)
+    of the same leading shape give (..., rows, classes)."""
+    *lead, n, slots = idx.shape
+    out = np.zeros((*lead, n, all_logits.shape[-1]))
+    stack = tuple(a[..., None] for a in np.indices(lead, sparse=True))
     rows = np.arange(n)
-    for s in range(idx.shape[1]):
-        out += weights[:, s, None] * all_logits[idx[:, s], rows, :]
+    for s in range(slots):
+        out += weights[..., s, None] * all_logits[(*stack, idx[..., s], rows)]
     return out

@@ -37,7 +37,9 @@ class GateParams:
 
     params holds "w0" (latent_dim x num_experts) and "b0" (num_experts),
     the same layout a one-layer MlpSpec produces, so the gate can be
-    trained and federated with the ordinary machinery.
+    trained and federated with the ordinary machinery. A stacked set
+    (stack_params: w0 (g, latent_dim, num_experts), b0 (g, num_experts))
+    holds g gates that train in lockstep.
     """
 
     params: ParamSet
@@ -47,7 +49,7 @@ class GateParams:
         if "w0" not in self.params or "b0" not in self.params:
             raise ConfigError("gate parameters need arrays 'w0' and 'b0'")
         w, b = self.params["w0"], self.params["b0"]
-        if w.ndim != 2 or b.shape != (w.shape[1],):
+        if w.ndim < 2 or b.shape != w.shape[:-2] + w.shape[-1:]:
             raise ConfigError(
                 f"gate shapes do not line up: w0 {w.shape}, b0 {b.shape}")
         if self.noise_std < 0.0:
@@ -55,11 +57,11 @@ class GateParams:
 
     @property
     def latent_dim(self) -> int:
-        return self.params["w0"].shape[0]
+        return self.params["w0"].shape[-2]
 
     @property
     def num_experts(self) -> int:
-        return self.params["w0"].shape[1]
+        return self.params["w0"].shape[-1]
 
 
 def gate_spec(latent_dim: int, num_experts: int) -> MlpSpec:
@@ -136,6 +138,12 @@ class NmoeModel:
             raise ConfigError(
                 f"expert input width {self.expert_spec.in_width} does not "
                 f"match the latent width {self.fe_spec.out_width}")
+        if isinstance(self.gate, GateParams) and \
+                self.gate.params["w0"].ndim != 2:
+            # a stacked gate trains in lockstep; a model routes with one
+            raise ConfigError(
+                f"a model needs one 2-d gate, got w0 of shape "
+                f"{self.gate.params['w0'].shape}")
         if self.gate.num_experts != len(self.experts):
             raise ConfigError(
                 f"gate is sized for {self.gate.num_experts} experts, model "
@@ -164,6 +172,11 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     None disables it (inference). Returns the decision together with the
     full-row softmax probabilities used by the load-balance loss. Ties at
     the selection boundary break toward the lowest expert index.
+
+    A stacked gate takes (g, rows, latent_dim) latents and gives (g, rows,
+    ...) decisions and probabilities. The stack draws one (rows, experts)
+    noise array and adds it to every slice: the draw a lone gate would
+    make from the same stream, so each slice matches its own 2-d call.
     """
     m = gate.num_experts
     if not 1 <= k <= m:
@@ -172,21 +185,26 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     logits = kernels.dense_forward(x, gate.params["w0"], gate.params["b0"],
                                    kernels.ACT_IDENTITY)
     if rng is not None and gate.noise_std > 0.0:
-        logits = logits + rng.normal(0.0, gate.noise_std, size=logits.shape)
+        logits = logits + rng.normal(0.0, gate.noise_std,
+                                     size=logits.shape[-2:])
     probs = kernels.softmax_rows(logits)
     idx = kernels.topk_indices(logits, k)
-    rows = np.arange(x.shape[0])[:, None]
     if k == m:
         masked = logits
     else:
-        masked = np.full_like(logits, -np.inf)
-        masked[rows, idx] = logits[rows, idx]
-    weights = kernels.softmax_rows(masked)[rows, idx]
+        # every row of every slice, flattened, with its selected columns
+        flat, flat_idx = logits.reshape(-1, m), idx.reshape(-1, k)
+        rows = np.arange(flat.shape[0])[:, None]
+        masked = np.full_like(flat, -np.inf)
+        masked[rows, flat_idx] = flat[rows, flat_idx]
+        masked = masked.reshape(logits.shape)
+    weights = np.take_along_axis(kernels.softmax_rows(masked), idx, axis=-1)
     return GateDecision(indices=idx, weights=weights), probs
 
 
 def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
-                      validate: bool = True) -> tuple[float, np.ndarray]:
+                      validate: bool = True
+                      ) -> tuple[float | np.ndarray, np.ndarray]:
     """Balance penalty multiplier * sum_i f_i * P_i over gate probabilities.
 
     f_i is the fraction of rows whose argmax is expert i (ties toward the
@@ -198,26 +216,41 @@ def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
     The sum runs over routed experts only: an expert with f_i = 0 adds an
     exact 0.0 for finite probabilities, so the loss equals the sum over
     all m columns bit for bit while the cost follows the batch, not m.
+
+    (rows, m) probabilities give a float loss and a (rows, m) gradient;
+    a stack (g, rows, m) gives g losses and a (g, rows, m) gradient, each
+    slice reduced on its own with the same exact sums.
     """
     p = np.ascontiguousarray(probs, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 1:
+    if p.ndim < 2 or p.shape[-2] < 1:
         raise DataError(f"expected a nonempty 2-d array, got shape {p.shape}")
-    n, m = p.shape
+    n, m = p.shape[-2:]
     if validate:
         # np.allclose(row_sums, 1.0, atol=1e-6) written out; NaN fails
-        err = np.abs(p.sum(axis=1) - 1.0)
+        err = np.abs(p.sum(axis=-1) - 1.0)
         if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
             raise DataError("rows must be probability vectors")
     mult = float(m if multiplier is None else multiplier)
-    counts = np.bincount(np.argmax(p, axis=1), minlength=m)
+    stack = p.reshape(-1, n, m)
+    g = stack.shape[0]
+    winners = np.argmax(stack, axis=-1) + m * np.arange(g)[:, None]
+    counts = np.bincount(winners.ravel(), minlength=g * m).reshape(g, m)
     f = counts.astype(np.float64) / n
-    used = np.flatnonzero(counts)
+    used = counts > 0
     # exact accumulation keeps the fixtures bitwise (uniform routing over a
-    # power-of-two batch gives exactly 1.0, full collapse exactly m)
-    col_mean = np.array([math.fsum(col) for col in p[:, used].T.tolist()]) / n
-    loss = mult * math.fsum((f[used] * col_mean).tolist())
-    dprobs = np.tile(mult * f / n, (n, 1))
-    return loss, dprobs
+    # power-of-two batch gives exactly 1.0, full collapse exactly m); one
+    # fsum per slice and routed column, then one per slice
+    cols = stack.swapaxes(-1, -2)[used]
+    col_mean = np.array([math.fsum(col) for col in cols.tolist()]) / n
+    terms = (f[used] * col_mean).tolist()
+    ends = np.cumsum(used.sum(axis=-1)).tolist()
+    losses = [mult * math.fsum(terms[start:end])
+              for start, end in zip([0] + ends, ends)]
+    dprobs = np.repeat((mult * f / n)[:, None, :], n, axis=-2)
+    if p.ndim == 2:
+        return losses[0], dprobs[0]
+    return (np.array(losses).reshape(p.shape[:-2]),
+            dprobs.reshape(p.shape))
 
 
 @dataclass(frozen=True)

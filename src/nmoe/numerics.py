@@ -4,11 +4,11 @@ backward passes, losses, and SGD utilities.
 Everything runs in float64. Backward passes are hand-derived; the test
 suite checks each one against central finite differences.
 
-forward, backward, cross_entropy, sgd_step and add_params also take a
-leading client axis: a ParamSet of (g, ...) arrays (stack_params) holds g
-networks of one topology, and a (g, rows, width) batch runs all of them
-with one batched matmul per layer. Each slice gets the bits a 2-d call
-would give it. grad_normalize takes one network's gradients only.
+forward, backward, cross_entropy, softmax_backward, sgd_step, add_params
+and grad_normalize also take a leading client axis: a ParamSet of (g, ...)
+arrays (stack_params) holds g networks of one topology, and a (g, rows,
+width) batch runs all of them with one batched matmul per layer. Each
+slice gets the bits a 2-d call would give it.
 """
 
 from __future__ import annotations
@@ -280,8 +280,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
-    """Gradient through a row-wise softmax given gradients on its output."""
-    inner = (dprobs * probs).sum(axis=1, keepdims=True)
+    """Gradient through a row-wise softmax given gradients on its output;
+    rows run along the last axis, under any leading stack axes."""
+    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -331,15 +332,29 @@ def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
     return ParamSet((n, params[n] - lr * grads[n]) for n in params.names)
 
 
-def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
-    """Scale the whole set so its global L2 norm is at most max_norm."""
+def grad_normalize(grads: ParamSet, max_norm: float, *,
+                   stacked: bool = False) -> ParamSet:
+    """Scale the whole set so its global L2 norm is at most max_norm.
+
+    A stacked set of (g, ...) arrays holds g networks' gradients; each
+    slice is scaled by its own norm. Each slice's squares are summed per
+    array as np.sum sums that slice and the arrays' sums added in name
+    order, so every slice gets the bits of a call on its own set.
+    """
     if max_norm <= 0.0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float(np.sum(a * a)) for _, a in grads.items()))
-    if total <= max_norm:
+    lead = 1 if stacked else 0
+    total = np.sqrt(sum((a * a).reshape(a.shape[:lead] + (-1,)).sum(axis=-1)
+                        for _, a in grads.items()))
+    within = total <= max_norm
+    if within.all():
         return grads
-    scale = max_norm / total
-    return ParamSet((n, grads[n] * scale) for n in grads.names)
+    # a slice within the bound scales by exactly 1.0 and keeps its bits;
+    # a NaN norm scales by NaN
+    scale = max_norm / np.maximum(total, max_norm)
+    return ParamSet(
+        (n, a * scale.reshape(a.shape[:lead] + (1,) * (a.ndim - lead)))
+        for n, a in grads.items())
 
 
 def add_params(a: ParamSet, b: ParamSet) -> ParamSet:

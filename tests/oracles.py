@@ -12,9 +12,11 @@ import numpy as np
 
 from nmoe import seeding
 from nmoe.federated import (_check_finite, _digest_group,
-                            _sgd_classifier_epoch, _sgd_head_epoch,
-                            _sgd_spectral_epoch, _spectral_plan,
-                            compute_correlation_share, fedavg)
+                            _sgd_classifier_epoch, _sgd_gate_epoch,
+                            _sgd_head_epoch, _sgd_spectral_epoch,
+                            _spectral_plan, compute_correlation_share,
+                            fedavg)
+from nmoe.moe import GateParams
 from nmoe.numerics import ParamSet, forward, init_mlp_params, params_digest
 from nmoe.pipeline import (_BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
                            _combined_spec)
@@ -244,6 +246,49 @@ def per_client_experts(clients, fe_spec, fe_params, expert_spec, epochs, lr,
             losses[shard.client_id] = loss
         rounds_out.append((_digest_group(experts), losses))
     return rounds_out, experts
+
+
+def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
+                       gate_init, rounds, local_epochs, lr, lambda_load,
+                       client_fraction, grad_max_norm, k, seed,
+                       batch_size=64):
+    """stage3_fedgate one participant at a time, each on its own 2-d
+    latents and (experts, rows, classes) logit cache; rounds carry the
+    participants too."""
+    m = len(clients)
+    sizes = [float(s.train.num_samples) for s in clients]
+    caches = []
+    for shard in clients:
+        latents = forward(fe_spec, fe_params, shard.train.features)
+        caches.append((latents, np.stack([forward(expert_spec, e, latents)
+                                          for e in experts])))
+    count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
+    params = gate_init.params
+    rounds_out = []
+    for r in range(rounds):
+        sched = _derive(seed, seeding.SCHEDULE, r)
+        participants = np.sort(sched.choice(m, size=count, replace=False))
+        trained, losses = [], {}
+        for c in participants:
+            latents, outs = caches[c]
+            rng = _derive(seed, seeding.STAGE3, r)
+            gate = GateParams(params=params, noise_std=gate_init.noise_std)
+            epoch_losses = []
+            for _ in range(local_epochs):
+                gate, loss = _sgd_gate_epoch(
+                    gate, latents, clients[c].train.labels, outs, k, lr,
+                    lambda_load, grad_max_norm, batch_size, rng)
+                epoch_losses.append(loss)
+            trained.append(gate.params)
+            losses[clients[c].client_id] = epoch_losses
+        for client, epoch_losses in losses.items():
+            for loss in epoch_losses:
+                _check_finite(loss, "stage3_fedgate", client, r)
+        params = fedavg(trained, [sizes[c] for c in participants])
+        rounds_out.append((params_digest(params),
+                           {c: float(np.mean(v)) for c, v in losses.items()},
+                           tuple(clients[c].client_id for c in participants)))
+    return rounds_out
 
 
 def per_client_fedavg_classifier(config, shards):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -656,6 +658,65 @@ class TestLockstepMatchesPerClient:
         assert list(result.experts) == experts
 
 
+FEDGATE_SIZES = [(60,), (60, 60, 45), (60, 45)]
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 0.05])
+@pytest.mark.parametrize("client_fraction", [0.6, 1.0])
+@pytest.mark.parametrize("num_clients,k",
+                         [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2), (5, 3)])
+@pytest.mark.parametrize("sizes", FEDGATE_SIZES)
+def test_fedgate_matches_per_client(sizes, num_clients, k, client_fraction,
+                                    noise_std):
+    """Stacked FedGate against the one-participant-at-a-time loop it
+    replaced: every round's digest, losses and participants, bit for
+    bit."""
+    clients = lockstep_clients(num_clients, sizes)
+    fe_spec, fe = identity_extractor(8)
+    expert_spec = MlpSpec((8, 10, clients[0].train.num_classes), (T, I))
+    experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
+                    for i in range(num_clients))
+    gate_init = init_gate_params(8, num_clients, noise_std,
+                                 np.random.default_rng(3))
+    kw = dict(rounds=3, local_epochs=2, lr=0.1, lambda_load=0.05,
+              client_fraction=client_fraction, grad_max_norm=0.5, k=k,
+              seed=9, batch_size=16)
+    result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+                            gate_init, **kw)
+    expect = oracles.per_client_fedgate(clients, fe_spec, fe, expert_spec,
+                                        experts, gate_init, **kw)
+    assert [(r.params_digest, r.client_losses, r.participants)
+            for r in result.reports] == expect
+
+
+def test_fedgate_memory_is_one_logit_cache():
+    """Stage 3 keeps one expert-logit cache, clients x experts x rows x
+    classes, and copies none of it: a per-round copy of the participants'
+    caches would double the traced peak."""
+    m, n, classes, dim = 8, 400, 40, 8
+    rng = np.random.default_rng(0)
+    clients = [Shard(c, Dataset(rng.normal(size=(n, dim)),
+                                rng.integers(0, classes, size=n), classes),
+                     Dataset(rng.normal(size=(4, dim)),
+                             rng.integers(0, classes, size=4), classes))
+               for c in range(m)]
+    fe_spec, fe = identity_extractor(dim)
+    expert_spec = MlpSpec((dim, classes), (I,))
+    experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
+                    for i in range(m))
+    gate_init = init_gate_params(dim, m, 0.01, np.random.default_rng(1))
+    cache_bytes = m * m * n * classes * 8
+    tracemalloc.start()
+    try:
+        stage3_fedgate(clients, fe_spec, fe, expert_spec, experts, gate_init,
+                       rounds=2, local_epochs=1, lr=0.05, lambda_load=0.01,
+                       client_fraction=1.0, grad_max_norm=1.0, k=2, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache_bytes <= peak < 1.5 * cache_bytes
+
+
 def scale_features(clients, scale, which=(1,)):
     """The same shards with the train features of the clients at the
     given positions multiplied by scale."""
@@ -721,6 +782,40 @@ class TestStackedDivergenceNamesTheClient:
                            gate_init, rounds=2, local_epochs=2, lr=0.05,
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=1, batch_size=16)
+
+    def test_fedgate_two_groups(self):
+        # clients 1 and 2 both diverge in round 0; sizes 60, 45, 60 train
+        # client 2's group first, and the stacked stage must fail exactly
+        # as the per-participant loop does
+        def run(train, scaled):
+            clients = scale_features(make_clients(3, 1.0), 1e308, scaled)
+            clients[1] = Shard(1, clients[1].train.take(np.arange(45)),
+                               clients[1].test)
+            fe_spec, fe = identity_extractor(8)
+            expert_spec = MlpSpec((8, 4), (I,))
+            experts = tuple(init_mlp_params(expert_spec,
+                                            np.random.default_rng(i))
+                            for i in range(3))
+            gate_init = init_gate_params(8, 3, 0.01,
+                                         np.random.default_rng(2))
+            train(clients, fe_spec, fe, expert_spec, experts, gate_init,
+                  rounds=2, local_epochs=2, lr=0.05, lambda_load=0.01,
+                  client_fraction=1.0, grad_max_norm=1.0, k=1, seed=1,
+                  batch_size=16)
+
+        # client 2 diverges on its own as well
+        with pytest.raises(TrainingError,
+                           match=r"^client 2 .* round 0$"):
+            run(stage3_fedgate, (2,))
+        with pytest.raises(Exception) as expected:
+            run(oracles.per_client_fedgate, (1, 2))
+        with pytest.raises(Exception) as got:
+            run(stage3_fedgate, (1, 2))
+        assert (got.type, str(got.value)) == \
+            (expected.type, str(expected.value))
+        assert expected.type is TrainingError
+        assert str(expected.value) == \
+            "client 1 loss became non-finite in stage3_fedgate round 0"
 
     def test_lowest_index_wins_across_groups(self):
         # clients 1 and 2 both diverge; client 2 trains in the first group

@@ -110,3 +110,55 @@ def test_stacked_dense_matches_per_slice(seed, g, rows, fan_in, fan_out,
                 (dx, dw, db), K.dense_backward(x[c], w[c], out_c, dout[c],
                                                act)):
             assert np.array_equal(stacked[c], single)
+
+
+# The row-wise kernels on a (g, rows, width) stack against one 2-d call per
+# slice; finite inputs must raise no numpy warning on either path.
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
+       st.integers(1, 12), st.sampled_from([0.1, 1.0, 30.0]))
+def test_stacked_softmax_rows_matches_per_slice(seed, g, rows, width, scale):
+    z = scale * np.random.default_rng(seed).normal(size=(g, rows, width))
+    out = K.softmax_rows(z)
+    for c in range(g):
+        assert np.array_equal(out[c], K.softmax_rows(z[c]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 40),
+       st.integers(1, 12), st.data())
+def test_stacked_topk_indices_matches_per_slice(seed, g, rows, width, data):
+    # few distinct values make ties common; some entries and whole rows
+    # are +-inf
+    rng = np.random.default_rng(seed)
+    z = rng.integers(-2, 3, size=(g, rows, width)).astype(np.float64)
+    z[rng.random(size=z.shape) < 0.1] = np.inf
+    z[rng.random(size=z.shape) < 0.1] = -np.inf
+    z[:, rng.random(size=rows) < 0.1] = -np.inf
+    k = data.draw(st.integers(1, width))
+    idx = K.topk_indices(z, k)
+    assert idx.shape == (g, rows, k)
+    for c in range(g):
+        assert np.array_equal(idx[c], K.topk_indices(z[c], k))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 8),
+       st.integers(1, 40), st.integers(1, 10), st.data())
+def test_stacked_combine_topk_matches_per_slice(seed, g, experts, rows,
+                                               classes, data):
+    rng = np.random.default_rng(seed)
+    slots = data.draw(st.integers(1, experts))
+    logits = rng.normal(size=(g, experts, rows, classes))
+    idx = np.argsort(rng.random(size=(g, rows, experts)),
+                     axis=-1)[..., :slots]
+    weights = rng.random(size=(g, rows, slots))
+    out = K.combine_topk(logits, idx, weights)
+    assert out.shape == (g, rows, classes)
+    for c in range(g):
+        assert np.array_equal(out[c],
+                              K.combine_topk(logits[c], idx[c], weights[c]))

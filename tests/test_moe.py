@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,9 @@ from nmoe.errors import ConfigError, DataError, FormatError
 from nmoe.moe import (GateParams, MoeForward, NmoeModel, RandomGate,
                       gate_topk, init_gate_params, load_balance_loss,
                       load_model, moe_backward, moe_forward, save_model)
-from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy, forward,
-                           init_mlp_params)
+from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy,
+                           encode_params, forward, init_mlp_params,
+                           stack_params, unstack_params)
 from oracles import (dense_mixture, finite_difference_params,
                      load_balance_all_columns, max_relative_error_params)
 
@@ -98,6 +101,32 @@ class TestGateTopk:
         renorm = gathered / gathered.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(decision.weights, renorm, rtol=1e-12)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 6),
+           st.integers(1, 40), st.booleans(), st.data())
+    def test_stacked_gate_matches_per_slice(self, seed, g, m, rows, noisy,
+                                            data):
+        # the stack adds one noise draw to every slice, the draw each
+        # slice's own call makes from a copy of the same stream
+        k = data.draw(st.integers(1, m))
+        rng = np.random.default_rng(seed)
+        gates = [init_gate_params(3, m, 0.3 if noisy else 0.0, rng)
+                 for _ in range(g)]
+        stacked = GateParams(params=stack_params([gt.params for gt in gates]),
+                             noise_std=gates[0].noise_std)
+        latents = rng.normal(size=(g, rows, 3))
+        decision, probs = gate_topk(latents, stacked, k,
+                                    rng=np.random.default_rng(seed))
+        assert decision.indices.shape == (g, rows, k)
+        for c, params in enumerate(unstack_params(stacked.params)):
+            single, single_probs = gate_topk(
+                latents[c], GateParams(params, stacked.noise_std), k,
+                rng=np.random.default_rng(seed))
+            assert np.array_equal(probs[c], single_probs)
+            assert np.array_equal(decision.indices[c], single.indices)
+            assert np.array_equal(decision.weights[c], single.weights)
+
 
 class TestLoadBalanceLoss:
     def test_uniform_rows_give_exactly_one(self):
@@ -177,6 +206,32 @@ class TestLoadBalanceLoss:
             ref_loss, ref_grad = load_balance_all_columns(probs, multiplier)
             assert loss == ref_loss
             assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 48),
+           st.integers(1, 64), st.sampled_from([0.1, 1.0, 10.0]))
+    def test_stacked_matches_per_slice(self, seed, g, m, n, scale):
+        # slices route differently, so each sums its own routed columns
+        rng = np.random.default_rng(seed)
+        z = scale * rng.normal(size=(g, n, m))
+        for c in range(g):
+            z[c, :, rng.permutation(m)[:rng.integers(1, m + 1)]] += 5.0
+        probs = kernels.softmax_rows(z)
+        for multiplier in (None, 0.5 * m):
+            loss, grad = load_balance_loss(probs, multiplier=multiplier)
+            assert loss.shape == (g,) and grad.shape == (g, n, m)
+            for c in range(g):
+                single_loss, single_grad = load_balance_loss(
+                    probs[c], multiplier=multiplier)
+                assert loss[c] == single_loss
+                assert np.array_equal(grad[c], single_grad)
+
+    def test_stacked_row_check_covers_every_slice(self):
+        probs = np.full((3, 4, 2), 0.5)
+        probs[2, 1] = [0.5, 0.6]
+        with pytest.raises(DataError):
+            load_balance_loss(probs)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8),
@@ -416,6 +471,19 @@ class TestCheckpoint:
         back, _ = load_model(path)
         assert isinstance(back.gate, RandomGate)
         assert np.array_equal(back.gate.distribution, [0.2, 0.3, 0.5])
+
+    def test_stacked_gate_rejected(self, tmp_path):
+        # a gate of g lockstep slices is training state, not a model: a
+        # checkpoint holding a (g, d, m) gate must not load
+        model = small_model(m=3, seed=42)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        stacked = stack_params([model.gate.params, model.gate.params])
+        doc["gate"]["params"] = encode_params(stacked)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="2-d gate"):
+            load_model(path)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

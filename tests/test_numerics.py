@@ -170,6 +170,19 @@ class TestSoftmax:
         assert max_relative_error(dz, fd) < 1e-4
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
+       st.integers(1, 12))
+def test_stacked_softmax_backward_matches_per_slice(seed, g, rows, width):
+    rng = np.random.default_rng(seed)
+    probs = kernels.softmax_rows(3.0 * rng.normal(size=(g, rows, width)))
+    dprobs = rng.normal(size=(g, rows, width))
+    out = softmax_backward(probs, dprobs)
+    for c in range(g):
+        assert np.array_equal(out[c], softmax_backward(probs[c], dprobs[c]))
+
+
 class TestStackParams:
     def test_round_trip_and_shapes(self):
         sets = [mlp((3, 2), (I,), seed=s)[1] for s in range(3)]
@@ -257,6 +270,15 @@ class TestSgdStep:
         assert np.array_equal(p["w"], [1.0])
 
 
+def _clip_reference(grads, max_norm):
+    """The one-network clip written out: Python float sums of np.sum per
+    array, math.sqrt, one scalar scale."""
+    total = math.sqrt(sum(float(np.sum(a * a)) for _, a in grads.items()))
+    if total <= max_norm:
+        return grads
+    return ParamSet((n, a * (max_norm / total)) for n, a in grads.items())
+
+
 class TestGradNormalize:
     def test_at_the_boundary_is_identity(self):
         g = ParamSet({"w": np.array([3.0, 4.0])})
@@ -278,6 +300,35 @@ class TestGradNormalize:
         g = ParamSet({"w": np.ones(2)})
         with pytest.raises(ConfigError):
             grad_normalize(g, 0.0)
+        with pytest.raises(ConfigError):
+            grad_normalize(stack_params([g, g]), 0.0, stacked=True)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12),
+           st.integers(1, 12))
+    def test_stacked_clips_each_slice_by_its_own_norm(self, seed, g, rows,
+                                                      cols):
+        # max_norm is slice 0's own norm, so slice 0 sits at the bound and
+        # the others, rescaled, fall above or below it; a zero slice too
+        rng = np.random.default_rng(seed)
+        sets = [ParamSet({"w0": rng.normal(size=(rows, cols)),
+                          "b0": rng.normal(size=cols)})
+                for _ in range(g)]
+        factors = [1.0] + [float(f) for f in
+                           rng.choice([0.0, 0.25, 0.999, 1.001, 4.0],
+                                      size=g - 1)]
+        sets = [ParamSet((n, f * a) for n, a in ps.items())
+                for f, ps in zip(factors, sets)]
+        norm = math.sqrt(sum(float(np.sum(a * a))
+                             for _, a in sets[0].items()))
+        out = unstack_params(grad_normalize(stack_params(sets), norm,
+                                            stacked=True))
+        for stacked, single in zip(out, sets):
+            assert stacked == _clip_reference(single, norm)
+            assert grad_normalize(single, norm) == _clip_reference(single,
+                                                                   norm)
+        assert out[0] == sets[0]
 
 
 class TestSerialization:
