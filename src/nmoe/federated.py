@@ -48,8 +48,7 @@ from . import kernels, seeding
 from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
                        draw_views)
 from .errors import ConfigError, DataError, InternalError, TrainingError
-from .moe import (GateParams, RandomGate, gate_spec, gate_topk,
-                  load_balance_loss)
+from .moe import GateParams, RandomGate, _route, gate_spec, load_balance_loss
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
                        check_compatible, cross_entropy, forward,
                        grad_normalize, init_mlp_params, params_digest,
@@ -276,10 +275,25 @@ def _digest_group(param_sets) -> str:
     return h.hexdigest()
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
+def _batches(n: int, batch_size: int, rng):
+    """One epoch's batches of row indices, (b,) each. Given a list of g
+    streams instead of one, every stream draws its own order and the
+    batches are (g, b), row i for slice i."""
+    if isinstance(rng, np.random.Generator):
+        order = rng.permutation(n)
+    else:
+        order = np.stack([r.permutation(n) for r in rng])
     for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+        yield order[..., start:start + batch_size]
+
+
+def _take_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
+    """a's entries at rows along axis: (b,) rows pick the same rows of
+    every slice, (g, b) rows pick rows[i] of slice i."""
+    if rows.ndim == 1:
+        return a.take(rows, axis=axis)
+    return np.take_along_axis(a, rows if axis == -1 else rows[..., None],
+                              axis=axis)
 
 
 def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
@@ -311,18 +325,19 @@ def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
 
 def _sgd_head_epoch(head_spec: MlpSpec, head: ParamSet,
                     latents: np.ndarray, labels: np.ndarray, lr: float,
-                    batch_size: int, rng: np.random.Generator):
+                    batch_size: int, rng):
     """One cross-entropy epoch over the head only, on fixed latents;
-    stacks like _sgd_classifier_epoch."""
+    stacks like _sgd_classifier_epoch. Given one stream per slice
+    instead (a list), each slice draws its own batch rows."""
     n = latents.shape[-2]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        logits, tape = forward(head_spec, head,
-                               latents.take(rows, axis=-2), want_tape=True)
-        loss, dlogits = cross_entropy(logits, labels.take(rows, axis=-1))
+        logits, tape = forward(head_spec, head, _take_rows(latents, rows, -2),
+                               want_tape=True)
+        loss, dlogits = cross_entropy(logits, _take_rows(labels, rows, -1))
         grads, _ = backward(tape, dlogits)
         head = sgd_step(head, grads, lr)
-        total += loss * rows.size
+        total += loss * rows.shape[-1]
     return head, total / n
 
 
@@ -758,8 +773,7 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     total = 0.0
     for rows in _batches(n, batch_size, rng):
         x = np.ascontiguousarray(latents[(*own, rows)])
-        decision, probs = gate_topk(x, gate, k, rng=rng)
-        idx = decision.indices
+        idx, probs = _route(x, gate, k, rng)
         chosen = expert_logits[(*(o[:, None] for o in own),
                                 idx.swapaxes(-1, -2), rows)]
         gathered = np.take_along_axis(probs, idx, axis=-1)

@@ -11,6 +11,15 @@ constant 1 at k = 1 and would stop every gradient from the task loss
 into the gate, while the unmasked probabilities keep the gate trainable
 at any k. The two coincide at k = m, and eval predictions are unchanged
 either way because positive scaling never moves an argmax.
+
+Train mode runs every expert on every row, so it holds the m experts as
+one stacked set (StackedMoe, a ParamSet of (m, ...) arrays): the batch's
+latents are broadcast to (m, rows, latent_dim), each layer of all m
+experts is one batched matmul, and moe_backward returns the experts'
+gradients as one stacked set that one grad_normalize(..., stacked=True)
+and one sgd_step update. Every expert's slice gets the bits its own
+2-d forward and backward would give. NmoeModel and checkpoints keep one
+2-d set per expert.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from . import kernels
 from .errors import ConfigError, DataError, FormatError, InternalError
 from .numerics import (MlpSpec, ParamSet, Tape, activation_id,
                        activation_name, backward, decode_params,
-                       encode_params, forward, softmax_backward)
+                       encode_params, forward, softmax_backward,
+                       stack_params, unstack_params)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -114,7 +124,9 @@ class GateDecision:
     """Per-sample top-k selection.
 
     indices: (rows, k) distinct expert ids, in descending gate score;
-    weights: (rows, k) softmax over each masked row, summing to 1.
+    weights: (rows, k) the aggregation weight of each pick. gate_topk
+    gives the softmax over each masked row, summing to 1; train mode's
+    moe_forward gives the unmasked probabilities it scales by.
     """
 
     indices: np.ndarray
@@ -163,6 +175,52 @@ class NmoeModel:
         return self.expert_spec.out_width
 
 
+@dataclass(frozen=True)
+class StackedMoe:
+    """A mixture as train mode runs it: a parametric gate and the m
+    experts as one stacked set of (m, ...) arrays (stack_params)."""
+
+    fe_spec: MlpSpec
+    fe_params: ParamSet
+    gate: GateParams
+    expert_spec: MlpSpec
+    experts: ParamSet
+
+    @classmethod
+    def from_model(cls, model: NmoeModel) -> "StackedMoe":
+        return cls(model.fe_spec, model.fe_params, model.gate,
+                   model.expert_spec, stack_params(model.experts))
+
+    def to_model(self) -> NmoeModel:
+        return NmoeModel(fe_spec=self.fe_spec, fe_params=self.fe_params,
+                         gate=self.gate, expert_spec=self.expert_spec,
+                         experts=tuple(unstack_params(self.experts)))
+
+
+def _gate_logits(latents: np.ndarray, gate: GateParams, k: int,
+                 rng: np.random.Generator | None) -> np.ndarray:
+    """The gate's logits, perturbed when an rng is given (gate_topk)."""
+    m = gate.num_experts
+    if not 1 <= k <= m:
+        raise ConfigError(f"k must be in [1, {m}], got {k}")
+    x = np.ascontiguousarray(latents, dtype=np.float64)
+    logits = kernels.dense_forward(x, gate.params["w0"], gate.params["b0"],
+                                   kernels.ACT_IDENTITY)
+    if rng is not None and gate.noise_std > 0.0:
+        logits = logits + rng.normal(0.0, gate.noise_std,
+                                     size=logits.shape[-2:])
+    return logits
+
+
+def _route(latents: np.ndarray, gate: GateParams, k: int,
+           rng: np.random.Generator | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """gate_topk's (decision.indices, probabilities) without the masked
+    weights, which training never reads; same draws, same bits."""
+    logits = _gate_logits(latents, gate, k, rng)
+    return kernels.topk_indices(logits, k), kernels.softmax_rows(logits)
+
+
 def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
               rng: np.random.Generator | None = None
               ) -> tuple[GateDecision, np.ndarray]:
@@ -179,14 +237,7 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     make from the same stream, so each slice matches its own 2-d call.
     """
     m = gate.num_experts
-    if not 1 <= k <= m:
-        raise ConfigError(f"k must be in [1, {m}], got {k}")
-    x = np.ascontiguousarray(latents, dtype=np.float64)
-    logits = kernels.dense_forward(x, gate.params["w0"], gate.params["b0"],
-                                   kernels.ACT_IDENTITY)
-    if rng is not None and gate.noise_std > 0.0:
-        logits = logits + rng.normal(0.0, gate.noise_std,
-                                     size=logits.shape[-2:])
+    logits = _gate_logits(latents, gate, k, rng)
     probs = kernels.softmax_rows(logits)
     idx = kernels.topk_indices(logits, k)
     if k == m:
@@ -202,15 +253,14 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     return GateDecision(indices=idx, weights=weights), probs
 
 
-def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
-                      validate: bool = True
+def load_balance_loss(probs: np.ndarray, validate: bool = True
                       ) -> tuple[float | np.ndarray, np.ndarray]:
-    """Balance penalty multiplier * sum_i f_i * P_i over gate probabilities.
+    """Balance penalty m * sum_i f_i * P_i over gate probabilities.
 
     f_i is the fraction of rows whose argmax is expert i (ties toward the
     lowest index) and carries no gradient; P_i is the column mean. The
-    default multiplier is the expert count, which puts the minimum at 1
-    for uniform routing. Pass validate=False to skip the probability-row
+    multiplier is the expert count m, which puts the minimum at 1 for
+    uniform routing. Pass validate=False to skip the probability-row
     check (finite-difference probes perturb single entries).
 
     The sum runs over routed experts only: an expert with f_i = 0 adds an
@@ -230,7 +280,7 @@ def load_balance_loss(probs: np.ndarray, multiplier: float | None = None,
         err = np.abs(p.sum(axis=-1) - 1.0)
         if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
             raise DataError("rows must be probability vectors")
-    mult = float(m if multiplier is None else multiplier)
+    mult = float(m)
     stack = p.reshape(-1, n, m)
     g = stack.shape[0]
     winners = np.argmax(stack, axis=-1) + m * np.arange(g)[:, None]
@@ -266,53 +316,52 @@ class MoeForward:
 
 @dataclass(frozen=True)
 class MoeTapes:
-    """Activation records retained in train mode for moe_backward."""
+    """Activation records retained in train mode for moe_backward; the
+    expert tape is one stacked record whose output is (experts, rows,
+    classes)."""
 
     fe_tape: Tape
-    expert_tapes: tuple[Tape, ...]
-    expert_outputs: np.ndarray  # (experts, rows, classes)
+    expert_tape: Tape
 
 
-def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
+def moe_forward(model: NmoeModel | StackedMoe, batch: np.ndarray, k: int,
                 mode: str = "eval",
                 rng: np.random.Generator | None = None) -> MoeForward:
     """Run the full mixture on a batch.
 
     mode "eval": no gate noise, only the selected experts are evaluated,
     aggregation uses the masked-softmax weights. mode "train": gate noise
-    enabled when an rng is given, every expert runs on every row so tapes
-    can back all gradients, aggregation scales selected experts by their
-    unmasked probabilities (see the module docstring).
+    enabled when an rng is given, every expert runs on every row as one
+    stack so tapes can back all gradients, aggregation scales selected
+    experts by their unmasked probabilities (see the module docstring).
+    Train mode takes a StackedMoe, or an NmoeModel whose experts it
+    stacks.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     if isinstance(model.gate, RandomGate):
         return _moe_forward_random(model, batch, k, rng)
-    train = mode == "train"
-    if train:
-        latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
-                                   want_tape=True)
-    else:
+    if mode == "eval":
         latents = forward(model.fe_spec, model.fe_params, batch)
-    decision, probs = gate_topk(latents, model.gate, k,
-                                rng if train else None)
-    if train:
-        n = latents.shape[0]
-        rows = np.arange(n)
-        outputs = np.empty((model.num_experts, n, model.num_classes))
-        tapes = []
-        for e, expert in enumerate(model.experts):
-            outputs[e], tape = forward(model.expert_spec, expert, latents,
-                                       want_tape=True)
-            tapes.append(tape)
-        combine_w = np.ascontiguousarray(probs[rows[:, None],
-                                               decision.indices])
-        logits = kernels.combine_topk(outputs, decision.indices, combine_w)
-        return MoeForward(logits=logits, decision=decision, gate_probs=probs,
-                          latents=latents,
-                          tapes=MoeTapes(fe_tape, tuple(tapes), outputs))
-    return MoeForward(logits=_eval_mixture(model, latents, decision),
-                      decision=decision, gate_probs=probs, latents=latents)
+        decision, probs = gate_topk(latents, model.gate, k)
+        return MoeForward(logits=_eval_mixture(model, latents, decision),
+                          decision=decision, gate_probs=probs,
+                          latents=latents)
+    if isinstance(model, NmoeModel):
+        model = StackedMoe.from_model(model)
+    latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
+                               want_tape=True)
+    idx, probs = _route(latents, model.gate, k, rng)
+    m = model.gate.num_experts
+    outputs, expert_tape = forward(
+        model.expert_spec, model.experts,
+        np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
+    combine_w = np.take_along_axis(probs, idx, axis=-1)
+    logits = kernels.combine_topk(outputs, idx, combine_w)
+    return MoeForward(logits=logits,
+                      decision=GateDecision(indices=idx, weights=combine_w),
+                      gate_probs=probs, latents=latents,
+                      tapes=MoeTapes(fe_tape, expert_tape))
 
 
 def _eval_mixture(model: NmoeModel, latents: np.ndarray,
@@ -360,18 +409,23 @@ def _moe_forward_random(model: NmoeModel, batch: np.ndarray, k: int,
 
 @dataclass(frozen=True)
 class MoeGrads:
+    """Gradients of a train-mode batch; experts is one stacked set."""
+
     fe: ParamSet
     gate: ParamSet
-    experts: tuple[ParamSet, ...]
+    experts: ParamSet
 
 
-def moe_backward(model: NmoeModel, fwd: MoeForward, dlogits: np.ndarray,
+def moe_backward(model: NmoeModel | StackedMoe, fwd: MoeForward,
+                 dlogits: np.ndarray,
                  dprobs: np.ndarray | None = None) -> MoeGrads:
     """Backpropagate through a train-mode moe_forward.
 
     dlogits is the gradient on the aggregated logits; dprobs optionally
     adds a gradient on the full gate probabilities (the load-balance
-    term). Returns gradients for the extractor, gate, and every expert.
+    term). Returns gradients for the extractor, the gate, and all experts
+    as one stacked set. The latent gradient sums the gate's term, then
+    each expert's in index order.
     """
     if fwd.tapes is None:
         raise InternalError("moe_backward needs tapes from train mode")
@@ -382,13 +436,13 @@ def moe_backward(model: NmoeModel, fwd: MoeForward, dlogits: np.ndarray,
     rows = np.arange(n)
     selected = np.zeros((n, m), dtype=bool)
     selected[rows[:, None], fwd.decision.indices] = True
+    outputs = tapes.expert_tape.records[-1]
 
     # d(loss)/d(prob of expert e) from the aggregation, selected rows only
-    dprob_total = np.zeros((n, m))
-    for e in range(m):
-        dprob_total[:, e] = np.where(
-            selected[:, e], (dlogits * tapes.expert_outputs[e]).sum(axis=1),
-            0.0)
+    # (C order, so the softmax backward sums each row as before)
+    dprob_total = np.where(
+        selected,
+        np.ascontiguousarray((dlogits * outputs).sum(axis=-1).T), 0.0)
     if dprobs is not None:
         dprob_total += dprobs
     dgate_logits = softmax_backward(fwd.gate_probs, dprob_total)
@@ -396,17 +450,15 @@ def moe_backward(model: NmoeModel, fwd: MoeForward, dlogits: np.ndarray,
     dbg = dgate_logits.sum(axis=0)
     dlatents = dgate_logits @ model.gate.params["w0"].T
 
-    expert_grads = []
+    upstream = np.where(selected.T[:, :, None],
+                        fwd.gate_probs.T[:, :, None] * dlogits, 0.0)
+    expert_grads, dlat = backward(tapes.expert_tape, upstream)
     for e in range(m):
-        upstream = np.where(selected[:, e, None],
-                            fwd.gate_probs[:, e, None] * dlogits, 0.0)
-        grads_e, dlat_e = backward(tapes.expert_tapes[e], upstream)
-        expert_grads.append(grads_e)
-        dlatents += dlat_e
+        dlatents += dlat[e]
     fe_grads, _ = backward(tapes.fe_tape, dlatents)
     return MoeGrads(fe=fe_grads,
                     gate=ParamSet({"w0": dwg, "b0": dbg}),
-                    experts=tuple(expert_grads))
+                    experts=expert_grads)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,6 @@ back. Only payload bytes are counted; framing, retries, and batching
 are out of scope. Remote experts return raw logits and the owning
 client mixes them, so per-expert traffic is independent of k beyond
 which experts are chosen.
-
-Per-client simulation is independent, so logs from separate shards can
-be merged by summation.
 """
 
 from __future__ import annotations
@@ -82,21 +79,6 @@ class InferenceResult:
     scores: dict
     labels: dict
     log: RoutingLog
-
-
-def merge_logs(logs) -> RoutingLog:
-    logs = list(logs)
-    if not logs:
-        raise DataError("no routing logs to merge")
-    m = logs[0].num_clients
-    for log in logs[1:]:
-        if log.num_clients != m:
-            raise DataError(f"cannot merge logs for {m} and "
-                            f"{log.num_clients} clients")
-    return RoutingLog(
-        counts=np.sum([log.counts for log in logs], axis=0),
-        bytes_out=sum(log.bytes_out for log in logs),
-        bytes_back=sum(log.bytes_back for log in logs))
 
 
 def simulate_inference(model: NmoeModel, shards, k: int, cost: CostModel,

@@ -32,15 +32,17 @@ from .errors import ConfigError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, stage1_fedce,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
-                        stage3_rangate, stage3_rollgate, _check_finite,
-                        _sgd_head_epoch)
+                        stage3_rangate, stage3_rollgate, _batches,
+                        _check_finite, _lockstep_round, _sgd_head_epoch,
+                        _size_groups, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
-from .moe import (GateParams, NmoeModel, init_gate_params, load_balance_loss,
-                  moe_backward, moe_forward, save_model)
+from .moe import (GateParams, NmoeModel, StackedMoe, init_gate_params,
+                  load_balance_loss, moe_backward, moe_forward, save_model)
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
 from .numerics import (MlpSpec, ParamSet, cross_entropy, forward,
-                       grad_normalize, init_mlp_params, sgd_step, softmax)
+                       grad_normalize, init_mlp_params, sgd_step, softmax,
+                       stack_params)
 from .seeding import derive_rng
 
 # Round slots within the BASELINE component, so baseline streams never
@@ -330,62 +332,89 @@ def _baseline_entry(report: EvalReport, log: RoutingLog,
 def train_centralized_moe(config: RunConfig, shards
                           ) -> tuple[NmoeModel, list[float]]:
     """Jointly train extractor, gate, and experts on the pooled data with
-    cross-entropy plus the load-balance penalty."""
+    cross-entropy plus the load-balance penalty. The m experts train as
+    one stack (StackedMoe); the model is built once, at the end."""
     pooled = _pooled_train(shards)
     m = config.data.num_clients
     fe_spec = config.model.fe_spec()
     expert_spec = config.model.expert_spec()
-    model = NmoeModel(
-        fe_spec=fe_spec,
-        fe_params=init_mlp_params(
-            fe_spec, derive_rng(config.seed, seeding.BASELINE,
-                                _BASE_CENTRAL_INIT, 0)),
-        gate=init_gate_params(
-            config.model.latent_dim, m, config.model.gate_noise_std,
-            derive_rng(config.seed, seeding.BASELINE,
-                       _BASE_CENTRAL_INIT, 1),
-            scale=0.0),
-        expert_spec=expert_spec,
-        experts=tuple(
-            init_mlp_params(expert_spec,
-                            derive_rng(config.seed, seeding.BASELINE,
-                                       _BASE_CENTRAL_INIT, 2 + e))
-            for e in range(m)))
+    fe = init_mlp_params(fe_spec, derive_rng(config.seed, seeding.BASELINE,
+                                             _BASE_CENTRAL_INIT, 0))
+    gate = init_gate_params(
+        config.model.latent_dim, m, config.model.gate_noise_std,
+        derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_INIT, 1),
+        scale=0.0)
+    experts = stack_params(
+        init_mlp_params(expert_spec, derive_rng(config.seed,
+                                                seeding.BASELINE,
+                                                _BASE_CENTRAL_INIT, 2 + e))
+        for e in range(m))
     lam = config.stage3.lambda_load
     max_norm = config.stage3.grad_max_norm
+    lr = config.baselines.lr
     rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
     n = pooled.num_samples
     losses = []
     for epoch in range(config.baselines.epochs):
-        order = rng.permutation(n)
         total = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = order[start:start + config.batch_size]
-            fwd = moe_forward(model, pooled.features[rows], config.k,
+        for rows in _batches(n, config.batch_size, rng):
+            moe = StackedMoe(fe_spec, fe, gate, expert_spec, experts)
+            fwd = moe_forward(moe, pooled.features[rows], config.k,
                               mode="train", rng=rng)
             ce, dlogits = cross_entropy(fwd.logits, pooled.labels[rows])
             lb, dlb = load_balance_loss(fwd.gate_probs)
-            grads = moe_backward(model, fwd, dlogits, lam * dlb)
-            model = NmoeModel(
-                fe_spec=fe_spec,
-                fe_params=sgd_step(model.fe_params,
-                                   grad_normalize(grads.fe, max_norm),
-                                   config.baselines.lr),
-                gate=GateParams(
-                    params=sgd_step(model.gate.params,
-                                    grad_normalize(grads.gate, max_norm),
-                                    config.baselines.lr),
-                    noise_std=model.gate.noise_std),
-                expert_spec=expert_spec,
-                experts=tuple(
-                    sgd_step(p, grad_normalize(g, max_norm),
-                             config.baselines.lr)
-                    for p, g in zip(model.experts, grads.experts)))
+            grads = moe_backward(moe, fwd, dlogits, lam * dlb)
+            fe = sgd_step(fe, grad_normalize(grads.fe, max_norm), lr)
+            gate = GateParams(
+                params=sgd_step(gate.params,
+                                grad_normalize(grads.gate, max_norm), lr),
+                noise_std=gate.noise_std)
+            experts = sgd_step(
+                experts, grad_normalize(grads.experts, max_norm,
+                                        stacked=True), lr)
             total += (ce + lam * lb) * rows.size
         loss = total / n
         _check_finite(loss, "baseline_centralized_moe", 0, epoch)
         losses.append(float(loss))
+    model = StackedMoe(fe_spec, fe, gate, expert_spec, experts).to_model()
     return model, losses
+
+
+def train_local_classifiers(config: RunConfig, shards
+                            ) -> tuple[dict, list[float]]:
+    """One classifier per client on its own shard, from per-client init
+    and batch-order streams. Clients with equal shard sizes train as one
+    stack, each drawing its own batch rows. Returns the parameters by
+    client id and each client's last-epoch loss, in client order."""
+    spec = _combined_spec(config)
+    epochs = config.baselines.epochs
+
+    def train_group(_, members):
+        ids = [shards[c].client_id for c in members]
+        params = stack_params(
+            init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
+                                             _BASE_LOCAL_INIT, c))
+            for c in ids)
+        rngs = [derive_rng(config.seed, seeding.BASELINE,
+                           _BASE_LOCAL_TRAIN, c) for c in ids]
+        features, labels = _stack_shards(shards, members)
+        epoch_losses = []
+        for _ in range(epochs):
+            params, loss = _sgd_head_epoch(
+                spec, params, features, labels, config.baselines.lr,
+                config.batch_size, rngs)
+            epoch_losses.append(loss)
+        return params, epoch_losses
+
+    trained, losses = _lockstep_round(_size_groups(shards), train_group)
+    # client by client, epoch by epoch: the first failure a per-client
+    # loop would have stopped at
+    for shard, client_losses in zip(shards, losses):
+        for epoch, loss in enumerate(client_losses):
+            _check_finite(loss, "baseline_local_classifier",
+                          shard.client_id, epoch)
+    return ({s.client_id: p for s, p in zip(shards, trained)},
+            [v[-1] for v in losses])
 
 
 def train_fedavg_classifier(config: RunConfig, shards
@@ -422,23 +451,7 @@ def run_baselines(config: RunConfig, shards=None) -> dict:
         central_inference.predictions, central_inference.scores,
         central_inference.labels, num_classes)
 
-    local_params = {}
-    local_losses = []
-    for shard in shards:
-        c = shard.client_id
-        params = init_mlp_params(
-            spec, derive_rng(config.seed, seeding.BASELINE,
-                             _BASE_LOCAL_INIT, c))
-        rng = derive_rng(config.seed, seeding.BASELINE,
-                         _BASE_LOCAL_TRAIN, c)
-        loss = float("nan")
-        for epoch in range(config.baselines.epochs):
-            params, loss = _sgd_head_epoch(
-                spec, params, shard.train.features, shard.train.labels,
-                config.baselines.lr, config.batch_size, rng)
-            _check_finite(loss, "baseline_local_classifier", c, epoch)
-        local_params[c] = params
-        local_losses.append(loss)
+    local_params, local_losses = train_local_classifiers(config, shards)
     local_report, local_log = _inference_on_own_shard(
         local_params, spec, shards, num_classes)
 

@@ -10,16 +10,21 @@ import math
 
 import numpy as np
 
-from nmoe import seeding
+from nmoe import kernels, seeding
 from nmoe.federated import (_check_finite, _digest_group,
                             _sgd_classifier_epoch, _sgd_gate_epoch,
                             _sgd_head_epoch, _sgd_spectral_epoch,
                             _spectral_plan, compute_correlation_share,
                             fedavg)
-from nmoe.moe import GateParams
-from nmoe.numerics import ParamSet, forward, init_mlp_params, params_digest
-from nmoe.pipeline import (_BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
-                           _combined_spec)
+from nmoe.moe import (GateParams, NmoeModel, gate_topk, init_gate_params,
+                      load_balance_loss)
+from nmoe.numerics import (ParamSet, backward, cross_entropy, forward,
+                           grad_normalize, init_mlp_params, params_digest,
+                           sgd_step, softmax_backward)
+from nmoe.pipeline import (_BASE_CENTRAL_INIT, _BASE_CENTRAL_TRAIN,
+                           _BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
+                           _BASE_LOCAL_INIT, _BASE_LOCAL_TRAIN,
+                           _combined_spec, _pooled_train)
 from nmoe.seeding import derive_rng
 
 
@@ -131,11 +136,11 @@ def dense_mixture(latents: np.ndarray, gate_w: np.ndarray,
     return out
 
 
-def load_balance_all_columns(probs: np.ndarray, multiplier=None):
-    """Balance loss multiplier * sum_j f_j * P_j and its gradient, with
-    every one of the m columns summed exactly, routed or not."""
+def load_balance_all_columns(probs: np.ndarray):
+    """Balance loss m * sum_j f_j * P_j and its gradient, with every one
+    of the m columns summed exactly, routed or not."""
     n, m = probs.shape
-    mult = float(m if multiplier is None else multiplier)
+    mult = float(m)
     f = np.zeros(m)
     for i in range(n):
         f[int(np.argmax(probs[i]))] += 1.0
@@ -318,3 +323,132 @@ def per_client_fedavg_classifier(config, shards):
         global_params = fedavg(locals_p, sizes)
         rounds_out.append((params_digest(global_params), losses))
     return rounds_out
+
+
+def per_client_local_classifiers(config, shards):
+    """The local-classifier baseline of nmoe.pipeline, one client at a
+    time; returns the parameters by client id and each client's
+    last-epoch loss."""
+    spec = _combined_spec(config)
+    params_by_client, losses = {}, []
+    for shard in shards:
+        c = shard.client_id
+        params = init_mlp_params(spec, derive_rng(
+            config.seed, seeding.BASELINE, _BASE_LOCAL_INIT, c))
+        rng = derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
+        for epoch in range(config.baselines.epochs):
+            params, loss = _sgd_head_epoch(
+                spec, params, shard.train.features, shard.train.labels,
+                config.baselines.lr, config.batch_size, rng)
+            _check_finite(loss, "baseline_local_classifier", c, epoch)
+        params_by_client[c] = params
+        losses.append(loss)
+    return params_by_client, losses
+
+
+# ---------------------------------------------------------------------------
+# the mixture's train mode one expert at a time: m forwards, m backwards,
+# m clips and m steps per batch, as the package did before it stacked the
+# experts
+
+def per_expert_moe_forward(model, batch, k, rng=None):
+    """(logits, indices, probs, latents, fe_tape, outputs, expert_tapes)
+    of a train-mode batch; outputs is (experts, rows, classes)."""
+    latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
+                               want_tape=True)
+    decision, probs = gate_topk(latents, model.gate, k, rng)
+    n = latents.shape[0]
+    outputs = np.empty((model.num_experts, n, model.num_classes))
+    tapes = []
+    for e, expert in enumerate(model.experts):
+        outputs[e], tape = forward(model.expert_spec, expert, latents,
+                                   want_tape=True)
+        tapes.append(tape)
+    rows = np.arange(n)
+    combine_w = np.ascontiguousarray(probs[rows[:, None], decision.indices])
+    logits = kernels.combine_topk(outputs, decision.indices, combine_w)
+    return logits, decision.indices, probs, latents, fe_tape, outputs, tapes
+
+
+def per_expert_moe_backward(model, fwd, dlogits, dprobs=None):
+    """(fe, gate, experts) gradients for per_expert_moe_forward's record;
+    experts is a tuple of 2-d sets."""
+    _, indices, probs, latents, fe_tape, outputs, tapes = fwd
+    n, m = probs.shape
+    rows = np.arange(n)
+    selected = np.zeros((n, m), dtype=bool)
+    selected[rows[:, None], indices] = True
+    dprob_total = np.zeros((n, m))
+    for e in range(m):
+        dprob_total[:, e] = np.where(
+            selected[:, e], (dlogits * outputs[e]).sum(axis=1), 0.0)
+    if dprobs is not None:
+        dprob_total += dprobs
+    dgate_logits = softmax_backward(probs, dprob_total)
+    gate_grads = ParamSet({"w0": latents.T @ dgate_logits,
+                           "b0": dgate_logits.sum(axis=0)})
+    dlatents = dgate_logits @ model.gate.params["w0"].T
+    expert_grads = []
+    for e in range(m):
+        upstream = np.where(selected[:, e, None],
+                            probs[:, e, None] * dlogits, 0.0)
+        grads_e, dlat_e = backward(tapes[e], upstream)
+        expert_grads.append(grads_e)
+        dlatents += dlat_e
+    fe_grads, _ = backward(fe_tape, dlatents)
+    return fe_grads, gate_grads, tuple(expert_grads)
+
+
+def per_expert_centralized_moe(config, shards):
+    """train_centralized_moe with one 2-d network per expert and the
+    model rebuilt after every batch; returns (model, losses)."""
+    pooled = _pooled_train(shards)
+    m = config.data.num_clients
+    fe_spec = config.model.fe_spec()
+    expert_spec = config.model.expert_spec()
+
+    def init(slot):
+        return derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_INIT,
+                          slot)
+
+    model = NmoeModel(
+        fe_spec=fe_spec, fe_params=init_mlp_params(fe_spec, init(0)),
+        gate=init_gate_params(config.model.latent_dim, m,
+                              config.model.gate_noise_std, init(1),
+                              scale=0.0),
+        expert_spec=expert_spec,
+        experts=tuple(init_mlp_params(expert_spec, init(2 + e))
+                      for e in range(m)))
+    lam = config.stage3.lambda_load
+    max_norm = config.stage3.grad_max_norm
+    lr = config.baselines.lr
+    rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
+    n = pooled.num_samples
+    losses = []
+    for epoch in range(config.baselines.epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            rows = order[start:start + config.batch_size]
+            fwd = per_expert_moe_forward(model, pooled.features[rows],
+                                         config.k, rng)
+            ce, dlogits = cross_entropy(fwd[0], pooled.labels[rows])
+            lb, dlb = load_balance_loss(fwd[2])
+            fe_g, gate_g, expert_g = per_expert_moe_backward(
+                model, fwd, dlogits, lam * dlb)
+            model = NmoeModel(
+                fe_spec=fe_spec,
+                fe_params=sgd_step(model.fe_params,
+                                   grad_normalize(fe_g, max_norm), lr),
+                gate=GateParams(
+                    params=sgd_step(model.gate.params,
+                                    grad_normalize(gate_g, max_norm), lr),
+                    noise_std=model.gate.noise_std),
+                expert_spec=expert_spec,
+                experts=tuple(sgd_step(p, grad_normalize(g, max_norm), lr)
+                              for p, g in zip(model.experts, expert_g)))
+            total += (ce + lam * lb) * rows.size
+        loss = total / n
+        _check_finite(loss, "baseline_centralized_moe", 0, epoch)
+        losses.append(float(loss))
+    return model, losses

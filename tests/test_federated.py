@@ -768,8 +768,8 @@ class TestStackedDivergenceNamesTheClient:
                            epochs=2, lr=0.05, seed=1, batch_size=16)
 
     def test_fedgate(self):
-        # participants train one at a time; client 1's scaled latents
-        # overflow the gate logits under the default gate scale
+        # the equal-size participants train as one stack; client 1's
+        # scaled latents overflow the gate logits under the default scale
         clients = scale_features(make_clients(3, 1.0), 1e307)
         fe_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 4), (I,))

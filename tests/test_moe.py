@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from nmoe import kernels
 from nmoe.errors import ConfigError, DataError, FormatError
 from nmoe.moe import (GateParams, MoeForward, NmoeModel, RandomGate,
-                      gate_topk, init_gate_params, load_balance_loss,
-                      load_model, moe_backward, moe_forward, save_model)
+                      StackedMoe, _route, gate_topk, init_gate_params,
+                      load_balance_loss, load_model, moe_backward,
+                      moe_forward, save_model)
 from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy,
                            encode_params, forward, init_mlp_params,
                            stack_params, unstack_params)
 from oracles import (dense_mixture, finite_difference_params,
-                     load_balance_all_columns, max_relative_error_params)
+                     load_balance_all_columns, max_relative_error_params,
+                     per_expert_moe_backward, per_expert_moe_forward)
 
 I, T = kernels.ACT_IDENTITY, kernels.ACT_TANH
 
@@ -127,6 +129,30 @@ class TestGateTopk:
             assert np.array_equal(decision.indices[c], single.indices)
             assert np.array_equal(decision.weights[c], single.weights)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(3, 8), st.integers(1, 40),
+           st.sampled_from([None, 1, 2, 3]), st.booleans(), st.booleans())
+    def test_training_router_matches_gate_topk(self, seed, m, rows, k,
+                                               stacked, noisy):
+        # k None stands for k = m; the router must give gate_topk's
+        # indices and probabilities and leave the stream where it does
+        k = m if k is None else k
+        rng = np.random.default_rng(seed)
+        g = 3 if stacked else 1
+        gates = [init_gate_params(4, m, 0.3, rng) for _ in range(g)]
+        gate = GateParams(params=stack_params([gt.params for gt in gates]),
+                          noise_std=0.3) if stacked else gates[0]
+        latents = rng.normal(size=((g,) if stacked else ()) + (rows, 4))
+        a = np.random.default_rng(seed) if noisy else None
+        b = np.random.default_rng(seed) if noisy else None
+        decision, probs = gate_topk(latents, gate, k, rng=a)
+        idx, route_probs = _route(latents, gate, k, rng=b)
+        assert np.array_equal(idx, decision.indices)
+        assert np.array_equal(route_probs, probs)
+        if noisy:
+            assert a.bit_generator.state == b.bit_generator.state
+
 
 class TestLoadBalanceLoss:
     def test_uniform_rows_give_exactly_one(self):
@@ -147,11 +173,6 @@ class TestLoadBalanceLoss:
         loss, _ = load_balance_loss(probs)
         # f = [3/4, 1/4], column means [0.65, 0.35]
         assert abs(loss - 1.15) < 1e-12
-
-    def test_multiplier_override(self):
-        probs = np.full((4, 4), 0.25)
-        loss, _ = load_balance_loss(probs, multiplier=8.0)
-        assert loss == 2.0
 
     def test_non_probability_rows_rejected(self):
         with pytest.raises(DataError):
@@ -201,11 +222,10 @@ class TestLoadBalanceLoss:
         z[:, rng.permutation(m)[:min(active, m)]] += 5.0 * scale
         e = np.exp(z - z.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
-        for multiplier in (None, 0.5 * m):
-            loss, grad = load_balance_loss(probs, multiplier=multiplier)
-            ref_loss, ref_grad = load_balance_all_columns(probs, multiplier)
-            assert loss == ref_loss
-            assert np.array_equal(grad, ref_grad)
+        loss, grad = load_balance_loss(probs)
+        ref_loss, ref_grad = load_balance_all_columns(probs)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=100, deadline=None)
@@ -218,14 +238,12 @@ class TestLoadBalanceLoss:
         for c in range(g):
             z[c, :, rng.permutation(m)[:rng.integers(1, m + 1)]] += 5.0
         probs = kernels.softmax_rows(z)
-        for multiplier in (None, 0.5 * m):
-            loss, grad = load_balance_loss(probs, multiplier=multiplier)
-            assert loss.shape == (g,) and grad.shape == (g, n, m)
-            for c in range(g):
-                single_loss, single_grad = load_balance_loss(
-                    probs[c], multiplier=multiplier)
-                assert loss[c] == single_loss
-                assert np.array_equal(grad[c], single_grad)
+        loss, grad = load_balance_loss(probs)
+        assert loss.shape == (g,) and grad.shape == (g, n, m)
+        for c in range(g):
+            single_loss, single_grad = load_balance_loss(probs[c])
+            assert loss[c] == single_loss
+            assert np.array_equal(grad[c], single_grad)
 
     def test_stacked_row_check_covers_every_slice(self):
         probs = np.full((3, 4, 2), 0.5)
@@ -371,6 +389,51 @@ class TestRandomGate:
             RandomGate(np.array([-0.1, 1.1]))
 
 
+class TestStackedTrainMode:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 2, 3, 17])
+    @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2),
+                                     (5, 5)])
+    def test_matches_per_expert_loop_bitwise(self, m, k, rows):
+        # every expert's slice of the stack, and the latent gradient summed
+        # gate first and then expert by expert, equal the per-expert loop
+        model = small_model(m=m, seed=10 * m + k, noise_std=0.1)
+        data = np.random.default_rng(rows)
+        batch = data.normal(size=(rows, 3))
+        labels = data.integers(0, 3, size=rows)
+        fwd = moe_forward(StackedMoe.from_model(model), batch, k,
+                          mode="train", rng=np.random.default_rng(5))
+        ref = per_expert_moe_forward(model, batch, k,
+                                     rng=np.random.default_rng(5))
+        assert np.array_equal(fwd.logits, ref[0])
+        assert np.array_equal(fwd.decision.indices, ref[1])
+        assert np.array_equal(fwd.gate_probs, ref[2])
+        _, dlogits = cross_entropy(fwd.logits, labels)
+        _, dprobs = load_balance_loss(fwd.gate_probs)
+        grads = moe_backward(model, fwd, dlogits, 0.01 * dprobs)
+        fe, gate, experts = per_expert_moe_backward(model, ref, dlogits,
+                                                    0.01 * dprobs)
+        assert grads.fe == fe and grads.gate == gate
+        assert unstack_params(grads.experts) == list(experts)
+
+    def test_model_round_trip_and_train_mode_stacks_a_model(self):
+        model = small_model(m=4, seed=3, noise_std=0.1)
+        stacked = StackedMoe.from_model(model)
+        assert stacked.experts["w0"].shape == (4, 4, 5)
+        back = stacked.to_model()
+        assert back.experts == model.experts
+        batch = np.random.default_rng(4).normal(size=(6, 3))
+        a = moe_forward(model, batch, 2, mode="train",
+                        rng=np.random.default_rng(1))
+        b = moe_forward(stacked, batch, 2, mode="train",
+                        rng=np.random.default_rng(1))
+        assert np.array_equal(a.logits, b.logits)
+        # train mode reports the unmasked probabilities it scaled by
+        assert np.array_equal(
+            a.decision.weights,
+            np.take_along_axis(a.gate_probs, a.decision.indices, axis=1))
+
+
 class TestMoeBackward:
     def loss_at(self, model, batch, labels, k, lam):
         fwd = moe_forward(model, batch, k=k, mode="train")
@@ -416,6 +479,7 @@ class TestMoeBackward:
             ce, dlogits = cross_entropy(fwd.logits, labels)
             _, dprobs = load_balance_loss(fwd.gate_probs, validate=False)
             grads = moe_backward(model, fwd, dlogits, dprobs=lam * dprobs)
+            expert_grads = unstack_params(grads.experts)
 
             fd_fe = finite_difference_params(
                 lambda p: self.loss_at(self.rebuild(model, fe=p), batch,
@@ -437,7 +501,7 @@ class TestMoeBackward:
                 fd_e = finite_difference_params(
                     lambda p: self.loss_at(with_expert(p), batch, labels,
                                            k, lam), model.experts[e])
-                assert max_relative_error_params(grads.experts[e],
+                assert max_relative_error_params(expert_grads[e],
                                                  fd_e) < 1e-4
 
     def test_backward_requires_train_tapes(self):

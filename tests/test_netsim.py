@@ -10,7 +10,7 @@ from nmoe.errors import ConfigError, DataError
 from nmoe.moe import (GateParams, NmoeModel, RandomGate, init_gate_params,
                       moe_forward)
 from nmoe.netsim import (CostModel, RoutingLog, export_heatmap, local_ratio,
-                         merge_logs, simulate_inference)
+                         simulate_inference)
 from nmoe.numerics import MlpSpec, ParamSet, init_mlp_params
 
 I, T = kernels.ACT_IDENTITY, kernels.ACT_TANH
@@ -78,22 +78,6 @@ class TestRoutingLog:
         log = RoutingLog(np.array([[3, 1], [0, 4]]), 64, 8)
         assert log.num_clients == 2
         assert log.total == 8
-
-    def test_merge_sums_everything(self):
-        a = RoutingLog(np.array([[3, 1], [0, 4]]), 64, 8)
-        b = RoutingLog(np.array([[0, 2], [2, 0]]), 128, 16)
-        merged = merge_logs([a, b])
-        assert np.array_equal(merged.counts, np.array([[3, 3], [2, 4]]))
-        assert merged.bytes_out == 192
-        assert merged.bytes_back == 24
-
-    def test_merge_rejects_mismatched_sizes(self):
-        a = RoutingLog(np.zeros((2, 2), dtype=int), 0, 0)
-        b = RoutingLog(np.zeros((3, 3), dtype=int), 0, 0)
-        with pytest.raises(DataError):
-            merge_logs([a, b])
-        with pytest.raises(DataError):
-            merge_logs([])
 
 
 class TestSimulateFixtures:

@@ -13,8 +13,11 @@ from nmoe.netsim import CostModel, simulate_inference
 from nmoe.datasets import Dataset, Shard
 from nmoe.pipeline import (RunResult, build_shards, run_ablation,
                            run_baselines, run_pipeline,
-                           train_fedavg_classifier, write_sweep_csv)
-from oracles import per_client_fedavg_classifier
+                           train_centralized_moe, train_fedavg_classifier,
+                           train_local_classifiers, write_sweep_csv)
+from nmoe.numerics import params_digest
+from oracles import (per_client_fedavg_classifier,
+                     per_client_local_classifiers, per_expert_centralized_moe)
 from nmoe.seeding import derive_rng
 
 ARTIFACTS = ("config.json", "results.json", "training_log.jsonl",
@@ -230,6 +233,57 @@ def test_fedavg_classifier_matches_per_client_loop(num_clients, sizes, act):
         per_client_fedavg_classifier(config, shards)
 
 
+def trimmed_shards(config, sizes):
+    """The config's shards with client c's train set cut to
+    sizes[c % len(sizes)] rows."""
+    return [Shard(s.client_id,
+                  s.train.take(np.arange(sizes[c % len(sizes)])), s.test)
+            for c, s in enumerate(build_shards(config))]
+
+
+def model_digests(model):
+    return (params_digest(model.fe_params),
+            params_digest(model.gate.params),
+            [params_digest(e) for e in model.experts])
+
+
+# sizes 65/64/... leave the pooled set a one-row last batch (64-row
+# batches); 65 alone leaves the lone shard one too
+@pytest.mark.parametrize("sizes", [(60,), (60, 60, 45), (65, 64)])
+@pytest.mark.parametrize("num_clients,k", [(1, 1), (2, 1), (2, 2), (5, 1),
+                                           (5, 2), (5, 5)])
+def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
+    config = small_config(
+        data={"num_clients": num_clients, "train_per_client": 65},
+        model={"fe_activations": ["relu", "tanh"]}, k=k)
+    shards = trimmed_shards(config, sizes)
+    model, losses = train_centralized_moe(config, shards)
+    expected_model, expected_losses = per_expert_centralized_moe(config,
+                                                                 shards)
+    assert model_digests(model) == model_digests(expected_model)
+    assert losses == expected_losses
+
+
+# 65-row shards each leave a one-row last batch, so a stacked group then
+# runs single-row slices
+@pytest.mark.parametrize("act", ["relu", "tanh"])
+@pytest.mark.parametrize("num_clients,sizes",
+                         [(1, (65,)), (3, (60, 60, 45)), (4, (65, 65, 45)),
+                          (5, (60, 45)), (5, (65, 64))])
+def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
+    config = small_config(
+        data={"num_clients": num_clients, "train_per_client": 65},
+        model={"fe_activations": [act, act]})
+    shards = trimmed_shards(config, sizes)
+    params, losses = train_local_classifiers(config, shards)
+    expected_params, expected_losses = per_client_local_classifiers(config,
+                                                                    shards)
+    assert list(params) == list(expected_params)
+    assert [params_digest(p) for p in params.values()] == \
+        [params_digest(p) for p in expected_params.values()]
+    assert losses == expected_losses
+
+
 def test_fedavg_classifier_divergence_names_the_client():
     config = small_config(data={"num_clients": 3, "train_per_client": 60},
                           model={"fe_activations": ["relu", "relu"]},
@@ -241,6 +295,73 @@ def test_fedavg_classifier_divergence_names_the_client():
     with pytest.raises(TrainingError, match=r"^client 1 loss became "
                        r"non-finite in baseline_fedavg_classifier round 0$"):
         train_fedavg_classifier(config, shards)
+
+
+def scale_train(shards, scales):
+    """The same shards with each listed client's train features
+    multiplied by its scale; scales maps client position to scale."""
+    out = list(shards)
+    for c, scale in scales.items():
+        train = out[c].train
+        out[c] = Shard(out[c].client_id,
+                       Dataset(train.features * scale, train.labels,
+                               train.num_classes), out[c].test)
+    return out
+
+
+def divergence_config(**overrides) -> RunConfig:
+    # relu features let a scaled shard's activations grow step by step;
+    # 60-row shards make every local epoch one batch
+    doc = dict(data={"num_clients": 3, "train_per_client": 60},
+               model={"fe_activations": ["relu", "relu"]},
+               baselines={"epochs": 4}, k=1)
+    doc.update(overrides)
+    return small_config(**doc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBaselineDivergence:
+    """A diverging baseline names its stage, the client and the first bad
+    epoch, as the per-client loops did."""
+
+    def test_centralized_moe_names_the_epoch(self):
+        # with clipping out of the way the pooled mixture overflows in
+        # its second epoch; client 0 stands for the pooled trainer
+        config = divergence_config(stage3={"grad_max_norm": 1e300})
+        shards = scale_train(build_shards(config), {1: 1e10})
+        with pytest.raises(TrainingError, match=r"^client 0 loss became "
+                           r"non-finite in baseline_centralized_moe "
+                           r"round 1$"):
+            train_centralized_moe(config, shards)
+
+    def test_local_classifier_names_client_and_first_bad_epoch(self):
+        # the clipped centralized mixture survives the scale, the
+        # unclipped local classifier of client 1 overflows in epoch 2
+        config = divergence_config()
+        shards = scale_train(build_shards(config), {1: 1e50})
+        with pytest.raises(TrainingError, match=r"^client 1 loss became "
+                           r"non-finite in baseline_local_classifier "
+                           r"round 2$"):
+            run_baselines(config, shards)
+
+    def test_local_classifier_lowest_client_wins_across_groups(self):
+        # sizes 60, 45, 60 train clients 0 and 2 as the first group;
+        # client 2 diverges in epoch 1, client 1 only in epoch 2, and the
+        # per-client loop stops at client 1
+        config = divergence_config()
+        shards = build_shards(config)
+        shards[1] = Shard(1, shards[1].train.take(np.arange(45)),
+                          shards[1].test)
+        with pytest.raises(TrainingError, match=r"^client 2 .* round 1$"):
+            run_baselines(config, scale_train(shards, {2: 1e100}))
+        scaled = scale_train(shards, {1: 1e50, 2: 1e100})
+        with pytest.raises(TrainingError) as got:
+            run_baselines(config, scaled)
+        with pytest.raises(TrainingError) as expected:
+            per_client_local_classifiers(config, scaled)
+        assert str(got.value) == str(expected.value) == (
+            "client 1 loss became non-finite in baseline_local_classifier "
+            "round 2")
 
 
 # --- sweeps ------------------------------------------------------------
