@@ -27,6 +27,13 @@ RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
 
+FedGate keeps the frozen latents of every shard but no table of the
+frozen experts' logits. Each batch runs one forward per routed expert
+over the rows routed to it, padded to a multiple of TILE rows, which
+gives every row the bits of the expert's forward over the whole shard;
+a shard's last n mod TILE rows, which no aligned block reaches, come from
+a small table built once per shard (see TILE).
+
 Communication accounting (4-byte wire scalars by default): FedCE moves
 the extractor down and up for every client each round; FedSC adds one
 correlation matrix up and one aggregate down per client each round;
@@ -749,24 +756,25 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
 
 
 def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
-                    labels: np.ndarray, expert_logits: np.ndarray, k: int,
-                    lr: float, lambda_load: float, grad_max_norm: float,
+                    labels: np.ndarray, expert_spec: MlpSpec, experts,
+                    tails: np.ndarray, k: int, lr: float,
+                    lambda_load: float, grad_max_norm: float,
                     batch_size: int, rng: np.random.Generator, owners=None):
     """One FedGate epoch: cross-entropy of the top-k mixture plus the
     load-balance penalty, gradients normalized before each step.
 
-    Experts are frozen, so their logits arrive precomputed for the whole
-    shard as (experts, rows, classes). Each batch gathers only its k
-    routed slots, expert_logits[indices.T, rows] of shape (k, rows,
-    classes), once; the mixture and the gate gradient both read that
-    gather, so the per-batch cost does not grow with the expert count.
+    Experts are frozen, but no shard-wide table of their logits is kept:
+    each batch computes only its k routed slots, (k, rows, classes), with
+    _routed_logits from the latents and the small tails table of
+    _frozen_latents. The mixture and the gate gradient both read those
+    slots, and each holds the bits of the expert's forward over the whole
+    shard.
 
     With owners, the arrays hold a size group's G shards: latents
-    (G, n, d), labels (G, n) and expert_logits (G, experts, n, classes).
+    (G, n, d), labels (G, n) and tails (G, experts, n mod TILE, classes).
     A stacked gate of g slices then trains slice i on shard owners[i],
-    every slice on the same rows and noise. All three arrays are read
-    through owners with one fancy index each per batch, so the cache is
-    never copied.
+    every slice on the same rows and noise; the routed slots are then
+    (g, k, rows, classes).
     """
     n = latents.shape[-2]
     own = () if owners is None else (np.asarray(owners)[:, None],)
@@ -774,8 +782,8 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     for rows in _batches(n, batch_size, rng):
         x = np.ascontiguousarray(latents[(*own, rows)])
         idx, probs = _route(x, gate, k, rng)
-        chosen = expert_logits[(*(o[:, None] for o in own),
-                                idx.swapaxes(-1, -2), rows)]
+        chosen = _routed_logits(expert_spec, experts, latents, tails,
+                                owners, rows, idx)
         gathered = np.take_along_axis(probs, idx, axis=-1)
         slots = np.broadcast_to(np.arange(k), idx.shape)
         combined = kernels.combine_topk(chosen, slots, gathered)
@@ -797,22 +805,82 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     return gate, total / n
 
 
-def _expert_logits(fe_spec, fe_params, expert_spec, experts, features):
-    """Frozen-extractor latents of features, (..., n, d), with every
-    expert's logits on them, (..., experts, n, classes).
+# Row granularity of the routed expert forwards. On the OpenBLAS dgemm
+# this was measured on, a row's output bits depend only on whether the
+# row lands in a full micro-tile of the kernel's row unroll (4 there):
+# the leftover rows of a product, and a one-row product (gemv), give
+# other bits. A block padded to a multiple of TILE rows, and the first
+# TILE * (n // TILE) rows of a forward over an n-row shard, both lie in
+# full micro-tiles, so they agree bit for bit. TILE must therefore be a
+# multiple of every dgemm row unroll the program may meet: 16 covers
+# unrolls of 1, 2, 4, 8 and 16 rows.
+TILE = 16
+
+
+def _frozen_latents(fe_spec, fe_params, expert_spec, experts, features):
+    """Frozen-extractor latents of features, (..., n, d), and every
+    expert's logits on the last n mod TILE rows, (..., experts,
+    n mod TILE, classes): the tail that no TILE-aligned block reaches.
 
     features is one dataset, (n, width), or a size group's shards,
-    (G, n, width). Both results are written in place into arrays
-    allocated once, so no per-client cache is built and then copied.
+    (G, n, width). The tail comes from a forward over the last
+    TILE + n mod TILE rows (the whole shard when it is shorter), which
+    leaves its rows as many places past a full micro-tile as the forward
+    over the whole shard does, so it gets that forward's bits.
     """
     lead, n = features.shape[:-2], features.shape[-2]
+    main = TILE * (n // TILE)
+    start = max(0, main - TILE)
     latents = np.empty(lead + (n, fe_spec.out_width))
-    cache = np.empty(lead + (len(experts), n, expert_spec.out_width))
+    tails = np.empty(lead + (len(experts), n - main, expert_spec.out_width))
     for i in np.ndindex(lead):
         latents[i] = forward(fe_spec, fe_params, features[i])
-        for e, expert in enumerate(experts):
-            cache[i + (e,)] = forward(expert_spec, expert, latents[i])
-    return latents, cache
+        if main < n:
+            for e, expert in enumerate(experts):
+                tails[i + (e,)] = forward(expert_spec, expert,
+                                          latents[i][start:])[main - start:]
+    return latents, tails
+
+
+def _routed_logits(expert_spec, experts, latents, tails, owners, rows, idx):
+    """The routed experts' logits, (..., k, b, classes) for picks idx of
+    shape (..., b, k): slot s of row j holds expert idx[..., j, s] on row
+    rows[j] of the shard (of shard owners[i] for stack slice i), with the
+    bits of that expert's forward over the whole shard.
+
+    Rows below the shard's last multiple of TILE run as one forward per
+    routed expert, its picks padded to a multiple of TILE rows by
+    repeating the last one; rows past it come from tails.
+    """
+    main = TILE * (latents.shape[-2] // TILE)
+    picks = idx.swapaxes(-1, -2)
+    expert = picks.ravel()
+    # flat pick i reads row rows[i mod b] of shard owners[i // (k b)]
+    row = np.tile(rows, expert.size // rows.size)
+    shard = () if owners is None else (
+        np.repeat(owners, expert.size // len(owners)),)
+    out = np.empty((expert.size, expert_spec.out_width))
+    tail = row >= main
+    if tail.any():
+        out[tail] = tails[(*(s[tail] for s in shard), expert[tail],
+                           row[tail] - main)]
+    body = np.flatnonzero(~tail)
+    if body.size:
+        # the picks grouped by expert, then laid out block after block,
+        # each block padded to a multiple of TILE with its last pick
+        body = body[np.argsort(expert[body], kind="stable")]
+        counts = np.bincount(expert[body], minlength=len(experts))
+        sizes = -(-counts // TILE) * TILE
+        ends = np.cumsum(sizes)
+        block = np.repeat(np.arange(len(experts)), sizes)
+        offset = np.arange(ends[-1]) - (ends - sizes)[block]
+        src = body[(np.cumsum(counts) - counts)[block]
+                   + np.minimum(offset, counts[block] - 1)]
+        x = latents[(*(s[src] for s in shard), row[src])]
+        out[body] = np.concatenate([
+            forward(expert_spec, experts[e], x[ends[e] - sizes[e]:ends[e]])
+            for e in np.flatnonzero(counts)])[offset < counts[block]]
+    return out.reshape(picks.shape + (-1,))
 
 
 def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
@@ -853,8 +921,8 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     shards = []
     for members in size_groups:
         features, labels = _stack_shards(clients, members)
-        shards.append((*_expert_logits(fe_spec, fe_params, expert_spec,
-                                       experts, features), labels))
+        shards.append((*_frozen_latents(fe_spec, fe_params, expert_spec,
+                                        experts, features), labels))
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
 
@@ -867,15 +935,16 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
             j = where[int(participants[positions[0]])][0]
             owners = np.array([where[int(participants[p])][1]
                                for p in positions])
-            latents, cache, labels = shards[j]
+            latents, tails, labels = shards[j]
             rng = derive_rng(seed, seeding.STAGE3, r, 0)
             gate = GateParams(params=stack_params([params] * len(owners)),
                               noise_std=gate_init.noise_std)
             epoch_losses = []
             for _ in range(local_epochs):
                 gate, loss = _sgd_gate_epoch(
-                    gate, latents, labels, cache, k, lr, lambda_load,
-                    grad_max_norm, batch_size, rng, owners)
+                    gate, latents, labels, expert_spec, experts, tails, k,
+                    lr, lambda_load, grad_max_norm, batch_size, rng,
+                    owners)
                 epoch_losses.append(loss)
             return gate.params, epoch_losses
 
@@ -950,16 +1019,16 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
                      k: int, seed: int, *, batch_size: int = 64):
     """Gate-training counterpart of stage3_fedgate on one dataset."""
     _check_schedule(rounds, local_epochs, lr, batch_size)
-    latents, outs = _expert_logits(fe_spec, fe_params, expert_spec, experts,
-                                   train.features)
+    latents, tails = _frozen_latents(fe_spec, fe_params, expert_spec,
+                                     experts, train.features)
     gate = gate_init
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE3, r, 0)
         for _ in range(local_epochs):
             gate, loss = _sgd_gate_epoch(
-                gate, latents, train.labels, outs, k, lr, lambda_load,
-                grad_max_norm, batch_size, rng)
+                gate, latents, train.labels, expert_spec, experts, tails, k,
+                lr, lambda_load, grad_max_norm, batch_size, rng)
             _check_finite(loss, "centralized_gate", 0, r)
             losses.append(loss)
     return gate, losses

@@ -61,6 +61,19 @@ def softmax_rows(z: np.ndarray) -> np.ndarray:
 def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries along the last axis, largest
     first."""
+    if k > 1:
+        return _sorted_topk(z, k)
+    # argmax breaks ties toward the lowest index as the sort does, but it
+    # ranks NaN first where the sort ranks it last: a row holding a NaN
+    # picks one, and only those rows go through the sort
+    top = np.argmax(z, axis=-1)[..., None]
+    nan = np.isnan(np.take_along_axis(z, top, axis=-1)[..., 0])
+    if nan.any():
+        top[nan] = _sorted_topk(z[nan], 1)
+    return top
+
+
+def _sorted_topk(z: np.ndarray, k: int) -> np.ndarray:
     # Stable sort of the negated row keeps equal values in input order,
     # which breaks ties at the boundary toward the lowest index.
     order = np.argsort(-z, axis=-1, kind="stable")

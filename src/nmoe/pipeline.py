@@ -362,6 +362,11 @@ def train_centralized_moe(config: RunConfig, shards
             fwd = moe_forward(moe, pooled.features[rows], config.k,
                               mode="train", rng=rng)
             ce, dlogits = cross_entropy(fwd.logits, pooled.labels[rows])
+            # blown-up gate logits give NaN probabilities, which the
+            # balance loss would report as bad data; the probabilities
+            # sum to a finite value exactly when all are finite
+            _check_finite(float(fwd.gate_probs.sum()),
+                          "baseline_centralized_moe", 0, epoch)
             lb, dlb = load_balance_loss(fwd.gate_probs)
             grads = moe_backward(moe, fwd, dlogits, lam * dlb)
             fe = sgd_step(fe, grad_normalize(grads.fe, max_norm), lr)

@@ -11,13 +11,12 @@ import math
 import numpy as np
 
 from nmoe import kernels, seeding
-from nmoe.federated import (_check_finite, _digest_group,
-                            _sgd_classifier_epoch, _sgd_gate_epoch,
-                            _sgd_head_epoch, _sgd_spectral_epoch,
-                            _spectral_plan, compute_correlation_share,
-                            fedavg)
-from nmoe.moe import (GateParams, NmoeModel, gate_topk, init_gate_params,
-                      load_balance_loss)
+from nmoe.federated import (_batches, _check_finite, _digest_group,
+                            _sgd_classifier_epoch, _sgd_head_epoch,
+                            _sgd_spectral_epoch, _spectral_plan,
+                            compute_correlation_share, fedavg)
+from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
+                      init_gate_params, load_balance_loss)
 from nmoe.numerics import (ParamSet, backward, cross_entropy, forward,
                            grad_normalize, init_mlp_params, params_digest,
                            sgd_step, softmax_backward)
@@ -253,6 +252,42 @@ def per_client_experts(clients, fe_spec, fe_params, expert_spec, epochs, lr,
     return rounds_out, experts
 
 
+def cache_gate_epoch(gate, latents, labels, expert_logits, k, lr,
+                     lambda_load, grad_max_norm, batch_size, rng):
+    """One FedGate epoch of one gate on one shard, reading the routed
+    slots from a shard-wide (experts, rows, classes) logit table."""
+    total = 0.0
+    for rows in _batches(latents.shape[0], batch_size, rng):
+        x = np.ascontiguousarray(latents[rows])
+        idx, probs = _route(x, gate, k, rng)
+        chosen = expert_logits[idx.T, rows]
+        gathered = np.take_along_axis(probs, idx, axis=-1)
+        slots = np.broadcast_to(np.arange(k), idx.shape)
+        combined = kernels.combine_topk(chosen, slots, gathered)
+        ce, dlogits = cross_entropy(combined, labels[rows])
+        lb, dlb = load_balance_loss(probs)
+        dprob = lambda_load * dlb
+        for s in range(k):
+            dprob[np.arange(rows.size), idx[:, s]] += np.sum(
+                dlogits * chosen[s], axis=-1)
+        dgate_logits = softmax_backward(probs, dprob)
+        grads = grad_normalize(
+            ParamSet({"w0": x.T @ dgate_logits,
+                      "b0": dgate_logits.sum(axis=0)}), grad_max_norm)
+        gate = GateParams(params=sgd_step(gate.params, grads, lr),
+                          noise_std=gate.noise_std)
+        total += (ce + lambda_load * lb) * rows.size
+    return gate, total / latents.shape[0]
+
+
+def logit_cache(fe_spec, fe_params, expert_spec, experts, features):
+    """Frozen latents of one shard and every expert's logits on all of
+    its rows, (experts, rows, classes)."""
+    latents = forward(fe_spec, fe_params, features)
+    return latents, np.stack([forward(expert_spec, e, latents)
+                              for e in experts])
+
+
 def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
                        gate_init, rounds, local_epochs, lr, lambda_load,
                        client_fraction, grad_max_norm, k, seed,
@@ -262,11 +297,8 @@ def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
     participants too."""
     m = len(clients)
     sizes = [float(s.train.num_samples) for s in clients]
-    caches = []
-    for shard in clients:
-        latents = forward(fe_spec, fe_params, shard.train.features)
-        caches.append((latents, np.stack([forward(expert_spec, e, latents)
-                                          for e in experts])))
+    caches = [logit_cache(fe_spec, fe_params, expert_spec, experts,
+                          shard.train.features) for shard in clients]
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     params = gate_init.params
     rounds_out = []
@@ -280,7 +312,7 @@ def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
             gate = GateParams(params=params, noise_std=gate_init.noise_std)
             epoch_losses = []
             for _ in range(local_epochs):
-                gate, loss = _sgd_gate_epoch(
+                gate, loss = cache_gate_epoch(
                     gate, latents, clients[c].train.labels, outs, k, lr,
                     lambda_load, grad_max_norm, batch_size, rng)
                 epoch_losses.append(loss)
@@ -294,6 +326,27 @@ def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
                            {c: float(np.mean(v)) for c, v in losses.items()},
                            tuple(clients[c].client_id for c in participants)))
     return rounds_out
+
+
+def cache_centralized_gate(train, fe_spec, fe_params, expert_spec, experts,
+                           gate_init, rounds, local_epochs, lr, lambda_load,
+                           grad_max_norm, k, seed, batch_size=64):
+    """centralized_gate on the shard-wide logit cache; returns every
+    round's gate digest and every epoch's loss."""
+    latents, outs = logit_cache(fe_spec, fe_params, expert_spec, experts,
+                                train.features)
+    gate = gate_init
+    digests, losses = [], []
+    for r in range(rounds):
+        rng = _derive(seed, seeding.STAGE3, r)
+        for _ in range(local_epochs):
+            gate, loss = cache_gate_epoch(
+                gate, latents, train.labels, outs, k, lr, lambda_load,
+                grad_max_norm, batch_size, rng)
+            _check_finite(loss, "centralized_gate", 0, r)
+            losses.append(loss)
+        digests.append(params_digest(gate.params))
+    return digests, losses
 
 
 def per_client_fedavg_classifier(config, shards):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nmoe.kernels as K
+from nmoe.federated import TILE
+from nmoe.numerics import MlpSpec, forward, init_mlp_params
 
 RNG = np.random.default_rng(20240817)
 
@@ -162,3 +164,67 @@ def test_stacked_combine_topk_matches_per_slice(seed, g, experts, rows,
     for c in range(g):
         assert np.array_equal(out[c],
                               K.combine_topk(logits[c], idx[c], weights[c]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(), (1,), (3,), (6,)]),
+       st.integers(1, 40), st.integers(1, 12))
+def test_top1_matches_stable_sort(seed, lead, rows, width):
+    # the k = 1 path against the stable argsort it stands in for, on 2-d
+    # rows and (g, rows, width) stacks: ties, +-inf, -0.0 next to 0.0,
+    # NaN entries and whole NaN rows
+    rng = np.random.default_rng(seed)
+    shape = (*lead, rows, width)
+    z = rng.integers(-2, 3, size=shape).astype(np.float64)
+    z[(z == 0.0) & (rng.random(size=shape) < 0.5)] = -0.0
+    for value in (np.inf, -np.inf, np.nan):
+        z[rng.random(size=shape) < 0.08] = value
+    z[..., rng.random(size=rows) < 0.1, :] = np.nan
+    expect = np.argsort(-z, axis=-1, kind="stable")[..., :1]
+    assert np.array_equal(K.topk_indices(z, 1), expect)
+
+
+# The routed expert forwards of FedGate rest on one property of the BLAS:
+# a block padded to a multiple of TILE rows, and a forward over a shard's
+# last TILE + n mod TILE rows, give each of their rows the bits of a
+# forward over the whole shard. A BLAS build without it fails here. The
+# latents are 32 wide, as in the reference configs: on OpenBLAS's Haswell
+# kernels a narrow input (8 wide) hides the leftover-row difference.
+def tile_spec(depth: int, classes: int) -> MlpSpec:
+    if depth == 1:
+        return MlpSpec((32, classes), (K.ACT_IDENTITY,))
+    return MlpSpec((32, 32, classes), (K.ACT_TANH, K.ACT_IDENTITY))
+
+
+def padded_forward(spec, params, x, rows):
+    """forward on x[rows] padded to a multiple of TILE rows by repeating
+    the last one, cut back to len(rows) rows."""
+    block = np.concatenate([rows, np.repeat(rows[-1], -rows.size % TILE)])
+    return forward(spec, params, x[block])[:rows.size]
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 45, 47, 60, 65, 500])
+@pytest.mark.parametrize("classes", [3, 10, 40])
+def test_tile_blocks_reproduce_full_forward(classes, n, depth):
+    rng = np.random.default_rng(1000 * n + classes + depth)
+    spec = tile_spec(depth, classes)
+    params = init_mlp_params(spec, rng)
+    x = rng.normal(size=(n, 32))
+    full = forward(spec, params, x)
+    main = TILE * (n // TILE)
+    start = max(0, main - TILE)
+    assert np.array_equal(forward(spec, params, x[start:])[main - start:],
+                          full[main:])
+    if main == 0:
+        return
+    # every one-row block (a sample of them on long shards), then random
+    # subsets of the aligned rows in random order
+    for r in rng.permutation(main)[:64]:
+        assert np.array_equal(padded_forward(spec, params, x, np.array([r])),
+                              full[r:r + 1])
+    for size in (2, 3, 5, 15, 16, 17, 33, main):
+        rows = rng.choice(main, size=min(size, main), replace=False)
+        assert np.array_equal(padded_forward(spec, params, x, rows),
+                              full[rows])

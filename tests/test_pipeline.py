@@ -334,6 +334,17 @@ class TestBaselineDivergence:
                            r"round 1$"):
             train_centralized_moe(config, shards)
 
+    def test_centralized_moe_blow_up_is_a_divergence(self):
+        # under the default clip a 1e200 scale turns the gate
+        # probabilities to NaN inside epoch 0, before any loss is summed;
+        # that is a divergence, not a malformed probability row
+        config = divergence_config()
+        shards = scale_train(build_shards(config), {1: 1e200})
+        with pytest.raises(TrainingError, match=r"^client 0 loss became "
+                           r"non-finite in baseline_centralized_moe "
+                           r"round 0$"):
+            train_centralized_moe(config, shards)
+
     def test_local_classifier_names_client_and_first_bad_epoch(self):
         # the clipped centralized mixture survives the scale, the
         # unclipped local classifier of client 1 overflows in epoch 2
