@@ -127,6 +127,9 @@ class ModelConfig:
                            tuple(self.expert_widths))
         object.__setattr__(self, "expert_activations",
                            tuple(self.expert_activations))
+        for key in ("fe_widths", "expert_widths"):
+            for i, width in enumerate(getattr(self, key)):
+                _positive_int(width, f"model.{key}[{i}]")
         _nonnegative_float(self.gate_noise_std, "model.gate_noise_std")
         self.fe_spec()
         self.expert_spec()

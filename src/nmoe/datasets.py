@@ -81,15 +81,12 @@ class AugmentSpec:
 
     noise_std: float
     mask_prob: float
-    views_per_sample: int = 2
 
     def __post_init__(self):
         if self.noise_std < 0.0:
             raise ConfigError(f"noise_std must be >= 0: {self.noise_std}")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ConfigError(f"mask_prob must be in [0, 1): {self.mask_prob}")
-        if self.views_per_sample != 2:
-            raise ConfigError("exactly two views per sample are supported")
 
 
 def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
@@ -324,13 +321,24 @@ def load_dataset(directory) -> tuple[Dataset, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: expected a JSON object")
     if manifest.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatError(
             f"{manifest_path}: unsupported format_version "
             f"{manifest.get('format_version')!r}")
-    features = np.load(d / "features.npy")
-    labels = np.load(d / "labels.npy")
-    ds = Dataset(features, labels, int(manifest["num_classes"]))
-    if ds.num_samples != manifest["num_samples"] or ds.dim != manifest["dim"]:
+    try:
+        num_classes = int(manifest["num_classes"])
+        shape = (manifest["num_samples"], manifest["dim"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{manifest_path}: missing or mistyped {exc!r}") from exc
+    try:
+        features = np.load(d / "features.npy")
+        labels = np.load(d / "labels.npy")
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"{d}: cannot read the arrays: {exc}") from exc
+    ds = Dataset(features, labels, num_classes)
+    if (ds.num_samples, ds.dim) != shape:
         raise FormatError(f"{d}: manifest does not match array shapes")
     return ds, manifest

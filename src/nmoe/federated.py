@@ -85,16 +85,6 @@ class FedRoundReport:
 
 
 @dataclass(frozen=True)
-class CorrelationShare:
-    """A client's latent correlation matrix after noising, with its
-    dataset-fraction weight."""
-
-    client_id: int
-    matrix: np.ndarray
-    sample_weight: float
-
-
-@dataclass(frozen=True)
 class Stage1Result:
     fe_params: ParamSet
     heads: tuple[ParamSet, ...] | None
@@ -109,12 +99,11 @@ class Stage2Result:
 
 @dataclass(frozen=True)
 class Stage3Result:
-    """setup_bytes (expert shipping for FedGate) is already included in
-    the first report, so total traffic is the plain sum over reports."""
+    """FedGate's one-time expert shipping lands in the first report's
+    bytes_sent, so total traffic is the plain sum over reports."""
 
     gate: GateParams | RandomGate
     reports: tuple[FedRoundReport, ...]
-    setup_bytes: int = 0
 
 
 def classifier_round_bytes(num_clients: int, fe_size: int,
@@ -408,9 +397,9 @@ def _slice_sums(a: np.ndarray):
 
 def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
                               aug_spec: AugmentSpec, dp_noise_std: float,
-                              q: float,
-                              rng: np.random.Generator) -> CorrelationShare:
-    """Full-shard latent correlation under the current extractor.
+                              rng: np.random.Generator) -> np.ndarray:
+    """A client's share: the (d, d) full-shard latent correlation under
+    the current extractor.
 
     Uses the first of the two augmented views, symmetrizes the Gram
     estimate, then adds elementwise Gaussian noise when dp_noise_std > 0.
@@ -423,33 +412,25 @@ def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
     r = 0.5 * (r + r.T)
     if dp_noise_std > 0.0:
         r = r + rng.normal(0.0, dp_noise_std, size=r.shape)
-    return CorrelationShare(client_id=shard.client_id, matrix=r,
-                            sample_weight=q)
-
-
-def _spectral_plan(shape: tuple[int, int], aug_spec: AugmentSpec,
-                   epochs: int, batch_size: int, rng: np.random.Generator):
-    """Batch orders and augmentation draws for every local epoch, drawn
-    in the order the epochs consume them.
-
-    They depend on the shard's shape alone, so clients whose shards have
-    equal sizes share one plan per round.
-    """
-    n, dim = shape
-    return [[(rows, draw_views(aug_spec, (rows.size, dim), rng))
-             for rows in _batches(n, batch_size, rng)]
-            for _ in range(epochs)]
+    return r
 
 
 def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
-                        features: np.ndarray, batches, rbar: np.ndarray,
-                        q, lr: float):
-    """One spectral-contrastive epoch over one epoch of a _spectral_plan;
-    stacks like _sgd_classifier_epoch, every client applying the plan's
-    draws to its own rows."""
-    n = features.shape[-2]
+                        features: np.ndarray, aug_spec: AugmentSpec,
+                        rbar: np.ndarray, q, lr: float, batch_size: int,
+                        rng: np.random.Generator):
+    """One spectral-contrastive epoch on two augmented views per batch.
+
+    The stream draws the epoch's batch order, then for each batch the
+    draw_views of a (rows, width) batch: view-1 noise and mask, view-2
+    noise and mask. Stacks like _sgd_classifier_epoch: (g, n, width)
+    features, g aggregates and g weights, every client applying the same
+    draws to its own rows.
+    """
+    n, dim = features.shape[-2:]
     total = 0.0
-    for rows, (draw1, draw2) in batches:
+    for rows in _batches(n, batch_size, rng):
+        draw1, draw2 = draw_views(aug_spec, (rows.size, dim), rng)
         x = features.take(rows, axis=-2)
         z1, tape1 = forward(fe_spec, fe, draw1.apply(x), want_tape=True)
         z2, tape2 = forward(fe_spec, fe, draw2.apply(x), want_tape=True)
@@ -555,8 +536,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     augmented view pairs; extractors are averaged by shard size. A lone
     client sees a zero aggregate, which reduces the loss to its
     single-client form. Every client derives the same local-training
-    stream, so each round draws its batch orders and augmentations once
-    per distinct shard size.
+    stream, so clients with equal shard sizes draw the same batch orders
+    and augmentations and train as one stack.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -577,9 +558,9 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     def train_round(r, fe):
         shares = [
             compute_correlation_share(
-                fe_spec, fe, shard, aug_spec, dp_noise_std, float(q[c]),
+                fe_spec, fe, shard, aug_spec, dp_noise_std,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
-            for c, shard in enumerate(clients)
+            for shard in clients
         ]
 
         # every client's weighted mean of the other clients' shares, all
@@ -588,20 +569,17 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         rbars = np.zeros((m, d, d))
         if m > 1:
             for i, share in enumerate(shares):
-                rbars[ids != i] += q[i] * share.matrix
+                rbars[ids != i] += q[i] * share
             rbars /= (1.0 - q)[:, None, None]
 
         def train_group(j, members):
-            plan = _spectral_plan(features[j].shape[1:], aug_spec,
-                                  local_epochs, batch_size,
-                                  derive_rng(seed, seeding.STAGE1, r, 0))
-            rbar = rbars[members]
+            rng = derive_rng(seed, seeding.STAGE1, r, 0)
             fe_g = stack_params([fe] * len(members))
             epoch_losses = []
-            for batches in plan:
+            for _ in range(local_epochs):
                 fe_g, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_g, features[j], batches, rbar, q[members],
-                    lr)
+                    fe_spec, fe_g, features[j], aug_spec, rbars[members],
+                    q[members], lr, batch_size, rng)
                 epoch_losses.append(loss)
             return fe_g, epoch_losses
 
@@ -668,7 +646,7 @@ def stage3_rangate(distribution) -> Stage3Result:
     """Data-independent gate drawing experts from a fixed distribution."""
     return Stage3Result(gate=RandomGate(np.asarray(distribution,
                                                    dtype=np.float64)),
-                        reports=(), setup_bytes=0)
+                        reports=())
 
 
 def rollgate_pseudo_labels(num_experts: int, own_id: int, p: float,
@@ -752,15 +730,16 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise InternalError("stage 3 mutated the frozen extractor")
     return Stage3Result(
         gate=GateParams(params=gate_params, noise_std=gate_init.noise_std),
-        reports=tuple(reports), setup_bytes=0)
+        reports=tuple(reports))
 
 
-def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
-                    labels: np.ndarray, expert_spec: MlpSpec, experts,
-                    tails: np.ndarray, k: int, lr: float,
-                    lambda_load: float, grad_max_norm: float,
+def _sgd_gate_epoch(params: ParamSet, noise_std: float,
+                    latents: np.ndarray, labels: np.ndarray,
+                    expert_spec: MlpSpec, experts, tails: np.ndarray, k: int,
+                    lr: float, lambda_load: float, grad_max_norm: float,
                     batch_size: int, rng: np.random.Generator, owners=None):
-    """One FedGate epoch: cross-entropy of the top-k mixture plus the
+    """One FedGate epoch of the gate params (a GateParams' params, or a
+    stack of g of them): cross-entropy of the top-k mixture plus the
     load-balance penalty, gradients normalized before each step.
 
     Experts are frozen, but no shard-wide table of their logits is kept:
@@ -772,7 +751,7 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
 
     With owners, the arrays hold a size group's G shards: latents
     (G, n, d), labels (G, n) and tails (G, experts, n mod TILE, classes).
-    A stacked gate of g slices then trains slice i on shard owners[i],
+    A stack of g gates then trains slice i on shard owners[i],
     every slice on the same rows and noise; the routed slots are then
     (g, k, rows, classes).
     """
@@ -781,7 +760,7 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
     total = 0.0
     for rows in _batches(n, batch_size, rng):
         x = np.ascontiguousarray(latents[(*own, rows)])
-        idx, probs = _route(x, gate, k, rng)
+        idx, probs = _route(x, params, noise_std, k, rng)
         chosen = _routed_logits(expert_spec, experts, latents, tails,
                                 owners, rows, idx)
         gathered = np.take_along_axis(probs, idx, axis=-1)
@@ -799,10 +778,9 @@ def _sgd_gate_epoch(gate: GateParams, latents: np.ndarray,
             ParamSet({"w0": _t(x) @ dgate_logits,
                       "b0": dgate_logits.sum(axis=-2)}), grad_max_norm,
             stacked=owners is not None)
-        gate = GateParams(params=sgd_step(gate.params, grads, lr),
-                          noise_std=gate.noise_std)
+        params = sgd_step(params, grads, lr)
         total += (ce + lambda_load * lb) * rows.size
-    return gate, total / n
+    return params, total / n
 
 
 # Row granularity of the routed expert forwards. On the OpenBLAS dgemm
@@ -937,16 +915,15 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                                for p in positions])
             latents, tails, labels = shards[j]
             rng = derive_rng(seed, seeding.STAGE3, r, 0)
-            gate = GateParams(params=stack_params([params] * len(owners)),
-                              noise_std=gate_init.noise_std)
+            params_g = stack_params([params] * len(owners))
             epoch_losses = []
             for _ in range(local_epochs):
-                gate, loss = _sgd_gate_epoch(
-                    gate, latents, labels, expert_spec, experts, tails, k,
-                    lr, lambda_load, grad_max_norm, batch_size, rng,
-                    owners)
+                params_g, loss = _sgd_gate_epoch(
+                    params_g, gate_init.noise_std, latents, labels,
+                    expert_spec, experts, tails, k, lr, lambda_load,
+                    grad_max_norm, batch_size, rng, owners)
                 epoch_losses.append(loss)
-            return gate.params, epoch_losses
+            return params_g, epoch_losses
 
         return participants, *_lockstep_round(groups, train_group)
 
@@ -960,7 +937,7 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise InternalError("stage 3 mutated a frozen expert")
     return Stage3Result(
         gate=GateParams(params=params, noise_std=gate_init.noise_std),
-        reports=reports, setup_bytes=setup)
+        reports=reports)
 
 
 def centralized_classifier(train: Dataset, fe_spec: MlpSpec,
@@ -1001,12 +978,11 @@ def centralized_spectral(train: Dataset, fe_spec: MlpSpec, rounds: int,
     rbar = np.zeros((fe_spec.out_width, fe_spec.out_width))
     losses = []
     for r in range(rounds):
-        plan = _spectral_plan(train.features.shape, aug_spec, local_epochs,
-                              batch_size,
-                              derive_rng(seed, seeding.STAGE1, r, 0))
-        for batches in plan:
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        for _ in range(local_epochs):
             fe, loss = _sgd_spectral_epoch(
-                fe_spec, fe, train.features, batches, rbar, 1.0, lr)
+                fe_spec, fe, train.features, aug_spec, rbar, 1.0, lr,
+                batch_size, rng)
             _check_finite(loss, "centralized_spectral", 0, r)
             losses.append(loss)
     return fe, losses
@@ -1021,14 +997,15 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
     _check_schedule(rounds, local_epochs, lr, batch_size)
     latents, tails = _frozen_latents(fe_spec, fe_params, expert_spec,
                                      experts, train.features)
-    gate = gate_init
+    params = gate_init.params
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE3, r, 0)
         for _ in range(local_epochs):
-            gate, loss = _sgd_gate_epoch(
-                gate, latents, train.labels, expert_spec, experts, tails, k,
-                lr, lambda_load, grad_max_norm, batch_size, rng)
+            params, loss = _sgd_gate_epoch(
+                params, gate_init.noise_std, latents, train.labels,
+                expert_spec, experts, tails, k, lr, lambda_load,
+                grad_max_norm, batch_size, rng)
             _check_finite(loss, "centralized_gate", 0, r)
             losses.append(loss)
-    return gate, losses
+    return GateParams(params=params, noise_std=gate_init.noise_std), losses

@@ -43,13 +43,13 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class GateParams:
-    """Linear gating map plus the training-time perturbation scale.
+    """One linear gating map plus the training-time perturbation scale.
 
     params holds "w0" (latent_dim x num_experts) and "b0" (num_experts),
     the same layout a one-layer MlpSpec produces, so the gate can be
-    trained and federated with the ordinary machinery. A stacked set
-    (stack_params: w0 (g, latent_dim, num_experts), b0 (g, num_experts))
-    holds g gates that train in lockstep.
+    trained and federated with the ordinary machinery. Gates that train
+    in lockstep are a stack of such params (stack_params), stepped as a
+    plain ParamSet and routed by _route; a GateParams holds one gate.
     """
 
     params: ParamSet
@@ -59,19 +59,20 @@ class GateParams:
         if "w0" not in self.params or "b0" not in self.params:
             raise ConfigError("gate parameters need arrays 'w0' and 'b0'")
         w, b = self.params["w0"], self.params["b0"]
-        if w.ndim < 2 or b.shape != w.shape[:-2] + w.shape[-1:]:
+        if w.ndim != 2 or b.shape != w.shape[1:]:
             raise ConfigError(
-                f"gate shapes do not line up: w0 {w.shape}, b0 {b.shape}")
+                f"a 2-d gate needs w0 (latent_dim, num_experts) and b0 "
+                f"(num_experts,), got w0 {w.shape} and b0 {b.shape}")
         if self.noise_std < 0.0:
             raise ConfigError(f"noise_std must be >= 0: {self.noise_std}")
 
     @property
     def latent_dim(self) -> int:
-        return self.params["w0"].shape[-2]
+        return self.params["w0"].shape[0]
 
     @property
     def num_experts(self) -> int:
-        return self.params["w0"].shape[-1]
+        return self.params["w0"].shape[1]
 
 
 def gate_spec(latent_dim: int, num_experts: int) -> MlpSpec:
@@ -150,12 +151,6 @@ class NmoeModel:
             raise ConfigError(
                 f"expert input width {self.expert_spec.in_width} does not "
                 f"match the latent width {self.fe_spec.out_width}")
-        if isinstance(self.gate, GateParams) and \
-                self.gate.params["w0"].ndim != 2:
-            # a stacked gate trains in lockstep; a model routes with one
-            raise ConfigError(
-                f"a model needs one 2-d gate, got w0 of shape "
-                f"{self.gate.params['w0'].shape}")
         if self.gate.num_experts != len(self.experts):
             raise ConfigError(
                 f"gate is sized for {self.gate.num_experts} experts, model "
@@ -197,27 +192,35 @@ class StackedMoe:
                          experts=tuple(unstack_params(self.experts)))
 
 
-def _gate_logits(latents: np.ndarray, gate: GateParams, k: int,
-                 rng: np.random.Generator | None) -> np.ndarray:
+def _gate_logits(latents: np.ndarray, params: ParamSet, noise_std: float,
+                 k: int, rng: np.random.Generator | None) -> np.ndarray:
     """The gate's logits, perturbed when an rng is given (gate_topk)."""
-    m = gate.num_experts
+    m = params["w0"].shape[-1]
     if not 1 <= k <= m:
         raise ConfigError(f"k must be in [1, {m}], got {k}")
     x = np.ascontiguousarray(latents, dtype=np.float64)
-    logits = kernels.dense_forward(x, gate.params["w0"], gate.params["b0"],
+    logits = kernels.dense_forward(x, params["w0"], params["b0"],
                                    kernels.ACT_IDENTITY)
-    if rng is not None and gate.noise_std > 0.0:
-        logits = logits + rng.normal(0.0, gate.noise_std,
-                                     size=logits.shape[-2:])
+    if rng is not None and noise_std > 0.0:
+        logits = logits + rng.normal(0.0, noise_std, size=logits.shape[-2:])
     return logits
 
 
-def _route(latents: np.ndarray, gate: GateParams, k: int,
+def _route(latents: np.ndarray, params: ParamSet, noise_std: float, k: int,
            rng: np.random.Generator | None = None
            ) -> tuple[np.ndarray, np.ndarray]:
-    """gate_topk's (decision.indices, probabilities) without the masked
-    weights, which training never reads; same draws, same bits."""
-    logits = _gate_logits(latents, gate, k, rng)
+    """gate_topk's (decision.indices, probabilities) for the gate params
+    and noise_std of a GateParams, without the masked weights, which
+    training never reads; same draws, same bits.
+
+    params may also be a stack of g gates (stack_params: w0 (g,
+    latent_dim, num_experts), b0 (g, num_experts)), which takes (g, rows,
+    latent_dim) latents and gives (g, rows, ...) indices and
+    probabilities. The stack draws one (rows, experts) noise array and
+    adds it to every slice: the draw a lone gate would make from the same
+    stream, so each slice matches its own 2-d gate_topk call.
+    """
+    logits = _gate_logits(latents, params, noise_std, k, rng)
     return kernels.topk_indices(logits, k), kernels.softmax_rows(logits)
 
 
@@ -229,26 +232,21 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     Passing an rng enables the Gaussian logit perturbation (training);
     None disables it (inference). Returns the decision together with the
     full-row softmax probabilities used by the load-balance loss. Ties at
-    the selection boundary break toward the lowest expert index.
-
-    A stacked gate takes (g, rows, latent_dim) latents and gives (g, rows,
-    ...) decisions and probabilities. The stack draws one (rows, experts)
-    noise array and adds it to every slice: the draw a lone gate would
-    make from the same stream, so each slice matches its own 2-d call.
+    the selection boundary break toward the lowest expert index. At
+    k = m every column is selected, so the weights are the full-row
+    softmax.
     """
     m = gate.num_experts
-    logits = _gate_logits(latents, gate, k, rng)
+    logits = _gate_logits(latents, gate.params, gate.noise_std, k, rng)
     probs = kernels.softmax_rows(logits)
     idx = kernels.topk_indices(logits, k)
-    if k == m:
-        masked = logits
-    else:
-        # every row of every slice, flattened, with its selected columns
-        flat, flat_idx = logits.reshape(-1, m), idx.reshape(-1, k)
-        rows = np.arange(flat.shape[0])[:, None]
-        masked = np.full_like(flat, -np.inf)
-        masked[rows, flat_idx] = flat[rows, flat_idx]
-        masked = masked.reshape(logits.shape)
+    # rows flattened, so any leading shape works; each row keeps only
+    # its selected columns
+    flat, flat_idx = logits.reshape(-1, m), idx.reshape(-1, k)
+    rows = np.arange(flat.shape[0])[:, None]
+    masked = np.full_like(flat, -np.inf)
+    masked[rows, flat_idx] = flat[rows, flat_idx]
+    masked = masked.reshape(logits.shape)
     weights = np.take_along_axis(kernels.softmax_rows(masked), idx, axis=-1)
     return GateDecision(indices=idx, weights=weights), probs
 
@@ -334,8 +332,8 @@ def moe_forward(model: NmoeModel | StackedMoe, batch: np.ndarray, k: int,
     enabled when an rng is given, every expert runs on every row as one
     stack so tapes can back all gradients, aggregation scales selected
     experts by their unmasked probabilities (see the module docstring).
-    Train mode takes a StackedMoe, or an NmoeModel whose experts it
-    stacks.
+    Train mode takes a StackedMoe (StackedMoe.from_model stacks a model's
+    experts).
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -347,11 +345,10 @@ def moe_forward(model: NmoeModel | StackedMoe, batch: np.ndarray, k: int,
         return MoeForward(logits=_eval_mixture(model, latents, decision),
                           decision=decision, gate_probs=probs,
                           latents=latents)
-    if isinstance(model, NmoeModel):
-        model = StackedMoe.from_model(model)
     latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
                                want_tape=True)
-    idx, probs = _route(latents, model.gate, k, rng)
+    idx, probs = _route(latents, model.gate.params, model.gate.noise_std, k,
+                        rng)
     m = model.gate.num_experts
     outputs, expert_tape = forward(
         model.expert_spec, model.experts,
@@ -502,21 +499,30 @@ def load_model(path) -> tuple[NmoeModel, dict]:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION or \
+    if not isinstance(doc, dict) or \
+            doc.get("format_version") != CHECKPOINT_FORMAT_VERSION or \
             doc.get("kind") != "nmoe-model":
         raise FormatError(f"{path} is not a supported model checkpoint")
-    gate_obj = doc["gate"]
-    gate: GateParams | RandomGate
-    if gate_obj["kind"] == "random":
-        gate = RandomGate(np.asarray(gate_obj["distribution"]))
-    else:
-        gate = GateParams(params=decode_params(gate_obj["params"]),
-                          noise_std=float(gate_obj["noise_std"]))
-    model = NmoeModel(
-        fe_spec=_spec_from_jsonable(doc["fe_spec"]),
-        fe_params=decode_params(doc["fe_params"]),
-        gate=gate,
-        expert_spec=_spec_from_jsonable(doc["expert_spec"]),
-        experts=tuple(decode_params(e) for e in doc["experts"]),
-    )
-    return model, doc.get("meta", {})
+    try:
+        gate_obj = doc["gate"]
+        gate: GateParams | RandomGate
+        if gate_obj["kind"] == "random":
+            gate = RandomGate(np.asarray(gate_obj["distribution"]))
+        else:
+            gate = GateParams(params=decode_params(gate_obj["params"]),
+                              noise_std=float(gate_obj["noise_std"]))
+        model = NmoeModel(
+            fe_spec=_spec_from_jsonable(doc["fe_spec"]),
+            fe_params=decode_params(doc["fe_params"]),
+            gate=gate,
+            expert_spec=_spec_from_jsonable(doc["expert_spec"]),
+            experts=tuple(decode_params(e) for e in doc["experts"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: malformed checkpoint, missing or mistyped "
+            f"{exc!r}") from exc
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: checkpoint meta must be an object")
+    return model, meta

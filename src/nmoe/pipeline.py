@@ -125,13 +125,10 @@ def build_dataset(config: RunConfig) -> Dataset:
                          derive_rng(config.seed, seeding.DATA, 0, 0))
 
 
-def build_shards(config: RunConfig, data: Dataset | None = None
-                 ) -> list[Shard]:
-    if data is None:
-        data = build_dataset(config)
+def build_shards(config: RunConfig) -> list[Shard]:
     d = config.data
-    return partition_noniid(data, d.num_clients, d.tau, d.train_per_client,
-                            d.test_per_client,
+    return partition_noniid(build_dataset(config), d.num_clients, d.tau,
+                            d.train_per_client, d.test_per_client,
                             derive_rng(config.seed, seeding.DATA, 1, 0),
                             test_distribution=d.test_distribution)
 

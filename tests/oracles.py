@@ -13,8 +13,8 @@ import numpy as np
 from nmoe import kernels, seeding
 from nmoe.federated import (_batches, _check_finite, _digest_group,
                             _sgd_classifier_epoch, _sgd_head_epoch,
-                            _sgd_spectral_epoch, _spectral_plan,
-                            compute_correlation_share, fedavg)
+                            _sgd_spectral_epoch, compute_correlation_share,
+                            fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
                       init_gate_params, load_balance_loss)
 from nmoe.numerics import (ParamSet, backward, cross_entropy, forward,
@@ -202,9 +202,9 @@ def per_client_fedsc(clients, fe_spec, rounds, local_epochs, lr, aug_spec,
     for r in range(rounds):
         shares = [
             compute_correlation_share(
-                fe_spec, fe, shard, aug_spec, dp_noise_std, float(q[c]),
+                fe_spec, fe, shard, aug_spec, dp_noise_std,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
-            for c, shard in enumerate(clients)]
+            for shard in clients]
         locals_fe = []
         losses = {}
         for c, shard in enumerate(clients):
@@ -212,17 +212,17 @@ def per_client_fedsc(clients, fe_spec, rounds, local_epochs, lr, aug_spec,
             if m > 1:
                 for i, share in enumerate(shares):
                     if i != c:
-                        rbar = rbar + float(q[i]) * share.matrix
+                        rbar = rbar + float(q[i]) * share
                 rbar = rbar / (1.0 - float(q[c]))
-            features = shard.train.features
-            # each client draws its own plan from the shared stream
-            plan = _spectral_plan(features.shape, aug_spec, local_epochs,
-                                  batch_size, _derive(seed, seeding.STAGE1, r))
+            # each client derives the shared local-training stream itself
+            # and draws its batch orders and views from it, epoch by epoch
+            rng = _derive(seed, seeding.STAGE1, r)
             fe_c = fe
             epoch_losses = []
-            for batches in plan:
+            for _ in range(local_epochs):
                 fe_c, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_c, features, batches, rbar, float(q[c]), lr)
+                    fe_spec, fe_c, shard.train.features, aug_spec, rbar,
+                    float(q[c]), lr, batch_size, rng)
                 _check_finite(loss, "stage1_fedsc", shard.client_id, r)
                 epoch_losses.append(loss)
             locals_fe.append(fe_c)
@@ -259,7 +259,7 @@ def cache_gate_epoch(gate, latents, labels, expert_logits, k, lr,
     total = 0.0
     for rows in _batches(latents.shape[0], batch_size, rng):
         x = np.ascontiguousarray(latents[rows])
-        idx, probs = _route(x, gate, k, rng)
+        idx, probs = _route(x, gate.params, gate.noise_std, k, rng)
         chosen = expert_logits[idx.T, rows]
         gathered = np.take_along_axis(probs, idx, axis=-1)
         slots = np.broadcast_to(np.arange(k), idx.shape)

@@ -83,6 +83,17 @@ def test_evaluate_detects_config_mismatch(tmp_path, trained, capsys):
     assert "error (format)" in capsys.readouterr().err
 
 
+def test_evaluate_reports_malformed_checkpoint(tmp_path, cfg_file, trained,
+                                              capsys):
+    doc = json.loads((trained / "model.json").read_text())
+    del doc["gate"]
+    damaged = tmp_path / "model.json"
+    damaged.write_text(json.dumps(doc))
+    rc = main(["evaluate", str(damaged), str(cfg_file)])
+    assert rc == 4
+    assert "error (format)" in capsys.readouterr().err
+
+
 def test_baselines_writes_all_systems(tmp_path, cfg_file):
     out = tmp_path / "baselines.json"
     assert main(["baselines", str(cfg_file), str(out)]) == 0

@@ -175,6 +175,19 @@ def test_bad_values_rejected(section, key, value, message):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("key,widths", [("fe_widths", [16, 32, 32]),
+                                        ("expert_widths", [32, 10])])
+@pytest.mark.parametrize("value", [10.0, "a", True, 0])
+def test_layer_widths_must_be_positive_integers(key, widths, value):
+    # 10.0 passes the width-chain checks (10.0 == 10) and True would be
+    # read as width 1, so each entry is checked on its own
+    doc = minimal()
+    doc["model"] = {key: widths[:1] + [value] + widths[2:]}
+    message = rf"model\.{key}\[1\] must be a positive integer"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
 def test_bool_is_not_an_integer():
     doc = minimal()
     doc["k"] = True

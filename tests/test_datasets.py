@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,6 +304,22 @@ class TestDatasetContainer:
         assert manifest["meta"]["seed"] == 8
 
     def test_missing_manifest(self, tmp_path):
+        with pytest.raises(FormatError):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("damage", ["list manifest", "no num_classes",
+                                        "no features.npy"])
+    def test_malformed_directory_rejected(self, tmp_path, damage):
+        save_dataset(gen_synthetic(3, 5, 10, 0.2, seed=8), tmp_path)
+        manifest = tmp_path / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        if damage == "list manifest":
+            manifest.write_text(json.dumps([doc]))
+        elif damage == "no num_classes":
+            del doc["num_classes"]
+            manifest.write_text(json.dumps(doc))
+        else:
+            (tmp_path / "features.npy").unlink()
         with pytest.raises(FormatError):
             load_dataset(tmp_path)
 

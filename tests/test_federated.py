@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nmoe import kernels, seeding
 from nmoe.datasets import AugmentSpec, Dataset, Shard, gen_synthetic, partition_noniid
 from nmoe.errors import ConfigError, DataError, TrainingError
-from nmoe.federated import (CorrelationShare, FedRoundReport, Stage1Result,
+from nmoe.federated import (FedRoundReport, Stage1Result,
                             _frozen_latents, _routed_logits,
                             centralized_classifier, centralized_gate,
                             centralized_spectral, classifier_round_bytes,
@@ -182,19 +182,18 @@ class TestCorrelationShare:
 
     def test_symmetric_without_noise(self):
         share = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.0, 0.5,
+            self.spec, self.params, self.shard, self.aug, 0.0,
             np.random.default_rng(9))
-        assert np.array_equal(share.matrix, share.matrix.T)
-        assert share.client_id == 2
+        assert np.array_equal(share, share.T)
 
     def test_noise_magnitude_concentrates(self):
         clean = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.0, 0.5,
+            self.spec, self.params, self.shard, self.aug, 0.0,
             np.random.default_rng(9))
         noisy = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.05, 0.5,
+            self.spec, self.params, self.shard, self.aug, 0.05,
             np.random.default_rng(9))
-        dist = float(np.linalg.norm(noisy.matrix - clean.matrix))
+        dist = float(np.linalg.norm(noisy - clean))
         # Frobenius norm of d x d elementwise Gaussian noise is close to
         # std * d, with spread about std / sqrt(2)
         assert abs(dist - 0.05 * 6) < 4 * 0.05 / np.sqrt(2)
@@ -534,7 +533,6 @@ class TestFedGate:
         gate_size = result.gate.params.size()
         setup = fedgate_setup_bytes(4, experts[0].size(), 4)
         per_round = fedgate_round_bytes(2, gate_size, 4)
-        assert result.setup_bytes == setup
         assert result.reports[0].bytes_sent == setup + per_round
         assert all(r.bytes_sent == per_round for r in result.reports[1:])
         assert all(len(r.participants) == 2 for r in result.reports)
