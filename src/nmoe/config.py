@@ -378,16 +378,8 @@ def config_from_dict(obj: dict) -> RunConfig:
             _reject_inapplicable(stage3_raw, "stage3", method3,
                                  _ROLLGATE_ONLY, "the 'rollgate' method")
         if method3 == "rangate":
-            extra = sorted(set(stage3_raw) - {"method"})
-            _require(not extra,
-                     f"stage3.{', '.join(extra)} do not apply to the "
-                     f"'rangate' method")
-        if method3 == "rollgate":
-            extra = sorted(set(stage3_raw)
-                           - {"method", "lr", *_ROLLGATE_ONLY})
-            _require(not extra,
-                     f"stage3.{', '.join(extra)} do not apply to the "
-                     f"'rollgate' method")
+            _reject_inapplicable(stage3_raw, "stage3", method3, ("lr",),
+                                 "the 'rollgate' and 'fedgate' methods")
 
     output_dir = obj.get("output_dir")
     _require(output_dir is None or isinstance(output_dir, str),

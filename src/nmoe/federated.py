@@ -51,16 +51,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, seeding
+from . import seeding
 from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
                        draw_views)
 from .errors import ConfigError, DataError, InternalError, TrainingError
-from .moe import GateParams, RandomGate, _route, gate_spec, load_balance_loss
+from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
                        check_compatible, cross_entropy, forward,
                        grad_normalize, init_mlp_params, params_digest,
-                       sgd_step, softmax_backward, stack_params,
-                       unstack_params)
+                       sgd_step, stack_params, unstack_params)
 from .seeding import derive_rng
 
 ROLLGATE_LOSS_TOL = 1e-4
@@ -739,15 +738,16 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
                     lr: float, lambda_load: float, grad_max_norm: float,
                     batch_size: int, rng: np.random.Generator, owners=None):
     """One FedGate epoch of the gate params (a GateParams' params, or a
-    stack of g of them): cross-entropy of the top-k mixture plus the
-    load-balance penalty, gradients normalized before each step.
+    stack of g of them): each batch is routed (_route), its routed
+    experts' logits computed (_routed_logits), and the loss and gate
+    gradient taken by moe_backward, the objective the centralized mixture
+    trains with too; gradients are normalized before each step.
 
     Experts are frozen, but no shard-wide table of their logits is kept:
     each batch computes only its k routed slots, (k, rows, classes), with
     _routed_logits from the latents and the small tails table of
-    _frozen_latents. The mixture and the gate gradient both read those
-    slots, and each holds the bits of the expert's forward over the whole
-    shard.
+    _frozen_latents. Each slot holds the bits of the expert's forward over
+    the whole shard.
 
     With owners, the arrays hold a size group's G shards: latents
     (G, n, d), labels (G, n) and tails (G, experts, n mod TILE, classes).
@@ -763,23 +763,12 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
         idx, probs = _route(x, params, noise_std, k, rng)
         chosen = _routed_logits(expert_spec, experts, latents, tails,
                                 owners, rows, idx)
-        gathered = np.take_along_axis(probs, idx, axis=-1)
-        slots = np.broadcast_to(np.arange(k), idx.shape)
-        combined = kernels.combine_topk(chosen, slots, gathered)
-        ce, dlogits = cross_entropy(combined, labels[(*own, rows)])
-        lb, dlb = load_balance_loss(probs)
-        dprob = lambda_load * dlb
-        at = np.indices(idx.shape[:-1], sparse=True)
-        for s in range(k):
-            dprob[(*at, idx[..., s])] += np.sum(
-                dlogits * chosen[..., s, :, :], axis=-1)
-        dgate_logits = softmax_backward(probs, dprob)
-        grads = grad_normalize(
-            ParamSet({"w0": _t(x) @ dgate_logits,
-                      "b0": dgate_logits.sum(axis=-2)}), grad_max_norm,
-            stacked=owners is not None)
+        loss, _, grads, _ = moe_backward(x, probs, idx, chosen,
+                                         labels[(*own, rows)], lambda_load)
+        grads = grad_normalize(grads, grad_max_norm,
+                               stacked=owners is not None)
         params = sgd_step(params, grads, lr)
-        total += (ce + lambda_load * lb) * rows.size
+        total += loss * rows.size
     return params, total / n
 
 

@@ -1,25 +1,18 @@
-"""Mixture-of-experts forward path: feature extraction, noisy top-k
-gating, expert evaluation, weighted aggregation, and the load-balance
-penalty.
+"""Mixture-of-experts forward path and training objective: feature
+extraction, noisy top-k gating, expert evaluation, weighted aggregation,
+the load-balance penalty, and the routed mixture's loss and gate
+gradient.
 
-Aggregation weights differ between modes. In eval mode each sample's
-output is the softmax over its masked (top-k) gate row times the
-selected experts, so with k = 1 the output is exactly the chosen
-expert's. In train mode the selected experts are scaled by their
-unmasked softmax probabilities instead: the renormalized weights are
-constant 1 at k = 1 and would stop every gradient from the task loss
-into the gate, while the unmasked probabilities keep the gate trainable
-at any k. The two coincide at k = m, and eval predictions are unchanged
-either way because positive scaling never moves an argmax.
-
-Train mode runs every expert on every row, so it holds the m experts as
-one stacked set (StackedMoe, a ParamSet of (m, ...) arrays): the batch's
-latents are broadcast to (m, rows, latent_dim), each layer of all m
-experts is one batched matmul, and moe_backward returns the experts'
-gradients as one stacked set that one grad_normalize(..., stacked=True)
-and one sgd_step update. Every expert's slice gets the bits its own
-2-d forward and backward would give. NmoeModel and checkpoints keep one
-2-d set per expert.
+Aggregation weights differ between inference and training. moe_forward
+(inference) weights each sample's selected experts by the softmax over
+its masked (top-k) gate row, so with k = 1 the output is exactly the
+chosen expert's. Training (moe_backward, for FedGate and the
+centralized mixture alike) weights them by their unmasked softmax
+probabilities instead: the renormalized weights are constant 1 at k = 1
+and would stop every gradient from the task loss into the gate, while
+the unmasked probabilities keep the gate trainable at any k. The two
+coincide at k = m, and predictions are unchanged either way because
+positive scaling never moves an argmax.
 """
 
 from __future__ import annotations
@@ -32,11 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, DataError, FormatError, InternalError
-from .numerics import (MlpSpec, ParamSet, Tape, activation_id,
-                       activation_name, backward, decode_params,
-                       encode_params, forward, softmax_backward,
-                       stack_params, unstack_params)
+from .errors import ConfigError, DataError, FormatError
+from .numerics import (MlpSpec, ParamSet, activation_id, activation_name,
+                       cross_entropy, decode_params, encode_params, forward,
+                       softmax_backward)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -109,9 +101,11 @@ class RandomGate:
         d = np.ascontiguousarray(self.distribution, dtype=np.float64)
         if d.ndim != 1 or d.size < 1:
             raise ConfigError("distribution must be a nonempty vector")
-        if (d < 0.0).any() or abs(float(d.sum()) - 1.0) > 1e-9:
-            raise ConfigError("distribution entries must be nonnegative and "
-                              "sum to 1")
+        # a NaN entry passes both comparisons, so finiteness is checked too
+        if not np.isfinite(d).all() or (d < 0.0).any() or \
+                abs(float(d.sum()) - 1.0) > 1e-9:
+            raise ConfigError("distribution entries must be finite, "
+                              "nonnegative and sum to 1")
         d.flags.writeable = False
         object.__setattr__(self, "distribution", d)
 
@@ -125,9 +119,8 @@ class GateDecision:
     """Per-sample top-k selection.
 
     indices: (rows, k) distinct expert ids, in descending gate score;
-    weights: (rows, k) the aggregation weight of each pick. gate_topk
-    gives the softmax over each masked row, summing to 1; train mode's
-    moe_forward gives the unmasked probabilities it scales by.
+    weights: (rows, k) the aggregation weight of each pick: gate_topk's
+    softmax over each masked row, summing to 1, or a random gate's 1/k.
     """
 
     indices: np.ndarray
@@ -168,28 +161,6 @@ class NmoeModel:
     @property
     def num_classes(self) -> int:
         return self.expert_spec.out_width
-
-
-@dataclass(frozen=True)
-class StackedMoe:
-    """A mixture as train mode runs it: a parametric gate and the m
-    experts as one stacked set of (m, ...) arrays (stack_params)."""
-
-    fe_spec: MlpSpec
-    fe_params: ParamSet
-    gate: GateParams
-    expert_spec: MlpSpec
-    experts: ParamSet
-
-    @classmethod
-    def from_model(cls, model: NmoeModel) -> "StackedMoe":
-        return cls(model.fe_spec, model.fe_params, model.gate,
-                   model.expert_spec, stack_params(model.experts))
-
-    def to_model(self) -> NmoeModel:
-        return NmoeModel(fe_spec=self.fe_spec, fe_params=self.fe_params,
-                         gate=self.gate, expert_spec=self.expert_spec,
-                         experts=tuple(unstack_params(self.experts)))
 
 
 def _gate_logits(latents: np.ndarray, params: ParamSet, noise_std: float,
@@ -309,56 +280,19 @@ class MoeForward:
     decision: GateDecision
     gate_probs: np.ndarray
     latents: np.ndarray
-    tapes: "MoeTapes | None" = None
 
 
-@dataclass(frozen=True)
-class MoeTapes:
-    """Activation records retained in train mode for moe_backward; the
-    expert tape is one stacked record whose output is (experts, rows,
-    classes)."""
-
-    fe_tape: Tape
-    expert_tape: Tape
-
-
-def moe_forward(model: NmoeModel | StackedMoe, batch: np.ndarray, k: int,
-                mode: str = "eval",
+def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
                 rng: np.random.Generator | None = None) -> MoeForward:
-    """Run the full mixture on a batch.
-
-    mode "eval": no gate noise, only the selected experts are evaluated,
-    aggregation uses the masked-softmax weights. mode "train": gate noise
-    enabled when an rng is given, every expert runs on every row as one
-    stack so tapes can back all gradients, aggregation scales selected
-    experts by their unmasked probabilities (see the module docstring).
-    Train mode takes a StackedMoe (StackedMoe.from_model stacks a model's
-    experts).
-    """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
+    """Run the full mixture on a batch for inference: no gate noise, only
+    the selected experts are evaluated, and aggregation uses the
+    masked-softmax weights. A random gate draws its picks from rng."""
     if isinstance(model.gate, RandomGate):
         return _moe_forward_random(model, batch, k, rng)
-    if mode == "eval":
-        latents = forward(model.fe_spec, model.fe_params, batch)
-        decision, probs = gate_topk(latents, model.gate, k)
-        return MoeForward(logits=_eval_mixture(model, latents, decision),
-                          decision=decision, gate_probs=probs,
-                          latents=latents)
-    latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
-                               want_tape=True)
-    idx, probs = _route(latents, model.gate.params, model.gate.noise_std, k,
-                        rng)
-    m = model.gate.num_experts
-    outputs, expert_tape = forward(
-        model.expert_spec, model.experts,
-        np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
-    combine_w = np.take_along_axis(probs, idx, axis=-1)
-    logits = kernels.combine_topk(outputs, idx, combine_w)
-    return MoeForward(logits=logits,
-                      decision=GateDecision(indices=idx, weights=combine_w),
-                      gate_probs=probs, latents=latents,
-                      tapes=MoeTapes(fe_tape, expert_tape))
+    latents = forward(model.fe_spec, model.fe_params, batch)
+    decision, probs = gate_topk(latents, model.gate, k)
+    return MoeForward(logits=_eval_mixture(model, latents, decision),
+                      decision=decision, gate_probs=probs, latents=latents)
 
 
 def _eval_mixture(model: NmoeModel, latents: np.ndarray,
@@ -404,58 +338,42 @@ def _moe_forward_random(model: NmoeModel, batch: np.ndarray, k: int,
                       decision=decision, gate_probs=probs, latents=latents)
 
 
-@dataclass(frozen=True)
-class MoeGrads:
-    """Gradients of a train-mode batch; experts is one stacked set."""
+def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
+                 chosen: np.ndarray, labels: np.ndarray, lambda_load: float
+                 ) -> tuple[float | np.ndarray, np.ndarray, ParamSet,
+                            np.ndarray]:
+    """Training loss of a routed mixture and its gate gradient.
 
-    fe: ParamSet
-    gate: ParamSet
-    experts: ParamSet
+    _route gave latents (rows, d) the probabilities probs (rows, m) and
+    the picks idx (rows, k); chosen (k, rows, classes) holds the logits
+    of each row's k picked experts. The mixture weights each pick by its
+    unmasked probability (see the module docstring); the loss is its
+    cross-entropy plus lambda_load times the load-balance penalty.
 
+    Returns (loss, dlogits, gate_grads, dgate_logits): dlogits is the
+    gradient on the mixture's logits, which the experts' backward reads;
+    gate_grads holds w0 and b0; dgate_logits, times w0 transposed, is the
+    gate's share of the latent gradient.
 
-def moe_backward(model: NmoeModel | StackedMoe, fwd: MoeForward,
-                 dlogits: np.ndarray,
-                 dprobs: np.ndarray | None = None) -> MoeGrads:
-    """Backpropagate through a train-mode moe_forward.
-
-    dlogits is the gradient on the aggregated logits; dprobs optionally
-    adds a gradient on the full gate probabilities (the load-balance
-    term). Returns gradients for the extractor, the gate, and all experts
-    as one stacked set. The latent gradient sums the gate's term, then
-    each expert's in index order.
+    A stack of g gates takes (g, ...) latents, probs, idx and labels and
+    (g, k, rows, classes) chosen, and gives g losses and stacked
+    gradients, each slice the bits of its own 2-d call.
     """
-    if fwd.tapes is None:
-        raise InternalError("moe_backward needs tapes from train mode")
-    if not isinstance(model.gate, GateParams):
-        raise ConfigError("only a parametric gate has gradients")
-    tapes = fwd.tapes
-    n, m = fwd.gate_probs.shape
-    rows = np.arange(n)
-    selected = np.zeros((n, m), dtype=bool)
-    selected[rows[:, None], fwd.decision.indices] = True
-    outputs = tapes.expert_tape.records[-1]
-
-    # d(loss)/d(prob of expert e) from the aggregation, selected rows only
-    # (C order, so the softmax backward sums each row as before)
-    dprob_total = np.where(
-        selected,
-        np.ascontiguousarray((dlogits * outputs).sum(axis=-1).T), 0.0)
-    if dprobs is not None:
-        dprob_total += dprobs
-    dgate_logits = softmax_backward(fwd.gate_probs, dprob_total)
-    dwg = fwd.latents.T @ dgate_logits
-    dbg = dgate_logits.sum(axis=0)
-    dlatents = dgate_logits @ model.gate.params["w0"].T
-
-    upstream = np.where(selected.T[:, :, None],
-                        fwd.gate_probs.T[:, :, None] * dlogits, 0.0)
-    expert_grads, dlat = backward(tapes.expert_tape, upstream)
-    for e in range(m):
-        dlatents += dlat[e]
-    fe_grads, _ = backward(tapes.fe_tape, dlatents)
-    return MoeGrads(fe=fe_grads,
-                    gate=ParamSet({"w0": dwg, "b0": dbg}),
-                    experts=expert_grads)
+    k = idx.shape[-1]
+    slots = np.broadcast_to(np.arange(k), idx.shape)
+    combined = kernels.combine_topk(
+        chosen, slots, np.take_along_axis(probs, idx, axis=-1))
+    ce, dlogits = cross_entropy(combined, labels)
+    lb, dlb = load_balance_loss(probs)
+    dprob = lambda_load * dlb
+    at = np.indices(idx.shape[:-1], sparse=True)
+    for s in range(k):
+        dprob[(*at, idx[..., s])] += np.sum(
+            dlogits * chosen[..., s, :, :], axis=-1)
+    dgate_logits = softmax_backward(probs, dprob)
+    grads = ParamSet({"w0": np.swapaxes(latents, -1, -2) @ dgate_logits,
+                      "b0": dgate_logits.sum(axis=-2)})
+    return ce + lambda_load * lb, dlogits, grads, dgate_logits
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,7 @@ def simulate_inference(model: NmoeModel, shards, k: int, cost: CostModel,
     labels: dict = {}
     for shard in sorted(shards, key=lambda s: s.client_id):
         c = shard.client_id
-        fwd = moe_forward(model, shard.test.features, k, mode="eval",
-                          rng=rng)
+        fwd = moe_forward(model, shard.test.features, k, rng=rng)
         predictions[c] = np.argmax(fwd.logits, axis=1)
         scores[c] = softmax(fwd.logits)
         labels[c] = shard.test.labels.copy()

@@ -134,7 +134,7 @@ _ACT_IDS = {v: k for k, v in _ACT_NAMES.items()}
 def activation_id(name: str) -> int:
     try:
         return _ACT_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ConfigError(f"unknown activation {name!r}; "
                           f"expected one of {sorted(_ACT_NAMES)}") from None
 

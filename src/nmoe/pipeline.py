@@ -36,13 +36,13 @@ from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         _check_finite, _lockstep_round, _sgd_head_epoch,
                         _size_groups, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
-from .moe import (GateParams, NmoeModel, StackedMoe, init_gate_params,
-                  load_balance_loss, moe_backward, moe_forward, save_model)
+from .moe import (GateParams, NmoeModel, _route, init_gate_params,
+                  moe_backward, save_model)
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
-from .numerics import (MlpSpec, ParamSet, cross_entropy, forward,
+from .numerics import (MlpSpec, ParamSet, backward, forward,
                        grad_normalize, init_mlp_params, sgd_step, softmax,
-                       stack_params)
+                       stack_params, unstack_params)
 from .seeding import derive_rng
 
 # Round slots within the BASELINE component, so baseline streams never
@@ -329,18 +329,21 @@ def _baseline_entry(report: EvalReport, log: RoutingLog,
 def train_centralized_moe(config: RunConfig, shards
                           ) -> tuple[NmoeModel, list[float]]:
     """Jointly train extractor, gate, and experts on the pooled data with
-    cross-entropy plus the load-balance penalty. The m experts train as
-    one stack (StackedMoe); the model is built once, at the end."""
+    moe_backward's loss, the one FedGate trains with: cross-entropy of
+    the routed mixture plus the load-balance penalty. The m experts run
+    every row as one (m, ...) stack, so one clip and one SGD step update
+    them all; the model is built once, at the end."""
     pooled = _pooled_train(shards)
     m = config.data.num_clients
     fe_spec = config.model.fe_spec()
     expert_spec = config.model.expert_spec()
+    noise_std = config.model.gate_noise_std
     fe = init_mlp_params(fe_spec, derive_rng(config.seed, seeding.BASELINE,
                                              _BASE_CENTRAL_INIT, 0))
     gate = init_gate_params(
-        config.model.latent_dim, m, config.model.gate_noise_std,
+        config.model.latent_dim, m, noise_std,
         derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_INIT, 1),
-        scale=0.0)
+        scale=0.0).params
     experts = stack_params(
         init_mlp_params(expert_spec, derive_rng(config.seed,
                                                 seeding.BASELINE,
@@ -355,30 +358,45 @@ def train_centralized_moe(config: RunConfig, shards
     for epoch in range(config.baselines.epochs):
         total = 0.0
         for rows in _batches(n, config.batch_size, rng):
-            moe = StackedMoe(fe_spec, fe, gate, expert_spec, experts)
-            fwd = moe_forward(moe, pooled.features[rows], config.k,
-                              mode="train", rng=rng)
-            ce, dlogits = cross_entropy(fwd.logits, pooled.labels[rows])
+            latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
+                                       want_tape=True)
+            idx, probs = _route(latents, gate, noise_std, config.k, rng)
             # blown-up gate logits give NaN probabilities, which the
             # balance loss would report as bad data; the probabilities
             # sum to a finite value exactly when all are finite
-            _check_finite(float(fwd.gate_probs.sum()),
-                          "baseline_centralized_moe", 0, epoch)
-            lb, dlb = load_balance_loss(fwd.gate_probs)
-            grads = moe_backward(moe, fwd, dlogits, lam * dlb)
-            fe = sgd_step(fe, grad_normalize(grads.fe, max_norm), lr)
-            gate = GateParams(
-                params=sgd_step(gate.params,
-                                grad_normalize(grads.gate, max_norm), lr),
-                noise_std=gate.noise_std)
+            _check_finite(float(probs.sum()), "baseline_centralized_moe", 0,
+                          epoch)
+            outputs, expert_tape = forward(
+                expert_spec, experts,
+                np.broadcast_to(latents, (m,) + latents.shape),
+                want_tape=True)
+            batch_rows = np.arange(rows.size)
+            loss, dlogits, gate_grads, dgate_logits = moe_backward(
+                latents, probs, idx, outputs[idx.T, batch_rows],
+                pooled.labels[rows], lam)
+            selected = np.zeros(probs.shape, dtype=bool)
+            selected[batch_rows[:, None], idx] = True
+            expert_grads, dlat = backward(
+                expert_tape, np.where(selected.T[:, :, None],
+                                      probs.T[:, :, None] * dlogits, 0.0))
+            # the gate's share first, then each expert's in index order
+            dlatents = dgate_logits @ gate["w0"].T
+            for e in range(m):
+                dlatents += dlat[e]
+            fe_grads, _ = backward(fe_tape, dlatents)
+            fe = sgd_step(fe, grad_normalize(fe_grads, max_norm), lr)
+            gate = sgd_step(gate, grad_normalize(gate_grads, max_norm), lr)
             experts = sgd_step(
-                experts, grad_normalize(grads.experts, max_norm,
+                experts, grad_normalize(expert_grads, max_norm,
                                         stacked=True), lr)
-            total += (ce + lam * lb) * rows.size
+            total += loss * rows.size
         loss = total / n
         _check_finite(loss, "baseline_centralized_moe", 0, epoch)
         losses.append(float(loss))
-    model = StackedMoe(fe_spec, fe, gate, expert_spec, experts).to_model()
+    model = NmoeModel(fe_spec=fe_spec, fe_params=fe,
+                      gate=GateParams(params=gate, noise_std=noise_std),
+                      expert_spec=expert_spec,
+                      experts=tuple(unstack_params(experts)))
     return model, losses
 
 

@@ -400,13 +400,14 @@ def per_client_local_classifiers(config, shards):
 
 
 # ---------------------------------------------------------------------------
-# the mixture's train mode one expert at a time: m forwards, m backwards,
-# m clips and m steps per batch, as the package did before it stacked the
-# experts
+# the centralized mixture's training one expert at a time: m forwards,
+# m backwards, m clips and m steps per batch, as the package did before
+# it stacked the experts
 
 def per_expert_moe_forward(model, batch, k, rng=None):
     """(logits, indices, probs, latents, fe_tape, outputs, expert_tapes)
-    of a train-mode batch; outputs is (experts, rows, classes)."""
+    of a training batch, each pick weighted by its unmasked probability;
+    outputs is (experts, rows, classes)."""
     latents, fe_tape = forward(model.fe_spec, model.fe_params, batch,
                                want_tape=True)
     decision, probs = gate_topk(latents, model.gate, k, rng)

@@ -94,6 +94,23 @@ def test_evaluate_reports_malformed_checkpoint(tmp_path, cfg_file, trained,
     assert "error (format)" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_non_finite_random_gate(tmp_path, cfg_file, trained,
+                                                capsys):
+    # json reads NaN back, so such a checkpoint loads unless the gate
+    # checks its entries; it fails like one with a negative entry
+    doc = json.loads((trained / "model.json").read_text())
+    m = len(doc["experts"])
+    codes = []
+    for first in (float("nan"), -0.5):
+        doc["gate"] = {"kind": "random",
+                       "distribution": [first, 1.0] + [0.0] * (m - 2)}
+        damaged = tmp_path / "model.json"
+        damaged.write_text(json.dumps(doc))
+        codes.append(main(["evaluate", str(damaged), str(cfg_file)]))
+        assert "error (config)" in capsys.readouterr().err
+    assert codes == [2, 2]
+
+
 def test_baselines_writes_all_systems(tmp_path, cfg_file):
     out = tmp_path / "baselines.json"
     assert main(["baselines", str(cfg_file), str(out)]) == 0
@@ -167,3 +184,12 @@ def test_console_entry_point_installed():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "generate-data" in proc.stdout
+
+
+def test_unhashable_activation_reports_config_category(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        small_doc(model={"fe_activations": [["tanh"], "tanh"]})))
+    rc = main(["train", str(bad), str(tmp_path / "o")])
+    assert rc == 2
+    assert "error (config)" in capsys.readouterr().err

@@ -157,6 +157,25 @@ def test_method_conditional_keys_rejected():
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("method", ["rangate", "rollgate"])
+def test_misspelled_stage3_key_is_unknown(method):
+    # a key no method knows is reported as unknown, not as inapplicable
+    doc = minimal()
+    doc["stage3"] = {"method": method, "max_pases": 3}
+    with pytest.raises(ConfigError,
+                       match="unknown key in 'stage3': max_pases"):
+        config_from_dict(doc)
+
+
+def test_rangate_rejects_learning_rate():
+    doc = minimal()
+    doc["stage3"] = {"method": "rangate", "lr": 0.1}
+    with pytest.raises(ConfigError, match="stage3.lr only applies to the "
+                       "'rollgate' and 'fedgate' methods, but "
+                       "stage3.method is 'rangate'"):
+        config_from_dict(doc)
+
+
 @pytest.mark.parametrize("section,key,value,message", [
     ("data", "tau", 0.0, "tau"),
     ("data", "tau", 1.5, "tau"),
@@ -185,6 +204,16 @@ def test_layer_widths_must_be_positive_integers(key, widths, value):
     doc["model"] = {key: widths[:1] + [value] + widths[2:]}
     message = rf"model\.{key}\[1\] must be a positive integer"
     with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,acts", [("fe_activations", ["tanh", "tanh"]),
+                                      ("expert_activations", ["identity"])])
+@pytest.mark.parametrize("value", [["tanh"], {}])
+def test_unhashable_activation_is_a_config_error(key, acts, value):
+    doc = minimal()
+    doc["model"] = {key: [value] + acts[1:]}
+    with pytest.raises(ConfigError, match="unknown activation"):
         config_from_dict(doc)
 
 

@@ -396,8 +396,7 @@ class TestRanGate:
                           gate=stage3_rangate(np.full(10, 0.1)).gate,
                           expert_spec=expert_spec, experts=experts)
         batch = np.zeros((100_000, 2))
-        fwd = moe_forward(model, batch, k=1, mode="eval",
-                          rng=np.random.default_rng(0))
+        fwd = moe_forward(model, batch, k=1, rng=np.random.default_rng(0))
         freq = np.bincount(fwd.decision.indices.ravel(),
                            minlength=10) / 100_000
         assert np.abs(freq - 0.1).max() < 0.01

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from nmoe import kernels
 from nmoe.errors import ConfigError, DataError, FormatError
-from nmoe.moe import (GateParams, MoeForward, NmoeModel, RandomGate,
-                      StackedMoe, _route, gate_topk, init_gate_params,
-                      load_balance_loss, load_model, moe_backward,
-                      moe_forward, save_model)
+from nmoe.moe import (GateParams, NmoeModel, RandomGate, _route, gate_topk,
+                      init_gate_params, load_balance_loss, load_model,
+                      moe_backward, moe_forward, save_model)
 from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy,
                            encode_params, forward, init_mlp_params,
-                           stack_params, unstack_params)
+                           stack_params)
 from oracles import (dense_mixture, finite_difference_params,
                      load_balance_all_columns, max_relative_error_params,
                      per_expert_moe_backward, per_expert_moe_forward)
@@ -258,7 +257,7 @@ class TestMoeForward:
     def test_k1_eval_returns_selected_expert_output(self):
         model = small_model(m=3, seed=1)
         batch = np.random.default_rng(2).normal(size=(7, 3))
-        fwd = moe_forward(model, batch, k=1, mode="eval")
+        fwd = moe_forward(model, batch, k=1)
         for i in range(7):
             e = int(fwd.decision.indices[i, 0])
             expected = forward(model.expert_spec, model.experts[e],
@@ -276,7 +275,7 @@ class TestMoeForward:
                           gate=gate, expert_spec=model.expert_spec,
                           experts=model.experts)
         batch = np.random.default_rng(4).normal(size=(5, 3))
-        fwd = moe_forward(model, batch, k=2, mode="eval")
+        fwd = moe_forward(model, batch, k=2)
         a = forward(model.expert_spec, model.experts[0], fwd.latents)
         b = forward(model.expert_spec, model.experts[1], fwd.latents)
         np.testing.assert_allclose(fwd.logits, 0.5 * (a + b), rtol=1e-12)
@@ -284,7 +283,7 @@ class TestMoeForward:
     def test_k_equals_m_matches_dense_mixture_oracle(self):
         model = small_model(m=4, seed=5)
         batch = np.random.default_rng(6).normal(size=(6, 3))
-        fwd = moe_forward(model, batch, k=4, mode="eval")
+        fwd = moe_forward(model, batch, k=4)
         outputs = np.stack([forward(model.expert_spec, e, fwd.latents)
                             for e in model.experts])
         oracle = dense_mixture(fwd.latents, model.gate.params["w0"],
@@ -294,19 +293,20 @@ class TestMoeForward:
     def test_train_and_eval_agree_at_k_equals_m(self):
         model = small_model(m=3, seed=7)
         batch = np.random.default_rng(8).normal(size=(5, 3))
-        ev = moe_forward(model, batch, k=3, mode="eval")
-        tr = moe_forward(StackedMoe.from_model(model), batch, k=3,
-                         mode="train")
-        np.testing.assert_allclose(ev.logits, tr.logits, rtol=1e-12)
+        ev = moe_forward(model, batch, k=3)
+        # training weights picks by unmasked probabilities: at k = m the
+        # masked softmax is the same row
+        tr_logits = per_expert_moe_forward(model, batch, 3)[0]
+        np.testing.assert_allclose(ev.logits, tr_logits, rtol=1e-12)
 
     def test_eval_deterministic_and_permutation_equivariant(self):
         model = small_model(m=3, seed=9, noise_std=0.05)
         batch = np.random.default_rng(10).normal(size=(8, 3))
-        a = moe_forward(model, batch, k=2, mode="eval")
-        b = moe_forward(model, batch, k=2, mode="eval")
+        a = moe_forward(model, batch, k=2)
+        b = moe_forward(model, batch, k=2)
         assert np.array_equal(a.logits, b.logits)
         perm = np.random.default_rng(11).permutation(8)
-        c = moe_forward(model, batch[perm], k=2, mode="eval")
+        c = moe_forward(model, batch[perm], k=2)
         np.testing.assert_allclose(c.logits, a.logits[perm], rtol=1e-12)
         assert np.array_equal(c.decision.indices, a.decision.indices[perm])
 
@@ -322,16 +322,11 @@ class TestMoeForward:
             m2 = NmoeModel(fe_spec=model.fe_spec, fe_params=model.fe_params,
                            gate=gate, expert_spec=model.expert_spec,
                            experts=model.experts)
-            fwd = moe_forward(m2, batch, k=1, mode="eval")
+            fwd = moe_forward(m2, batch, k=1)
             return int((fwd.decision.indices == 1).sum())
 
         freqs = [frequency(v) for v in (-1.0, 0.0, 1.0, 3.0)]
         assert all(b > a for a, b in zip(freqs, freqs[1:]))
-
-    def test_bad_mode_rejected(self):
-        model = small_model()
-        with pytest.raises(ConfigError):
-            moe_forward(model, np.ones((2, 3)), k=1, mode="predict")
 
 
 class TestRandomGate:
@@ -343,13 +338,13 @@ class TestRandomGate:
 
     def test_point_mass_always_selects_that_expert(self):
         model = self.make([0.0, 1.0, 0.0])
-        fwd = moe_forward(model, np.ones((30, 3)), k=1, mode="eval",
+        fwd = moe_forward(model, np.ones((30, 3)), k=1,
                           rng=np.random.default_rng(0))
         assert set(fwd.decision.indices.ravel().tolist()) == {1}
 
     def test_half_half_pair_without_replacement(self):
         model = self.make([0.5, 0.5, 0.0])
-        fwd = moe_forward(model, np.ones((25, 3)), k=2, mode="eval",
+        fwd = moe_forward(model, np.ones((25, 3)), k=2,
                           rng=np.random.default_rng(1))
         for row in fwd.decision.indices:
             assert sorted(row.tolist()) == [0, 1]
@@ -359,13 +354,13 @@ class TestRandomGate:
     def test_too_few_nonzero_entries_rejected(self):
         model = self.make([1.0, 0.0, 0.0])
         with pytest.raises(ConfigError):
-            moe_forward(model, np.ones((2, 3)), k=2, mode="eval",
+            moe_forward(model, np.ones((2, 3)), k=2,
                         rng=np.random.default_rng(2))
 
     def test_rng_required(self):
         model = self.make([0.4, 0.3, 0.3])
         with pytest.raises(ConfigError):
-            moe_forward(model, np.ones((2, 3)), k=1, mode="eval")
+            moe_forward(model, np.ones((2, 3)), k=1)
 
     def test_distribution_validation(self):
         with pytest.raises(ConfigError):
@@ -373,55 +368,70 @@ class TestRandomGate:
         with pytest.raises(ConfigError):
             RandomGate(np.array([-0.1, 1.1]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        # abs(nan - 1) > 1e-9 is false, so NaN needs its own check
+        with pytest.raises(ConfigError, match="finite"):
+            RandomGate(np.array([bad, 1.0]))
+
+
+def margins_ok(logits, probs, k):
+    """No finite-difference step can change a row's top-k set or its
+    argmax: the k-th and (k+1)-th logits and the two largest
+    probabilities are more than 5e-3 apart."""
+    ordered = np.sort(logits, axis=-1)
+    if k < logits.shape[-1] and \
+            (ordered[..., -k] - ordered[..., -k - 1]).min() < 5e-3:
+        return False
+    probs = np.sort(probs, axis=-1)
+    return (probs[..., -1] - probs[..., -2]).min() > 5e-3
+
+
+def routed_chosen(outputs, idx):
+    """Each row's k picked expert logits, (..., k, rows, classes), from
+    every expert's logits outputs (..., experts, rows, classes)."""
+    lead = np.indices(idx.shape[:-2], sparse=True)
+    return outputs[(*(a[..., None, None] for a in lead),
+                    np.swapaxes(idx, -1, -2), np.arange(idx.shape[-2]))]
+
 
 class TestStackedTrainMode:
+    """moe_backward, the training objective, against the per-expert
+    oracle."""
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("rows", [1, 2, 3, 17])
     @pytest.mark.parametrize("m,k", [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2),
                                      (5, 5)])
     def test_matches_per_expert_loop_bitwise(self, m, k, rows):
-        # every expert's slice of the stack, and the latent gradient summed
-        # gate first and then expert by expert, equal the per-expert loop
+        # moe_backward's loss, logit gradient and gate gradient equal the
+        # per-expert loop's, on the routing _route draws from that stream
         model = small_model(m=m, seed=10 * m + k, noise_std=0.1)
         data = np.random.default_rng(rows)
         batch = data.normal(size=(rows, 3))
         labels = data.integers(0, 3, size=rows)
-        fwd = moe_forward(StackedMoe.from_model(model), batch, k,
-                          mode="train", rng=np.random.default_rng(5))
         ref = per_expert_moe_forward(model, batch, k,
                                      rng=np.random.default_rng(5))
-        assert np.array_equal(fwd.logits, ref[0])
-        assert np.array_equal(fwd.decision.indices, ref[1])
-        assert np.array_equal(fwd.gate_probs, ref[2])
-        _, dlogits = cross_entropy(fwd.logits, labels)
-        _, dprobs = load_balance_loss(fwd.gate_probs)
-        grads = moe_backward(model, fwd, dlogits, 0.01 * dprobs)
-        fe, gate, experts = per_expert_moe_backward(model, ref, dlogits,
-                                                    0.01 * dprobs)
-        assert grads.fe == fe and grads.gate == gate
-        assert unstack_params(grads.experts) == list(experts)
-
-    def test_model_round_trip_and_train_mode_weights(self):
-        model = small_model(m=4, seed=3, noise_std=0.1)
-        stacked = StackedMoe.from_model(model)
-        assert stacked.experts["w0"].shape == (4, 4, 5)
-        back = stacked.to_model()
-        assert back.experts == model.experts
-        batch = np.random.default_rng(4).normal(size=(6, 3))
-        a = moe_forward(stacked, batch, 2, mode="train",
-                        rng=np.random.default_rng(1))
-        # train mode reports the unmasked probabilities it scaled by
-        assert np.array_equal(
-            a.decision.weights,
-            np.take_along_axis(a.gate_probs, a.decision.indices, axis=1))
+        logits, indices, probs, latents, _, outputs, _ = ref
+        idx, routed = _route(latents, model.gate.params, 0.1, k,
+                             np.random.default_rng(5))
+        assert np.array_equal(idx, indices) and np.array_equal(routed, probs)
+        ce, dlogits = cross_entropy(logits, labels)
+        lb, dprobs = load_balance_loss(probs)
+        _, gate, _ = per_expert_moe_backward(model, ref, dlogits,
+                                             0.01 * dprobs)
+        loss, dl, grads, _ = moe_backward(
+            latents, probs, idx, routed_chosen(outputs, idx), labels, 0.01)
+        assert loss == ce + 0.01 * lb
+        assert np.array_equal(dl, dlogits)
+        assert grads == gate
 
 
 class TestMoeBackward:
     def loss_at(self, model, batch, labels, k, lam):
-        fwd = moe_forward(StackedMoe.from_model(model), batch, k=k,
-                          mode="train")
-        ce, _ = cross_entropy(fwd.logits, labels)
-        lb, _ = load_balance_loss(fwd.gate_probs, validate=False)
+        logits, _, probs, *_ = per_expert_moe_forward(model, batch, k)
+        ce, _ = cross_entropy(logits, labels)
+        lb, _ = load_balance_loss(probs, validate=False)
         return ce + lam * lb
 
     def rebuild(self, model, fe=None, gate=None, experts=None):
@@ -433,19 +443,10 @@ class TestMoeBackward:
             expert_spec=model.expert_spec,
             experts=experts if experts is not None else model.experts)
 
-    def margins_ok(self, model, batch, k):
-        fwd = moe_forward(StackedMoe.from_model(model), batch, k=k,
-                          mode="train")
-        logits = fwd.latents @ model.gate.params["w0"] \
-            + model.gate.params["b0"]
-        ordered = np.sort(logits, axis=1)
-        if k < model.num_experts and \
-                (ordered[:, -k] - ordered[:, -k - 1]).min() < 5e-3:
-            return False
-        probs = np.sort(fwd.gate_probs, axis=1)
-        return (probs[:, -1] - probs[:, -2]).min() > 5e-3
-
     def test_full_gradient_matches_finite_differences(self):
+        # the per-expert oracle's extractor, gate and expert gradients;
+        # test_centralized_moe_matches_per_expert_loop ties the
+        # centralized mixture to that oracle bit for bit
         rng = np.random.default_rng(30)
         lam = 0.05
         done = 0
@@ -456,26 +457,28 @@ class TestMoeBackward:
             batch = rng.normal(size=(5, 3))
             labels = rng.integers(0, 3, size=5)
             k = 1 + (done % 3)
-            if not self.margins_ok(model, batch, k):
+            ref = per_expert_moe_forward(model, batch, k)
+            latents, probs = ref[3], ref[2]
+            gate_logits = latents @ model.gate.params["w0"] \
+                + model.gate.params["b0"]
+            if not margins_ok(gate_logits, probs, k):
                 continue
             done += 1
-            fwd = moe_forward(StackedMoe.from_model(model), batch, k=k,
-                              mode="train")
-            ce, dlogits = cross_entropy(fwd.logits, labels)
-            _, dprobs = load_balance_loss(fwd.gate_probs, validate=False)
-            grads = moe_backward(model, fwd, dlogits, dprobs=lam * dprobs)
-            expert_grads = unstack_params(grads.experts)
+            _, dlogits = cross_entropy(ref[0], labels)
+            _, dprobs = load_balance_loss(probs, validate=False)
+            fe_grads, gate_grads, expert_grads = per_expert_moe_backward(
+                model, ref, dlogits, lam * dprobs)
 
             fd_fe = finite_difference_params(
                 lambda p: self.loss_at(self.rebuild(model, fe=p), batch,
                                        labels, k, lam), model.fe_params)
-            assert max_relative_error_params(grads.fe, fd_fe) < 1e-4
+            assert max_relative_error_params(fe_grads, fd_fe) < 1e-4
 
             fd_gate = finite_difference_params(
                 lambda p: self.loss_at(self.rebuild(model, gate=p), batch,
                                        labels, k, lam),
                 model.gate.params)
-            assert max_relative_error_params(grads.gate, fd_gate) < 1e-4
+            assert max_relative_error_params(gate_grads, fd_gate) < 1e-4
 
             for e in range(3):
                 def with_expert(p, _e=e):
@@ -489,11 +492,39 @@ class TestMoeBackward:
                 assert max_relative_error_params(expert_grads[e],
                                                  fd_e) < 1e-4
 
-    def test_backward_requires_train_tapes(self):
-        model = small_model()
-        fwd = moe_forward(model, np.ones((2, 3)), k=1, mode="eval")
-        with pytest.raises(Exception):
-            moe_backward(model, fwd, np.zeros((2, 3)))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["2d", "stack3"])
+    def test_gate_gradient_matches_finite_differences(self, lead, k):
+        # FedGate's gate gradient: frozen expert logits, no gate noise, a
+        # 2-d batch or a stack of three gates on their own shards
+        m, d, rows, classes, lam = 4, 4, 6, 3, 0.05
+        rng = np.random.default_rng(40 + k + len(lead))
+        done = 0
+        while done < 4:
+            latents = rng.normal(size=lead + (rows, d))
+            params = ParamSet({"w0": rng.normal(size=lead + (d, m)),
+                               "b0": rng.normal(size=lead + (m,))})
+            outputs = rng.normal(size=lead + (m, rows, classes))
+            labels = rng.integers(0, classes, size=lead + (rows,))
+
+            def loss_at(p):
+                idx, probs = _route(latents, p, 0.0, k)
+                loss, *_ = moe_backward(latents, probs, idx,
+                                        routed_chosen(outputs, idx), labels,
+                                        lam)
+                return float(np.sum(loss))
+
+            idx, probs = _route(latents, params, 0.0, k)
+            gate_logits = latents @ params["w0"] + params["b0"][..., None, :]
+            if not margins_ok(gate_logits, probs, k):
+                continue
+            done += 1
+            _, _, grads, _ = moe_backward(latents, probs, idx,
+                                          routed_chosen(outputs, idx),
+                                          labels, lam)
+            assert grads["w0"].shape == params["w0"].shape
+            fd = finite_difference_params(loss_at, params)
+            assert max_relative_error_params(grads, fd) < 1e-4
 
 
 class TestCheckpoint:
