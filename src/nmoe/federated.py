@@ -20,9 +20,9 @@ Clients that share a stream run stacked: clients whose shards have equal
 sizes draw the same batch rows (in FedSC the same augmentations, in
 FedGate the same gate noise), so FedCE, FedSC, stage 2, FedGate and the
 FedAvg-classifier baseline train each such group as one computation over
-a leading client axis, a ParamSet of (g, ...) arrays stepped by batched
-matmuls. Every slice gets the bits its own per-client loop would give;
-in FedGate only the top-k picks and balance terms differ per slice.
+a leading client axis, a stacked ParamSet stepped by batched matmuls.
+Every slice gets the bits its own per-client loop would give; in
+FedGate only the top-k picks and balance terms differ per slice.
 RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
@@ -52,8 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
-                       draw_views)
+from .datasets import AugmentSpec, Dataset, Shard, apportion, draw_views
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
@@ -133,7 +132,8 @@ def fedgate_round_bytes(num_participants: int, gate_size: int,
 
 
 def fedavg(param_sets, weights) -> ParamSet:
-    """Elementwise weighted average with normalized weights.
+    """Elementwise weighted average with normalized weights, one
+    weighted buffer added after another.
 
     Accumulation runs in list order so results are reproducible; a single
     set is returned bit-identically (its weight normalizes to exactly
@@ -151,11 +151,10 @@ def fedavg(param_sets, weights) -> ParamSet:
     for other in sets[1:]:
         check_compatible(sets[0], other)
     norm = w / w.sum()
-    acc = {name: norm[0] * arr for name, arr in sets[0].items()}
+    acc = norm[0] * sets[0].flat
     for i, ps in enumerate(sets[1:], start=1):
-        for name, arr in ps.items():
-            acc[name] = acc[name] + norm[i] * arr
-    return ParamSet(acc)
+        acc += norm[i] * ps.flat
+    return ParamSet.from_flat(sets[0].layout, acc)
 
 
 def _check_clients(clients) -> None:
@@ -311,7 +310,7 @@ def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
                                     want_tape=True)
         loss, dlogits = cross_entropy(logits, labels.take(rows, axis=-1))
         head_grads, dlatents = backward(head_tape, dlogits)
-        fe_grads, _ = backward(fe_tape, dlatents)
+        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
         fe = sgd_step(fe, fe_grads, lr)
         head = sgd_step(head, head_grads, lr)
         total += loss * rows.size
@@ -330,7 +329,7 @@ def _sgd_head_epoch(head_spec: MlpSpec, head: ParamSet,
         logits, tape = forward(head_spec, head, _take_rows(latents, rows, -2),
                                want_tape=True)
         loss, dlogits = cross_entropy(logits, _take_rows(labels, rows, -1))
-        grads, _ = backward(tape, dlogits)
+        grads, _ = backward(tape, dlogits, input_grad=False)
         head = sgd_step(head, grads, lr)
         total += loss * rows.shape[-1]
     return head, total / n
@@ -377,9 +376,18 @@ def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
     # exact derivative of the expression as computed
     qs = qs[..., None, None]
     coupling = qs * (rhat + _t(rhat)) + (1.0 - qs) * (rbar + _t(rbar))
-    dz1 = (-z2 + 0.5 * (z1 @ coupling)) / b
-    dz2 = (-z1 + 0.5 * (z2 @ coupling)) / b
-    return loss, dz1, dz2
+    return loss, _view_grad(z1, z2, coupling, b), \
+        _view_grad(z2, z1, coupling, b)
+
+
+def _view_grad(z, z_other, coupling, b):
+    """((z @ coupling) * 0.5 - z_other) / b in one buffer: the bits of
+    (-z_other + 0.5 * (z @ coupling)) / b, since -a + s == s - a."""
+    grad = z @ coupling
+    grad *= 0.5
+    grad -= z_other
+    grad /= b
+    return grad
 
 
 def _t(a: np.ndarray) -> np.ndarray:
@@ -400,11 +408,14 @@ def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
     """A client's share: the (d, d) full-shard latent correlation under
     the current extractor.
 
-    Uses the first of the two augmented views, symmetrizes the Gram
-    estimate, then adds elementwise Gaussian noise when dp_noise_std > 0.
+    Draws both augmented views, so the noise draw that follows sits where
+    it always has on the stream, but applies only the first; symmetrizes
+    the Gram estimate, then adds elementwise Gaussian noise when
+    dp_noise_std > 0.
     """
-    view, _ = augment(aug_spec, shard.train.features, rng)
-    z = forward(fe_spec, fe, view)
+    features = shard.train.features
+    view, _ = draw_views(aug_spec, features.shape, rng)
+    z = forward(fe_spec, fe, view.apply(features))
     r = z.T @ z / z.shape[0]
     if np.abs(r - r.T).max() > 1e-9:
         raise InternalError("correlation estimate lost symmetry")
@@ -434,8 +445,8 @@ def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
         z1, tape1 = forward(fe_spec, fe, draw1.apply(x), want_tape=True)
         z2, tape2 = forward(fe_spec, fe, draw2.apply(x), want_tape=True)
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
-        g1, _ = backward(tape1, dz1)
-        g2, _ = backward(tape2, dz2)
+        g1, _ = backward(tape1, dz1, input_grad=False)
+        g2, _ = backward(tape2, dz2, input_grad=False)
         fe = sgd_step(fe, add_params(g1, g2), lr)
         total += loss * rows.size
     return fe, total / n
@@ -765,8 +776,7 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
                                 owners, rows, idx)
         loss, _, grads, _ = moe_backward(x, probs, idx, chosen,
                                          labels[(*own, rows)], lambda_load)
-        grads = grad_normalize(grads, grad_max_norm,
-                               stacked=owners is not None)
+        grads = grad_normalize(grads, grad_max_norm)
         params = sgd_step(params, grads, lr)
         total += loss * rows.size
     return params, total / n

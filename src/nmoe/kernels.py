@@ -25,7 +25,8 @@ VALID_ACTIVATIONS = (ACT_IDENTITY, ACT_RELU, ACT_TANH)
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                   act: int) -> np.ndarray:
     """act(x @ w + b) for x (..., rows, in), w (..., in, out), b (..., out)."""
-    out = x @ w + b[..., None, :]
+    out = x @ w
+    out += b[..., None, :]
     if act == ACT_RELU:
         np.maximum(out, 0.0, out=out)
     elif act == ACT_TANH:
@@ -34,19 +35,25 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def dense_backward(x: np.ndarray, w: np.ndarray, out: np.ndarray,
-                   dout: np.ndarray, act: int):
+                   dout: np.ndarray, act: int, *, dw: np.ndarray | None = None,
+                   db: np.ndarray | None = None, input_grad: bool = True):
     """(dx, dw, db) of dense_forward given its output and the gradient on
-    that output; dw and db keep the leading shape of w and b."""
+    that output; dw and db keep the leading shape of w and b. Given dw
+    and db arrays (views into a gradient buffer), the products are
+    written there. With input_grad=False dx is not computed and is None.
+    """
     if act == ACT_RELU:
         # out > 0 iff the pre-activation was > 0; the kink at 0 gets slope 0
         dpre = np.where(out > 0.0, dout, 0.0)
     elif act == ACT_TANH:
-        dpre = dout * (1.0 - out * out)
+        dpre = out * out
+        np.subtract(1.0, dpre, out=dpre)
+        dpre *= dout
     else:
-        dpre = np.array(dout)
-    dw = np.swapaxes(x, -1, -2) @ dpre
-    db = dpre.sum(axis=-2)
-    dx = dpre @ np.swapaxes(w, -1, -2)
+        dpre = dout
+    dw = np.matmul(np.swapaxes(x, -1, -2), dpre, out=dw)
+    db = np.sum(dpre, axis=-2, out=db)
+    dx = dpre @ np.swapaxes(w, -1, -2) if input_grad else None
     return dx, dw, db
 
 

@@ -372,7 +372,8 @@ def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
             dlogits * chosen[..., s, :, :], axis=-1)
     dgate_logits = softmax_backward(probs, dprob)
     grads = ParamSet({"w0": np.swapaxes(latents, -1, -2) @ dgate_logits,
-                      "b0": dgate_logits.sum(axis=-2)})
+                      "b0": dgate_logits.sum(axis=-2)},
+                     stacked=latents.ndim > 2)
     return ce + lambda_load * lb, dlogits, grads, dgate_logits
 
 
@@ -412,7 +413,12 @@ def save_model(model: NmoeModel, path, extra: dict | None = None) -> None:
 
 
 def load_model(path) -> tuple[NmoeModel, dict]:
-    """Read a checkpoint written by save_model; returns (model, meta)."""
+    """Read a checkpoint written by save_model; returns (model, meta).
+
+    Every fault in the file's contents is a FormatError, also one the
+    spec, gate and model validators report as a ConfigError (an unknown
+    activation, a bad random-gate distribution, a gate sized for another
+    expert count); their messages are kept."""
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -440,6 +446,8 @@ def load_model(path) -> tuple[NmoeModel, dict]:
         raise FormatError(
             f"{path}: malformed checkpoint, missing or mistyped "
             f"{exc!r}") from exc
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: checkpoint meta must be an object")

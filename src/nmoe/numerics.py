@@ -4,17 +4,30 @@ backward passes, losses, and SGD utilities.
 Everything runs in float64. Backward passes are hand-derived; the test
 suite checks each one against central finite differences.
 
+A ParamSet is one read-only float64 buffer with a fixed Layout of
+(name, span, shape) entries: (P,) for one network, (g, P) for a stack of
+g networks of one topology (stack_params), one network's P values after
+another's. Named arrays and unstack_params slices are zero-copy views;
+sgd_step, add_params and grad_normalize act on whole buffers and return
+fresh ones, never writing their inputs, and backward writes its
+gradients into a fresh buffer of the params' layout. A stacked weight
+view is strided between slices, but each slice's block is contiguous,
+so a batched matmul hands gemm the 2-d blocks a 2-d call would.
+
 forward, backward, cross_entropy, softmax_backward, sgd_step, add_params
-and grad_normalize also take a leading client axis: a ParamSet of (g, ...)
-arrays (stack_params) holds g networks of one topology, and a (g, rows,
-width) batch runs all of them with one batched matmul per layer. Each
-slice gets the bits a 2-d call would give it.
+and grad_normalize also take a leading client axis: a (g, rows, width)
+batch runs a stack with one batched matmul per layer, and each slice
+gets the bits a 2-d call would give it. backward(..., input_grad=False)
+skips the first layer's input gradient, a full matmul, for callers that
+discard it.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -25,48 +38,129 @@ from . import kernels
 from .errors import ConfigError, DataError, FormatError, InternalError
 
 
-class ParamSet:
-    """Ordered, immutable collection of named float64 arrays.
+class Layout:
+    """Where each named array of a parameter set lives in its flat
+    buffer: names in order, each array's shape and its span.
 
-    Two sets are shape-compatible when they hold the same names in the
-    same order with matching shapes; all arithmetic helpers below require
-    that. Arrays are copied on construction and marked read-only.
+    Layouts are interned (_layout_of), so sets of one topology share one
+    Layout object and comparing two layouts is an identity test.
     """
 
-    __slots__ = ("_arrays",)
+    __slots__ = ("names", "shapes", "spans", "size")
+
+    def __init__(self, key: tuple):
+        self.names = tuple(name for name, _ in key)
+        self.shapes = tuple(shape for _, shape in key)
+        stops = list(itertools.accumulate(map(math.prod, self.shapes)))
+        self.spans = tuple(map(slice, [0, *stops[:-1]], stops))
+        self.size = stops[-1]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Every named array as a view of flat, (P,) or (g, P)."""
+        lead = flat.shape[:-1]
+        return {name: flat[..., span].reshape(lead + shape)
+                for name, span, shape in zip(self.names, self.spans,
+                                             self.shapes)}
+
+
+_LAYOUTS: dict[tuple, Layout] = {}
+
+
+def _layout_of(key: tuple) -> Layout:
+    """The one Layout of the given ((name, shape), ...) sequence."""
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        layout = _LAYOUTS[key] = Layout(key)
+    return layout
+
+
+class ParamSet:
+    """Ordered, immutable collection of named float64 arrays held in one
+    read-only flat buffer.
+
+    The buffer is (P,) for one network, or (g, P) for a stack of g
+    networks of one layout (stack_params, or stacked=True here), one
+    network's P values after another's. Each named array is a zero-copy
+    read-only view into it, of its layout shape or (g, *shape). Two sets
+    are shape-compatible when they share a layout and stack shape; the
+    arithmetic helpers below require that and work on whole buffers. The
+    constructor copies its arrays; with stacked=True each array carries
+    a leading axis of g networks.
+    """
+
+    __slots__ = ("_layout", "_flat", "_views")
 
     def __init__(self, arrays: Mapping[str, np.ndarray] |
-                 Iterable[tuple[str, np.ndarray]]):
+                 Iterable[tuple[str, np.ndarray]], *, stacked: bool = False):
         items = arrays.items() if isinstance(arrays, Mapping) else arrays
         store: dict[str, np.ndarray] = {}
         for name, value in items:
             if name in store:
                 raise InternalError(f"duplicate parameter name {name!r}")
-            arr = np.array(value, dtype=np.float64)
-            arr.flags.writeable = False
-            store[name] = arr
+            store[name] = np.asarray(value, dtype=np.float64)
         if not store:
             raise InternalError("empty parameter set")
-        self._arrays = store
+        lead = next(iter(store.values())).shape[:int(stacked)]
+        if any(a.shape[:len(lead)] != lead for a in store.values()):
+            raise InternalError("stacked arrays disagree on the stack size")
+        layout = _layout_of(tuple((name, a.shape[len(lead):])
+                                 for name, a in store.items()))
+        flat = np.empty(lead + (layout.size,))
+        for span, a in zip(layout.spans, store.values()):
+            flat[..., span] = a.reshape(lead + (-1,))
+        self._set(layout, flat)
+
+    def _set(self, layout: Layout, flat: np.ndarray) -> None:
+        flat.flags.writeable = False
+        self._layout = layout
+        self._flat = flat
+        self._views = None
+
+    @classmethod
+    def from_flat(cls, layout: Layout, flat: np.ndarray) -> "ParamSet":
+        """A set over a buffer of the given layout, (P,) or (g, P),
+        without copying it; the buffer becomes read-only."""
+        ps = cls.__new__(cls)
+        ps._set(layout, flat)
+        return ps
+
+    @property
+    def layout(self) -> Layout:
+        return self._layout
+
+    @property
+    def flat(self) -> np.ndarray:
+        """The read-only buffer, (P,) or (g, P)."""
+        return self._flat
+
+    @property
+    def stack_shape(self) -> tuple[int, ...]:
+        """() for one network, (g,) for a stack of g."""
+        return self._flat.shape[:-1]
 
     @property
     def names(self) -> tuple[str, ...]:
-        return tuple(self._arrays)
+        return self._layout.names
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        if self._views is None:
+            self._views = self._layout.views(self._flat)
+        return self._views
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._arrays[name]
+        return self._arrays()[name]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._arrays
+        return name in self._layout.names
 
     def __len__(self) -> int:
-        return len(self._arrays)
+        return len(self._layout.names)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._arrays)
+        return iter(self._layout.names)
 
     def items(self):
-        return self._arrays.items()
+        return self._arrays().items()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamSet):
@@ -81,27 +175,31 @@ class ParamSet:
 
     def size(self) -> int:
         """Total number of scalars across all arrays."""
-        return sum(a.size for a in self._arrays.values())
+        return self._flat.size
 
 
 def stack_params(sets) -> ParamSet:
-    """g shape-compatible sets as one set of (g, ...) arrays."""
+    """g shape-compatible sets as one stack, a (g, P) buffer."""
     sets = list(sets)
     for other in sets[1:]:
         check_compatible(sets[0], other)
-    return ParamSet((n, np.stack([ps[n] for ps in sets]))
-                    for n in sets[0].names)
+    return ParamSet.from_flat(sets[0].layout,
+                              np.stack([ps.flat for ps in sets]))
 
 
 def unstack_params(stacked: ParamSet) -> list[ParamSet]:
-    """Inverse of stack_params: one set per leading index."""
-    g = stacked[stacked.names[0]].shape[0]
-    return [ParamSet((n, a[c]) for n, a in stacked.items())
-            for c in range(g)]
+    """Inverse of stack_params: one set per leading index, each a
+    read-only view of its row of the stack's buffer."""
+    if not stacked.stack_shape:
+        raise InternalError("unstack_params needs a stacked parameter set")
+    return [ParamSet.from_flat(stacked.layout, row)
+            for row in stacked.flat]
 
 
 def check_compatible(a: ParamSet, b: ParamSet) -> None:
-    """Raise unless a and b hold identically named and shaped arrays."""
+    """Raise unless a and b share a layout and a stack shape."""
+    if a.layout is b.layout and a.flat.shape == b.flat.shape:
+        return
     if a.names != b.names:
         raise ConfigError(
             f"parameter sets are not compatible: names {a.names} vs {b.names}")
@@ -110,6 +208,9 @@ def check_compatible(a: ParamSet, b: ParamSet) -> None:
             raise ConfigError(
                 f"parameter {name!r} has shape {a[name].shape} in one set "
                 f"and {b[name].shape} in the other")
+    raise ConfigError(
+        f"parameter sets are not compatible: stack shapes {a.stack_shape} "
+        f"vs {b.stack_shape}")
 
 
 def params_digest(params: ParamSet) -> str:
@@ -180,6 +281,17 @@ class MlpSpec:
     def out_width(self) -> int:
         return self.widths[-1]
 
+    @functools.cached_property
+    def layout(self) -> Layout:
+        """The layout of this topology's parameters, as init_mlp_params
+        builds them: w0, b0, w1, b1, ..."""
+        key = []
+        for layer in range(self.num_layers):
+            fan_in, fan_out = self.widths[layer:layer + 2]
+            key += [(f"w{layer}", (fan_in, fan_out)),
+                    (f"b{layer}", (fan_out,))]
+        return _layout_of(tuple(key))
+
 
 def init_mlp_params(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     """He-style init: std sqrt(2/fan_in) before relu, sqrt(1/fan_in)
@@ -221,22 +333,27 @@ def forward(spec: MlpSpec, params: ParamSet, batch: np.ndarray,
         raise ConfigError(
             f"batch width {x.shape[-1]} does not match the network input "
             f"width {spec.in_width}")
-    _check_spec_params(spec, params)
+    if params.layout is not spec.layout:
+        _check_spec_params(spec, params)
+    arrays, names = params._arrays(), spec.layout.names
     records = [x]
-    for layer in range(spec.num_layers):
-        x = kernels.dense_forward(x, params[f"w{layer}"],
-                                  params[f"b{layer}"],
-                                  spec.activations[layer])
+    for layer, act in enumerate(spec.activations):
+        x = kernels.dense_forward(x, arrays[names[2 * layer]],
+                                  arrays[names[2 * layer + 1]], act)
         records.append(x)
     if want_tape:
         return x, Tape(spec=spec, params=params, records=tuple(records))
     return x
 
 
-def backward(tape: Tape, upstream: np.ndarray) -> tuple[ParamSet, np.ndarray]:
+def backward(tape: Tape, upstream: np.ndarray, input_grad: bool = True
+             ) -> tuple[ParamSet, np.ndarray | None]:
     """Backpropagate an upstream gradient through a recorded forward pass.
 
-    Returns (parameter gradients, gradient with respect to the input batch).
+    Returns (parameter gradients, gradient with respect to the input
+    batch); the gradients fill one fresh buffer of the params' layout.
+    With input_grad=False the first layer's input gradient is never
+    formed and None stands in its place.
     """
     d = np.ascontiguousarray(upstream, dtype=np.float64)
     if d.shape != tape.records[-1].shape:
@@ -244,14 +361,20 @@ def backward(tape: Tape, upstream: np.ndarray) -> tuple[ParamSet, np.ndarray]:
             f"upstream gradient shape {d.shape} does not match the tape "
             f"output shape {tape.records[-1].shape}")
     spec, params = tape.spec, tape.params
-    grads: dict[str, np.ndarray] = {}
+    layout = params.layout
+    if layout is not spec.layout and \
+            len(layout.names) != len(spec.layout.names):
+        raise InternalError(f"parameter set {layout.names} holds arrays "
+                            f"the network {spec.layout.names} does not")
+    flat = np.empty(params.flat.shape)
+    grads, names = layout.views(flat), spec.layout.names
     for layer in range(spec.num_layers - 1, -1, -1):
-        x, out = tape.records[layer], tape.records[layer + 1]
-        d, dw, db = kernels.dense_backward(x, params[f"w{layer}"], out, d,
-                                           spec.activations[layer])
-        grads[f"w{layer}"] = dw
-        grads[f"b{layer}"] = db
-    return ParamSet((name, grads[name]) for name in params.names), d
+        wname, bname = names[2 * layer:2 * layer + 2]
+        d, _, _ = kernels.dense_backward(
+            tape.records[layer], params[wname], tape.records[layer + 1], d,
+            spec.activations[layer], dw=grads[wname], db=grads[bname],
+            input_grad=layer > 0 or input_grad)
+    return ParamSet.from_flat(layout, flat), d
 
 
 def _check_spec_params(spec: MlpSpec, params: ParamSet) -> None:
@@ -327,39 +450,44 @@ def cross_entropy(logits: np.ndarray,
 # optimizer utilities
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float) -> ParamSet:
-    """One SGD update p - lr * g; pure, inputs untouched."""
+    """One SGD update p - lr * g over the whole buffer; pure, inputs
+    untouched."""
     check_compatible(params, grads)
-    return ParamSet((n, params[n] - lr * grads[n]) for n in params.names)
+    step = lr * grads.flat
+    np.subtract(params.flat, step, out=step)
+    return ParamSet.from_flat(params.layout, step)
 
 
-def grad_normalize(grads: ParamSet, max_norm: float, *,
-                   stacked: bool = False) -> ParamSet:
+def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
     """Scale the whole set so its global L2 norm is at most max_norm.
 
-    A stacked set of (g, ...) arrays holds g networks' gradients; each
-    slice is scaled by its own norm. Each slice's squares are summed per
-    array as np.sum sums that slice and the arrays' sums added in name
-    order, so every slice gets the bits of a call on its own set.
+    A stack holds g networks' gradients; each slice is scaled by its own
+    norm. The buffer is squared once and each array's block summed, the
+    pairwise sum np.sum takes over that array, and the arrays' sums are
+    added in name order, so every slice gets the bits of a call on its
+    own set.
     """
     if max_norm <= 0.0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
-    lead = 1 if stacked else 0
-    total = np.sqrt(sum((a * a).reshape(a.shape[:lead] + (-1,)).sum(axis=-1)
-                        for _, a in grads.items()))
-    within = total <= max_norm
-    if within.all():
+    flat = grads.flat
+    squares = flat * flat
+    first, *rest = grads.layout.spans
+    total = squares[..., first].sum(axis=-1)
+    for span in rest:
+        total = total + squares[..., span].sum(axis=-1)
+    total = np.sqrt(total)
+    if (total <= max_norm).all():
         return grads
     # a slice within the bound scales by exactly 1.0 and keeps its bits;
     # a NaN norm scales by NaN
     scale = max_norm / np.maximum(total, max_norm)
-    return ParamSet(
-        (n, a * scale.reshape(a.shape[:lead] + (1,) * (a.ndim - lead)))
-        for n, a in grads.items())
+    return ParamSet.from_flat(grads.layout,
+                              flat * np.expand_dims(scale, -1))
 
 
 def add_params(a: ParamSet, b: ParamSet) -> ParamSet:
     check_compatible(a, b)
-    return ParamSet((n, a[n] + b[n]) for n in a.names)
+    return ParamSet.from_flat(a.layout, a.flat + b.flat)
 
 
 # ---------------------------------------------------------------------------
@@ -392,5 +520,5 @@ def decode_params(obj: list) -> ParamSet:
         return ParamSet((name, decode_array(rec)) for name, rec in obj)
     except FormatError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, InternalError) as exc:
         raise FormatError(f"malformed parameter list: {exc}") from exc

@@ -383,12 +383,11 @@ def train_centralized_moe(config: RunConfig, shards
             dlatents = dgate_logits @ gate["w0"].T
             for e in range(m):
                 dlatents += dlat[e]
-            fe_grads, _ = backward(fe_tape, dlatents)
+            fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
             fe = sgd_step(fe, grad_normalize(fe_grads, max_norm), lr)
             gate = sgd_step(gate, grad_normalize(gate_grads, max_norm), lr)
-            experts = sgd_step(
-                experts, grad_normalize(expert_grads, max_norm,
-                                        stacked=True), lr)
+            experts = sgd_step(experts, grad_normalize(expert_grads, max_norm),
+                               lr)
             total += loss * rows.size
         loss = total / n
         _check_finite(loss, "baseline_centralized_moe", 0, epoch)

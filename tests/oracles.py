@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from nmoe import kernels, seeding
+from nmoe.datasets import augment
 from nmoe.federated import (_batches, _check_finite, _digest_group,
                             _sgd_classifier_epoch, _sgd_head_epoch,
                             _sgd_spectral_epoch, compute_correlation_share,
@@ -147,6 +148,119 @@ def load_balance_all_columns(probs: np.ndarray):
     col_mean = np.array([math.fsum(probs[:, j]) for j in range(m)]) / n
     loss = mult * math.fsum(f[j] * col_mean[j] for j in range(m))
     return loss, np.tile(mult * f / n, (n, 1))
+
+
+# ---------------------------------------------------------------------------
+# per-array parameter arithmetic and the dense-layer expressions, as the
+# package computed them before a ParamSet became one flat buffer: every
+# array a contiguous copy, each operation one array at a time. The flat
+# versions must give the same bits.
+
+def _arrays(params: ParamSet) -> dict:
+    return {name: np.array(arr) for name, arr in params.items()}
+
+
+def _is_stack(params: ParamSet) -> bool:
+    return params.stack_shape != ()
+
+
+def per_array_sgd_step(params: ParamSet, grads: ParamSet, lr: float):
+    p, g = _arrays(params), _arrays(grads)
+    return ParamSet(((n, p[n] - lr * g[n]) for n in p),
+                    stacked=_is_stack(params))
+
+
+def per_array_add_params(a: ParamSet, b: ParamSet):
+    x, y = _arrays(a), _arrays(b)
+    return ParamSet(((n, x[n] + y[n]) for n in x), stacked=_is_stack(a))
+
+
+def per_array_grad_normalize(grads: ParamSet, max_norm: float):
+    stacked = _is_stack(grads)
+    lead = 1 if stacked else 0
+    arrays = _arrays(grads)
+    total = np.sqrt(sum((a * a).reshape(a.shape[:lead] + (-1,)).sum(axis=-1)
+                        for a in arrays.values()))
+    if (total <= max_norm).all():
+        return grads
+    scale = max_norm / np.maximum(total, max_norm)
+    return ParamSet(
+        ((n, a * scale.reshape(a.shape[:lead] + (1,) * (a.ndim - lead)))
+         for n, a in arrays.items()), stacked=stacked)
+
+
+def per_array_fedavg(param_sets, weights):
+    sets = list(param_sets)
+    w = np.asarray(list(weights), dtype=np.float64)
+    norm = w / w.sum()
+    acc = {name: norm[0] * arr for name, arr in _arrays(sets[0]).items()}
+    for i, ps in enumerate(sets[1:], start=1):
+        for name, arr in _arrays(ps).items():
+            acc[name] = acc[name] + norm[i] * arr
+    return ParamSet(acc, stacked=_is_stack(sets[0]))
+
+
+def per_array_stack_params(sets):
+    sets = list(sets)
+    return ParamSet(((n, np.stack([ps[n] for ps in sets]))
+                     for n in sets[0].names), stacked=True)
+
+
+def per_array_unstack_params(stacked: ParamSet):
+    g = stacked[stacked.names[0]].shape[0]
+    return [ParamSet((n, a[c]) for n, a in stacked.items())
+            for c in range(g)]
+
+
+def dense_forward_expr(x, w, b, act):
+    out = x @ w + b[..., None, :]
+    if act == kernels.ACT_RELU:
+        np.maximum(out, 0.0, out=out)
+    elif act == kernels.ACT_TANH:
+        np.tanh(out, out=out)
+    return out
+
+
+def dense_backward_expr(x, w, out, dout, act):
+    if act == kernels.ACT_RELU:
+        dpre = np.where(out > 0.0, dout, 0.0)
+    elif act == kernels.ACT_TANH:
+        dpre = dout * (1.0 - out * out)
+    else:
+        dpre = np.array(dout)
+    dw = np.swapaxes(x, -1, -2) @ dpre
+    db = dpre.sum(axis=-2)
+    dx = dpre @ np.swapaxes(w, -1, -2)
+    return dx, dw, db
+
+
+def spectral_view_grad_expr(z, z_other, coupling, b):
+    """A view's spectral-loss gradient as one expression."""
+    return (-z_other + 0.5 * (z @ coupling)) / b
+
+
+def correlation_share_both_views(fe_spec, fe, shard, aug_spec, dp_noise_std,
+                                 rng):
+    """compute_correlation_share with both augmented views applied."""
+    view, _ = augment(aug_spec, shard.train.features, rng)
+    z = forward(fe_spec, fe, view)
+    r = z.T @ z / z.shape[0]
+    r = 0.5 * (r + r.T)
+    if dp_noise_std > 0.0:
+        r = r + rng.normal(0.0, dp_noise_std, size=r.shape)
+    return r
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes: NaN payloads and signed zeros
+    included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_param_bits(a: ParamSet, b: ParamSet) -> bool:
+    return (a.names == b.names and a.stack_shape == b.stack_shape
+            and all(same_bits(a[n], b[n]) for n in a.names))
 
 
 # ---------------------------------------------------------------------------

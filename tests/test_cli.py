@@ -12,6 +12,7 @@ from test_pipeline import small_doc
 from nmoe.cli import main
 from nmoe.config import config_from_dict, config_hash
 from nmoe.datasets import load_dataset
+from nmoe.numerics import ParamSet, encode_params
 
 
 @pytest.fixture(scope="module")
@@ -107,8 +108,41 @@ def test_evaluate_rejects_non_finite_random_gate(tmp_path, cfg_file, trained,
         damaged = tmp_path / "model.json"
         damaged.write_text(json.dumps(doc))
         codes.append(main(["evaluate", str(damaged), str(cfg_file)]))
-        assert "error (config)" in capsys.readouterr().err
-    assert codes == [2, 2]
+        assert "error (format)" in capsys.readouterr().err
+    assert codes == [4, 4]
+
+
+def _damage_activations(doc, value):
+    doc["fe_spec"]["activations"] = value
+
+
+def _damage_gate_width(doc):
+    # a linear gate one expert short of the model's expert count
+    d, m = doc["fe_spec"]["widths"][-1], len(doc["experts"]) - 1
+    doc["gate"]["params"] = encode_params(
+        ParamSet({"w0": np.zeros((d, m)), "b0": np.zeros(m)}))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda doc: _damage_activations(doc, ["swish"]),
+    lambda doc: _damage_activations(doc, [["tanh"]]),
+    lambda doc: doc.update(gate={
+        "kind": "random",
+        "distribution": [-0.5, 1.5] + [0.0] * (len(doc["experts"]) - 2)}),
+    _damage_gate_width,
+], ids=["unknown-activation", "unhashable-activation",
+        "negative-random-gate", "gate-for-wrong-expert-count"])
+def test_evaluate_reports_bad_checkpoint_content_as_format(
+        tmp_path, cfg_file, trained, capsys, damage):
+    # contents the validators reject are a damaged file, exit 4, like a
+    # missing field, whichever validator finds the fault
+    doc = json.loads((trained / "model.json").read_text())
+    damage(doc)
+    damaged = tmp_path / "model.json"
+    damaged.write_text(json.dumps(doc))
+    rc = main(["evaluate", str(damaged), str(cfg_file)])
+    assert rc == 4
+    assert "error (format)" in capsys.readouterr().err
 
 
 def test_baselines_writes_all_systems(tmp_path, cfg_file):

@@ -9,7 +9,7 @@ from nmoe import kernels, seeding
 from nmoe.datasets import AugmentSpec, Dataset, Shard, gen_synthetic, partition_noniid
 from nmoe.errors import ConfigError, DataError, TrainingError
 from nmoe.federated import (FedRoundReport, Stage1Result,
-                            _frozen_latents, _routed_logits,
+                            _frozen_latents, _routed_logits, _view_grad,
                             centralized_classifier, centralized_gate,
                             centralized_spectral, classifier_round_bytes,
                             compute_correlation_share, fedavg,
@@ -50,6 +50,18 @@ def probe_accuracy(fe_spec, fe_params, head_spec, head, data) -> float:
                                               data.features))
     return float(np.mean(np.argmax(logits, axis=1) == data.labels))
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(), (3,)]),
+       st.integers(1, 40), st.integers(1, 12))
+def test_view_grad_matches_its_expression(seed, lead, b, d):
+    rng = np.random.default_rng(seed)
+    z, z_other = rng.normal(size=(2,) + lead + (b, d))
+    coupling = rng.normal(size=lead + (d, d))
+    assert oracles.same_bits(
+        _view_grad(z, z_other, coupling, b),
+        oracles.spectral_view_grad_expr(z, z_other, coupling, b))
 
 class TestFedavg:
     def test_equal_weights(self):
@@ -197,6 +209,20 @@ class TestCorrelationShare:
         # Frobenius norm of d x d elementwise Gaussian noise is close to
         # std * d, with spread about std / sqrt(2)
         assert abs(dist - 0.05 * 6) < 4 * 0.05 / np.sqrt(2)
+
+    @pytest.mark.parametrize("dp_noise_std", [0.0, 0.05])
+    def test_matches_the_share_of_both_augmented_views(self, dp_noise_std):
+        # applying only the first view keeps the share's bits and leaves
+        # the stream where drawing and applying both views left it
+        spec = MlpSpec((6, 5, 4), (kernels.ACT_TANH, kernels.ACT_IDENTITY))
+        params = init_mlp_params(spec, np.random.default_rng(1))
+        rng, expect_rng = np.random.default_rng(9), np.random.default_rng(9)
+        share = compute_correlation_share(spec, params, self.shard, self.aug,
+                                          dp_noise_std, rng)
+        expect = oracles.correlation_share_both_views(
+            spec, params, self.shard, self.aug, dp_noise_std, expect_rng)
+        assert oracles.same_bits(share, expect)
+        assert rng.random() == expect_rng.random()
 
 
 class TestStage1FedCE:

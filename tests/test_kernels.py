@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import nmoe.kernels as K
 from nmoe.federated import TILE
 from nmoe.numerics import MlpSpec, forward, init_mlp_params
+from oracles import dense_backward_expr, dense_forward_expr, same_bits
 
 RNG = np.random.default_rng(20240817)
 
@@ -112,6 +113,45 @@ def test_stacked_dense_matches_per_slice(seed, g, rows, fan_in, fan_out,
                 (dx, dw, db), K.dense_backward(x[c], w[c], out_c, dout[c],
                                                act)):
             assert np.array_equal(stacked[c], single)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.sampled_from([(), (1,), (4,)]),
+       st.sampled_from([1, 2, 3, 5, 16, 17, 48]), st.integers(1, 40),
+       st.integers(1, 40), st.sampled_from(K.VALID_ACTIVATIONS))
+def test_dense_layer_matches_its_expressions(seed, lead, rows, fan_in,
+                                             fan_out, act):
+    # the in-place bias add, the one-buffer tanh derivative, dout read as
+    # is and dw, db written into views of a flat gradient buffer give the
+    # bits of the plain expressions (tests/oracles.py)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=lead + (rows, fan_in))
+    # w and b as strided views of a (g, P) buffer, as a stack holds them
+    params = rng.normal(size=lead + (3 + fan_in * fan_out + fan_out,))
+    w = params[..., 3:3 + fan_in * fan_out].reshape(lead + (fan_in, fan_out))
+    b = params[..., 3 + fan_in * fan_out:]
+    dout = rng.normal(size=lead + (rows, fan_out))
+    out = K.dense_forward(x, w, b, act)
+    assert same_bits(out, dense_forward_expr(x, w, b, act))
+    expect = dense_backward_expr(x, w, out, dout, act)
+    for got in K.dense_backward(x, w, out, dout, act), \
+            _into_buffer(x, w, out, dout, act):
+        assert all(same_bits(a, e) for a, e in zip(got, expect))
+    dx, dw, db = K.dense_backward(x, w, out, dout, act, input_grad=False)
+    assert dx is None
+    assert same_bits(dw, expect[1]) and same_bits(db, expect[2])
+
+
+def _into_buffer(x, w, out, dout, act):
+    lead, (fan_in, fan_out) = w.shape[:-2], w.shape[-2:]
+    flat = np.full(lead + (fan_in * fan_out + fan_out + 2,), np.nan)
+    dw = flat[..., 1:1 + fan_in * fan_out].reshape(w.shape)
+    db = flat[..., 1 + fan_in * fan_out:-1]
+    dx, dw_out, db_out = K.dense_backward(x, w, out, dout, act, dw=dw, db=db)
+    assert dw_out is dw and db_out is db
+    # nothing outside the two spans was written
+    assert np.isnan(flat[..., 0]).all() and np.isnan(flat[..., -1]).all()
+    return dx, dw, db
 
 
 # The row-wise kernels on a (g, rows, width) stack against one 2-d call per

@@ -562,7 +562,7 @@ class TestCheckpoint:
         stacked = stack_params([model.gate.params, model.gate.params])
         doc["gate"]["params"] = encode_params(stacked)
         path.write_text(json.dumps(doc))
-        with pytest.raises(ConfigError, match="2-d gate"):
+        with pytest.raises(FormatError, match="2-d gate"):
             load_model(path)
 
     @pytest.mark.parametrize("damage", ["list", "gate", "fe_spec",

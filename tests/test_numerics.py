@@ -7,13 +7,18 @@ from hypothesis import strategies as st
 
 from nmoe import kernels
 from nmoe.errors import ConfigError, DataError, InternalError
-from nmoe.numerics import (MlpSpec, ParamSet, backward, cross_entropy,
-                           decode_params, encode_params, forward,
-                           grad_normalize, init_mlp_params, params_digest,
-                           sgd_step, softmax, softmax_backward, stack_params,
-                           unstack_params)
+from nmoe.federated import fedavg
+from nmoe.numerics import (MlpSpec, ParamSet, add_params, backward,
+                           check_compatible, cross_entropy, decode_params,
+                           encode_params, forward, grad_normalize,
+                           init_mlp_params, params_digest, sgd_step, softmax,
+                           softmax_backward, stack_params, unstack_params)
 from oracles import (finite_difference, finite_difference_params,
-                     max_relative_error, max_relative_error_params)
+                     max_relative_error, max_relative_error_params,
+                     per_array_add_params, per_array_fedavg,
+                     per_array_grad_normalize, per_array_sgd_step,
+                     per_array_stack_params, per_array_unstack_params,
+                     same_bits, same_param_bits)
 
 I, R, T = kernels.ACT_IDENTITY, kernels.ACT_RELU, kernels.ACT_TANH
 
@@ -49,6 +54,48 @@ class TestParamSet:
         with pytest.raises(ConfigError):
             sgd_step(a, b, 0.1)
 
+    def test_stack_and_single_set_are_incompatible(self):
+        # the same (2, 3) arrays, laid out as one network or as a stack
+        # of two, are different buffers
+        single = ParamSet({"w": np.ones((2, 3)), "b": np.ones(2)})
+        stack = ParamSet({"w": np.ones((2, 3)), "b": np.ones(2)},
+                         stacked=True)
+        assert stack.stack_shape == (2,) and single.stack_shape == ()
+        with pytest.raises(ConfigError, match="stack shapes"):
+            check_compatible(single, stack)
+
+    def test_stacked_arrays_must_agree_on_the_stack(self):
+        with pytest.raises(InternalError):
+            ParamSet({"w": np.ones((2, 3)), "b": np.ones(3)}, stacked=True)
+
+    def test_one_layout_per_topology(self):
+        a = mlp((4, 3, 2), (R, I), seed=0)[1]
+        b = mlp((4, 3, 2), (R, I), seed=1)[1]
+        assert a.layout is b.layout is MlpSpec((4, 3, 2), (R, I)).layout
+        assert stack_params([a, b]).layout is a.layout
+
+    def test_views_and_unstacked_slices_are_read_only(self):
+        stack = stack_params([mlp((3, 4, 2), (T, I), seed=s)[1]
+                              for s in range(3)])
+        sets = [stack, *unstack_params(stack), sgd_step(stack, stack, 0.5),
+                grad_normalize(stack, 1e-3)]
+        for ps in sets:
+            with pytest.raises(ValueError):
+                ps.flat[..., 0] = 1.0
+            for name, arr in ps.items():
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+                assert np.shares_memory(arr, ps.flat)
+
+    def test_unstacked_slices_share_the_stack_buffer(self):
+        stack = stack_params([mlp((3, 2), (I,), seed=s)[1] for s in range(2)])
+        for c, ps in enumerate(unstack_params(stack)):
+            assert ps.stack_shape == ()
+            assert np.shares_memory(ps.flat, stack.flat)
+            assert same_bits(ps.flat, stack.flat[c])
+        with pytest.raises(InternalError):
+            unstack_params(unstack_params(stack)[0])
+
 
 class TestForward:
     def test_identity_net_passes_input_through(self):
@@ -74,6 +121,23 @@ class TestForward:
         a = forward(spec, params, x)
         b = forward(spec, params, x)
         assert np.array_equal(a, b)
+
+
+def test_forward_checks_params_against_the_spec():
+    spec, params = mlp((3, 4, 2), (R, I))
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    # a set that lists its arrays in another order is not the spec's
+    # layout, but it holds every layer and still runs
+    shuffled = ParamSet((n, params[n]) for n in reversed(params.names))
+    assert shuffled.layout is not spec.layout
+    assert np.array_equal(forward(spec, shuffled, x), forward(spec, params, x))
+    missing = ParamSet((n, params[n]) for n in params.names if n != "b1")
+    with pytest.raises(ConfigError, match="lacks layer 1"):
+        forward(spec, missing, x)
+    wrong = ParamSet({**dict(params.items()), "w1": np.ones((4, 3))})
+    with pytest.raises(ConfigError,
+                       match=r"w1 has shape \(4, 3\), spec wants"):
+        forward(spec, wrong, x)
 
 
 class TestBackward:
@@ -123,6 +187,30 @@ class TestBackward:
                 lambda xx: 0.5 * float(np.sum((forward(spec, params, xx)
                                                - target) ** 2)), x)
             assert max_relative_error(dx, fd_x) < 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 9), min_size=2,
+                                           max_size=4),
+       st.lists(st.sampled_from(kernels.VALID_ACTIVATIONS), min_size=3,
+                max_size=3),
+       st.sampled_from([(), (1,), (3,)]), st.integers(1, 20))
+def test_backward_without_input_grad(seed, widths, acts, lead, rows):
+    # the same gradient bits, and no input gradient
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec(tuple(widths), tuple(acts[:len(widths) - 1]))
+    params = stack_params(init_mlp_params(spec, rng)
+                          for _ in range(lead[0])) if lead \
+        else init_mlp_params(spec, rng)
+    x = rng.normal(size=lead + (rows, spec.in_width))
+    out, tape = forward(spec, params, x, want_tape=True)
+    upstream = rng.normal(size=out.shape)
+    grads, dx = backward(tape, upstream)
+    skipped, none = backward(tape, upstream, input_grad=False)
+    assert none is None and dx.shape == x.shape
+    assert same_param_bits(grads, skipped)
+    assert grads.layout is params.layout
+    assert grads.stack_shape == params.stack_shape
 
 
 class TestSoftmax:
@@ -301,7 +389,7 @@ class TestGradNormalize:
         with pytest.raises(ConfigError):
             grad_normalize(g, 0.0)
         with pytest.raises(ConfigError):
-            grad_normalize(stack_params([g, g]), 0.0, stacked=True)
+            grad_normalize(stack_params([g, g]), 0.0)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=60, deadline=None)
@@ -322,13 +410,113 @@ class TestGradNormalize:
                 for f, ps in zip(factors, sets)]
         norm = math.sqrt(sum(float(np.sum(a * a))
                              for _, a in sets[0].items()))
-        out = unstack_params(grad_normalize(stack_params(sets), norm,
-                                            stacked=True))
+        out = unstack_params(grad_normalize(stack_params(sets), norm))
         for stacked, single in zip(out, sets):
             assert stacked == _clip_reference(single, norm)
             assert grad_normalize(single, norm) == _clip_reference(single,
                                                                    norm)
         assert out[0] == sets[0]
+
+
+# The flat-buffer arithmetic against the per-array bodies it replaced
+# (tests/oracles.py), bit for bit, on one network and on stacks.
+
+def _random_set(rng, widths, g, special=None):
+    lead = () if g is None else (g,)
+    arrays = {}
+    for layer, (fan_in, fan_out) in enumerate(zip(widths, widths[1:])):
+        arrays[f"w{layer}"] = rng.normal(size=lead + (fan_in, fan_out))
+        arrays[f"b{layer}"] = rng.normal(size=lead + (fan_out,))
+    if special is not None:
+        name = list(arrays)[rng.integers(len(arrays))]
+        flat = arrays[name].reshape(-1)
+        flat[rng.integers(flat.size)] = special
+    return ParamSet(arrays, stacked=g is not None)
+
+
+param_shapes = st.tuples(
+    st.integers(0, 2**31 - 1),
+    st.lists(st.integers(1, 9), min_size=2, max_size=4),
+    st.sampled_from([None, 1, 2, 5]))
+specials = st.sampled_from([None, None, np.nan, np.inf, -np.inf, 0.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=80, deadline=None)
+@given(param_shapes, specials, st.sampled_from([0.1, 0.37, 1.0, 1e-300]))
+def test_flat_sgd_step_and_add_match_per_array(shape, special, lr):
+    seed, widths, g = shape
+    rng = np.random.default_rng(seed)
+    params = _random_set(rng, widths, g)
+    grads = _random_set(rng, widths, g, special)
+    before = (params.flat.copy(), grads.flat.copy())
+    assert same_param_bits(sgd_step(params, grads, lr),
+                           per_array_sgd_step(params, grads, lr))
+    assert same_param_bits(add_params(params, grads),
+                           per_array_add_params(params, grads))
+    # pure: neither input buffer was written
+    assert same_bits(params.flat, before[0])
+    assert same_bits(grads.flat, before[1])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(param_shapes, specials, st.sampled_from([0.5, 1.0, 2.0]),
+       st.lists(st.sampled_from([0.0, 0.25, 1.0, 4.0]), min_size=5,
+                max_size=5))
+def test_flat_grad_normalize_matches_per_array(shape, special, factor,
+                                               slice_scales):
+    # max_norm is slice 0's own norm times factor, so slice 0 sits above,
+    # at or below the bound; the other slices are rescaled copies, one of
+    # them perhaps zero; a NaN or infinite entry gives a NaN or infinite
+    # norm
+    seed, widths, g = shape
+    rng = np.random.default_rng(seed)
+    grads = _random_set(rng, widths, g, special)
+    if g is not None:
+        grads = ParamSet(((n, a * np.reshape(slice_scales[:g],
+                                             (g,) + (1,) * (a.ndim - 1)))
+                          for n, a in grads.items()), stacked=True)
+    first = grads.flat if g is None else grads.flat[0]
+    norm = float(np.sqrt(np.sum(first * first)))
+    max_norm = norm * factor if 0.0 < norm < np.inf else factor
+    out = grad_normalize(grads, max_norm)
+    assert same_param_bits(out, per_array_grad_normalize(grads, max_norm))
+    if g is not None:
+        for stacked, single in zip(unstack_params(out),
+                                   unstack_params(grads)):
+            assert same_param_bits(stacked,
+                                   grad_normalize(single, max_norm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(param_shapes, st.integers(1, 5),
+       st.lists(st.sampled_from([1.0, 3.0, 17.0, 500.0, 0.0]), min_size=5,
+                max_size=5))
+def test_flat_fedavg_matches_per_array(shape, count, weights):
+    seed, widths, g = shape
+    rng = np.random.default_rng(seed)
+    sets = [_random_set(rng, widths, g) for _ in range(count)]
+    weights = [1.0] + weights[:count - 1]
+    assert same_param_bits(fedavg(sets, weights),
+                           per_array_fedavg(sets, weights))
+
+
+@settings(max_examples=60, deadline=None)
+@given(param_shapes, st.integers(1, 5))
+def test_flat_stack_and_unstack_match_per_array(shape, count):
+    seed, widths, _ = shape
+    rng = np.random.default_rng(seed)
+    sets = [_random_set(rng, widths, None) for _ in range(count)]
+    stack = stack_params(sets)
+    assert same_param_bits(stack, per_array_stack_params(sets))
+    for flat_slice, per_array, single in zip(
+            unstack_params(stack), per_array_unstack_params(stack), sets):
+        assert same_param_bits(flat_slice, per_array)
+        assert same_param_bits(flat_slice, single)
+        assert params_digest(flat_slice) == params_digest(single)
+    assert params_digest(stack) == params_digest(
+        per_array_stack_params(sets))
 
 
 class TestSerialization:
