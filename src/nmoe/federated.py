@@ -30,9 +30,11 @@ _fedavg_rounds, for finiteness checks, averaging and round reports.
 FedGate keeps the frozen latents of every shard but no table of the
 frozen experts' logits. Each batch runs one forward per routed expert
 over the rows routed to it, padded to a multiple of TILE rows, which
-gives every row the bits of the expert's forward over the whole shard;
-a shard's last n mod TILE rows, which no aligned block reaches, come from
-a small table built once per shard (see TILE).
+gives every row the bits of the expert's forward over the whole shard.
+A shard's last n mod TILE rows, which no aligned block reaches, come
+from one stacked forward per batch, one slice per (shard, expert) pair
+its tail picks name, over that shard's last TILE + n mod TILE rows (see
+TILE).
 
 Communication accounting (4-byte wire scalars by default): FedCE moves
 the extractor down and up for every client each round; FedSC adds one
@@ -195,11 +197,29 @@ def _size_groups(clients) -> list[list[int]]:
     return list(groups.values())
 
 
+def _stack_train(clients, members, field):
+    """One field of the given clients' train shards, "features" or
+    "labels", stacked along a leading client axis."""
+    return np.stack([getattr(clients[c].train, field) for c in members])
+
+
 def _stack_shards(clients, members):
     """(features, labels) of the given clients' train shards stacked
     along a leading client axis."""
-    return (np.stack([clients[c].train.features for c in members]),
-            np.stack([clients[c].train.labels for c in members]))
+    return (_stack_train(clients, members, "features"),
+            _stack_train(clients, members, "labels"))
+
+
+def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
+                    datasets) -> np.ndarray:
+    """The frozen extractor's latents of equal-size datasets, (G, n, d):
+    each dataset's forward, written into its slice of one preallocated
+    array."""
+    latents = np.empty((len(datasets), datasets[0].num_samples,
+                        fe_spec.out_width))
+    for out, data in zip(latents, datasets):
+        out[...] = forward(fe_spec, fe_params, data.features)
+    return latents
 
 
 def _client_order(groups, per_group) -> list:
@@ -563,7 +583,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     d = fe_spec.out_width
     ids = np.arange(m)
     groups = _size_groups(clients)
-    features = [_stack_shards(clients, members)[0] for members in groups]
+    features = [_stack_train(clients, members, "features")
+                for members in groups]
 
     def train_round(r, fe):
         shares = [
@@ -621,9 +642,9 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
     experts = [init_mlp_params(expert_spec, rng) for _ in clients]
     groups = _size_groups(clients)
-    data = [(np.stack([forward(fe_spec, fe_params, clients[c].train.features)
-                       for c in members]),
-             _stack_shards(clients, members)[1]) for members in groups]
+    data = [(_frozen_latents(fe_spec, fe_params,
+                             [clients[c].train for c in members]),
+             _stack_train(clients, members, "labels")) for members in groups]
     stacks = [stack_params([experts[c] for c in members])
               for members in groups]
     # one stream per group, carried across epochs like each client's own
@@ -745,37 +766,35 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
 
 def _sgd_gate_epoch(params: ParamSet, noise_std: float,
                     latents: np.ndarray, labels: np.ndarray,
-                    expert_spec: MlpSpec, experts, tails: np.ndarray, k: int,
-                    lr: float, lambda_load: float, grad_max_norm: float,
-                    batch_size: int, rng: np.random.Generator, owners=None):
-    """One FedGate epoch of the gate params (a GateParams' params, or a
-    stack of g of them): each batch is routed (_route), its routed
+                    owners: np.ndarray, expert_spec: MlpSpec, experts,
+                    k: int, lr: float, lambda_load: float,
+                    grad_max_norm: float, batch_size: int,
+                    rng: np.random.Generator):
+    """One FedGate epoch of a stack of g gates (stack_params of a
+    GateParams' params) over a size group's G shards: latents (G, n, d)
+    and labels (G, n). Slice i trains on shard owners[i], every slice on
+    the same rows and noise. Each batch is routed (_route), its routed
     experts' logits computed (_routed_logits), and the loss and gate
     gradient taken by moe_backward, the objective the centralized mixture
     trains with too; gradients are normalized before each step.
 
-    Experts are frozen, but no shard-wide table of their logits is kept:
-    each batch computes only its k routed slots, (k, rows, classes), with
-    _routed_logits from the latents and the small tails table of
-    _frozen_latents. Each slot holds the bits of the expert's forward over
-    the whole shard.
-
-    With owners, the arrays hold a size group's G shards: latents
-    (G, n, d), labels (G, n) and tails (G, experts, n mod TILE, classes).
-    A stack of g gates then trains slice i on shard owners[i],
-    every slice on the same rows and noise; the routed slots are then
-    (g, k, rows, classes).
+    Experts are frozen, but no table of their logits is kept: each batch
+    computes only its k routed slots, (g, k, rows, classes), with
+    _routed_logits from the latents, the TILE-aligned rows one forward
+    per routed expert and the tail rows one stacked forward. Each slot
+    holds the bits of the expert's forward over the whole shard. Returns
+    the stepped stack and its g epoch losses.
     """
     n = latents.shape[-2]
-    own = () if owners is None else (np.asarray(owners)[:, None],)
+    own = owners[:, None]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        x = np.ascontiguousarray(latents[(*own, rows)])
+        x = latents[own, rows]
         idx, probs = _route(x, params, noise_std, k, rng)
-        chosen = _routed_logits(expert_spec, experts, latents, tails,
-                                owners, rows, idx)
+        chosen = _routed_logits(expert_spec, experts, latents, owners, rows,
+                                idx)
         loss, _, grads, _ = moe_backward(x, probs, idx, chosen,
-                                         labels[(*own, rows)], lambda_load)
+                                         labels[own, rows], lambda_load)
         grads = grad_normalize(grads, grad_max_norm)
         params = sgd_step(params, grads, lr)
         total += loss * rows.size
@@ -790,58 +809,45 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
 # TILE * (n // TILE) rows of a forward over an n-row shard, both lie in
 # full micro-tiles, so they agree bit for bit. TILE must therefore be a
 # multiple of every dgemm row unroll the program may meet: 16 covers
-# unrolls of 1, 2, 4, 8 and 16 rows.
+# unrolls of 1, 2, 4, 8 and 16 rows. The last n mod TILE rows, the tail,
+# lie past every full micro-tile; a forward over the shard's last
+# TILE + n mod TILE rows leaves them as many places past one as the
+# whole-shard forward does, so it gives them that forward's bits. A
+# batch's tail picks run as one stacked forward over such windows, a
+# slice per (shard, expert) pair, each slice its own gemm.
 TILE = 16
 
 
-def _frozen_latents(fe_spec, fe_params, expert_spec, experts, features):
-    """Frozen-extractor latents of features, (..., n, d), and every
-    expert's logits on the last n mod TILE rows, (..., experts,
-    n mod TILE, classes): the tail that no TILE-aligned block reaches.
-
-    features is one dataset, (n, width), or a size group's shards,
-    (G, n, width). The tail comes from a forward over the last
-    TILE + n mod TILE rows (the whole shard when it is shorter), which
-    leaves its rows as many places past a full micro-tile as the forward
-    over the whole shard does, so it gets that forward's bits.
-    """
-    lead, n = features.shape[:-2], features.shape[-2]
-    main = TILE * (n // TILE)
-    start = max(0, main - TILE)
-    latents = np.empty(lead + (n, fe_spec.out_width))
-    tails = np.empty(lead + (len(experts), n - main, expert_spec.out_width))
-    for i in np.ndindex(lead):
-        latents[i] = forward(fe_spec, fe_params, features[i])
-        if main < n:
-            for e, expert in enumerate(experts):
-                tails[i + (e,)] = forward(expert_spec, expert,
-                                          latents[i][start:])[main - start:]
-    return latents, tails
-
-
-def _routed_logits(expert_spec, experts, latents, tails, owners, rows, idx):
-    """The routed experts' logits, (..., k, b, classes) for picks idx of
-    shape (..., b, k): slot s of row j holds expert idx[..., j, s] on row
-    rows[j] of the shard (of shard owners[i] for stack slice i), with the
+def _routed_logits(expert_spec, experts, latents, owners, rows, idx):
+    """The routed experts' logits, (g, k, b, classes) for picks idx of
+    shape (g, b, k): slot s of row j in slice i holds expert idx[i, j, s]
+    on row rows[j] of shard owners[i] of latents (G, n, d), with the
     bits of that expert's forward over the whole shard.
 
     Rows below the shard's last multiple of TILE run as one forward per
     routed expert, its picks padded to a multiple of TILE rows by
-    repeating the last one; rows past it come from tails.
+    repeating the last one. Rows past it run as one stacked forward with
+    a slice per (shard, expert) pair they name, over the shard's last
+    TILE + n mod TILE rows (the whole shard when it is shorter).
     """
-    main = TILE * (latents.shape[-2] // TILE)
+    n = latents.shape[-2]
+    main = TILE * (n // TILE)
     picks = idx.swapaxes(-1, -2)
     expert = picks.ravel()
     # flat pick i reads row rows[i mod b] of shard owners[i // (k b)]
     row = np.tile(rows, expert.size // rows.size)
-    shard = () if owners is None else (
-        np.repeat(owners, expert.size // len(owners)),)
+    shard = np.repeat(owners, expert.size // len(owners))
     out = np.empty((expert.size, expert_spec.out_width))
-    tail = row >= main
-    if tail.any():
-        out[tail] = tails[(*(s[tail] for s in shard), expert[tail],
-                           row[tail] - main)]
-    body = np.flatnonzero(~tail)
+    tail = np.flatnonzero(row >= main)
+    if tail.size:
+        start = max(0, main - TILE)
+        pairs, slot = np.unique(shard[tail] * len(experts) + expert[tail],
+                                return_inverse=True)
+        stack = stack_params([experts[e] for e in pairs % len(experts)])
+        window = latents[pairs // len(experts), start:]
+        out[tail] = forward(expert_spec, stack, window)[
+            slot, row[tail] - start]
+    body = np.flatnonzero(row < main)
     if body.size:
         # the picks grouped by expert, then laid out block after block,
         # each block padded to a multiple of TILE with its last pick
@@ -853,7 +859,7 @@ def _routed_logits(expert_spec, experts, latents, tails, owners, rows, idx):
         offset = np.arange(ends[-1]) - (ends - sizes)[block]
         src = body[(np.cumsum(counts) - counts)[block]
                    + np.minimum(offset, counts[block] - 1)]
-        x = latents[(*(s[src] for s in shard), row[src])]
+        x = latents[shard[src], row[src]]
         out[body] = np.concatenate([
             forward(expert_spec, experts[e], x[ends[e] - sizes[e]:ends[e]])
             for e in np.flatnonzero(counts)])[offset < counts[block]]
@@ -895,11 +901,10 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     size_groups = _size_groups(clients)
     where = {c: (j, i) for j, members in enumerate(size_groups)
              for i, c in enumerate(members)}
-    shards = []
-    for members in size_groups:
-        features, labels = _stack_shards(clients, members)
-        shards.append((*_frozen_latents(fe_spec, fe_params, expert_spec,
-                                        experts, features), labels))
+    shards = [(_frozen_latents(fe_spec, fe_params,
+                               [clients[c].train for c in members]),
+               _stack_train(clients, members, "labels"))
+              for members in size_groups]
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
 
@@ -912,15 +917,14 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
             j = where[int(participants[positions[0]])][0]
             owners = np.array([where[int(participants[p])][1]
                                for p in positions])
-            latents, tails, labels = shards[j]
             rng = derive_rng(seed, seeding.STAGE3, r, 0)
             params_g = stack_params([params] * len(owners))
             epoch_losses = []
             for _ in range(local_epochs):
                 params_g, loss = _sgd_gate_epoch(
-                    params_g, gate_init.noise_std, latents, labels,
-                    expert_spec, experts, tails, k, lr, lambda_load,
-                    grad_max_norm, batch_size, rng, owners)
+                    params_g, gate_init.noise_std, *shards[j], owners,
+                    expert_spec, experts, k, lr, lambda_load, grad_max_norm,
+                    batch_size, rng)
                 epoch_losses.append(loss)
             return params_g, epoch_losses
 
@@ -992,19 +996,21 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
                      gate_init: GateParams, rounds: int, local_epochs: int,
                      lr: float, lambda_load: float, grad_max_norm: float,
                      k: int, seed: int, *, batch_size: int = 64):
-    """Gate-training counterpart of stage3_fedgate on one dataset."""
+    """Gate-training counterpart of stage3_fedgate on one dataset: a
+    stack of one gate trained on a group of one shard."""
     _check_schedule(rounds, local_epochs, lr, batch_size)
-    latents, tails = _frozen_latents(fe_spec, fe_params, expert_spec,
-                                     experts, train.features)
-    params = gate_init.params
+    latents = _frozen_latents(fe_spec, fe_params, [train])
+    params = stack_params([gate_init.params])
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE3, r, 0)
         for _ in range(local_epochs):
             params, loss = _sgd_gate_epoch(
-                params, gate_init.noise_std, latents, train.labels,
-                expert_spec, experts, tails, k, lr, lambda_load,
-                grad_max_norm, batch_size, rng)
+                params, gate_init.noise_std, latents, train.labels[None],
+                np.zeros(1, dtype=np.int64), expert_spec, experts, k, lr,
+                lambda_load, grad_max_norm, batch_size, rng)
+            loss = float(loss[0])
             _check_finite(loss, "centralized_gate", 0, r)
             losses.append(loss)
-    return GateParams(params=params, noise_std=gate_init.noise_std), losses
+    return GateParams(params=unstack_params(params)[0],
+                      noise_std=gate_init.noise_std), losses

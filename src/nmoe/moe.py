@@ -278,7 +278,6 @@ class MoeForward:
 
     logits: np.ndarray
     decision: GateDecision
-    gate_probs: np.ndarray
     latents: np.ndarray
 
 
@@ -290,9 +289,9 @@ def moe_forward(model: NmoeModel, batch: np.ndarray, k: int,
     if isinstance(model.gate, RandomGate):
         return _moe_forward_random(model, batch, k, rng)
     latents = forward(model.fe_spec, model.fe_params, batch)
-    decision, probs = gate_topk(latents, model.gate, k)
+    decision, _ = gate_topk(latents, model.gate, k)
     return MoeForward(logits=_eval_mixture(model, latents, decision),
-                      decision=decision, gate_probs=probs, latents=latents)
+                      decision=decision, latents=latents)
 
 
 def _eval_mixture(model: NmoeModel, latents: np.ndarray,
@@ -333,9 +332,8 @@ def _moe_forward_random(model: NmoeModel, batch: np.ndarray, k: int,
             idx[i] = rng.choice(m, size=k, replace=False, p=gate.distribution)
     weights = np.full((n, k), 1.0 / k)
     decision = GateDecision(indices=idx, weights=weights)
-    probs = np.tile(gate.distribution, (n, 1))
     return MoeForward(logits=_eval_mixture(model, latents, decision),
-                      decision=decision, gate_probs=probs, latents=latents)
+                      decision=decision, latents=latents)
 
 
 def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
@@ -352,8 +350,9 @@ def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
 
     Returns (loss, dlogits, gate_grads, dgate_logits): dlogits is the
     gradient on the mixture's logits, which the experts' backward reads;
-    gate_grads holds w0 and b0; dgate_logits, times w0 transposed, is the
-    gate's share of the latent gradient.
+    gate_grads holds w0 and b0 in one buffer of the gate's layout;
+    dgate_logits, times w0 transposed, is the gate's share of the latent
+    gradient.
 
     A stack of g gates takes (g, ...) latents, probs, idx and labels and
     (g, k, rows, classes) chosen, and gives g losses and stacked
@@ -371,10 +370,13 @@ def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
         dprob[(*at, idx[..., s])] += np.sum(
             dlogits * chosen[..., s, :, :], axis=-1)
     dgate_logits = softmax_backward(probs, dprob)
-    grads = ParamSet({"w0": np.swapaxes(latents, -1, -2) @ dgate_logits,
-                      "b0": dgate_logits.sum(axis=-2)},
-                     stacked=latents.ndim > 2)
-    return ce + lambda_load * lb, dlogits, grads, dgate_logits
+    layout = gate_spec(latents.shape[-1], probs.shape[-1]).layout
+    flat = np.empty(latents.shape[:-2] + (layout.size,))
+    grads = layout.views(flat)
+    np.matmul(np.swapaxes(latents, -1, -2), dgate_logits, out=grads["w0"])
+    np.sum(dgate_logits, axis=-2, out=grads["b0"])
+    return (ce + lambda_load * lb, dlogits, ParamSet.from_flat(layout, flat),
+            dgate_logits)
 
 
 # ---------------------------------------------------------------------------

@@ -79,19 +79,19 @@ class ParamSet:
     read-only flat buffer.
 
     The buffer is (P,) for one network, or (g, P) for a stack of g
-    networks of one layout (stack_params, or stacked=True here), one
-    network's P values after another's. Each named array is a zero-copy
-    read-only view into it, of its layout shape or (g, *shape). Two sets
-    are shape-compatible when they share a layout and stack shape; the
-    arithmetic helpers below require that and work on whole buffers. The
-    constructor copies its arrays; with stacked=True each array carries
-    a leading axis of g networks.
+    networks of one layout (stack_params, or from_flat over a (g, P)
+    buffer), one network's P values after another's. Each named array is
+    a zero-copy read-only view into it, of its layout shape or
+    (g, *shape). Two sets are shape-compatible when they share a layout
+    and stack shape; the arithmetic helpers below require that and work
+    on whole buffers. The constructor copies its arrays into a (P,)
+    buffer.
     """
 
     __slots__ = ("_layout", "_flat", "_views")
 
     def __init__(self, arrays: Mapping[str, np.ndarray] |
-                 Iterable[tuple[str, np.ndarray]], *, stacked: bool = False):
+                 Iterable[tuple[str, np.ndarray]]):
         items = arrays.items() if isinstance(arrays, Mapping) else arrays
         store: dict[str, np.ndarray] = {}
         for name, value in items:
@@ -100,14 +100,11 @@ class ParamSet:
             store[name] = np.asarray(value, dtype=np.float64)
         if not store:
             raise InternalError("empty parameter set")
-        lead = next(iter(store.values())).shape[:int(stacked)]
-        if any(a.shape[:len(lead)] != lead for a in store.values()):
-            raise InternalError("stacked arrays disagree on the stack size")
-        layout = _layout_of(tuple((name, a.shape[len(lead):])
+        layout = _layout_of(tuple((name, a.shape)
                                  for name, a in store.items()))
-        flat = np.empty(lead + (layout.size,))
+        flat = np.empty(layout.size)
         for span, a in zip(layout.spans, store.values()):
-            flat[..., span] = a.reshape(lead + (-1,))
+            flat[span] = a.reshape(-1)
         self._set(layout, flat)
 
     def _set(self, layout: Layout, flat: np.ndarray) -> None:

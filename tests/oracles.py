@@ -164,15 +164,26 @@ def _is_stack(params: ParamSet) -> bool:
     return params.stack_shape != ()
 
 
+def param_set(arrays, stacked: bool) -> ParamSet:
+    """A set of the given (name, array) pairs or mapping; when stacked,
+    every array carries a leading axis of g networks and the set is their
+    (g, P) buffer, each network's arrays concatenated in name order."""
+    items = list(arrays.items() if isinstance(arrays, dict) else arrays)
+    if not stacked:
+        return ParamSet(items)
+    layout = ParamSet((name, a[0]) for name, a in items).layout
+    return ParamSet.from_flat(layout, np.concatenate(
+        [np.reshape(a, (len(a), -1)) for _, a in items], axis=1))
+
+
 def per_array_sgd_step(params: ParamSet, grads: ParamSet, lr: float):
     p, g = _arrays(params), _arrays(grads)
-    return ParamSet(((n, p[n] - lr * g[n]) for n in p),
-                    stacked=_is_stack(params))
+    return param_set(((n, p[n] - lr * g[n]) for n in p), _is_stack(params))
 
 
 def per_array_add_params(a: ParamSet, b: ParamSet):
     x, y = _arrays(a), _arrays(b)
-    return ParamSet(((n, x[n] + y[n]) for n in x), stacked=_is_stack(a))
+    return param_set(((n, x[n] + y[n]) for n in x), _is_stack(a))
 
 
 def per_array_grad_normalize(grads: ParamSet, max_norm: float):
@@ -184,9 +195,9 @@ def per_array_grad_normalize(grads: ParamSet, max_norm: float):
     if (total <= max_norm).all():
         return grads
     scale = max_norm / np.maximum(total, max_norm)
-    return ParamSet(
+    return param_set(
         ((n, a * scale.reshape(a.shape[:lead] + (1,) * (a.ndim - lead)))
-         for n, a in arrays.items()), stacked=stacked)
+         for n, a in arrays.items()), stacked)
 
 
 def per_array_fedavg(param_sets, weights):
@@ -197,13 +208,13 @@ def per_array_fedavg(param_sets, weights):
     for i, ps in enumerate(sets[1:], start=1):
         for name, arr in _arrays(ps).items():
             acc[name] = acc[name] + norm[i] * arr
-    return ParamSet(acc, stacked=_is_stack(sets[0]))
+    return param_set(acc, _is_stack(sets[0]))
 
 
 def per_array_stack_params(sets):
     sets = list(sets)
-    return ParamSet(((n, np.stack([ps[n] for ps in sets]))
-                     for n in sets[0].names), stacked=True)
+    return param_set(((n, np.stack([ps[n] for ps in sets]))
+                      for n in sets[0].names), True)
 
 
 def per_array_unstack_params(stacked: ParamSet):

@@ -9,7 +9,7 @@ from nmoe import kernels, seeding
 from nmoe.datasets import AugmentSpec, Dataset, Shard, gen_synthetic, partition_noniid
 from nmoe.errors import ConfigError, DataError, TrainingError
 from nmoe.federated import (FedRoundReport, Stage1Result,
-                            _frozen_latents, _routed_logits, _view_grad,
+                            _routed_logits, _view_grad,
                             centralized_classifier, centralized_gate,
                             centralized_spectral, classifier_round_bytes,
                             compute_correlation_share, fedavg,
@@ -774,6 +774,28 @@ GATE_CASES = [(1, 1), (2, 1), (2, 2), (5, 1), (5, 2), (5, 3), (40, 1),
               (40, 2), (40, 3)]
 
 
+def test_fedgate_memory_grows_quadratically():
+    """Doubling the clients, and with them the experts and classes,
+    about quadruples stage 3's traced peak: the latents and labels grow
+    with the clients, a round's routed logits with participants times
+    classes, and nothing with clients x experts x classes. 47-row shards
+    leave 15 rows past the last TILE-aligned one, so most batches route
+    tail rows."""
+    def peak(m):
+        clients = random_clients(m, (47,), m)
+        setup = gate_setup(m, m, depth=1)
+        tracemalloc.start()
+        try:
+            stage3_fedgate(clients, *setup, rounds=1, local_epochs=1,
+                           lr=0.1, lambda_load=0.05, client_fraction=1.0,
+                           grad_max_norm=0.5, k=1, seed=2, batch_size=16)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) < 4 * peak(16)
+
+
 @pytest.mark.parametrize("classes", [10, 40])
 @pytest.mark.parametrize("num_clients,k", GATE_CASES)
 @pytest.mark.parametrize("sizes", FEDGATE_SIZES)
@@ -843,13 +865,12 @@ def test_centralized_gate_matches_logit_cache(n, batch_size, num_experts, k,
        st.data())
 def test_routed_logits_match_full_forward(seed, shards, n, classes, depth,
                                           num_experts, data):
-    """_routed_logits of any picks, stacked or not, equal the gather from
-    every expert's forward over the whole shard."""
+    """_routed_logits of any picks, for a stack of gates over several
+    shards or one gate over one shard (centralized_gate's call), equal
+    the gather from every expert's forward over the whole shard."""
     rng = np.random.default_rng(seed)
     _, _, spec, experts, _ = gate_setup(num_experts, classes, depth)
     latents = rng.normal(size=(shards, n, 32))
-    _, tails = _frozen_latents(*identity_extractor(32), spec, experts,
-                               latents)
     cache = np.stack([[forward(spec, e, shard) for e in experts]
                       for shard in latents])
     k = data.draw(st.integers(1, num_experts))
@@ -858,12 +879,12 @@ def test_routed_logits_match_full_forward(seed, shards, n, classes, depth,
     rows = rng.permutation(n)[:b]
     idx = np.argsort(rng.random(size=(g, b, num_experts)), axis=-1)[..., :k]
     owners = rng.integers(0, shards, size=g)
-    got = _routed_logits(spec, experts, latents, tails, owners, rows, idx)
+    got = _routed_logits(spec, experts, latents, owners, rows, idx)
     assert np.array_equal(
         got, cache[owners[:, None, None], idx.swapaxes(-1, -2), rows])
-    got = _routed_logits(spec, experts, latents[0], tails[0], None, rows,
-                         idx[0])
-    assert np.array_equal(got, cache[0][idx[0].T, rows])
+    got = _routed_logits(spec, experts, latents[:1], np.zeros(1, np.int64),
+                         rows, idx[:1])
+    assert np.array_equal(got[0], cache[0][idx[0].T, rows])
 
 
 def scale_features(clients, scale, which=(1,)):

@@ -15,7 +15,7 @@ from nmoe.numerics import (MlpSpec, ParamSet, add_params, backward,
                            softmax_backward, stack_params, unstack_params)
 from oracles import (finite_difference, finite_difference_params,
                      max_relative_error, max_relative_error_params,
-                     per_array_add_params, per_array_fedavg,
+                     param_set, per_array_add_params, per_array_fedavg,
                      per_array_grad_normalize, per_array_sgd_step,
                      per_array_stack_params, per_array_unstack_params,
                      same_bits, same_param_bits)
@@ -58,15 +58,11 @@ class TestParamSet:
         # the same (2, 3) arrays, laid out as one network or as a stack
         # of two, are different buffers
         single = ParamSet({"w": np.ones((2, 3)), "b": np.ones(2)})
-        stack = ParamSet({"w": np.ones((2, 3)), "b": np.ones(2)},
-                         stacked=True)
+        row = ParamSet({"w": np.ones(3), "b": np.ones(())})
+        stack = stack_params([row, row])
         assert stack.stack_shape == (2,) and single.stack_shape == ()
         with pytest.raises(ConfigError, match="stack shapes"):
             check_compatible(single, stack)
-
-    def test_stacked_arrays_must_agree_on_the_stack(self):
-        with pytest.raises(InternalError):
-            ParamSet({"w": np.ones((2, 3)), "b": np.ones(3)}, stacked=True)
 
     def test_one_layout_per_topology(self):
         a = mlp((4, 3, 2), (R, I), seed=0)[1]
@@ -431,7 +427,7 @@ def _random_set(rng, widths, g, special=None):
         name = list(arrays)[rng.integers(len(arrays))]
         flat = arrays[name].reshape(-1)
         flat[rng.integers(flat.size)] = special
-    return ParamSet(arrays, stacked=g is not None)
+    return param_set(arrays, g is not None)
 
 
 param_shapes = st.tuples(
@@ -474,9 +470,9 @@ def test_flat_grad_normalize_matches_per_array(shape, special, factor,
     rng = np.random.default_rng(seed)
     grads = _random_set(rng, widths, g, special)
     if g is not None:
-        grads = ParamSet(((n, a * np.reshape(slice_scales[:g],
-                                             (g,) + (1,) * (a.ndim - 1)))
-                          for n, a in grads.items()), stacked=True)
+        grads = param_set(((n, a * np.reshape(slice_scales[:g],
+                                              (g,) + (1,) * (a.ndim - 1)))
+                           for n, a in grads.items()), True)
     first = grads.flat if g is None else grads.flat[0]
     norm = float(np.sqrt(np.sum(first * first)))
     max_norm = norm * factor if 0.0 < norm < np.inf else factor
