@@ -16,13 +16,15 @@ bit (the centralized_* functions share the epoch helpers and the same
 derivations). Correlation noise and pseudo-label assignment keep
 per-client streams.
 
-Clients that share a stream run stacked: clients whose shards have equal
-sizes draw the same batch rows (in FedSC the same augmentations, in
-FedGate the same gate noise), so FedCE, FedSC, stage 2, FedGate and the
-FedAvg-classifier baseline train each such group as one computation over
-a leading client axis, a stacked ParamSet stepped by batched matmuls.
-Every slice gets the bits its own per-client loop would give; in
-FedGate only the top-k picks and balance terms differ per slice.
+A federation's train shards share one size, which every stage checks
+(the partition gives every client the same number of train rows). Since
+clients share a stream, they draw the same batch rows (in FedSC the same
+augmentations, in FedGate the same gate noise), so FedCE, FedSC, stage
+2, FedGate and the FedAvg-classifier baseline train all their clients,
+or a round's participants, as one computation over a leading client
+axis: one stacked ParamSet stepped by batched matmuls. Every slice gets
+the bits its own per-client loop would give; in FedGate only the top-k
+picks and balance terms differ per slice.
 RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
@@ -165,9 +167,9 @@ def _check_clients(clients) -> None:
     ids = [s.client_id for s in clients]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
-    for s in clients:
-        if s.train.num_samples == 0:
-            raise DataError(f"client {s.client_id} has an empty train shard")
+    sizes = sorted({s.train.num_samples for s in clients})
+    if len(sizes) > 1:
+        raise DataError(f"train shards must share one size, got {sizes}")
 
 
 def _check_schedule(rounds: int, epochs: int, lr: float,
@@ -188,31 +190,16 @@ def _check_finite(loss: float, stage: str, client: int, round_index: int):
             f"round {round_index}")
 
 
-def _size_groups(clients) -> list[list[int]]:
-    """Client positions grouped by train-shard size, groups in order of
-    first appearance. One group shares every local-training draw."""
-    groups: dict[int, list[int]] = {}
-    for c, shard in enumerate(clients):
-        groups.setdefault(shard.train.num_samples, []).append(c)
-    return list(groups.values())
-
-
-def _stack_train(clients, members, field):
-    """One field of the given clients' train shards, "features" or
-    "labels", stacked along a leading client axis."""
-    return np.stack([getattr(clients[c].train, field) for c in members])
-
-
-def _stack_shards(clients, members):
-    """(features, labels) of the given clients' train shards stacked
+def _stack_shards(clients):
+    """(features, labels) of the clients' equal-size train shards stacked
     along a leading client axis."""
-    return (_stack_train(clients, members, "features"),
-            _stack_train(clients, members, "labels"))
+    return (np.stack([s.train.features for s in clients]),
+            np.stack([s.train.labels for s in clients]))
 
 
 def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
                     datasets) -> np.ndarray:
-    """The frozen extractor's latents of equal-size datasets, (G, n, d):
+    """The frozen extractor's latents of equal-size datasets, (m, n, d):
     each dataset's forward, written into its slice of one preallocated
     array."""
     latents = np.empty((len(datasets), datasets[0].num_samples,
@@ -222,56 +209,37 @@ def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
     return latents
 
 
-def _client_order(groups, per_group) -> list:
-    """Per-group sequences, one entry per member, merged into one list in
-    client order."""
-    out = [None] * sum(len(members) for members in groups)
-    for members, values in zip(groups, per_group):
-        for c, value in zip(members, values):
-            out[c] = value
-    return out
-
-
-def _lockstep_round(groups, train_group):
-    """One round of local training, one group of equal-size shards at a
-    time.
-
-    train_group(j, members) trains group j as one stack and returns its
-    (g, ...) ParamSet with one loss array per local epoch. Returns the
-    trained sets and the epoch losses of every client in client order.
-    """
-    trained, losses = [], []
-    for j, members in enumerate(groups):
-        stack, epoch_losses = train_group(j, members)
-        trained.append(unstack_params(stack))
-        losses.append([[float(loss[i]) for loss in epoch_losses]
-                       for i in range(len(members))])
-    return _client_order(groups, trained), _client_order(groups, losses)
+def _client_losses(epoch_losses) -> list[list[float]]:
+    """One (g,) loss array per epoch turned into g per-client lists of
+    epoch losses."""
+    return np.stack(epoch_losses, axis=-1).tolist()
 
 
 def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
                    train_round, round_bytes, client_loss=np.mean):
     """Rounds of federated averaging starting from params.
 
-    train_round(r, params) trains round r's participants from params and
-    returns their positions in clients, their trained sets and their
-    epoch losses, all in client order. The losses are checked in that
-    order, so a divergence names the client a per-client loop would have
-    stopped at; the sets are averaged by shard size. round_bytes(r, n,
-    size) gives the round's traffic for n participants and a model of
-    size scalars; client_loss reduces a client's epoch losses for the
-    report. Returns the final params and the reports.
+    train_round(r, params) trains round r's participants from params as
+    one stack and returns their positions in clients, in client order,
+    the trained (g, ...) ParamSet and one (g,) loss array per local
+    epoch. The losses are checked client by client, so a divergence
+    names the client a per-client loop would have stopped at; the slices
+    are averaged by shard size. round_bytes(r, n, size) gives the round's
+    traffic for n participants and a model of size scalars; client_loss
+    reduces a client's epoch losses for the report. Returns the final
+    params and the reports.
     """
     sizes = [float(s.train.num_samples) for s in clients]
     reports = []
     for r in range(rounds):
         t0 = time.perf_counter()
-        positions, trained, losses = train_round(r, params)
+        positions, stack, epoch_losses = train_round(r, params)
         ids = [clients[c].client_id for c in positions]
+        losses = _client_losses(epoch_losses)
         for client, client_losses in zip(ids, losses):
             for loss in client_losses:
                 _check_finite(loss, stage, client, r)
-        params = fedavg(trained, [sizes[c] for c in positions])
+        params = fedavg(unstack_params(stack), [sizes[c] for c in positions])
         reports.append(FedRoundReport(
             stage=stage, round_index=r, participants=tuple(ids),
             client_losses={c: float(client_loss(v))
@@ -490,25 +458,23 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
         raise ConfigError(
             f"head input width {head_spec.in_width} does not match the "
             f"extractor output {fe_spec.out_width}")
-    groups = _size_groups(clients)
-    data = [_stack_shards(clients, members) for members in groups]
+    m = len(clients)
+    features, labels = _stack_shards(clients)
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
-    heads = [stack_params([head0] * len(members)) for members in groups]
+    heads = stack_params([head0] * m)
 
     def train_round(r, fe):
-        def train_group(j, members):
-            rng = derive_rng(seed, seeding.STAGE1, r, 0)
-            fe_g = stack_params([fe] * len(members))
-            epoch_losses = []
-            for _ in range(local_epochs):
-                fe_g, heads[j], loss = _sgd_classifier_epoch(
-                    fe_spec, fe_g, head_spec, heads[j], *data[j], lr,
-                    batch_size, rng)
-                epoch_losses.append(loss)
-            return fe_g, epoch_losses
-
-        return range(len(clients)), *_lockstep_round(groups, train_group)
+        nonlocal heads
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        fe_g = stack_params([fe] * m)
+        epoch_losses = []
+        for _ in range(local_epochs):
+            fe_g, heads, loss = _sgd_classifier_epoch(
+                fe_spec, fe_g, head_spec, heads, features, labels, lr,
+                batch_size, rng)
+            epoch_losses.append(loss)
+        return range(m), fe_g, epoch_losses
 
     fe, reports = _fedavg_rounds(
         "stage1_fedce", clients,
@@ -516,8 +482,8 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
                                             seeding.INIT_EXTRACTOR, 0)),
         rounds, train_round,
         lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar))
-    heads = _client_order(groups, [unstack_params(h) for h in heads])
-    return Stage1Result(fe_params=fe, heads=tuple(heads), reports=reports)
+    return Stage1Result(fe_params=fe, heads=tuple(unstack_params(heads)),
+                        reports=reports)
 
 
 def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
@@ -531,21 +497,19 @@ def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
     given epochs, every client drawing from round_rng(r); a report's
     client losses hold each client's last-epoch loss.
     """
-    groups = _size_groups(clients)
-    data = [_stack_shards(clients, members) for members in groups]
+    _check_clients(clients)
+    m = len(clients)
+    features, labels = _stack_shards(clients)
 
     def train_round(r, params):
-        def train_group(j, members):
-            rng = round_rng(r)
-            params_g = stack_params([params] * len(members))
-            epoch_losses = []
-            for _ in range(local_epochs):
-                params_g, loss = _sgd_head_epoch(
-                    spec, params_g, *data[j], lr, batch_size, rng)
-                epoch_losses.append(loss)
-            return params_g, epoch_losses
-
-        return range(len(clients)), *_lockstep_round(groups, train_group)
+        rng = round_rng(r)
+        stack = stack_params([params] * m)
+        epoch_losses = []
+        for _ in range(local_epochs):
+            stack, loss = _sgd_head_epoch(spec, stack, features, labels, lr,
+                                          batch_size, rng)
+            epoch_losses.append(loss)
+        return range(m), stack, epoch_losses
 
     return _fedavg_rounds(
         "baseline_fedavg_classifier", clients, params, rounds, train_round,
@@ -566,8 +530,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     augmented view pairs; extractors are averaged by shard size. A lone
     client sees a zero aggregate, which reduces the loss to its
     single-client form. Every client derives the same local-training
-    stream, so clients with equal shard sizes draw the same batch orders
-    and augmentations and train as one stack.
+    stream over a shard of the same size, so all clients draw the same
+    batch orders and augmentations and train as one stack.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -582,9 +546,7 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                             "clients; weights must be normalized")
     d = fe_spec.out_width
     ids = np.arange(m)
-    groups = _size_groups(clients)
-    features = [_stack_train(clients, members, "features")
-                for members in groups]
+    features = np.stack([s.train.features for s in clients])
 
     def train_round(r, fe):
         shares = [
@@ -603,18 +565,15 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                 rbars[ids != i] += q[i] * share
             rbars /= (1.0 - q)[:, None, None]
 
-        def train_group(j, members):
-            rng = derive_rng(seed, seeding.STAGE1, r, 0)
-            fe_g = stack_params([fe] * len(members))
-            epoch_losses = []
-            for _ in range(local_epochs):
-                fe_g, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_g, features[j], aug_spec, rbars[members],
-                    q[members], lr, batch_size, rng)
-                epoch_losses.append(loss)
-            return fe_g, epoch_losses
-
-        return range(m), *_lockstep_round(groups, train_group)
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        fe_g = stack_params([fe] * m)
+        epoch_losses = []
+        for _ in range(local_epochs):
+            fe_g, loss = _sgd_spectral_epoch(
+                fe_spec, fe_g, features, aug_spec, rbars, q, lr, batch_size,
+                rng)
+            epoch_losses.append(loss)
+        return range(m), fe_g, epoch_losses
 
     fe, reports = _fedavg_rounds(
         "stage1_fedsc", clients,
@@ -640,32 +599,24 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
             f"the extractor output {fe_spec.out_width}")
     fe_before = params_digest(fe_params)
     rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
-    experts = [init_mlp_params(expert_spec, rng) for _ in clients]
-    groups = _size_groups(clients)
-    data = [(_frozen_latents(fe_spec, fe_params,
-                             [clients[c].train for c in members]),
-             _stack_train(clients, members, "labels")) for members in groups]
-    stacks = [stack_params([experts[c] for c in members])
-              for members in groups]
-    # one stream per group, carried across epochs like each client's own
-    rngs = [derive_rng(seed, seeding.STAGE2, 0, 0) for _ in groups]
+    stack = stack_params(init_mlp_params(expert_spec, rng) for _ in clients)
+    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
+    labels = np.stack([s.train.labels for s in clients])
+    # one stream, carried across epochs like each client's own
+    rng = derive_rng(seed, seeding.STAGE2, 0, 0)
     reports = []
     for epoch in range(epochs):
         t0 = time.perf_counter()
-
-        def train_group(j, members):
-            stacks[j], loss = _sgd_head_epoch(
-                expert_spec, stacks[j], *data[j], lr, batch_size, rngs[j])
-            return stacks[j], [loss]
-
-        experts, losses = _lockstep_round(groups, train_group)
+        stack, loss = _sgd_head_epoch(expert_spec, stack, latents, labels, lr,
+                                      batch_size, rng)
+        losses = loss.tolist()
         for shard, v in zip(clients, losses):
-            _check_finite(v[0], "stage2_experts", shard.client_id, epoch)
+            _check_finite(v, "stage2_experts", shard.client_id, epoch)
+        experts = unstack_params(stack)
         reports.append(FedRoundReport(
             stage="stage2_experts", round_index=epoch,
             participants=tuple(s.client_id for s in clients),
-            client_losses={s.client_id: v[0]
-                           for s, v in zip(clients, losses)},
+            client_losses={s.client_id: v for s, v in zip(clients, losses)},
             params_digest=_digest_group(experts),
             bytes_sent=0, wall_clock=time.perf_counter() - t0))
     if params_digest(fe_params) != fe_before:
@@ -771,12 +722,13 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
                     grad_max_norm: float, batch_size: int,
                     rng: np.random.Generator):
     """One FedGate epoch of a stack of g gates (stack_params of a
-    GateParams' params) over a size group's G shards: latents (G, n, d)
-    and labels (G, n). Slice i trains on shard owners[i], every slice on
-    the same rows and noise. Each batch is routed (_route), its routed
-    experts' logits computed (_routed_logits), and the loss and gate
-    gradient taken by moe_backward, the objective the centralized mixture
-    trains with too; gradients are normalized before each step.
+    GateParams' params) over the federation's m equal-size shards:
+    latents (m, n, d) and labels (m, n). Slice i trains on shard
+    owners[i], every slice on the same rows and noise. Each batch is
+    routed (_route), its routed experts' logits computed
+    (_routed_logits), and the loss and gate gradient taken by
+    moe_backward, the objective the centralized mixture trains with too;
+    gradients are normalized before each step.
 
     Experts are frozen, but no table of their logits is kept: each batch
     computes only its k routed slots, (g, k, rows, classes), with
@@ -821,7 +773,7 @@ TILE = 16
 def _routed_logits(expert_spec, experts, latents, owners, rows, idx):
     """The routed experts' logits, (g, k, b, classes) for picks idx of
     shape (g, b, k): slot s of row j in slice i holds expert idx[i, j, s]
-    on row rows[j] of shard owners[i] of latents (G, n, d), with the
+    on row rows[j] of shard owners[i] of latents (m, n, d), with the
     bits of that expert's forward over the whole shard.
 
     Rows below the shard's last multiple of TILE run as one forward per
@@ -879,10 +831,10 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     Each round samples ceil(client_fraction * m) participants without
     replacement; each trains the gate on its shard through the same top-k
     path used at inference, and the results are averaged by shard size.
-    Participants with equal shard sizes share the round's stream, so each
-    such group trains as one stack. Training is hosted where all experts
-    are available, so their one-time shipping cost lands in the first
-    round's bytes.
+    The participants share the round's stream and train as one stack,
+    slice i on the latents of participant i. Training is hosted where all
+    experts are available, so their one-time shipping cost lands in the
+    first round's bytes.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -897,38 +849,24 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise ConfigError(f"got {len(experts)} experts for {m} clients")
     fe_before = params_digest(fe_params)
     experts_before = _digest_group(experts)
-    # every client's position: its size group and its slot in that group
-    size_groups = _size_groups(clients)
-    where = {c: (j, i) for j, members in enumerate(size_groups)
-             for i, c in enumerate(members)}
-    shards = [(_frozen_latents(fe_spec, fe_params,
-                               [clients[c].train for c in members]),
-               _stack_train(clients, members, "labels"))
-              for members in size_groups]
+    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
+    labels = np.stack([s.train.labels for s in clients])
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
 
     def train_round(r, params):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
         participants = np.sort(sched.choice(m, size=count, replace=False))
-        groups = _size_groups([clients[c] for c in participants])
-
-        def train_group(_, positions):
-            j = where[int(participants[positions[0]])][0]
-            owners = np.array([where[int(participants[p])][1]
-                               for p in positions])
-            rng = derive_rng(seed, seeding.STAGE3, r, 0)
-            params_g = stack_params([params] * len(owners))
-            epoch_losses = []
-            for _ in range(local_epochs):
-                params_g, loss = _sgd_gate_epoch(
-                    params_g, gate_init.noise_std, *shards[j], owners,
-                    expert_spec, experts, k, lr, lambda_load, grad_max_norm,
-                    batch_size, rng)
-                epoch_losses.append(loss)
-            return params_g, epoch_losses
-
-        return participants, *_lockstep_round(groups, train_group)
+        rng = derive_rng(seed, seeding.STAGE3, r, 0)
+        stack = stack_params([params] * count)
+        epoch_losses = []
+        for _ in range(local_epochs):
+            stack, loss = _sgd_gate_epoch(
+                stack, gate_init.noise_std, latents, labels, participants,
+                expert_spec, experts, k, lr, lambda_load, grad_max_norm,
+                batch_size, rng)
+            epoch_losses.append(loss)
+        return participants, stack, epoch_losses
 
     params, reports = _fedavg_rounds(
         "stage3_fedgate", clients, gate_init.params, rounds, train_round,
@@ -997,7 +935,7 @@ def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
                      lr: float, lambda_load: float, grad_max_norm: float,
                      k: int, seed: int, *, batch_size: int = 64):
     """Gate-training counterpart of stage3_fedgate on one dataset: a
-    stack of one gate trained on a group of one shard."""
+    stack of one gate trained on one shard."""
     _check_schedule(rounds, local_epochs, lr, batch_size)
     latents = _frozen_latents(fe_spec, fe_params, [train])
     params = stack_params([gate_init.params])

@@ -222,15 +222,15 @@ def gate_topk(latents: np.ndarray, gate: GateParams, k: int,
     return GateDecision(indices=idx, weights=weights), probs
 
 
-def load_balance_loss(probs: np.ndarray, validate: bool = True
+def load_balance_loss(probs: np.ndarray
                       ) -> tuple[float | np.ndarray, np.ndarray]:
     """Balance penalty m * sum_i f_i * P_i over gate probabilities.
 
     f_i is the fraction of rows whose argmax is expert i (ties toward the
     lowest index) and carries no gradient; P_i is the column mean. The
     multiplier is the expert count m, which puts the minimum at 1 for
-    uniform routing. Pass validate=False to skip the probability-row
-    check (finite-difference probes perturb single entries).
+    uniform routing. Rows must be probability vectors, to within the
+    tolerance of np.allclose.
 
     The sum runs over routed experts only: an expert with f_i = 0 adds an
     exact 0.0 for finite probabilities, so the loss equals the sum over
@@ -244,11 +244,10 @@ def load_balance_loss(probs: np.ndarray, validate: bool = True
     if p.ndim < 2 or p.shape[-2] < 1:
         raise DataError(f"expected a nonempty 2-d array, got shape {p.shape}")
     n, m = p.shape[-2:]
-    if validate:
-        # np.allclose(row_sums, 1.0, atol=1e-6) written out; NaN fails
-        err = np.abs(p.sum(axis=-1) - 1.0)
-        if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
-            raise DataError("rows must be probability vectors")
+    # np.allclose(row_sums, 1.0, atol=1e-6) written out; NaN fails
+    err = np.abs(p.sum(axis=-1) - 1.0)
+    if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
+        raise DataError("rows must be probability vectors")
     mult = float(m)
     stack = p.reshape(-1, n, m)
     g = stack.shape[0]

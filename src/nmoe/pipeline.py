@@ -33,8 +33,8 @@ from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, stage1_fedce,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
                         stage3_rangate, stage3_rollgate, _batches,
-                        _check_finite, _lockstep_round, _sgd_head_epoch,
-                        _size_groups, _stack_shards)
+                        _check_clients, _check_finite, _client_losses,
+                        _sgd_head_epoch, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, _route, init_gate_params,
                   moe_backward, save_model)
@@ -402,37 +402,32 @@ def train_centralized_moe(config: RunConfig, shards
 def train_local_classifiers(config: RunConfig, shards
                             ) -> tuple[dict, list[float]]:
     """One classifier per client on its own shard, from per-client init
-    and batch-order streams. Clients with equal shard sizes train as one
-    stack, each drawing its own batch rows. Returns the parameters by
-    client id and each client's last-epoch loss, in client order."""
+    and batch-order streams. The clients' equal-size shards train as one
+    stack, each slice drawing its own batch rows. Returns the parameters
+    by client id and each client's last-epoch loss, in client order."""
+    _check_clients(shards)
     spec = _combined_spec(config)
-    epochs = config.baselines.epochs
-
-    def train_group(_, members):
-        ids = [shards[c].client_id for c in members]
-        params = stack_params(
-            init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
-                                             _BASE_LOCAL_INIT, c))
-            for c in ids)
-        rngs = [derive_rng(config.seed, seeding.BASELINE,
-                           _BASE_LOCAL_TRAIN, c) for c in ids]
-        features, labels = _stack_shards(shards, members)
-        epoch_losses = []
-        for _ in range(epochs):
-            params, loss = _sgd_head_epoch(
-                spec, params, features, labels, config.baselines.lr,
-                config.batch_size, rngs)
-            epoch_losses.append(loss)
-        return params, epoch_losses
-
-    trained, losses = _lockstep_round(_size_groups(shards), train_group)
+    ids = [s.client_id for s in shards]
+    params = stack_params(
+        init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
+                                         _BASE_LOCAL_INIT, c))
+        for c in ids)
+    rngs = [derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
+            for c in ids]
+    features, labels = _stack_shards(shards)
+    epoch_losses = []
+    for _ in range(config.baselines.epochs):
+        params, loss = _sgd_head_epoch(
+            spec, params, features, labels, config.baselines.lr,
+            config.batch_size, rngs)
+        epoch_losses.append(loss)
+    losses = _client_losses(epoch_losses)
     # client by client, epoch by epoch: the first failure a per-client
     # loop would have stopped at
-    for shard, client_losses in zip(shards, losses):
+    for c, client_losses in zip(ids, losses):
         for epoch, loss in enumerate(client_losses):
-            _check_finite(loss, "baseline_local_classifier",
-                          shard.client_id, epoch)
-    return ({s.client_id: p for s, p in zip(shards, trained)},
+            _check_finite(loss, "baseline_local_classifier", c, epoch)
+    return (dict(zip(ids, unstack_params(params))),
             [v[-1] for v in losses])
 
 

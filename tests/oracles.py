@@ -276,11 +276,11 @@ def same_param_bits(a: ParamSet, b: ParamSet) -> bool:
 
 # ---------------------------------------------------------------------------
 # per-client federated loops: each client trains on its own 2-d arrays, one
-# client after another, as the package did before it stacked clients of
-# equal shard size. They return (params_digest, client_losses) per round.
-# They run the package's 2-d epoch helpers, so what they check is the
-# stacking (group streams, per-slice reductions, aggregation order), not
-# the epoch arithmetic, which the gradient tests cover.
+# client after another, as the package did before it stacked its clients.
+# They return (params_digest, client_losses) per round. They run the
+# package's 2-d epoch helpers, so what they check is the stacking (shared
+# streams, per-slice reductions, aggregation order), not the epoch
+# arithmetic, which the gradient tests cover.
 
 def _derive(seed, component, round_index):
     return derive_rng(seed, component, round_index, 0)

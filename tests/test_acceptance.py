@@ -131,7 +131,7 @@ def test_criterion_01_gradients_match_finite_differences():
             continue  # a flipping argmax would break the probe
         _, dprobs = load_balance_loss(probs)
         fd = finite_difference(
-            lambda p: load_balance_loss(p, validate=False)[0], probs)
+            lambda p: load_balance_loss(p)[0], probs)
         assert max_relative_error(dprobs, fd) < FD_TOL
         done += 1
 

@@ -217,6 +217,25 @@ class TestPartition:
             counts = np.bincount(s.test.labels, minlength=10)
             assert counts.tolist() == [10] * 10
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.data(),
+           st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 40),
+           st.integers(1, 40), st.sampled_from(["matched", "iid"]),
+           st.integers(0, 2**31 - 1))
+    def test_every_shard_has_the_requested_sizes(self, classes, data, tau,
+                                                 train, test, test_dist,
+                                                 seed):
+        # the stages train all clients as one stack, which needs every
+        # train shard, and so the partition, to give each client the
+        # same row counts
+        num_clients = data.draw(st.integers(1, classes))
+        source = self.make_data(per_class=2 * (train + test + classes),
+                                classes=classes, dim=2)
+        shards = partition_noniid(source, num_clients, tau, train, test,
+                                  seed, test_distribution=test_dist)
+        assert [(s.train.num_samples, s.test.num_samples)
+                for s in shards] == [(train, test)] * num_clients
+
     def test_deficit_reported(self):
         data = self.make_data(per_class=100)
         with pytest.raises(DataError, match="class"):

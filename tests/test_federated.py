@@ -13,6 +13,7 @@ from nmoe.federated import (FedRoundReport, Stage1Result,
                             centralized_classifier, centralized_gate,
                             centralized_spectral, classifier_round_bytes,
                             compute_correlation_share, fedavg,
+                            fedavg_classifier,
                             fedgate_round_bytes, fedgate_setup_bytes,
                             rollgate_pass_bytes, rollgate_pseudo_labels,
                             spectral_contrastive_local_loss,
@@ -329,27 +330,24 @@ class TestStage1FedSC:
         last = np.mean(list(result.reports[-1].client_losses.values()))
         assert last < first
 
-    def test_per_round_pins_with_two_shard_sizes(self):
-        # two clients of 60 samples share one draw plan per round, the
-        # third (45 samples) gets its own; values recorded before the
-        # plans were shared
-        clients = make_clients(3, 0.4)
-        short = clients[2]
-        clients[2] = Shard(short.client_id,
-                           short.train.take(np.arange(45)), short.test)
+    def test_per_round_pins_on_45_row_shards(self):
+        # 45 rows leave a 13-row last batch; values recorded before the
+        # clients trained as one stack
+        clients = [Shard(s.client_id, s.train.take(np.arange(45)), s.test)
+                   for s in make_clients(3, 0.4)]
         result = stage1_fedsc(clients, self.fe_spec, rounds=3,
                               local_epochs=2, lr=0.05, aug_spec=self.aug,
                               dp_noise_std=0.05, seed=13, batch_size=16)
         pins = [
-            ("d0978a03f8cd05c1424ffccb111cf10812a70f3a4fd41e9615c1c024ab58a524",
-             {0: -0.16684605868690558, 1: -0.3541088747556197,
-              2: -0.17349851413945716}),
-            ("c320e5a8d228b29b27e5dcd056cc421cace797a96c6ea76cf54f5ab2f81a218c",
-             {0: -0.36127949517205765, 1: -0.6472938093346442,
-              2: -0.25521941725786934}),
-            ("15df263596e30711a2d8b91e3a9443ef49e2875761262f99c7a47667805f3633",
-             {0: -0.5597554212063411, 1: -0.7798368102750162,
-              2: -0.3726545473414351}),
+            ("c13fd7b190cd07eae905ecaa7cbc626a2afe8777497ece153fda6d573f1cf39a",
+             {0: -0.11393218124355413, 1: -0.23446563917947835,
+              2: -0.17040346142272683}),
+            ("cf9653bd4f842b40b564a900d1ee1d066ee16f48c2d504f77a8f9d56fb768dcb",
+             {0: -0.21371850391978175, 1: -0.46527273099806743,
+              2: -0.24421424641784636}),
+            ("6a4cee54192c62036ce9bb09daf9891d63e93bed24475124020e875ca6f2c8e2",
+             {0: -0.40992231975396354, 1: -0.7162119773248261,
+              2: -0.38512772351258767}),
         ]
         for report, (digest, losses) in zip(result.reports, pins,
                                             strict=True):
@@ -630,11 +628,11 @@ def lockstep_clients(num_clients, sizes):
             for c, s in enumerate(clients)]
 
 
-# (client count, train-shard sizes cycled over the clients): equal shards,
-# one short group after two full ones, and groups interleaved in client
-# order so aggregation order differs from group order
-LOCKSTEP_CASES = [(1, (60,)), (2, (60,)), (5, (60,)), (3, (60, 60, 45)),
-                  (5, (60, 45))]
+# (client count, train-shard size): full 60-row shards, which end on a
+# full batch at batch size 16, and 45-row ones, which leave a 13-row
+# last batch
+LOCKSTEP_CASES = [(1, (60,)), (2, (60,)), (5, (60,)), (3, (45,)),
+                  (5, (45,))]
 LOCKSTEP_FE = {"relu": MlpSpec((8, 12, 6), (R, I)),
                "tanh": MlpSpec((8, 12, 6), (T, T))}
 
@@ -683,7 +681,49 @@ class TestLockstepMatchesPerClient:
         assert list(result.experts) == experts
 
 
-FEDGATE_SIZES = [(60,), (60, 60, 45), (60, 45)]
+def unequal_stage_calls():
+    """Each stacked entry point, called on clients of its own setup."""
+    fe_spec, fe = identity_extractor(8)
+    spec = MlpSpec((8, 4), (I,))
+    experts = tuple(init_mlp_params(spec, np.random.default_rng(i))
+                    for i in range(3))
+    gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
+    common = dict(lr=0.05, seed=1, batch_size=16)
+    return {
+        "stage1_fedce": lambda c: stage1_fedce(
+            c, fe_spec, spec, rounds=1, local_epochs=1, **common),
+        "stage1_fedsc": lambda c: stage1_fedsc(
+            c, fe_spec, rounds=1, local_epochs=1,
+            aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.0, **common),
+        "stage2_experts": lambda c: stage2_experts(
+            c, fe_spec, fe, spec, epochs=1, **common),
+        "stage3_rollgate": lambda c: stage3_rollgate(
+            c, fe_spec, fe, gate_init, p=0.5, epochs_per_client=1,
+            max_passes=1, **common),
+        "stage3_fedgate": lambda c: stage3_fedgate(
+            c, fe_spec, fe, spec, experts, gate_init, rounds=1,
+            local_epochs=1, lambda_load=0.01, client_fraction=1.0,
+            grad_max_norm=1.0, k=1, **common),
+        "fedavg_classifier": lambda c: fedavg_classifier(
+            c, spec, init_mlp_params(spec, np.random.default_rng(0)), 1, 1,
+            0.05, lambda r: np.random.default_rng(r), batch_size=16),
+    }
+
+
+@pytest.mark.parametrize("stage", sorted(unequal_stage_calls()))
+def test_unequal_train_shards_are_rejected(stage):
+    """Every stage trains its clients as one stack, so train shards of
+    60 and 45 rows are a data error that names both sizes."""
+    clients = lockstep_clients(3, (60, 45))
+    with pytest.raises(DataError,
+                       match=r"^train shards must share one size, "
+                             r"got \[45, 60\]$"):
+        unequal_stage_calls()[stage](clients)
+
+
+# 60, 45 and 47 rows leave 12, 13 and 15 rows past the last TILE-aligned
+# one
+FEDGATE_SIZES = [(60,), (45,), (47,)]
 
 
 @pytest.mark.parametrize("noise_std", [0.0, 0.05])
@@ -802,8 +842,7 @@ def test_fedgate_memory_grows_quadratically():
 def test_fedgate_matches_logit_cache(sizes, num_clients, k, classes):
     """Per-batch routed logits against the shard-wide logit cache they
     replaced: every round's digest, losses and participants, bit for
-    bit. Shards of 60 and 45 rows leave 12 and 13 rows past the last
-    TILE-aligned one."""
+    bit."""
     clients = random_clients(num_clients, sizes, classes)
     # one-layer experts at 10 classes, two-layer ones at 40
     setup = gate_setup(num_clients, classes, depth={10: 1, 40: 2}[classes])
@@ -825,16 +864,17 @@ def test_fedgate_one_row_blocks_match_logit_cache(num_clients, k,
     """One-row batches: with one participant a round, every routed
     expert runs a block of one row padded to TILE rows; with all of them,
     an expert routed by one slice only does."""
-    # 65 rows leave one row past the last TILE-aligned one
-    clients = random_clients(num_clients, (45, 65), 10)
     setup = gate_setup(num_clients, 10, depth=2)
     kw = dict(rounds=2, local_epochs=1, lr=0.1, lambda_load=0.05,
               client_fraction=client_fraction, grad_max_norm=0.5, k=k,
               seed=4, batch_size=1)
-    result = stage3_fedgate(clients, *setup, **kw)
-    assert [(r.params_digest, r.client_losses, r.participants)
-            for r in result.reports] == \
-        oracles.per_client_fedgate(clients, *setup, **kw)
+    # 45 rows leave 13 rows past the last TILE-aligned one, 65 rows one
+    for n in (45, 65):
+        clients = random_clients(num_clients, (n,), 10)
+        result = stage3_fedgate(clients, *setup, **kw)
+        assert [(r.params_digest, r.client_losses, r.participants)
+                for r in result.reports] == \
+            oracles.per_client_fedgate(clients, *setup, **kw), n
 
 
 @pytest.mark.parametrize("classes", [10, 40])
@@ -953,14 +993,11 @@ class TestStackedDivergenceNamesTheClient:
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=1, batch_size=16)
 
-    def test_fedgate_two_groups(self):
-        # clients 1 and 2 both diverge in round 0; sizes 60, 45, 60 train
-        # client 2's group first, and the stacked stage must fail exactly
-        # as the per-participant loop does
+    def test_fedgate_two_diverging_clients(self):
+        # clients 1 and 2 both diverge in round 0 in one stack, and the
+        # stacked stage must fail exactly as the per-participant loop does
         def run(train, scaled):
             clients = scale_features(make_clients(3, 1.0), 1e308, scaled)
-            clients[1] = Shard(1, clients[1].train.take(np.arange(45)),
-                               clients[1].test)
             fe_spec, fe = identity_extractor(8)
             expert_spec = MlpSpec((8, 4), (I,))
             experts = tuple(init_mlp_params(expert_spec,
@@ -987,13 +1024,10 @@ class TestStackedDivergenceNamesTheClient:
         assert str(expected.value) == \
             "client 1 loss became non-finite in stage3_fedgate round 0"
 
-    def test_lowest_index_wins_across_groups(self):
-        # clients 1 and 2 both diverge; client 2 trains in the first group
-        # (sizes 60, 45, 60 group clients 0 and 2 ahead of client 1), and
-        # the error must still name client 1
+    def test_lowest_index_wins(self):
+        # clients 1 and 2 both diverge in the same round, and the error
+        # must name client 1
         clients = scale_features(make_clients(3, 1.0), 1e200, (1, 2))
-        clients[1] = Shard(1, clients[1].train.take(np.arange(45)),
-                           clients[1].test)
         with pytest.raises(TrainingError,
                            match=self.message.format("stage1_fedce")):
             stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,

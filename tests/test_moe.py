@@ -177,7 +177,7 @@ class TestLoadBalanceLoss:
             _, grad = load_balance_loss(p)
 
             def f(q):
-                return load_balance_loss(q, validate=False)[0]
+                return load_balance_loss(q)[0]
 
             from oracles import finite_difference, max_relative_error
             fd = finite_difference(f, p)
@@ -431,7 +431,7 @@ class TestMoeBackward:
     def loss_at(self, model, batch, labels, k, lam):
         logits, _, probs, *_ = per_expert_moe_forward(model, batch, k)
         ce, _ = cross_entropy(logits, labels)
-        lb, _ = load_balance_loss(probs, validate=False)
+        lb, _ = load_balance_loss(probs)
         return ce + lam * lb
 
     def rebuild(self, model, fe=None, gate=None, experts=None):
@@ -465,7 +465,7 @@ class TestMoeBackward:
                 continue
             done += 1
             _, dlogits = cross_entropy(ref[0], labels)
-            _, dprobs = load_balance_loss(probs, validate=False)
+            _, dprobs = load_balance_loss(probs)
             fe_grads, gate_grads, expert_grads = per_expert_moe_backward(
                 model, ref, dlogits, lam * dprobs)
 

@@ -6,7 +6,7 @@ import pytest
 
 from nmoe import seeding
 from nmoe.config import RunConfig, config_from_dict, config_hash
-from nmoe.errors import ConfigError, TrainingError
+from nmoe.errors import ConfigError, DataError, TrainingError
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
 from nmoe.netsim import CostModel, simulate_inference
@@ -216,18 +216,18 @@ def test_baselines_deterministic(small_baselines):
     assert again == small_baselines
 
 
+# at 64-row batches 60 and 45 rows make one short batch, 64 one full
+# batch and 65 a full batch and a one-row one
 @pytest.mark.parametrize("act", ["relu", "tanh"])
 @pytest.mark.parametrize("num_clients,sizes",
-                         [(1, (60,)), (2, (60,)), (5, (60,)),
-                          (3, (60, 60, 45)), (5, (60, 45))])
+                         [(1, (60,)), (2, (60,)), (5, (60,)), (3, (45,)),
+                          (5, (65,)), (4, (64,))])
 def test_fedavg_classifier_matches_per_client_loop(num_clients, sizes, act):
     config = small_config(
-        data={"num_clients": num_clients, "train_per_client": 60},
+        data={"num_clients": num_clients, "train_per_client": 65},
         model={"fe_activations": [act, act]},
         stage1={"rounds": 2, "local_epochs": 2}, k=1)
-    shards = [Shard(s.client_id,
-                    s.train.take(np.arange(sizes[c % len(sizes)])), s.test)
-              for c, s in enumerate(build_shards(config))]
+    shards = trimmed_shards(config, sizes)
     _, reports = train_fedavg_classifier(config, shards)
     assert [(r.params_digest, r.client_losses) for r in reports] == \
         per_client_fedavg_classifier(config, shards)
@@ -264,12 +264,12 @@ def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
     assert losses == expected_losses
 
 
-# 65-row shards each leave a one-row last batch, so a stacked group then
-# runs single-row slices
+# 65-row shards each leave a one-row last batch, so the stack then runs
+# single-row slices
 @pytest.mark.parametrize("act", ["relu", "tanh"])
 @pytest.mark.parametrize("num_clients,sizes",
-                         [(1, (65,)), (3, (60, 60, 45)), (4, (65, 65, 45)),
-                          (5, (60, 45)), (5, (65, 64))])
+                         [(1, (65,)), (3, (45,)), (4, (65,)), (5, (60,)),
+                          (5, (64,))])
 def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
     config = small_config(
         data={"num_clients": num_clients, "train_per_client": 65},
@@ -282,6 +282,13 @@ def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
     assert [params_digest(p) for p in params.values()] == \
         [params_digest(p) for p in expected_params.values()]
     assert losses == expected_losses
+
+
+def test_local_classifiers_reject_unequal_train_shards():
+    config = small_config(data={"num_clients": 3, "train_per_client": 60})
+    with pytest.raises(DataError, match=r"^train shards must share one "
+                       r"size, got \[45, 60\]$"):
+        train_local_classifiers(config, trimmed_shards(config, (60, 45)))
 
 
 def test_fedavg_classifier_divergence_names_the_client():
@@ -355,14 +362,11 @@ class TestBaselineDivergence:
                            r"round 2$"):
             run_baselines(config, shards)
 
-    def test_local_classifier_lowest_client_wins_across_groups(self):
-        # sizes 60, 45, 60 train clients 0 and 2 as the first group;
+    def test_local_classifier_lowest_client_wins(self):
         # client 2 diverges in epoch 1, client 1 only in epoch 2, and the
         # per-client loop stops at client 1
         config = divergence_config()
         shards = build_shards(config)
-        shards[1] = Shard(1, shards[1].train.take(np.arange(45)),
-                          shards[1].test)
         with pytest.raises(TrainingError, match=r"^client 2 .* round 1$"):
             run_baselines(config, scale_train(shards, {2: 1e100}))
         scaled = scale_train(shards, {1: 1e50, 2: 1e100})
