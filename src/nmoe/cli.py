@@ -29,10 +29,9 @@ from .datasets import save_dataset
 from .errors import ConfigError, FormatError, NmoeError
 from .metrics import evaluate_clients
 from .moe import load_model
-from .netsim import CostModel, RoutingLog, export_heatmap, local_ratio, \
-    simulate_inference
-from .pipeline import SWEEP_AXES, build_dataset, build_shards, run_ablation, \
-    run_baselines, run_pipeline, write_sweep_csv
+from .netsim import RoutingLog, export_heatmap, local_ratio, simulate_inference
+from .pipeline import SWEEP_AXES, build_dataset, build_shards, cost_model, \
+    run_ablation, run_baselines, run_pipeline, write_sweep_csv
 from .seeding import derive_rng
 
 
@@ -96,11 +95,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             f"checkpoint {args.model} was trained under config hash "
             f"{recorded}, but {args.config} hashes to {expected}")
     shards = build_shards(config)
-    cost = CostModel(latent_dim=config.model.latent_dim,
-                     num_classes=config.data.num_classes,
-                     bytes_per_scalar=config.bytes_per_scalar)
     inference = simulate_inference(
-        model, shards, config.k, cost,
+        model, shards, config.k, cost_model(config),
         rng=derive_rng(config.seed, seeding.EVAL, 0, 0))
     report = evaluate_clients(inference.predictions, inference.scores,
                               inference.labels, config.data.num_classes)

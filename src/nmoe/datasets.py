@@ -185,8 +185,9 @@ def dominant_class_counts(num_classes: int, dominant: int, tau: float,
                           total: int) -> np.ndarray:
     """Per-class sample counts for one shard: fraction 1 - tau on the
     dominant class, the rest uniform over the other classes. tau = 1
-    means no class is special and the split is uniform over all."""
-    if tau >= 1.0:
+    means no class is special and the split is uniform over all; so does
+    a single class, which leaves tau no other class to spread over."""
+    if tau >= 1.0 or num_classes == 1:
         quotas = np.full(num_classes, total / num_classes)
     else:
         quotas = np.full(num_classes, tau * total / (num_classes - 1))

@@ -28,6 +28,8 @@ picks and balance terms differ per slice.
 RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
+Every cross-entropy objective runs one epoch, _sgd_ce_epoch; FedCE's
+is over each client's extractor and head chained into one network.
 
 FedGate keeps the frozen latents of every shard but no table of the
 frozen experts' logits. Each batch runs one forward per routed expert
@@ -60,7 +62,7 @@ from .datasets import AugmentSpec, Dataset, Shard, apportion, draw_views
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
-                       check_compatible, cross_entropy, forward,
+                       chain_specs, check_compatible, cross_entropy, forward,
                        grad_normalize, init_mlp_params, params_digest,
                        sgd_step, stack_params, unstack_params)
 from .seeding import derive_rng
@@ -278,49 +280,36 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
                               axis=axis)
 
 
-def _sgd_classifier_epoch(fe_spec: MlpSpec, fe: ParamSet,
-                          head_spec: MlpSpec, head: ParamSet,
-                          features: np.ndarray, labels: np.ndarray,
-                          lr: float, batch_size: int,
-                          rng: np.random.Generator):
-    """One joint cross-entropy epoch over extractor and head.
-
-    With stacked parameters, (g, n, d) features and (g, n) labels, every
-    client of the stack steps on the same rows and the loss is an array.
-    """
-    n = features.shape[-2]
+def _sgd_ce_epoch(spec: MlpSpec, params: ParamSet, inputs: np.ndarray,
+                  labels: np.ndarray, lr: float, batch_size: int, rng):
+    """One cross-entropy epoch of a network on fixed inputs. A stack
+    takes (g, n, width) inputs and (g, n) labels, every slice stepping on
+    the same rows, or on its own rows given a list of g streams."""
+    n = inputs.shape[-2]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        latents, fe_tape = forward(fe_spec, fe,
-                                   features.take(rows, axis=-2),
-                                   want_tape=True)
-        logits, head_tape = forward(head_spec, head, latents,
-                                    want_tape=True)
-        loss, dlogits = cross_entropy(logits, labels.take(rows, axis=-1))
-        head_grads, dlatents = backward(head_tape, dlogits)
-        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
-        fe = sgd_step(fe, fe_grads, lr)
-        head = sgd_step(head, head_grads, lr)
-        total += loss * rows.size
-    return fe, head, total / n
-
-
-def _sgd_head_epoch(head_spec: MlpSpec, head: ParamSet,
-                    latents: np.ndarray, labels: np.ndarray, lr: float,
-                    batch_size: int, rng):
-    """One cross-entropy epoch over the head only, on fixed latents;
-    stacks like _sgd_classifier_epoch. Given one stream per slice
-    instead (a list), each slice draws its own batch rows."""
-    n = latents.shape[-2]
-    total = 0.0
-    for rows in _batches(n, batch_size, rng):
-        logits, tape = forward(head_spec, head, _take_rows(latents, rows, -2),
+        logits, tape = forward(spec, params, _take_rows(inputs, rows, -2),
                                want_tape=True)
         loss, dlogits = cross_entropy(logits, _take_rows(labels, rows, -1))
         grads, _ = backward(tape, dlogits, input_grad=False)
-        head = sgd_step(head, grads, lr)
+        params = sgd_step(params, grads, lr)
         total += loss * rows.shape[-1]
-    return head, total / n
+    return params, total / n
+
+
+def _chain_params(spec: MlpSpec, fe: ParamSet, head: ParamSet) -> ParamSet:
+    """fe's parameters then head's, in spec's layout; one extractor is
+    broadcast over a stack of heads."""
+    fe_flat = np.broadcast_to(fe.flat, head.stack_shape + (fe.layout.size,))
+    return ParamSet.from_flat(spec.layout,
+                              np.concatenate([fe_flat, head.flat], axis=-1))
+
+
+def _split_chain(params: ParamSet, fe_spec: MlpSpec, head_spec: MlpSpec):
+    """Zero-copy views of a chained set's extractor and head parts."""
+    split = fe_spec.layout.size
+    return (ParamSet.from_flat(fe_spec.layout, params.flat[..., :split]),
+            ParamSet.from_flat(head_spec.layout, params.flat[..., split:]))
 
 
 def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
@@ -421,7 +410,7 @@ def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
 
     The stream draws the epoch's batch order, then for each batch the
     draw_views of a (rows, width) batch: view-1 noise and mask, view-2
-    noise and mask. Stacks like _sgd_classifier_epoch: (g, n, width)
+    noise and mask. Stacks like _sgd_ce_epoch: (g, n, width)
     features, g aggregates and g weights, every client applying the same
     draws to its own rows.
     """
@@ -450,14 +439,12 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     Every round each client minimizes local cross-entropy through its own
     head for the given epochs; extractors are then averaged with weights
     proportional to shard sizes. Heads never leave their clients; they
-    are returned with the extractor.
+    are returned with the extractor. Each round's (m, P) stack of
+    chained networks holds the averaged extractor, then a client's head.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
-    if head_spec.in_width != fe_spec.out_width:
-        raise ConfigError(
-            f"head input width {head_spec.in_width} does not match the "
-            f"extractor output {fe_spec.out_width}")
+    spec = chain_specs(fe_spec, head_spec)
     m = len(clients)
     features, labels = _stack_shards(clients)
     head0 = init_mlp_params(
@@ -467,13 +454,13 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     def train_round(r, fe):
         nonlocal heads
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        fe_g = stack_params([fe] * m)
+        stack = _chain_params(spec, fe, heads)
         epoch_losses = []
         for _ in range(local_epochs):
-            fe_g, heads, loss = _sgd_classifier_epoch(
-                fe_spec, fe_g, head_spec, heads, features, labels, lr,
-                batch_size, rng)
+            stack, loss = _sgd_ce_epoch(spec, stack, features, labels, lr,
+                                        batch_size, rng)
             epoch_losses.append(loss)
+        fe_g, heads = _split_chain(stack, fe_spec, head_spec)
         return range(m), fe_g, epoch_losses
 
     fe, reports = _fedavg_rounds(
@@ -506,8 +493,8 @@ def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
         stack = stack_params([params] * m)
         epoch_losses = []
         for _ in range(local_epochs):
-            stack, loss = _sgd_head_epoch(spec, stack, features, labels, lr,
-                                          batch_size, rng)
+            stack, loss = _sgd_ce_epoch(spec, stack, features, labels, lr,
+                                        batch_size, rng)
             epoch_losses.append(loss)
         return range(m), stack, epoch_losses
 
@@ -607,8 +594,8 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     reports = []
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        stack, loss = _sgd_head_epoch(expert_spec, stack, latents, labels, lr,
-                                      batch_size, rng)
+        stack, loss = _sgd_ce_epoch(expert_spec, stack, latents, labels, lr,
+                                    batch_size, rng)
         losses = loss.tolist()
         for shard, v in zip(clients, losses):
             _check_finite(v, "stage2_experts", shard.client_id, epoch)
@@ -670,8 +657,7 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         raise ConfigError("rolling training needs at least two clients")
     fe_before = params_digest(fe_params)
     spec = gate_spec(gate_init.latent_dim, m)
-    latents = [forward(fe_spec, fe_params, s.train.features)
-               for s in clients]
+    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
     pseudo = [
         rollgate_pseudo_labels(
             m, c, p, s.train.num_samples,
@@ -688,7 +674,7 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
             rng = derive_rng(seed, seeding.STAGE3, pass_index, 0)
             epoch_losses = []
             for _ in range(epochs_per_client):
-                gate_params, loss = _sgd_head_epoch(
+                gate_params, loss = _sgd_ce_epoch(
                     spec, gate_params, latents[c], pseudo[c], lr,
                     batch_size, rng)
                 _check_finite(loss, "stage3_rollgate", shard.client_id,
@@ -891,19 +877,20 @@ def centralized_classifier(train: Dataset, fe_spec: MlpSpec,
     a single-client federation matches it bit for bit.
     """
     _check_schedule(rounds, local_epochs, lr, batch_size)
+    spec = chain_specs(fe_spec, head_spec)
     fe = init_mlp_params(
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
-    head = init_mlp_params(
-        head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
+    params = _chain_params(spec, fe, init_mlp_params(
+        head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)))
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
         for _ in range(local_epochs):
-            fe, head, loss = _sgd_classifier_epoch(
-                fe_spec, fe, head_spec, head, train.features, train.labels,
-                lr, batch_size, rng)
+            params, loss = _sgd_ce_epoch(spec, params, train.features,
+                                         train.labels, lr, batch_size, rng)
             _check_finite(loss, "centralized_classifier", 0, r)
             losses.append(loss)
+    fe, head = _split_chain(params, fe_spec, head_spec)
     return fe, head, losses
 
 

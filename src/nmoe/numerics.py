@@ -290,6 +290,17 @@ class MlpSpec:
         return _layout_of(tuple(key))
 
 
+def chain_specs(first: MlpSpec, second: MlpSpec) -> MlpSpec:
+    """One network of first's layers then second's; its layout holds
+    first's parameters, then second's in second's layout."""
+    if second.in_width != first.out_width:
+        raise ConfigError(
+            f"input width {second.in_width} does not match the output "
+            f"width {first.out_width} it follows")
+    return MlpSpec(first.widths + second.widths[1:],
+                   first.activations + second.activations)
+
+
 def init_mlp_params(spec: MlpSpec, rng: np.random.Generator) -> ParamSet:
     """He-style init: std sqrt(2/fan_in) before relu, sqrt(1/fan_in)
     otherwise; zero biases."""

@@ -34,13 +34,13 @@ from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
                         stage3_rangate, stage3_rollgate, _batches,
                         _check_clients, _check_finite, _client_losses,
-                        _sgd_head_epoch, _stack_shards)
+                        _sgd_ce_epoch, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, _route, init_gate_params,
                   moe_backward, save_model)
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
-from .numerics import (MlpSpec, ParamSet, backward, forward,
+from .numerics import (MlpSpec, ParamSet, backward, chain_specs, forward,
                        grad_normalize, init_mlp_params, sgd_step, softmax,
                        stack_params, unstack_params)
 from .seeding import derive_rng
@@ -181,7 +181,8 @@ def _run_stage3(config: RunConfig, shards, fe_params: ParamSet,
         bytes_per_scalar=config.bytes_per_scalar)
 
 
-def _cost_model(config: RunConfig) -> CostModel:
+def cost_model(config: RunConfig) -> CostModel:
+    """The inference byte model of a config."""
     return CostModel(latent_dim=config.model.latent_dim,
                      num_classes=config.data.num_classes,
                      bytes_per_scalar=config.bytes_per_scalar)
@@ -238,7 +239,7 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
                           expert_spec=config.model.expert_spec(),
                           experts=stage2.experts)
         inference = simulate_inference(
-            model, shards, config.k, _cost_model(config),
+            model, shards, config.k, cost_model(config),
             rng=derive_rng(config.seed, seeding.EVAL, 0, 0))
         stage = "metrics"
         evaluation = evaluate_clients(inference.predictions,
@@ -286,15 +287,6 @@ def _write_artifacts(result: RunResult, out: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # baselines
-
-def _combined_spec(config: RunConfig) -> MlpSpec:
-    """The end-to-end classifier: extractor topology with the expert
-    stacked on top, as one network."""
-    fe = config.model.fe_spec()
-    expert = config.model.expert_spec()
-    return MlpSpec(fe.widths + expert.widths[1:],
-                   fe.activations + expert.activations)
-
 
 def _inference_on_own_shard(params_by_client: dict, spec: MlpSpec,
                             shards, num_classes: int):
@@ -406,7 +398,7 @@ def train_local_classifiers(config: RunConfig, shards
     stack, each slice drawing its own batch rows. Returns the parameters
     by client id and each client's last-epoch loss, in client order."""
     _check_clients(shards)
-    spec = _combined_spec(config)
+    spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     ids = [s.client_id for s in shards]
     params = stack_params(
         init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
@@ -417,7 +409,7 @@ def train_local_classifiers(config: RunConfig, shards
     features, labels = _stack_shards(shards)
     epoch_losses = []
     for _ in range(config.baselines.epochs):
-        params, loss = _sgd_head_epoch(
+        params, loss = _sgd_ce_epoch(
             spec, params, features, labels, config.baselines.lr,
             config.batch_size, rngs)
         epoch_losses.append(loss)
@@ -435,7 +427,7 @@ def train_fedavg_classifier(config: RunConfig, shards
                             ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
     """FedAvg of the whole classifier on stage 1's schedule, from the
     baseline streams."""
-    spec = _combined_spec(config)
+    spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     s1 = config.stage1
     return fedavg_classifier(
         shards, spec,
@@ -455,11 +447,11 @@ def run_baselines(config: RunConfig, shards=None) -> dict:
     if shards is None:
         shards = build_shards(config)
     num_classes = config.data.num_classes
-    spec = _combined_spec(config)
+    spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
 
     central_model, central_losses = train_centralized_moe(config, shards)
     central_inference = simulate_inference(
-        central_model, shards, config.k, _cost_model(config),
+        central_model, shards, config.k, cost_model(config),
         rng=derive_rng(config.seed, seeding.EVAL, 1, 0))
     central_report = evaluate_clients(
         central_inference.predictions, central_inference.scores,

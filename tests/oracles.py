@@ -13,18 +13,17 @@ import numpy as np
 from nmoe import kernels, seeding
 from nmoe.datasets import augment
 from nmoe.federated import (_batches, _check_finite, _digest_group,
-                            _sgd_classifier_epoch, _sgd_head_epoch,
-                            _sgd_spectral_epoch, compute_correlation_share,
-                            fedavg)
+                            _sgd_ce_epoch, _sgd_spectral_epoch,
+                            compute_correlation_share, fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
                       init_gate_params, load_balance_loss)
-from nmoe.numerics import (ParamSet, backward, cross_entropy, forward,
-                           grad_normalize, init_mlp_params, params_digest,
-                           sgd_step, softmax_backward)
+from nmoe.numerics import (ParamSet, backward, chain_specs, cross_entropy,
+                           forward, grad_normalize, init_mlp_params,
+                           params_digest, sgd_step, softmax_backward)
 from nmoe.pipeline import (_BASE_CENTRAL_INIT, _BASE_CENTRAL_TRAIN,
                            _BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
                            _BASE_LOCAL_INIT, _BASE_LOCAL_TRAIN,
-                           _combined_spec, _pooled_train)
+                           _pooled_train)
 from nmoe.seeding import derive_rng
 
 
@@ -277,10 +276,33 @@ def same_param_bits(a: ParamSet, b: ParamSet) -> bool:
 # ---------------------------------------------------------------------------
 # per-client federated loops: each client trains on its own 2-d arrays, one
 # client after another, as the package did before it stacked its clients.
-# They return (params_digest, client_losses) per round. They run the
+# They return (params_digest, client_losses) per round. Most run the
 # package's 2-d epoch helpers, so what they check is the stacking (shared
 # streams, per-slice reductions, aggregation order), not the epoch
-# arithmetic, which the gradient tests cover.
+# arithmetic, which the gradient tests cover. FedCE's loop runs
+# two_network_epoch, so it checks the chained extractor-and-head network
+# too.
+
+def two_network_epoch(fe_spec, fe, head_spec, head, features, labels, lr,
+                      batch_size, rng):
+    """One joint cross-entropy epoch of one client's extractor and head
+    as two networks, as the package trained FedCE before it chained
+    them: two forwards, two backwards and two SGD steps per batch."""
+    n = features.shape[0]
+    total = 0.0
+    for rows in _batches(n, batch_size, rng):
+        latents, fe_tape = forward(fe_spec, fe, features[rows],
+                                   want_tape=True)
+        logits, head_tape = forward(head_spec, head, latents,
+                                    want_tape=True)
+        loss, dlogits = cross_entropy(logits, labels[rows])
+        head_grads, dlatents = backward(head_tape, dlogits)
+        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
+        fe = sgd_step(fe, fe_grads, lr)
+        head = sgd_step(head, head_grads, lr)
+        total += loss * rows.size
+    return fe, head, total / n
+
 
 def _derive(seed, component, round_index):
     return derive_rng(seed, component, round_index, 0)
@@ -302,7 +324,7 @@ def per_client_fedce(clients, fe_spec, head_spec, rounds, local_epochs, lr,
             fe_c, head_c = fe, heads[c]
             epoch_losses = []
             for _ in range(local_epochs):
-                fe_c, head_c, loss = _sgd_classifier_epoch(
+                fe_c, head_c, loss = two_network_epoch(
                     fe_spec, fe_c, head_spec, head_c, shard.train.features,
                     shard.train.labels, lr, batch_size, rng)
                 _check_finite(loss, "stage1_fedce", shard.client_id, r)
@@ -368,7 +390,7 @@ def per_client_experts(clients, fe_spec, fe_params, expert_spec, epochs, lr,
     for epoch in range(epochs):
         losses = {}
         for c, shard in enumerate(clients):
-            experts[c], loss = _sgd_head_epoch(
+            experts[c], loss = _sgd_ce_epoch(
                 expert_spec, experts[c], latents[c], shard.train.labels, lr,
                 batch_size, rngs[c])
             _check_finite(loss, "stage2_experts", shard.client_id, epoch)
@@ -477,7 +499,7 @@ def cache_centralized_gate(train, fe_spec, fe_params, expert_spec, experts,
 def per_client_fedavg_classifier(config, shards):
     """The FedAvg-classifier baseline of nmoe.pipeline, one client at a
     time; client losses are each client's last-epoch loss."""
-    spec = _combined_spec(config)
+    spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     s1 = config.stage1
     sizes = [float(s.train.num_samples) for s in shards]
     global_params = init_mlp_params(spec, _derive(
@@ -491,7 +513,7 @@ def per_client_fedavg_classifier(config, shards):
                           _BASE_FEDAVG_ROUND + r)
             params = global_params
             for _ in range(s1.local_epochs):
-                params, loss = _sgd_head_epoch(
+                params, loss = _sgd_ce_epoch(
                     spec, params, shard.train.features, shard.train.labels,
                     s1.lr, config.batch_size, rng)
                 _check_finite(loss, "baseline_fedavg_classifier",
@@ -507,7 +529,7 @@ def per_client_local_classifiers(config, shards):
     """The local-classifier baseline of nmoe.pipeline, one client at a
     time; returns the parameters by client id and each client's
     last-epoch loss."""
-    spec = _combined_spec(config)
+    spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     params_by_client, losses = {}, []
     for shard in shards:
         c = shard.client_id
@@ -515,7 +537,7 @@ def per_client_local_classifiers(config, shards):
             config.seed, seeding.BASELINE, _BASE_LOCAL_INIT, c))
         rng = derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
         for epoch in range(config.baselines.epochs):
-            params, loss = _sgd_head_epoch(
+            params, loss = _sgd_ce_epoch(
                 spec, params, shard.train.features, shard.train.labels,
                 config.baselines.lr, config.batch_size, rng)
             _check_finite(loss, "baseline_local_classifier", c, epoch)

@@ -13,7 +13,7 @@ import pytest
 
 from oracles import (finite_difference, finite_difference_params,
                      max_relative_error, max_relative_error_params,
-                     pairwise_macro_auc)
+                     pairwise_macro_auc, per_client_fedce)
 
 from nmoe import seeding
 from nmoe.config import RunConfig, config_from_dict
@@ -204,6 +204,13 @@ def test_criterion_03_single_client_matches_centralized_bitwise():
                                          local_epochs=2, lr=0.05, seed=7)
     assert result.fe_params == fe
     assert result.heads[0] == head
+    # both train the chained network; the two-network reference epoch
+    # gives the same bits
+    rounds, heads = per_client_fedce(clients, fe_spec, head_spec, rounds=2,
+                                     local_epochs=2, lr=0.05, seed=7)
+    assert [(r.params_digest, r.client_losses)
+            for r in result.reports] == rounds
+    assert list(result.heads) == heads
 
     aug = AugmentSpec(noise_std=0.1, mask_prob=0.1)
     result = stage1_fedsc(clients, fe_spec, rounds=2, local_epochs=2,

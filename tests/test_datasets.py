@@ -218,7 +218,7 @@ class TestPartition:
             assert counts.tolist() == [10] * 10
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 8), st.data(),
+    @given(st.integers(1, 8), st.data(),
            st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 40),
            st.integers(1, 40), st.sampled_from(["matched", "iid"]),
            st.integers(0, 2**31 - 1))

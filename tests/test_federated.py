@@ -266,6 +266,21 @@ class TestStage1FedCE:
             assert all(np.isfinite(v) for v in report.client_losses.values())
             assert report.wall_clock >= 0.0
 
+    def test_validation(self):
+        clients = make_clients(1, 1.0)
+        kw = dict(rounds=1, local_epochs=1, lr=0.05, seed=0)
+        with pytest.raises(ConfigError):
+            stage1_fedce(clients, self.fe_spec, self.head_spec,
+                         **dict(kw, rounds=0))
+        # the head must take the extractor's 6-wide output
+        wide_head = MlpSpec((7, 4), (I,))
+        match = "input width 7 does not match the output width 6"
+        with pytest.raises(ConfigError, match=match):
+            stage1_fedce(clients, self.fe_spec, wide_head, **kw)
+        with pytest.raises(ConfigError, match=match):
+            centralized_classifier(clients[0].train, self.fe_spec,
+                                   wide_head, **kw)
+
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_names_client_and_round(self):
         clients = make_clients(2, 1.0)

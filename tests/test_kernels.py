@@ -229,7 +229,7 @@ def test_top1_matches_stable_sort(seed, lead, rows, width):
 # a block padded to a multiple of TILE rows, and a forward over a shard's
 # last TILE + n mod TILE rows, give each of their rows the bits of a
 # forward over the whole shard. A BLAS build without it fails here. The
-# latents are 32 wide, as in the reference configs: on OpenBLAS's Haswell
+# latents are 32 wide, as in the reference configs: on OpenBLAS's SkylakeX
 # kernels a narrow input (8 wide) hides the leftover-row difference.
 def tile_spec(depth: int, classes: int) -> MlpSpec:
     if depth == 1:

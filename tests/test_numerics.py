@@ -9,10 +9,11 @@ from nmoe import kernels
 from nmoe.errors import ConfigError, DataError, InternalError
 from nmoe.federated import fedavg
 from nmoe.numerics import (MlpSpec, ParamSet, add_params, backward,
-                           check_compatible, cross_entropy, decode_params,
-                           encode_params, forward, grad_normalize,
-                           init_mlp_params, params_digest, sgd_step, softmax,
-                           softmax_backward, stack_params, unstack_params)
+                           chain_specs, check_compatible, cross_entropy,
+                           decode_params, encode_params, forward,
+                           grad_normalize, init_mlp_params, params_digest,
+                           sgd_step, softmax, softmax_backward, stack_params,
+                           unstack_params)
 from oracles import (finite_difference, finite_difference_params,
                      max_relative_error, max_relative_error_params,
                      param_set, per_array_add_params, per_array_fedavg,
@@ -539,3 +540,24 @@ def test_spec_validation():
         MlpSpec((4, 2), (I, I))
     with pytest.raises(ConfigError):
         MlpSpec((4, 2), (9,))
+
+
+def test_chain_specs_runs_second_after_first():
+    first = MlpSpec((4, 6, 3), (R, T))
+    second = MlpSpec((3, 5, 2), (T, I))
+    chain = chain_specs(first, second)
+    assert chain == MlpSpec((4, 6, 3, 5, 2), (R, T, T, I))
+    # first's parameters fill the chain's first first.layout.size scalars
+    # and second's, in second's layout, the rest
+    assert chain.layout.shapes == first.layout.shapes + second.layout.shapes
+    assert chain.layout.size == first.layout.size + second.layout.size
+    rng = np.random.default_rng(3)
+    a = init_mlp_params(first, rng)
+    b = init_mlp_params(second, rng)
+    both = ParamSet.from_flat(chain.layout, np.concatenate([a.flat, b.flat]))
+    x = rng.normal(size=(9, 4))
+    assert same_bits(forward(chain, both, x),
+                     forward(second, b, forward(first, a, x)))
+    with pytest.raises(ConfigError, match="input width 4 does not match "
+                                          "the output width 3"):
+        chain_specs(first, MlpSpec((4, 2), (I,)))
