@@ -19,12 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .config import config_from_dict, config_hash, load_config
+from .config import config_hash, load_config
 from .datasets import save_dataset
 from .errors import ConfigError, FormatError, NmoeError
 from .metrics import evaluate_clients
@@ -70,9 +71,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     if args.out_dir is not None:
-        echo = config.to_dict()
-        echo["output_dir"] = args.out_dir
-        config = config_from_dict(echo)
+        config = replace(config, output_dir=args.out_dir)
     if config.output_dir is None:
         raise ConfigError("train needs an output directory: pass OUT_DIR "
                           "or set output_dir in the config")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .datasets import AugmentSpec
@@ -95,7 +95,8 @@ class DataConfig:
                      f"got dim={self.dim}")
         else:
             _require(self.path is None,
-                     "data.path only applies when data.source is 'cifar10'")
+                     "data.path only applies to the 'cifar10' source, but "
+                     f"data.source is {self.source!r}")
             _positive_int(self.num_classes, "data.num_classes")
             _positive_int(self.dim, "data.dim")
             _positive_int(self.samples_per_class, "data.samples_per_class")
@@ -120,13 +121,13 @@ class ModelConfig:
     gate_noise_std: float = 0.01
 
     def __post_init__(self):
-        object.__setattr__(self, "fe_widths", tuple(self.fe_widths))
-        object.__setattr__(self, "fe_activations",
-                           tuple(self.fe_activations))
-        object.__setattr__(self, "expert_widths",
-                           tuple(self.expert_widths))
-        object.__setattr__(self, "expert_activations",
-                           tuple(self.expert_activations))
+        # every tuple field is a list in the document
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                value = getattr(self, f.name)
+                _require(isinstance(value, (list, tuple)),
+                         f"model.{f.name} must be a list")
+                object.__setattr__(self, f.name, tuple(value))
         for key in ("fe_widths", "expert_widths"):
             for i, width in enumerate(getattr(self, key)):
                 _positive_int(width, f"model.{key}[{i}]")
@@ -229,13 +230,26 @@ class BaselineConfig:
         _positive_float(self.lr, "baselines.lr")
 
 
-# Keys that only make sense for one method within their section.
-_FEDSC_ONLY = ("dp_noise_std", "aug_noise_std", "aug_mask_prob")
-_FEDGATE_ONLY = ("rounds", "local_epochs", "lambda_load",
-                 "client_fraction", "grad_max_norm")
-_ROLLGATE_ONLY = ("pseudo_ratio", "epochs_per_client", "max_passes")
-_SYNTHETIC_ONLY = ("dim", "num_classes", "samples_per_class",
-                   "cluster_spread")
+# Each section whose keys depend on a selector: the selector, then each
+# group of keys that applies only under some of the selector's values,
+# as (values, keys). Every other key of the section applies under every
+# value. The echo omits an idle group and a document may not set one.
+_SELECTORS = {
+    "data": ("source", (
+        (("synthetic",), ("dim", "num_classes", "samples_per_class",
+                          "cluster_spread")),
+        (("cifar10",), ("path",)),
+    )),
+    "stage1": ("method", (
+        (("fedsc",), ("dp_noise_std", "aug_noise_std", "aug_mask_prob")),
+    )),
+    "stage3": ("method", (
+        (("fedgate",), ("rounds", "local_epochs", "lambda_load",
+                        "client_fraction", "grad_max_norm")),
+        (("rollgate",), ("pseudo_ratio", "epochs_per_client", "max_passes")),
+        (("rollgate", "fedgate"), ("lr",)),
+    )),
+}
 
 
 @dataclass(frozen=True)
@@ -262,6 +276,9 @@ class RunConfig:
         _positive_int(self.k, "k")
         _positive_int(self.batch_size, "batch_size")
         _positive_int(self.bytes_per_scalar, "bytes_per_scalar")
+        _require(self.output_dir is None or isinstance(self.output_dir, str),
+                 f"output_dir must be a string or null, "
+                 f"got {self.output_dir!r}")
         _require(self.k <= self.data.num_clients,
                  f"k={self.k} selects more experts than the "
                  f"{self.data.num_clients} clients provide")
@@ -281,39 +298,34 @@ class RunConfig:
     def to_dict(self) -> dict:
         """JSON-ready echo. Keys that do not apply to the selected
         methods are omitted, so the echo always reloads cleanly."""
-        def section(obj, skip=()) -> dict:
-            return {f.name: list(v) if isinstance(
-                v := getattr(obj, f.name), tuple) else v
-                for f in fields(obj) if f.name not in skip}
-
-        data_skip = _SYNTHETIC_ONLY if self.data.source == "cifar10" \
-            else ("path",)
-        stage1_skip = _FEDSC_ONLY if self.stage1.method == "fedce" else ()
-        method3 = self.stage3.method
-        stage3_skip: tuple[str, ...] = ()
-        if method3 != "fedgate":
-            stage3_skip += _FEDGATE_ONLY
-        if method3 != "rollgate":
-            stage3_skip += _ROLLGATE_ONLY
-        if method3 == "rangate":
-            stage3_skip += ("lr",)
-        return {
-            "config_version": CONFIG_VERSION,
-            "seed": self.seed,
-            "k": self.k,
-            "batch_size": self.batch_size,
-            "bytes_per_scalar": self.bytes_per_scalar,
-            "output_dir": self.output_dir,
-            "data": section(self.data, data_skip),
-            "model": section(self.model),
-            "stage1": section(self.stage1, stage1_skip),
-            "stage2": section(self.stage2),
-            "stage3": section(self.stage3, stage3_skip),
-            "baselines": section(self.baselines),
-        }
+        echo = {"config_version": CONFIG_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if _is_section(f):
+                idle = {k for _, keys in _idle_groups(f.name, value)
+                        for k in keys}
+                value = {g.name: list(v) if isinstance(
+                    v := getattr(value, g.name), tuple) else v
+                    for g in fields(value) if g.name not in idle}
+            echo[f.name] = value
+        return echo
 
 
-def _build_section(cls, obj, name: str, *, tuple_fields=()):
+def _is_section(f) -> bool:
+    return f.default_factory is not MISSING
+
+
+def _idle_groups(name: str, section) -> list:
+    """The (values, keys) groups of a built section that do not apply
+    under its selector's value."""
+    if name not in _SELECTORS:
+        return []
+    selector, groups = _SELECTORS[name]
+    return [(values, keys) for values, keys in groups
+            if getattr(section, selector) not in values]
+
+
+def _build_section(cls, obj, name: str):
     if not isinstance(obj, dict):
         raise ConfigError(f"section {name!r} must be an object, "
                           f"got {type(obj).__name__}")
@@ -322,23 +334,22 @@ def _build_section(cls, obj, name: str, *, tuple_fields=()):
     _require(not unknown,
              f"unknown key{'s' if len(unknown) > 1 else ''} in "
              f"{name!r}: {', '.join(unknown)}")
-    kwargs = dict(obj)
-    for key in tuple_fields:
-        if key in kwargs:
-            value = kwargs[key]
-            _require(isinstance(value, (list, tuple)),
-                     f"{name}.{key} must be a list")
-            kwargs[key] = tuple(value)
-    return cls(**kwargs)
-
-
-def _reject_inapplicable(section: dict, name: str, method: str,
-                         keys: tuple[str, ...], applies_to: str) -> None:
-    present = sorted(k for k in keys if k in section)
-    _require(not present,
-             f"{name}.{', '.join(present)} only appl"
-             f"{'ies' if len(present) == 1 else 'y'} to "
-             f"{applies_to}, but {name}.method is {method!r}")
+    kwargs = obj
+    if name == "data" and obj.get("source") == "cifar10":
+        kwargs = dict(obj, num_classes=CIFAR10_CLASSES, dim=CIFAR10_DIM)
+    # building first checks the selector's value; the keys the document
+    # itself sets are then checked against it
+    built = cls(**kwargs)
+    for values, keys in _idle_groups(name, built):
+        present = sorted(k for k in keys if k in obj)
+        selector = _SELECTORS[name][0]
+        _require(not present,
+                 f"{name}.{', '.join(present)} only appl"
+                 f"{'ies' if len(present) == 1 else 'y'} to the "
+                 f"{' and '.join(repr(v) for v in values)} {selector}"
+                 f"{'s' if len(values) > 1 else ''}, but {name}.{selector} "
+                 f"is {getattr(built, selector)!r}")
+    return built
 
 
 def config_from_dict(obj: dict) -> RunConfig:
@@ -349,59 +360,17 @@ def config_from_dict(obj: dict) -> RunConfig:
     version = obj.get("config_version")
     _require(version == CONFIG_VERSION,
              f"config_version must be {CONFIG_VERSION}, got {version!r}")
-    known = {"config_version", "seed", "k", "batch_size",
-             "bytes_per_scalar", "output_dir", "data", "model", "stage1",
-             "stage2", "stage3", "baselines"}
-    unknown = sorted(set(obj) - known)
+    top = {f.name: f for f in fields(RunConfig)}
+    unknown = sorted(set(obj) - set(top) - {"config_version"})
     _require(not unknown,
              f"unknown top-level key{'s' if len(unknown) > 1 else ''}: "
              f"{', '.join(unknown)}")
-
-    data_raw = obj.get("data", {})
-    if isinstance(data_raw, dict) and data_raw.get("source") == "cifar10":
-        _reject_inapplicable(data_raw, "data", "cifar10",
-                             _SYNTHETIC_ONLY, "synthetic data")
-        data_raw = dict(data_raw,
-                        num_classes=CIFAR10_CLASSES, dim=CIFAR10_DIM)
-    stage1_raw = obj.get("stage1", {})
-    if isinstance(stage1_raw, dict) and \
-            stage1_raw.get("method", "fedsc") == "fedce":
-        _reject_inapplicable(stage1_raw, "stage1", "fedce",
-                             _FEDSC_ONLY, "the 'fedsc' method")
-    stage3_raw = obj.get("stage3", {})
-    if isinstance(stage3_raw, dict):
-        method3 = stage3_raw.get("method", "fedgate")
-        if method3 != "fedgate":
-            _reject_inapplicable(stage3_raw, "stage3", method3,
-                                 _FEDGATE_ONLY, "the 'fedgate' method")
-        if method3 != "rollgate":
-            _reject_inapplicable(stage3_raw, "stage3", method3,
-                                 _ROLLGATE_ONLY, "the 'rollgate' method")
-        if method3 == "rangate":
-            _reject_inapplicable(stage3_raw, "stage3", method3, ("lr",),
-                                 "the 'rollgate' and 'fedgate' methods")
-
-    output_dir = obj.get("output_dir")
-    _require(output_dir is None or isinstance(output_dir, str),
-             f"output_dir must be a string or null, got {output_dir!r}")
-    scalars = {}
-    for key in ("seed", "k", "batch_size", "bytes_per_scalar"):
-        if key in obj:
-            scalars[key] = obj[key]
-    return RunConfig(
-        output_dir=output_dir,
-        data=_build_section(DataConfig, data_raw, "data"),
-        model=_build_section(
-            ModelConfig, obj.get("model", {}), "model",
-            tuple_fields=("fe_widths", "fe_activations", "expert_widths",
-                          "expert_activations")),
-        stage1=_build_section(Stage1Config, stage1_raw, "stage1"),
-        stage2=_build_section(Stage2Config, obj.get("stage2", {}),
-                              "stage2"),
-        stage3=_build_section(Stage3Config, stage3_raw, "stage3"),
-        baselines=_build_section(BaselineConfig, obj.get("baselines", {}),
-                                 "baselines"),
-        **scalars)
+    kwargs = {}
+    for name, f in top.items():
+        if name in obj:
+            kwargs[name] = _build_section(f.default_factory, obj[name], name) \
+                if _is_section(f) else obj[name]
+    return RunConfig(**kwargs)
 
 
 def load_config(path) -> RunConfig:

@@ -285,13 +285,16 @@ def draw_views(spec: AugmentSpec, shape: tuple[int, ...],
 
 def augment(spec: AugmentSpec, batch: np.ndarray,
             seed) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent augmented views of a batch.
+    """Two independent augmented views of a (rows, width) batch, or of
+    every slice of a (..., rows, width) stack of batches.
 
     Each view adds Gaussian noise, then zeroes coordinates independently
-    with probability mask_prob; draw_views fixes the draw order.
+    with probability mask_prob; draw_views fixes the draw order. One
+    pair of draws for the trailing (rows, width) shape serves every
+    slice, so each slice's views equal the 2-d call on that slice.
     """
     x = np.asarray(batch, dtype=np.float64)
-    first, second = draw_views(spec, x.shape, seed)
+    first, second = draw_views(spec, x.shape[-2:], seed)
     return first.apply(x), second.apply(x)
 
 

@@ -58,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .datasets import AugmentSpec, Dataset, Shard, apportion, draw_views
+from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
+                       draw_views)
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
@@ -323,8 +324,9 @@ def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
     dataset fraction. Returns the loss and its gradients for both views;
     rbar is treated as a constant.
 
-    Stacked views (g, b, d) take g aggregates (g, d, d) and g weights,
-    and give an array of g losses, each slice reduced on its own.
+    Stacked views (g, b, d) take g aggregates (g, d, d) under the one
+    weight q, and give an array of g losses, each slice reduced on its
+    own.
     """
     z1 = np.ascontiguousarray(z1, dtype=np.float64)
     z2 = np.ascontiguousarray(z2, dtype=np.float64)
@@ -337,13 +339,8 @@ def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
     if rbar.shape != lead + (d, d):
         raise ConfigError(
             f"aggregate matrix must be {lead + (d, d)}, got {rbar.shape}")
-    qs = np.asarray(q, dtype=np.float64)
-    if qs.shape != lead:
-        raise ConfigError(f"expected sample weights of shape {lead}, got "
-                          f"{qs.shape}")
-    if not ((qs > 0.0) & (qs <= 1.0)).all():
+    if not 0.0 < q <= 1.0:
         raise ConfigError(f"sample weight must lie in (0, 1], got {q}")
-    q = qs if lead else float(qs)
     rp_trace = _slice_sums(z1 * z2) / b
     rhat = (_t(z1) @ z1 + _t(z2) @ z2) / (2.0 * b)
     quad = _slice_sums(rhat * rhat)
@@ -351,8 +348,7 @@ def spectral_contrastive_local_loss(z1: np.ndarray, z2: np.ndarray,
     loss = -rp_trace + 0.5 * q * quad + (1.0 - q) * cross
     # rhat enters both trailing terms; symmetrized right-factors give the
     # exact derivative of the expression as computed
-    qs = qs[..., None, None]
-    coupling = qs * (rhat + _t(rhat)) + (1.0 - qs) * (rbar + _t(rbar))
+    coupling = q * (rhat + _t(rhat)) + (1.0 - q) * (rbar + _t(rbar))
     return loss, _view_grad(z1, z2, coupling, b), \
         _view_grad(z2, z1, coupling, b)
 
@@ -404,23 +400,22 @@ def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
 
 def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
                         features: np.ndarray, aug_spec: AugmentSpec,
-                        rbar: np.ndarray, q, lr: float, batch_size: int,
-                        rng: np.random.Generator):
+                        rbar: np.ndarray, q: float, lr: float,
+                        batch_size: int, rng: np.random.Generator):
     """One spectral-contrastive epoch on two augmented views per batch.
 
     The stream draws the epoch's batch order, then for each batch the
-    draw_views of a (rows, width) batch: view-1 noise and mask, view-2
-    noise and mask. Stacks like _sgd_ce_epoch: (g, n, width)
-    features, g aggregates and g weights, every client applying the same
-    draws to its own rows.
+    augment draws of a (rows, width) batch: view-1 noise and mask,
+    view-2 noise and mask. Stacks like _sgd_ce_epoch: (g, n, width)
+    features and g aggregates under one weight q, every client applying
+    the same draws to its own rows.
     """
-    n, dim = features.shape[-2:]
+    n = features.shape[-2]
     total = 0.0
     for rows in _batches(n, batch_size, rng):
-        draw1, draw2 = draw_views(aug_spec, (rows.size, dim), rng)
-        x = features.take(rows, axis=-2)
-        z1, tape1 = forward(fe_spec, fe, draw1.apply(x), want_tape=True)
-        z2, tape2 = forward(fe_spec, fe, draw2.apply(x), want_tape=True)
+        x1, x2 = augment(aug_spec, features.take(rows, axis=-2), rng)
+        z1, tape1 = forward(fe_spec, fe, x1, want_tape=True)
+        z2, tape2 = forward(fe_spec, fe, x2, want_tape=True)
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
         g1, _ = backward(tape1, dz1, input_grad=False)
         g2, _ = backward(tape2, dz2, input_grad=False)
@@ -514,8 +509,9 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     Every round: each client shares its noised full-shard correlation
     matrix; the server hands each client the weighted aggregate of
     everyone else's shares; clients run spectral-contrastive epochs on
-    augmented view pairs; extractors are averaged by shard size. A lone
-    client sees a zero aggregate, which reduces the loss to its
+    augmented view pairs; extractors are averaged by shard size. Shards
+    share one size, so every client's loss takes the one weight q = 1/m.
+    A lone client sees a zero aggregate, which reduces the loss to its
     single-client form. Every client derives the same local-training
     stream over a shard of the same size, so all clients draw the same
     batch orders and augmentations and train as one stack.
@@ -525,12 +521,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     if dp_noise_std < 0.0:
         raise ConfigError(f"dp_noise_std must be >= 0, got {dp_noise_std}")
     m = len(clients)
-    sizes = np.array([s.train.num_samples for s in clients],
-                     dtype=np.float64)
-    q = sizes / sizes.sum()
-    if m > 1 and (q >= 1.0).any():
-        raise InternalError("a client weight reached 1 with several "
-                            "clients; weights must be normalized")
+    # every shard has one size n, and n / (m n) rounds to 1 / m
+    q = 1.0 / m
     d = fe_spec.out_width
     ids = np.arange(m)
     features = np.stack([s.train.features for s in clients])
@@ -549,8 +541,8 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         rbars = np.zeros((m, d, d))
         if m > 1:
             for i, share in enumerate(shares):
-                rbars[ids != i] += q[i] * share
-            rbars /= (1.0 - q)[:, None, None]
+                rbars[ids != i] += q * share
+            rbars /= 1.0 - q
 
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
         fe_g = stack_params([fe] * m)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import seeding
-from .config import RunConfig, config_from_dict, config_hash, save_config
+from .config import RunConfig, config_hash, save_config
 from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
 from .errors import ConfigError, NmoeError
@@ -491,18 +491,13 @@ _SWEEP_COLUMNS = ("axis", "value", "status", "config_hash",
 
 
 def _sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
-    echo = config.to_dict()
-    echo["output_dir"] = None
-    if axis == "num_clients":
-        echo["data"]["num_clients"] = value
-    elif axis == "k":
-        echo["k"] = value
-    elif axis == "tau":
-        echo["data"]["tau"] = value
-    else:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
-                          f"got {axis!r}")
-    return config_from_dict(echo)
+    if axis == "k":
+        return replace(config, output_dir=None, k=value)
+    if axis in ("num_clients", "tau"):
+        return replace(config, output_dir=None,
+                       data=replace(config.data, **{axis: value}))
+    raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
+                      f"got {axis!r}")
 
 
 def run_ablation(config: RunConfig, axis: str, values) -> list[dict]:

@@ -1,4 +1,7 @@
+import copy
 import json
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -167,6 +170,19 @@ def test_misspelled_stage3_key_is_unknown(method):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("section,doc", [
+    ("data.source", {"source": "cifar", "dim": 16}),
+    ("stage1.method", {"method": "fedprox", "dp_noise_std": 0.1}),
+    ("stage3.method", {"method": "softgate", "rounds": 5}),
+])
+def test_misspelled_selector_is_reported_before_its_keys(section, doc):
+    # a bad selector value is the error, not the keys it would idle
+    body = minimal()
+    body[section.split(".")[0]] = doc
+    with pytest.raises(ConfigError, match=rf"^{section} must be "):
+        config_from_dict(body)
+
+
 def test_rangate_rejects_learning_rate():
     doc = minimal()
     doc["stage3"] = {"method": "rangate", "lr": 0.1}
@@ -271,6 +287,51 @@ def test_cifar_rejects_synthetic_knobs(tmp_path):
                    "cluster_spread": 0.5}
     with pytest.raises(ConfigError, match="synthetic"):
         config_from_dict(doc)
+
+
+def test_cifar_rejection_names_the_source(tmp_path):
+    doc = minimal()
+    doc["data"] = {"source": "cifar10", "path": cifar_file(tmp_path),
+                   "dim": CIFAR10_DIM}
+    with pytest.raises(ConfigError, match=r"^data\.dim only applies to the "
+                       r"'synthetic' source, but data\.source is 'cifar10'$"):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "cifar10"])
+@pytest.mark.parametrize("stage1", ["fedce", "fedsc"])
+@pytest.mark.parametrize("stage3", ["rangate", "rollgate", "fedgate"])
+def test_echo_omits_exactly_the_keys_a_document_may_not_set(
+        tmp_path, source, stage1, stage3):
+    selectors = {"data": "source", "stage1": "method", "stage3": "method"}
+    doc = minimal()
+    doc["stage1"] = {"method": stage1}
+    doc["stage3"] = {"method": stage3}
+    if source == "cifar10":
+        doc["data"] = {"source": source, "path": cifar_file(tmp_path)}
+        doc["model"] = {"fe_widths": [CIFAR10_DIM, 32],
+                        "fe_activations": ["tanh"]}
+    cfg = config_from_dict(doc)
+    echo = cfg.to_dict()
+    assert config_from_dict(echo) == cfg
+    for f in fields(cfg):
+        if not isinstance(echo[f.name], dict):
+            continue
+        section = getattr(cfg, f.name)
+        omitted = [g.name for g in fields(section)
+                   if g.name not in echo[f.name]]
+        if f.name not in selectors:
+            assert omitted == []
+            continue
+        selector = selectors[f.name]
+        for key in omitted:
+            written = copy.deepcopy(echo)
+            written[f.name][key] = getattr(section, key)
+            message = (rf"^{f.name}\.{key} only applies to .+, but "
+                       rf"{f.name}\.{selector} is "
+                       rf"{re.escape(repr(getattr(section, selector)))}$")
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(written)
 
 
 def test_hash_ignores_output_dir():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import same_bits
 
 from nmoe.datasets import (AugmentSpec, Dataset, apportion, augment,
                            dominant_class_counts, gen_synthetic, load_cifar10,
@@ -305,6 +306,18 @@ class TestAugment:
         x = np.zeros((2, 8))
         v1, v2 = augment(spec, x, seed=6)
         assert not np.array_equal(v1, v2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 9),
+           st.integers(1, 7))
+    def test_stack_matches_each_slice(self, seed, g, rows, width):
+        # one draw for the trailing (rows, width) shape serves every slice
+        spec = AugmentSpec(noise_std=0.3, mask_prob=0.2)
+        x = np.random.default_rng(seed).normal(size=(g, rows, width))
+        v1, v2 = augment(spec, x, seed=seed)
+        for c in range(g):
+            s1, s2 = augment(spec, x[c], seed=seed)
+            assert same_bits(v1[c], s1) and same_bits(v2[c], s2)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

@@ -164,10 +164,7 @@ class TestSpectralLoss:
         stack = np.zeros((2, 3, 2))
         with pytest.raises(ConfigError):
             spectral_contrastive_local_loss(stack, stack, np.zeros((2, 2)),
-                                            np.ones(2))
-        with pytest.raises(ConfigError):
-            spectral_contrastive_local_loss(stack, stack,
-                                            np.zeros((2, 2, 2)), 1.0)
+                                            1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 70),
@@ -176,11 +173,11 @@ class TestSpectralLoss:
         rng = np.random.default_rng(seed)
         z1, z2 = rng.normal(size=(2, g, b, d))
         rbar = rng.normal(size=(g, d, d))
-        q = rng.uniform(0.05, 1.0, size=g)
+        q = float(rng.uniform(0.05, 1.0))
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
         for c in range(g):
             single = spectral_contrastive_local_loss(z1[c], z2[c], rbar[c],
-                                                     float(q[c]))
+                                                     q)
             assert loss[c] == single[0]
             assert np.array_equal(dz1[c], single[1])
             assert np.array_equal(dz2[c], single[2])
