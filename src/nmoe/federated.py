@@ -12,9 +12,9 @@ Randomness discipline: every stream derives from (seed, component, round,
 client). Local-training streams use client slot 0 for every client, so
 clients holding identical shards follow identical trajectories and a
 single-client federation reproduces its centralized counterpart bit for
-bit (the centralized_* functions share the epoch helpers and the same
-derivations). Correlation noise and pseudo-label assignment keep
-per-client streams.
+bit (the one-dataset trainers of tests/oracles.py run the same epoch
+helpers under the same derivations). Correlation noise and pseudo-label
+assignment keep per-client streams.
 
 A federation's train shards share one size, which every stage checks
 (the partition gives every client the same number of train rows). Since
@@ -58,8 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .datasets import (AugmentSpec, Dataset, Shard, apportion, augment,
-                       draw_views)
+from .datasets import AugmentSpec, Shard, apportion, augment, draw_views
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
@@ -857,77 +856,3 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     return Stage3Result(
         gate=GateParams(params=params, noise_std=gate_init.noise_std),
         reports=reports)
-
-
-def centralized_classifier(train: Dataset, fe_spec: MlpSpec,
-                           head_spec: MlpSpec, rounds: int,
-                           local_epochs: int, lr: float, seed: int, *,
-                           batch_size: int = 64):
-    """Plain SGD counterpart of stage1_fedce on one dataset.
-
-    Follows the same rounds-by-epochs schedule and stream derivations, so
-    a single-client federation matches it bit for bit.
-    """
-    _check_schedule(rounds, local_epochs, lr, batch_size)
-    spec = chain_specs(fe_spec, head_spec)
-    fe = init_mlp_params(
-        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
-    params = _chain_params(spec, fe, init_mlp_params(
-        head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)))
-    losses = []
-    for r in range(rounds):
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        for _ in range(local_epochs):
-            params, loss = _sgd_ce_epoch(spec, params, train.features,
-                                         train.labels, lr, batch_size, rng)
-            _check_finite(loss, "centralized_classifier", 0, r)
-            losses.append(loss)
-    fe, head = _split_chain(params, fe_spec, head_spec)
-    return fe, head, losses
-
-
-def centralized_spectral(train: Dataset, fe_spec: MlpSpec, rounds: int,
-                         local_epochs: int, lr: float,
-                         aug_spec: AugmentSpec, seed: int, *,
-                         batch_size: int = 64):
-    """Spectral-contrastive counterpart of stage1_fedsc on one dataset;
-    the aggregate term is zero, matching a lone federated client."""
-    _check_schedule(rounds, local_epochs, lr, batch_size)
-    fe = init_mlp_params(
-        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
-    rbar = np.zeros((fe_spec.out_width, fe_spec.out_width))
-    losses = []
-    for r in range(rounds):
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        for _ in range(local_epochs):
-            fe, loss = _sgd_spectral_epoch(
-                fe_spec, fe, train.features, aug_spec, rbar, 1.0, lr,
-                batch_size, rng)
-            _check_finite(loss, "centralized_spectral", 0, r)
-            losses.append(loss)
-    return fe, losses
-
-
-def centralized_gate(train: Dataset, fe_spec: MlpSpec, fe_params: ParamSet,
-                     expert_spec: MlpSpec, experts,
-                     gate_init: GateParams, rounds: int, local_epochs: int,
-                     lr: float, lambda_load: float, grad_max_norm: float,
-                     k: int, seed: int, *, batch_size: int = 64):
-    """Gate-training counterpart of stage3_fedgate on one dataset: a
-    stack of one gate trained on one shard."""
-    _check_schedule(rounds, local_epochs, lr, batch_size)
-    latents = _frozen_latents(fe_spec, fe_params, [train])
-    params = stack_params([gate_init.params])
-    losses = []
-    for r in range(rounds):
-        rng = derive_rng(seed, seeding.STAGE3, r, 0)
-        for _ in range(local_epochs):
-            params, loss = _sgd_gate_epoch(
-                params, gate_init.noise_std, latents, train.labels[None],
-                np.zeros(1, dtype=np.int64), expert_spec, experts, k, lr,
-                lambda_load, grad_max_norm, batch_size, rng)
-            loss = float(loss[0])
-            _check_finite(loss, "centralized_gate", 0, r)
-            losses.append(loss)
-    return GateParams(params=unstack_params(params)[0],
-                      noise_std=gate_init.noise_std), losses

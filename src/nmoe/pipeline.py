@@ -4,7 +4,10 @@ metrics, baselines, and sweeps.
 A run is a pure function of its RunConfig. Every random draw comes from
 a stream derived as (seed, component, round, client), artifacts never
 record wall-clock time, and floats are serialized by repr, so rerunning
-a config reproduces its results record byte for byte.
+a config reproduces its results record byte for byte. With baselines, a
+child forked right after the shards are built trains the centralized
+mixture while this process runs the stages and the classifiers; it has
+this process's numpy and BLAS, so its bits are those of a sequential run.
 
 Artifacts written under the output directory:
   config.json       the validated config echo
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from . import seeding
 from .config import RunConfig, config_hash, save_config
 from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
-from .errors import ConfigError, NmoeError
+from .errors import ConfigError, InternalError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, stage1_fedce,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
@@ -216,8 +221,11 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
         save_config(config, out / "config.json")
 
     stage = "data"
+    child = None
     try:
         shards = build_shards(config)
+        if with_baselines:
+            child = _CentralizedChild(config, shards)
         stage = "stage1"
         stage1 = _run_stage1(config, shards)
         stage = "stage2"
@@ -248,10 +256,13 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
         baselines = None
         if with_baselines:
             stage = "baselines"
-            baselines = run_baselines(config, shards)
+            baselines = run_baselines(config, shards, child)
     except NmoeError as exc:
         _write_failed(out, stage, exc)
         raise
+    finally:
+        if child is not None:
+            child.close()
 
     result = RunResult(config=config, config_hash=h, model=model,
                        stage1=stage1, stage2=stage2, stage3=stage3,
@@ -440,38 +451,101 @@ def train_fedavg_classifier(config: RunConfig, shards
         bytes_per_scalar=config.bytes_per_scalar)
 
 
-def run_baselines(config: RunConfig, shards=None) -> dict:
+def _centralized_entry(config: RunConfig, shards) -> dict:
+    """The centralized mixture's baseline entry: trained on the pooled
+    shards, then routed and evaluated like the pipeline's model."""
+    model, losses = train_centralized_moe(config, shards)
+    inference = simulate_inference(
+        model, shards, config.k, cost_model(config),
+        rng=derive_rng(config.seed, seeding.EVAL, 1, 0))
+    report = evaluate_clients(inference.predictions, inference.scores,
+                              inference.labels, config.data.num_classes)
+    return _baseline_entry(report, inference.log, 0, losses)
+
+
+class _CentralizedChild:
+    """_centralized_entry in a forked child, which inherits the config
+    and the shards, pickles back its entry or its exception through a
+    pipe, and always ends with os._exit."""
+
+    def __init__(self, config: RunConfig, shards):
+        read, write = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                try:
+                    reply = (None, _centralized_entry(config, shards))
+                except BaseException as exc:
+                    reply = (exc, None)
+                with os.fdopen(write, "wb") as fh:
+                    pickle.dump(reply, fh)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pipe = os.fdopen(read, "rb")
+
+    def result(self) -> dict:
+        """Wait for the child and return its entry, or raise its error."""
+        with self._pipe:
+            data = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != 0:
+            raise InternalError("the centralized-mixture child ended with "
+                                f"code {os.waitstatus_to_exitcode(status)}")
+        error, entry = pickle.loads(data)
+        if error is not None:
+            raise error
+        return entry
+
+    def close(self) -> None:
+        """Kill the child unless it was reaped, and reap it."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, 9)  # SIGKILL; the signal module is not loaded
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def run_baselines(config: RunConfig, shards=None, child=None) -> dict:
     """The three reference systems, evaluated exactly like the pipeline:
     a centralized mixture on pooled data, purely local classifiers, and
-    a federated average of the full classifier."""
+    a federated average of the full classifier. The centralized mixture
+    trains in `child`, a _CentralizedChild over these shards (one is
+    started here if none is given), while this process trains the
+    classifiers."""
     if shards is None:
         shards = build_shards(config)
+    if child is None:
+        child = _CentralizedChild(config, shards)
+        try:
+            return run_baselines(config, shards, child)
+        finally:
+            child.close()
     num_classes = config.data.num_classes
     spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
-
-    central_model, central_losses = train_centralized_moe(config, shards)
-    central_inference = simulate_inference(
-        central_model, shards, config.k, cost_model(config),
-        rng=derive_rng(config.seed, seeding.EVAL, 1, 0))
-    central_report = evaluate_clients(
-        central_inference.predictions, central_inference.scores,
-        central_inference.labels, num_classes)
-
-    local_params, local_losses = train_local_classifiers(config, shards)
-    local_report, local_log = _inference_on_own_shard(
-        local_params, spec, shards, num_classes)
-
-    global_params, fedavg_rounds = train_fedavg_classifier(config, shards)
+    try:
+        local_params, local_losses = train_local_classifiers(config, shards)
+        local_report, local_log = _inference_on_own_shard(
+            local_params, spec, shards, num_classes)
+        global_params, fedavg_rounds = train_fedavg_classifier(config,
+                                                               shards)
+        fedavg_report, fedavg_log = _inference_on_own_shard(
+            {s.client_id: global_params for s in shards}, spec, shards,
+            num_classes)
+    except Exception:
+        # a sequential run trained the centralized mixture first, so its
+        # error, if it has one, is the one raised
+        child.result()
+        raise
     fedavg_losses = [float(np.mean(list(r.client_losses.values())))
                      for r in fedavg_rounds]
-    fedavg_report, fedavg_log = _inference_on_own_shard(
-        {s.client_id: global_params for s in shards}, spec, shards,
-        num_classes)
     fedavg_bytes = sum(r.bytes_sent for r in fedavg_rounds)
-
     return {
-        "centralized_moe": _baseline_entry(
-            central_report, central_inference.log, 0, central_losses),
+        "centralized_moe": child.result(),
         "local_classifier": _baseline_entry(
             local_report, local_log, 0, local_losses),
         "fedavg_classifier": _baseline_entry(

@@ -12,14 +12,17 @@ import numpy as np
 
 from nmoe import kernels, seeding
 from nmoe.datasets import augment
-from nmoe.federated import (_batches, _check_finite, _digest_group,
-                            _sgd_ce_epoch, _sgd_spectral_epoch,
+from nmoe.federated import (_batches, _chain_params, _check_finite,
+                            _check_schedule, _digest_group, _frozen_latents,
+                            _sgd_ce_epoch, _sgd_gate_epoch,
+                            _sgd_spectral_epoch, _split_chain,
                             compute_correlation_share, fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
                       init_gate_params, load_balance_loss)
 from nmoe.numerics import (ParamSet, backward, chain_specs, cross_entropy,
                            forward, grad_normalize, init_mlp_params,
-                           params_digest, sgd_step, softmax_backward)
+                           params_digest, sgd_step, softmax_backward,
+                           stack_params, unstack_params)
 from nmoe.pipeline import (_BASE_CENTRAL_INIT, _BASE_CENTRAL_TRAIN,
                            _BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
                            _BASE_LOCAL_INIT, _BASE_LOCAL_TRAIN,
@@ -473,6 +476,79 @@ def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
                            {c: float(np.mean(v)) for c, v in losses.items()},
                            tuple(clients[c].client_id for c in participants)))
     return rounds_out
+
+
+# The one-dataset counterparts of stage1_fedce, stage1_fedsc and
+# stage3_fedgate. They run the package's epoch helpers on one shard, under
+# the stream derivations of a lone federated client, so a one-client
+# federation must match them bit for bit (acceptance criterion 3).
+
+def centralized_classifier(train, fe_spec, head_spec, rounds, local_epochs,
+                           lr, seed, *, batch_size=64):
+    """Plain SGD counterpart of stage1_fedce on one dataset.
+
+    Follows the same rounds-by-epochs schedule and stream derivations, so
+    a single-client federation matches it bit for bit.
+    """
+    _check_schedule(rounds, local_epochs, lr, batch_size)
+    spec = chain_specs(fe_spec, head_spec)
+    fe = init_mlp_params(
+        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
+    params = _chain_params(spec, fe, init_mlp_params(
+        head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)))
+    losses = []
+    for r in range(rounds):
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        for _ in range(local_epochs):
+            params, loss = _sgd_ce_epoch(spec, params, train.features,
+                                         train.labels, lr, batch_size, rng)
+            _check_finite(loss, "centralized_classifier", 0, r)
+            losses.append(loss)
+    fe, head = _split_chain(params, fe_spec, head_spec)
+    return fe, head, losses
+
+
+def centralized_spectral(train, fe_spec, rounds, local_epochs, lr, aug_spec,
+                         seed, *, batch_size=64):
+    """Spectral-contrastive counterpart of stage1_fedsc on one dataset;
+    the aggregate term is zero, matching a lone federated client."""
+    _check_schedule(rounds, local_epochs, lr, batch_size)
+    fe = init_mlp_params(
+        fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
+    rbar = np.zeros((fe_spec.out_width, fe_spec.out_width))
+    losses = []
+    for r in range(rounds):
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        for _ in range(local_epochs):
+            fe, loss = _sgd_spectral_epoch(
+                fe_spec, fe, train.features, aug_spec, rbar, 1.0, lr,
+                batch_size, rng)
+            _check_finite(loss, "centralized_spectral", 0, r)
+            losses.append(loss)
+    return fe, losses
+
+
+def centralized_gate(train, fe_spec, fe_params, expert_spec, experts,
+                     gate_init, rounds, local_epochs, lr, lambda_load,
+                     grad_max_norm, k, seed, *, batch_size=64):
+    """Gate-training counterpart of stage3_fedgate on one dataset: a
+    stack of one gate trained on one shard."""
+    _check_schedule(rounds, local_epochs, lr, batch_size)
+    latents = _frozen_latents(fe_spec, fe_params, [train])
+    params = stack_params([gate_init.params])
+    losses = []
+    for r in range(rounds):
+        rng = derive_rng(seed, seeding.STAGE3, r, 0)
+        for _ in range(local_epochs):
+            params, loss = _sgd_gate_epoch(
+                params, gate_init.noise_std, latents, train.labels[None],
+                np.zeros(1, dtype=np.int64), expert_spec, experts, k, lr,
+                lambda_load, grad_max_norm, batch_size, rng)
+            loss = float(loss[0])
+            _check_finite(loss, "centralized_gate", 0, r)
+            losses.append(loss)
+    return GateParams(params=unstack_params(params)[0],
+                      noise_std=gate_init.noise_std), losses
 
 
 def cache_centralized_gate(train, fe_spec, fe_params, expert_spec, experts,

@@ -11,18 +11,18 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (finite_difference, finite_difference_params,
-                     max_relative_error, max_relative_error_params,
-                     pairwise_macro_auc, per_client_fedce)
+from oracles import (centralized_classifier, centralized_gate,
+                     centralized_spectral, finite_difference,
+                     finite_difference_params, max_relative_error,
+                     max_relative_error_params, pairwise_macro_auc,
+                     per_client_fedce)
 
 from nmoe import seeding
 from nmoe.config import RunConfig, config_from_dict
 from nmoe.datasets import (AugmentSpec, Dataset, gen_synthetic, load_cifar10,
                            partition_noniid, save_cifar10)
-from nmoe.federated import (centralized_classifier, centralized_gate,
-                            centralized_spectral, fedavg,
-                            spectral_contrastive_local_loss, stage1_fedce,
-                            stage1_fedsc, stage3_fedgate)
+from nmoe.federated import (fedavg, spectral_contrastive_local_loss,
+                            stage1_fedce, stage1_fedsc, stage3_fedgate)
 from nmoe.metrics import macro_auc
 from nmoe.moe import (GateParams, NmoeModel, gate_topk, init_gate_params,
                       load_balance_loss)

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from nmoe import kernels, seeding
 from nmoe.datasets import AugmentSpec, Dataset, Shard, gen_synthetic, partition_noniid
 from nmoe.errors import ConfigError, DataError, TrainingError
-from nmoe.federated import (FedRoundReport, Stage1Result,
-                            _routed_logits, _view_grad,
-                            centralized_classifier, centralized_gate,
-                            centralized_spectral, classifier_round_bytes,
+from nmoe.federated import (FedRoundReport, Stage1Result, _routed_logits,
+                            _view_grad, classifier_round_bytes,
                             compute_correlation_share, fedavg,
-                            fedavg_classifier,
-                            fedgate_round_bytes, fedgate_setup_bytes,
+                            fedavg_classifier, fedgate_round_bytes,
+                            fedgate_setup_bytes,
                             rollgate_pass_bytes, rollgate_pseudo_labels,
                             spectral_contrastive_local_loss,
                             spectral_round_bytes, stage1_fedce, stage1_fedsc,
@@ -25,7 +23,9 @@ from nmoe.numerics import (MlpSpec, ParamSet, forward, init_mlp_params,
                            params_digest)
 from nmoe.seeding import derive_rng
 import oracles
-from oracles import finite_difference, max_relative_error
+from oracles import (centralized_classifier, centralized_gate,
+                     centralized_spectral, finite_difference,
+                     max_relative_error)
 
 I, R, T = kernels.ACT_IDENTITY, kernels.ACT_RELU, kernels.ACT_TANH
 

@@ -1,18 +1,21 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 
-from nmoe import seeding
-from nmoe.config import RunConfig, config_from_dict, config_hash
-from nmoe.errors import ConfigError, DataError, TrainingError
+from nmoe import pipeline, seeding
+from nmoe.cli import main
+from nmoe.config import RunConfig, config_from_dict, config_hash, save_config
+from nmoe.errors import ConfigError, DataError, InternalError, TrainingError
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
 from nmoe.netsim import CostModel, simulate_inference
 from nmoe.datasets import Dataset, Shard
-from nmoe.pipeline import (RunResult, build_shards, run_ablation,
-                           run_baselines, run_pipeline,
+from nmoe.pipeline import (RunResult, _centralized_entry, build_shards,
+                           run_ablation, run_baselines, run_pipeline,
                            train_centralized_moe, train_fedavg_classifier,
                            train_local_classifiers, write_sweep_csv)
 from nmoe.numerics import params_digest
@@ -216,6 +219,60 @@ def test_baselines_deterministic(small_baselines):
     assert again == small_baselines
 
 
+def test_forked_baselines_match_in_process_bits():
+    # the centralized mixture trains in a forked child, beside the
+    # pipeline's stages or the classifier baselines; its entry must carry
+    # the bits of the same computation run in this process
+    config = small_config()
+    shards = build_shards(config)
+    baselines = run_baselines(config, shards)
+    assert run_pipeline(config, with_baselines=True).baselines == baselines
+    assert baselines["centralized_moe"] == _centralized_entry(config, shards)
+
+
+def sleeping_child(monkeypatch):
+    """Make the forked child sleep for 30 s instead of training, so a
+    parent that waited for it rather than killing it would show; the
+    autouse fixture of conftest.py checks that it was reaped."""
+    monkeypatch.setattr(pipeline, "_centralized_entry",
+                        lambda config, shards: time.sleep(30))
+
+
+def test_stage_failure_kills_the_baselines_child(monkeypatch):
+    sleeping_child(monkeypatch)
+    config = divergence_config(stage1={"method": "fedce"})
+    real = pipeline.build_shards
+    monkeypatch.setattr(pipeline, "build_shards",
+                        lambda c: scale_train(real(c), {1: 1e200}))
+    start = time.perf_counter()
+    with pytest.raises(TrainingError, match=r"^client 1 loss became "
+                       r"non-finite in stage1_fedce round 0$"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        run_pipeline(config, with_baselines=True)
+    assert time.perf_counter() - start < 15
+
+
+def test_interrupt_kills_the_baselines_child(monkeypatch):
+    sleeping_child(monkeypatch)
+
+    def interrupted(config, shards):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "_run_stage1", interrupted)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(small_config(), with_baselines=True)
+    assert time.perf_counter() - start < 15
+
+
+def test_baselines_child_that_dies_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(pipeline, "_centralized_entry",
+                        lambda config, shards: os._exit(3))
+    with pytest.raises(InternalError, match=r"^the centralized-mixture "
+                       r"child ended with code 3$"):
+        run_baselines(small_config())
+
+
 # at 64-row batches 60 and 45 rows make one short batch, 64 one full
 # batch and 65 a full batch and a one-row one
 @pytest.mark.parametrize("act", ["relu", "tanh"])
@@ -361,6 +418,40 @@ class TestBaselineDivergence:
                            r"non-finite in baseline_local_classifier "
                            r"round 2$"):
             run_baselines(config, shards)
+
+    def test_centralized_moe_error_wins_over_the_local_classifier(self):
+        # both diverge; a sequential run trained the centralized mixture
+        # first, so its error is the one raised
+        config = divergence_config()
+        shards = scale_train(build_shards(config), {1: 1e200})
+        with pytest.raises(TrainingError, match=r"^client 1 .* "
+                           r"baseline_local_classifier round 1$"):
+            train_local_classifiers(config, shards)
+        with pytest.raises(TrainingError, match=r"^client 0 loss became "
+                           r"non-finite in baseline_centralized_moe "
+                           r"round 0$"):
+            run_baselines(config, shards)
+
+    def test_train_cli_reports_the_child_divergence(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # only the centralized mixture sees the scaled shard, and it
+        # trains in the forked child
+        real = pipeline.train_centralized_moe
+        monkeypatch.setattr(
+            pipeline, "train_centralized_moe",
+            lambda config, shards: real(config,
+                                        scale_train(shards, {1: 1e200})))
+        cfg_file = tmp_path / "cfg.json"
+        save_config(divergence_config(), cfg_file)
+        out = tmp_path / "run"
+        assert main(["train", str(cfg_file), str(out), "--baselines"]) == 5
+        marker = json.loads((out / "FAILED").read_text())
+        assert marker == {"stage": "baselines", "category": "training",
+                          "message": "client 0 loss became non-finite in "
+                          "baseline_centralized_moe round 0"}
+        assert "error (training): client 0 loss became non-finite in " \
+            "baseline_centralized_moe round 0" in capsys.readouterr().err
+        assert not (out / "results.json").exists()
 
     def test_local_classifier_lowest_client_wins(self):
         # client 2 diverges in epoch 1, client 1 only in epoch 2, and the
