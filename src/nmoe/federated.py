@@ -31,6 +31,18 @@ _fedavg_rounds, for finiteness checks, averaging and round reports.
 Every cross-entropy objective runs one epoch, _sgd_ce_epoch; FedCE's
 is over each client's extractor and head chained into one network.
 
+FedSC and FedGate train their stacks on two CPUs when the process may
+use two, no other _Peer is live (with baselines, the centralized
+mixture's child already uses the second CPU) and the stack has two
+slices or more. Each forks one _Peer for the stage, after its constant
+arrays exist, so the peer inherits them. Each round this process
+trains the first ceil(g/2) slices and the peer the rest, from the same
+derived streams; the peer sends back flat buffers and loss arrays,
+which join in client order before _fedavg_rounds. A slice's bits do
+not depend on the stack around it, so the result is the one stack's,
+bit for bit. Otherwise the same
+functions train the whole stack here and nothing forks.
+
 FedGate keeps the frozen latents of every shard but no table of the
 frozen experts' logits. Each batch runs one forward per routed expert
 over the rows routed to it, padded to a multiple of TILE rows, which
@@ -52,6 +64,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
 import time
 from dataclasses import dataclass
 
@@ -250,6 +264,132 @@ def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
             bytes_sent=round_bytes(r, len(ids), params.size()),
             wall_clock=time.perf_counter() - t0))
     return params, tuple(reports)
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on more than one CPU. A platform
+    that cannot tell (no os.sched_getaffinity, as on macOS) counts as
+    one."""
+    return hasattr(os, "sched_getaffinity") and \
+        len(os.sched_getaffinity(0)) > 1
+
+
+def _lower_half(slices: int) -> int:
+    """How many of a stack's slices this process trains: ceil(slices /
+    2) when it may use two CPUs and no other _Peer is live, a new _Peer
+    training the rest, and all of them otherwise (always all of one
+    slice). A live peer, such as the baselines' centralized-mixture
+    child, already keeps the second CPU busy: a third process would
+    time-slice two CPUs and slow the child down."""
+    return -(-slices // 2) if _two_cpus() and not _Peer.live else slices
+
+
+class _Peer:
+    """fn, answering requests in a child forked once.
+
+    The child inherits everything this process held when it forked, so
+    fn may close over arrays of any size; only the requests and replies
+    are copied, pickled through os.pipe. ask(*args) hands one request
+    over and returns; answer() waits for the oldest unanswered one's
+    fn(*args) and returns it, or raises the exception that call raised,
+    or InternalError with the child's exit code if it ended first.
+    close() kills the child and reaps it. The child runs the numpy and
+    BLAS this process loaded, so its bits are those of the same call
+    here, and it always ends with os._exit, so no exit hook runs twice.
+    """
+
+    live = 0  # peers forked and not yet reaped
+
+    def __init__(self, fn, name: str):
+        self.name = name
+        inbox, requests = os.pipe()
+        replies, outbox = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (inbox, requests, replies, outbox):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(requests)
+                os.close(replies)
+                _serve(fn, inbox, outbox)
+                status = 0
+            finally:
+                os._exit(status)
+        _Peer.live += 1
+        os.close(inbox)
+        os.close(outbox)
+        self._requests = os.fdopen(requests, "wb")
+        self._replies = os.fdopen(replies, "rb")
+
+    def ask(self, *args) -> None:
+        try:
+            pickle.dump(args, self._requests, pickle.HIGHEST_PROTOCOL)
+            self._requests.flush()
+        except BrokenPipeError:
+            raise self._ended() from None
+
+    def answer(self):
+        try:
+            error, value = pickle.load(self._replies)
+        except EOFError:
+            raise self._ended() from None
+        if error is not None:
+            raise error
+        return value
+
+    def _ended(self) -> InternalError:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        _Peer.live -= 1
+        return InternalError(f"{self.name} ended with code "
+                             f"{os.waitstatus_to_exitcode(status)}")
+
+    def close(self) -> None:
+        """Kill the child unless it was reaped, reap it, close the pipes."""
+        if self.pid is not None:
+            os.kill(self.pid, 9)  # SIGKILL; the signal module is not loaded
+            os.waitpid(self.pid, 0)
+            self.pid = None
+            _Peer.live -= 1
+        self._replies.close()
+        try:
+            self._requests.close()
+        except BrokenPipeError:
+            pass  # a request the killed child never read; the fd is closed
+
+
+def _serve(fn, inbox: int, outbox: int) -> None:
+    """A _Peer child's loop: answer each request read from inbox with
+    (None, fn(*args)), or (the exception, None), on outbox, until inbox
+    ends."""
+    with os.fdopen(inbox, "rb") as requests, \
+            os.fdopen(outbox, "wb") as replies:
+        while True:
+            try:
+                args = pickle.load(requests)
+            except EOFError:
+                return
+            try:
+                reply = (None, fn(*args))
+            except Exception as exc:
+                reply = (exc, None)
+            pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
+            replies.flush()
+
+
+def _halves(peer: _Peer | None, lower, *upper):
+    """lower() here while peer answers upper, each a tuple of arrays
+    with a leading slice axis, joined along it, lower half first.
+    Without a peer lower() trains the whole stack."""
+    if peer is None:
+        return lower()
+    peer.ask(*upper)
+    mine = lower()
+    return tuple(np.concatenate(pair) for pair in zip(mine, peer.answer()))
 
 
 def _digest_group(param_sets) -> str:
@@ -514,6 +654,13 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     single-client form. Every client derives the same local-training
     stream over a shard of the same size, so all clients draw the same
     batch orders and augmentations and train as one stack.
+
+    With two CPUs and no other live _Peer, a _Peer forked once for the
+    stage takes the upper half of the clients: each round it computes
+    their shares while this process computes the rest, then, given their
+    aggregates, trains them while this process trains the lower half.
+    A slice's bits do not depend on the stack around it, so the halves
+    join to the bits of one stack.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -525,41 +672,69 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     d = fe_spec.out_width
     ids = np.arange(m)
     features = np.stack([s.train.features for s in clients])
+    split = _lower_half(m)
 
-    def train_round(r, fe):
-        shares = [
+    def shares(r, fe_flat, lo, hi):
+        """Round r's correlation shares of clients lo to hi, (g, d, d)."""
+        fe = ParamSet.from_flat(fe_spec.layout, fe_flat)
+        return np.stack([
             compute_correlation_share(
                 fe_spec, fe, shard, aug_spec, dp_noise_std,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
-            for shard in clients
-        ]
+            for shard in clients[lo:hi]
+        ]),
+
+    def train(r, fe_flat, lo, hi, rbars):
+        """Round r's local epochs of clients lo to hi under their
+        aggregates: their (g, P) extractors and (g, epochs) losses."""
+        rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        fe_g = stack_params(
+            [ParamSet.from_flat(fe_spec.layout, fe_flat)] * (hi - lo))
+        epoch_losses = []
+        for _ in range(local_epochs):
+            fe_g, loss = _sgd_spectral_epoch(
+                fe_spec, fe_g, features[lo:hi], aug_spec, rbars, q, lr,
+                batch_size, rng)
+            epoch_losses.append(loss)
+        return fe_g.flat, np.stack(epoch_losses, axis=-1)
+
+    def upper(r, fe_flat, rbars=None):
+        """The peer's clients' shares, or, given their aggregates, their
+        local epochs."""
+        if rbars is None:
+            return shares(r, fe_flat, split, m)
+        return train(r, fe_flat, split, m, rbars)
+
+    def train_round(r, fe):
+        every_share, = _halves(peer, lambda: shares(r, fe.flat, 0, split),
+                               r, fe.flat)
 
         # every client's weighted mean of the other clients' shares, all
         # built at once: aggregate c takes share i's term in list order,
         # the additions a per-client sum would make
         rbars = np.zeros((m, d, d))
         if m > 1:
-            for i, share in enumerate(shares):
+            for i, share in enumerate(every_share):
                 rbars[ids != i] += q * share
             rbars /= 1.0 - q
 
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        fe_g = stack_params([fe] * m)
-        epoch_losses = []
-        for _ in range(local_epochs):
-            fe_g, loss = _sgd_spectral_epoch(
-                fe_spec, fe_g, features, aug_spec, rbars, q, lr, batch_size,
-                rng)
-            epoch_losses.append(loss)
-        return range(m), fe_g, epoch_losses
+        flat, losses = _halves(
+            peer, lambda: train(r, fe.flat, 0, split, rbars[:split]),
+            r, fe.flat, rbars[split:])
+        return range(m), ParamSet.from_flat(fe.layout, flat), losses.T
 
-    fe, reports = _fedavg_rounds(
-        "stage1_fedsc", clients,
-        init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
-                                            seeding.INIT_EXTRACTOR, 0)),
-        rounds, train_round,
-        lambda r, n, size: spectral_round_bytes(n, size, d,
-                                                bytes_per_scalar))
+    peer = _Peer(upper, "the stage1_fedsc peer") if split < m else None
+    try:
+        fe, reports = _fedavg_rounds(
+            "stage1_fedsc", clients,
+            init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
+                                                seeding.INIT_EXTRACTOR, 0)),
+            rounds, train_round,
+            lambda r, n, size: spectral_round_bytes(n, size, d,
+                                                    bytes_per_scalar))
+    finally:
+        if peer is not None:
+            peer.close()
     return Stage1Result(fe_params=fe, heads=None, reports=reports)
 
 
@@ -812,6 +987,11 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     slice i on the latents of participant i. Training is hosted where all
     experts are available, so their one-time shipping cost lands in the
     first round's bytes.
+
+    With two CPUs and no other live _Peer, a _Peer forked once for the
+    stage, after the latents exist, trains the upper half of each
+    round's participants from the gate and their positions while this
+    process trains the lower half.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -830,25 +1010,41 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     labels = np.stack([s.train.labels for s in clients])
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
+    layout = gate_init.params.layout
+    split = _lower_half(count)
+
+    def train(r, gate_flat, positions):
+        """Round r's local epochs of the participants at positions, from
+        the gate gate_flat: their (g, P) gates and (g, epochs) losses."""
+        rng = derive_rng(seed, seeding.STAGE3, r, 0)
+        stack = stack_params(
+            [ParamSet.from_flat(layout, gate_flat)] * len(positions))
+        epoch_losses = []
+        for _ in range(local_epochs):
+            stack, loss = _sgd_gate_epoch(
+                stack, gate_init.noise_std, latents, labels, positions,
+                expert_spec, experts, k, lr, lambda_load, grad_max_norm,
+                batch_size, rng)
+            epoch_losses.append(loss)
+        return stack.flat, np.stack(epoch_losses, axis=-1)
 
     def train_round(r, params):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
         participants = np.sort(sched.choice(m, size=count, replace=False))
-        rng = derive_rng(seed, seeding.STAGE3, r, 0)
-        stack = stack_params([params] * count)
-        epoch_losses = []
-        for _ in range(local_epochs):
-            stack, loss = _sgd_gate_epoch(
-                stack, gate_init.noise_std, latents, labels, participants,
-                expert_spec, experts, k, lr, lambda_load, grad_max_norm,
-                batch_size, rng)
-            epoch_losses.append(loss)
-        return participants, stack, epoch_losses
+        flat, losses = _halves(
+            peer, lambda: train(r, params.flat, participants[:split]),
+            r, params.flat, participants[split:])
+        return participants, ParamSet.from_flat(layout, flat), losses.T
 
-    params, reports = _fedavg_rounds(
-        "stage3_fedgate", clients, gate_init.params, rounds, train_round,
-        lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
-        + (setup if r == 0 else 0))
+    peer = _Peer(train, "the stage3_fedgate peer") if split < count else None
+    try:
+        params, reports = _fedavg_rounds(
+            "stage3_fedgate", clients, gate_init.params, rounds, train_round,
+            lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
+            + (setup if r == 0 else 0))
+    finally:
+        if peer is not None:
+            peer.close()
     if params_digest(fe_params) != fe_before:
         raise InternalError("stage 3 mutated the frozen extractor")
     if _digest_group(experts) != experts_before:

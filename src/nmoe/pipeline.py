@@ -4,10 +4,12 @@ metrics, baselines, and sweeps.
 A run is a pure function of its RunConfig. Every random draw comes from
 a stream derived as (seed, component, round, client), artifacts never
 record wall-clock time, and floats are serialized by repr, so rerunning
-a config reproduces its results record byte for byte. With baselines, a
-child forked right after the shards are built trains the centralized
-mixture while this process runs the stages and the classifiers; it has
-this process's numpy and BLAS, so its bits are those of a sequential run.
+a config reproduces its results record byte for byte. With baselines
+and two usable CPUs, a child forked right after the shards are built
+trains the centralized mixture while this process runs the stages and
+the classifiers; it has this process's numpy and BLAS, so its bits are
+those of a sequential run. With one CPU this process trains it when the
+baselines ask for its entry.
 
 Artifacts written under the output directory:
   config.json       the validated config echo
@@ -22,14 +24,12 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import seeding
+from . import federated, seeding
 from .config import RunConfig, config_hash, save_config
 from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
@@ -37,7 +37,7 @@ from .errors import ConfigError, InternalError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, stage1_fedce,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
-                        stage3_rangate, stage3_rollgate, _batches,
+                        stage3_rangate, stage3_rollgate, _Peer, _batches,
                         _check_clients, _check_finite, _client_losses,
                         _sgd_ce_epoch, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
@@ -464,59 +464,37 @@ def _centralized_entry(config: RunConfig, shards) -> dict:
 
 
 class _CentralizedChild:
-    """_centralized_entry in a forked child, which inherits the config
-    and the shards, pickles back its entry or its exception through a
-    pipe, and always ends with os._exit."""
+    """_centralized_entry over the config and shards: a one-request
+    federated._Peer, asked at once, when this process may use two CPUs;
+    otherwise this process trains the mixture when result() is called,
+    and not at all when close() comes first."""
 
     def __init__(self, config: RunConfig, shards):
-        read, write = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read)
-                try:
-                    reply = (None, _centralized_entry(config, shards))
-                except BaseException as exc:
-                    reply = (exc, None)
-                with os.fdopen(write, "wb") as fh:
-                    pickle.dump(reply, fh)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self._pipe = os.fdopen(read, "rb")
+        self._entry = lambda: _centralized_entry(config, shards)
+        self._peer = None
+        if federated._two_cpus():
+            self._peer = _Peer(self._entry, "the centralized-mixture child")
+            self._peer.ask()
 
     def result(self) -> dict:
-        """Wait for the child and return its entry, or raise its error."""
-        with self._pipe:
-            data = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status != 0:
-            raise InternalError("the centralized-mixture child ended with "
-                                f"code {os.waitstatus_to_exitcode(status)}")
-        error, entry = pickle.loads(data)
-        if error is not None:
-            raise error
-        return entry
+        """The entry, or the error its training raised."""
+        if self._peer is None:
+            return self._entry()
+        return self._peer.answer()
 
     def close(self) -> None:
-        """Kill the child unless it was reaped, and reap it."""
-        self._pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, 9)  # SIGKILL; the signal module is not loaded
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        """Kill and reap the child, if one was forked."""
+        if self._peer is not None:
+            self._peer.close()
 
 
 def run_baselines(config: RunConfig, shards=None, child=None) -> dict:
     """The three reference systems, evaluated exactly like the pipeline:
     a centralized mixture on pooled data, purely local classifiers, and
     a federated average of the full classifier. The centralized mixture
-    trains in `child`, a _CentralizedChild over these shards (one is
-    started here if none is given), while this process trains the
-    classifiers."""
+    trains through `child`, a _CentralizedChild over these shards (one
+    is started here if none is given): beside the classifiers on two
+    CPUs, after them on one."""
     if shards is None:
         shards = build_shards(config)
     if child is None:

@@ -1,3 +1,6 @@
+import json
+import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -5,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmoe import kernels, seeding
+from nmoe import federated, kernels, seeding
+from nmoe.config import config_from_dict
 from nmoe.datasets import AugmentSpec, Dataset, Shard, gen_synthetic, partition_noniid
-from nmoe.errors import ConfigError, DataError, TrainingError
-from nmoe.federated import (FedRoundReport, Stage1Result, _routed_logits,
+from nmoe.errors import ConfigError, DataError, InternalError, TrainingError
+from nmoe.federated import (FedRoundReport, Stage1Result, _Peer,
+                            _routed_logits,
                             _view_grad, classifier_round_bytes,
                             compute_correlation_share, fedavg,
                             fedavg_classifier, fedgate_round_bytes,
@@ -21,6 +26,7 @@ from nmoe.federated import (FedRoundReport, Stage1Result, _routed_logits,
 from nmoe.moe import GateParams, RandomGate, gate_topk, init_gate_params
 from nmoe.numerics import (MlpSpec, ParamSet, forward, init_mlp_params,
                            params_digest)
+from nmoe.pipeline import run_pipeline
 from nmoe.seeding import derive_rng
 import oracles
 from oracles import (centralized_classifier, centralized_gate,
@@ -1044,3 +1050,277 @@ class TestStackedDivergenceNamesTheClient:
                            match=self.message.format("stage1_fedce")):
             stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,
                          local_epochs=2, lr=0.05, seed=1, batch_size=16)
+
+
+# --- the forked peer ----------------------------------------------------
+
+FORK = os.fork
+
+
+def cpus(monkeypatch, two):
+    """Make the stages see two usable CPUs, or one, and return the list
+    that records each os.fork; on one CPU a fork fails the test."""
+    forks = []
+
+    def fork():
+        if not two:
+            raise AssertionError("a stage forked with one usable CPU")
+        forks.append(os.getpid())
+        return FORK()
+
+    monkeypatch.setattr(federated, "_two_cpus", lambda: two)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def round_outcomes(result):
+    return [(r.params_digest, r.client_losses, r.participants, r.bytes_sent)
+            for r in result.reports]
+
+
+def fedsc_call(clients, **overrides):
+    kw = dict(rounds=2, local_epochs=2, lr=0.05,
+              aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.05, seed=13,
+              batch_size=16)
+    kw.update(overrides)
+    return stage1_fedsc(clients, LOCKSTEP_FE["tanh"], **kw)
+
+
+def fedgate_call(clients, **overrides):
+    m = len(clients)
+    fe_spec, fe = identity_extractor(8)
+    expert_spec = MlpSpec((8, 10, clients[0].train.num_classes), (T, I))
+    experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
+                    for i in range(m))
+    gate_init = init_gate_params(8, m, 0.05, np.random.default_rng(3))
+    kw = dict(rounds=3, local_epochs=2, lr=0.1, lambda_load=0.05,
+              client_fraction=1.0, grad_max_norm=0.5, k=1, seed=9,
+              batch_size=16)
+    kw.update(overrides)
+    return stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+                          gate_init, **kw)
+
+
+@pytest.mark.parametrize("num_clients", [1, 2, 5, 7])
+def test_fedsc_peer_matches_in_process(monkeypatch, num_clients):
+    """The upper half of the clients trained in the forked peer: the
+    same extractor, digests and losses as the whole stack here; one
+    client, or one CPU, forks nothing."""
+    clients = lockstep_clients(num_clients, (45,))
+    cpus(monkeypatch, False)
+    alone = fedsc_call(clients)
+    forks = cpus(monkeypatch, True)
+    halves = fedsc_call(clients)
+    assert len(forks) == (num_clients > 1)
+    assert params_digest(halves.fe_params) == params_digest(alone.fe_params)
+    assert round_outcomes(halves) == round_outcomes(alone)
+
+
+@pytest.mark.parametrize("num_clients,k", [(1, 1), (2, 1), (2, 2), (5, 1),
+                                           (5, 2), (7, 1), (7, 2)])
+@pytest.mark.parametrize("client_fraction", [0.6, 1.0])
+def test_fedgate_peer_matches_in_process(monkeypatch, num_clients, k,
+                                         client_fraction):
+    """The upper half of each round's participants trained in the forked
+    peer (3 + 2 of 5 at m = 7 and fraction 0.6): the same gate, digests
+    and losses as the whole stack here; one participant forks nothing."""
+    clients = lockstep_clients(num_clients, (47,))
+    kw = dict(k=k, client_fraction=client_fraction)
+    cpus(monkeypatch, False)
+    alone = fedgate_call(clients, **kw)
+    forks = cpus(monkeypatch, True)
+    halves = fedgate_call(clients, **kw)
+    assert len(forks) == (len(alone.reports[0].participants) > 1)
+    assert params_digest(halves.gate.params) == \
+        params_digest(alone.gate.params)
+    assert round_outcomes(halves) == round_outcomes(alone)
+
+
+def test_pipeline_artifacts_match_in_process(monkeypatch, tmp_path):
+    """A FedSC + FedGate run writes the same bytes with the peers as
+    without them."""
+    files = ("results.json", "model.json", "training_log.jsonl")
+    doc = {"config_version": 1, "seed": 4, "k": 2,
+           "data": {"num_clients": 5, "samples_per_class": 100,
+                    "train_per_client": 70, "test_per_client": 20},
+           "stage1": {"rounds": 2}, "stage2": {"epochs": 2},
+           "stage3": {"rounds": 2, "client_fraction": 0.6}}
+    out = tmp_path / "run"
+    written = {}
+    for two in (False, True):
+        forks = cpus(monkeypatch, two)
+        run_pipeline(config_from_dict(dict(doc, output_dir=str(out))))
+        assert len(forks) == 2 * two
+        written[two] = [(out / name).read_bytes() for name in files]
+    assert written[True] == written[False]
+    assert json.loads(written[True][0])["config"]["stage1"]["method"] == \
+        "fedsc"
+
+
+def test_a_live_peer_keeps_the_stages_in_process(monkeypatch):
+    """Another live peer, such as the baselines' centralized-mixture
+    child, already uses the second CPU: FedSC and FedGate then fork
+    nothing and train the whole stack here, to the same bits. A peer
+    counts as live until it is reaped, by close() or by the answer that
+    found it ended."""
+    fedsc_clients = lockstep_clients(5, (45,))
+    fedgate_clients = lockstep_clients(4, (47,))
+    forks = cpus(monkeypatch, True)
+    halves = (fedsc_call(fedsc_clients), fedgate_call(fedgate_clients))
+    assert len(forks) == 2 and _Peer.live == 0
+    busy = _Peer(lambda: None, "the test peer")
+    try:
+        assert _Peer.live == 1
+        alone = (fedsc_call(fedsc_clients), fedgate_call(fedgate_clients))
+    finally:
+        busy.close()
+    assert len(forks) == 3 and _Peer.live == 0
+    for got, expected in zip(alone, halves):
+        assert round_outcomes(got) == round_outcomes(expected)
+    dead = _Peer(lambda: os._exit(3), "the test peer")
+    try:
+        dead.ask()
+        with pytest.raises(InternalError):
+            dead.answer()
+        assert _Peer.live == 0
+    finally:
+        dead.close()
+    assert _Peer.live == 0
+
+
+def test_pipeline_with_baselines_forks_only_the_centralized_child(
+        monkeypatch, tmp_path):
+    """With baselines the centralized mixture's child is live through
+    stages 1 to 3, so FedSC and FedGate fork no peer of their own."""
+    doc = {"config_version": 1, "seed": 4,
+           "data": {"num_clients": 4, "samples_per_class": 60,
+                    "train_per_client": 50, "test_per_client": 20},
+           "stage1": {"rounds": 1}, "stage2": {"epochs": 1},
+           "stage3": {"rounds": 1},
+           "output_dir": str(tmp_path / "run")}
+    forks = cpus(monkeypatch, True)
+    run_pipeline(config_from_dict(doc), with_baselines=True)
+    assert len(forks) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stage", ["stage1_fedsc", "stage3_fedgate"])
+def test_divergence_in_the_peer_names_client_and_round(monkeypatch, stage):
+    """Client 2 of 3 trains in the peer, as the upper half, and its
+    divergence fails the stage exactly as in-process."""
+    scale = {"stage1_fedsc": 1e100, "stage3_fedgate": 1e307}[stage]
+    clients = scale_features(make_clients(3, 1.0), scale, (2,))
+    fe_spec = MlpSpec((8, 10, 6), (R, I))
+
+    def run():
+        if stage == "stage1_fedsc":
+            return stage1_fedsc(clients, fe_spec, rounds=2, local_epochs=1,
+                                lr=0.05, aug_spec=AugmentSpec(0.1, 0.1),
+                                dp_noise_std=0.0, seed=1, batch_size=64)
+        identity_spec, fe = identity_extractor(8)
+        expert_spec = MlpSpec((8, 4), (I,))
+        experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
+                        for i in range(3))
+        gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
+        return stage3_fedgate(clients, identity_spec, fe, expert_spec, experts,
+                              gate_init, rounds=2, local_epochs=2, lr=0.05,
+                              lambda_load=0.01, client_fraction=1.0,
+                              grad_max_norm=1.0, k=1, seed=1, batch_size=16)
+
+    errors = []
+    for two in (False, True):
+        forks = cpus(monkeypatch, two)
+        with pytest.raises(TrainingError) as got:
+            run()
+        assert len(forks) == two
+        errors.append(str(got.value))
+    assert errors == [f"client 2 loss became non-finite in {stage} "
+                      "round 0"] * 2
+
+
+def test_cpu_count_follows_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+    assert not federated._two_cpus()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3})
+    assert federated._two_cpus()
+    # a platform without the call forks nothing
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert not federated._two_cpus()
+
+
+def test_peer_error_comes_back_with_its_type_and_message():
+    def fn(x):
+        if x < 0:
+            raise DataError(f"negative request {x}")
+        return 1 / x
+
+    peer = _Peer(fn, "the test peer")
+    try:
+        peer.ask(-2)
+        with pytest.raises(DataError, match=r"^negative request -2$"):
+            peer.answer()
+        peer.ask(0)
+        with pytest.raises(ZeroDivisionError, match=r"^division by zero$"):
+            peer.answer()
+        # the peer outlives the calls that raised
+        peer.ask(4)
+        assert peer.answer() == 0.25
+    finally:
+        peer.close()
+
+
+def test_peer_that_dies_is_an_internal_error(monkeypatch):
+    peer = _Peer(lambda: os._exit(3), "the test peer")
+    try:
+        peer.ask()
+        with pytest.raises(InternalError,
+                           match=r"^the test peer ended with code 3$"):
+            peer.answer()
+    finally:
+        peer.close()
+    # a stage whose peer dies mid-round fails the same way, no hang
+    parent = os.getpid()
+    real = federated._sgd_gate_epoch
+
+    def dying(*args):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(*args)
+
+    cpus(monkeypatch, True)
+    monkeypatch.setattr(federated, "_sgd_gate_epoch", dying)
+    with pytest.raises(InternalError, match=r"^the stage3_fedgate peer "
+                       r"ended with code 7$"):
+        fedgate_call(lockstep_clients(4, (47,)))
+
+
+def test_peer_killed_before_a_request_is_an_internal_error():
+    peer = _Peer(lambda: None, "the test peer")
+    try:
+        os.kill(peer.pid, 9)
+        with pytest.raises(InternalError,
+                           match=r"^the test peer ended with code -9$"):
+            peer.ask()
+            peer.answer()
+    finally:
+        peer.close()
+
+
+def test_interrupt_mid_stage_kills_the_peer(monkeypatch):
+    """The peer sleeps in its half while this process is interrupted in
+    its own; the stage must kill and reap it (the autouse fixture checks
+    for a child or a pipe left behind) instead of waiting."""
+    parent = os.getpid()
+
+    def epoch(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    forks = cpus(monkeypatch, True)
+    monkeypatch.setattr(federated, "_sgd_spectral_epoch", epoch)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        fedsc_call(lockstep_clients(4, (45,)))
+    assert time.perf_counter() - start < 15
+    assert len(forks) == 1

@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from nmoe import pipeline, seeding
+from nmoe import federated, pipeline, seeding
 from nmoe.cli import main
 from nmoe.config import RunConfig, config_from_dict, config_hash, save_config
 from nmoe.errors import ConfigError, DataError, InternalError, TrainingError
@@ -219,10 +221,22 @@ def test_baselines_deterministic(small_baselines):
     assert again == small_baselines
 
 
-def test_forked_baselines_match_in_process_bits():
+def usable_cpus(monkeypatch, two):
+    """Make the package see two usable CPUs, so the centralized mixture
+    trains in a forked child whatever this host has, or one, under which
+    nothing may fork."""
+    def fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(federated, "_two_cpus", lambda: two)
+    if not two:
+        monkeypatch.setattr(os, "fork", fork)
+
+
+def baselines_match_in_process_bits():
     # the centralized mixture trains in a forked child, beside the
-    # pipeline's stages or the classifier baselines; its entry must carry
-    # the bits of the same computation run in this process
+    # pipeline's stages or the classifier baselines, or here; its entry
+    # must carry the bits of the same computation run in this process
     config = small_config()
     shards = build_shards(config)
     baselines = run_baselines(config, shards)
@@ -238,7 +252,7 @@ def sleeping_child(monkeypatch):
                         lambda config, shards: time.sleep(30))
 
 
-def test_stage_failure_kills_the_baselines_child(monkeypatch):
+def stage_failure_kills_the_baselines_child(monkeypatch):
     sleeping_child(monkeypatch)
     config = divergence_config(stage1={"method": "fedce"})
     real = pipeline.build_shards
@@ -252,7 +266,7 @@ def test_stage_failure_kills_the_baselines_child(monkeypatch):
     assert time.perf_counter() - start < 15
 
 
-def test_interrupt_kills_the_baselines_child(monkeypatch):
+def interrupt_kills_the_baselines_child(monkeypatch):
     sleeping_child(monkeypatch)
 
     def interrupted(config, shards):
@@ -265,12 +279,53 @@ def test_interrupt_kills_the_baselines_child(monkeypatch):
     assert time.perf_counter() - start < 15
 
 
+def test_forked_baselines_match_in_process_bits(monkeypatch):
+    usable_cpus(monkeypatch, True)
+    baselines_match_in_process_bits()
+
+
+def test_stage_failure_kills_the_baselines_child(monkeypatch):
+    usable_cpus(monkeypatch, True)
+    stage_failure_kills_the_baselines_child(monkeypatch)
+
+
+def test_interrupt_kills_the_baselines_child(monkeypatch):
+    usable_cpus(monkeypatch, True)
+    interrupt_kills_the_baselines_child(monkeypatch)
+
+
 def test_baselines_child_that_dies_is_an_internal_error(monkeypatch):
+    usable_cpus(monkeypatch, True)
     monkeypatch.setattr(pipeline, "_centralized_entry",
                         lambda config, shards: os._exit(3))
     with pytest.raises(InternalError, match=r"^the centralized-mixture "
                        r"child ended with code 3$"):
         run_baselines(small_config())
+
+
+def test_baselines_on_one_cpu_train_in_process(monkeypatch):
+    # the child tests above, with no child: the centralized mixture
+    # trains here when its entry is asked for, with the same bits, and
+    # not at all (no 30 s sleep) when a stage fails or an interrupt
+    # comes first
+    usable_cpus(monkeypatch, False)
+    baselines_match_in_process_bits()
+    stage_failure_kills_the_baselines_child(monkeypatch)
+    interrupt_kills_the_baselines_child(monkeypatch)
+
+
+def test_import_loads_no_process_machinery():
+    # forking costs nmoe no import: a fresh interpreter's setup time
+    # stays where it was
+    heavy = ("multiprocessing", "concurrent.futures", "signal",
+             "subprocess", "selectors")
+    code = ("import sys, nmoe.pipeline; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.strip() == "[]"
 
 
 # at 64-row batches 60 and 45 rows make one short batch, 64 one full
@@ -419,7 +474,7 @@ class TestBaselineDivergence:
                            r"round 2$"):
             run_baselines(config, shards)
 
-    def test_centralized_moe_error_wins_over_the_local_classifier(self):
+    def centralized_moe_error_wins_over_the_local_classifier(self):
         # both diverge; a sequential run trained the centralized mixture
         # first, so its error is the one raised
         config = divergence_config()
@@ -432,10 +487,10 @@ class TestBaselineDivergence:
                            r"round 0$"):
             run_baselines(config, shards)
 
-    def test_train_cli_reports_the_child_divergence(self, tmp_path,
-                                                     monkeypatch, capsys):
+    def train_cli_reports_the_child_divergence(self, tmp_path, monkeypatch,
+                                               capsys):
         # only the centralized mixture sees the scaled shard, and it
-        # trains in the forked child
+        # trains in the forked child, or here on one CPU
         real = pipeline.train_centralized_moe
         monkeypatch.setattr(
             pipeline, "train_centralized_moe",
@@ -452,6 +507,24 @@ class TestBaselineDivergence:
         assert "error (training): client 0 loss became non-finite in " \
             "baseline_centralized_moe round 0" in capsys.readouterr().err
         assert not (out / "results.json").exists()
+
+    def test_centralized_moe_error_wins_over_the_local_classifier(
+            self, monkeypatch):
+        usable_cpus(monkeypatch, True)
+        self.centralized_moe_error_wins_over_the_local_classifier()
+
+    def test_train_cli_reports_the_child_divergence(self, tmp_path,
+                                                     monkeypatch, capsys):
+        usable_cpus(monkeypatch, True)
+        self.train_cli_reports_the_child_divergence(tmp_path, monkeypatch,
+                                                    capsys)
+
+    def test_child_tests_hold_on_one_cpu(self, tmp_path, monkeypatch,
+                                         capsys):
+        usable_cpus(monkeypatch, False)
+        self.centralized_moe_error_wins_over_the_local_classifier()
+        self.train_cli_reports_the_child_divergence(tmp_path, monkeypatch,
+                                                    capsys)
 
     def test_local_classifier_lowest_client_wins(self):
         # client 2 diverges in epoch 1, client 1 only in epoch 2, and the
