@@ -27,7 +27,7 @@ import numpy as np
 from . import seeding
 from .config import config_hash, load_config
 from .datasets import save_dataset
-from .errors import ConfigError, FormatError, NmoeError
+from .errors import ConfigError, DataError, FormatError, NmoeError
 from .metrics import evaluate_clients
 from .moe import load_model
 from .netsim import RoutingLog, export_heatmap, local_ratio, simulate_inference
@@ -158,9 +158,9 @@ def _cmd_export_heatmap(args: argparse.Namespace) -> int:
         raise FormatError(f"{args.results} is not valid JSON: {exc}") from exc
     try:
         routing = record["routing"]
-        log = RoutingLog(counts=np.asarray(routing["counts"], dtype=np.int64),
-                         bytes_out=int(routing["bytes_out"]),
-                         bytes_back=int(routing["bytes_back"]))
+        counts = np.asarray(routing["counts"])
+        bytes_out = int(routing["bytes_out"])
+        bytes_back = int(routing["bytes_back"])
         k = int(record["config"]["k"])
         seed = int(record["config"]["seed"])
         digest = str(record["config_hash"])
@@ -168,8 +168,16 @@ def _cmd_export_heatmap(args: argparse.Namespace) -> int:
         raise FormatError(
             f"{args.results} lacks the routing fields of a results record: "
             f"{exc}") from exc
-    manifest = export_heatmap(log, Path(args.out_csv), k=k, seed=seed,
-                              config_hash=digest)
+    if counts.dtype.kind not in "iu":
+        raise FormatError(f"{args.results}: routing counts must be integers")
+    try:
+        log = RoutingLog(counts=counts, bytes_out=bytes_out,
+                         bytes_back=bytes_back)
+    except DataError as exc:
+        raise FormatError(f"{args.results}: {exc}") from exc
+    out = Path(args.out_csv)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    manifest = export_heatmap(log, out, k=k, seed=seed, config_hash=digest)
     print(f"wrote {args.out_csv} and {manifest}")
     return 0
 

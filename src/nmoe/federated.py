@@ -12,8 +12,8 @@ Randomness discipline: every stream derives from (seed, component, round,
 client). Local-training streams use client slot 0 for every client, so
 clients holding identical shards follow identical trajectories and a
 single-client federation reproduces its centralized counterpart bit for
-bit (the one-dataset trainers of tests/oracles.py run the same epoch
-helpers under the same derivations). Correlation noise and pseudo-label
+bit (the one-dataset trainers of tests/oracles.py run the same steps
+under _epochs with the same derivations). Correlation noise and pseudo-label
 assignment keep per-client streams.
 
 A federation's train shards share one size, which every stage checks
@@ -28,8 +28,12 @@ picks and balance terms differ per slice.
 RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
-Every cross-entropy objective runs one epoch, _sgd_ce_epoch; FedCE's
-is over each client's extractor and head chained into one network.
+Every trainer is a per-batch step under one batch driver, _epochs, which
+draws each epoch's batch order and sums the row-weighted batch losses:
+_ce_step for every cross-entropy objective (FedCE's over each client's
+extractor and head chained into one network), _spectral_step for FedSC,
+_gate_step for FedGate, and the centralized mixture's step in
+nmoe.pipeline.
 
 FedSC and FedGate train their stacks on two CPUs when the process may
 use two, no other _Peer is live (with baselines, the centralized
@@ -225,20 +229,14 @@ def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
     return latents
 
 
-def _client_losses(epoch_losses) -> list[list[float]]:
-    """One (g,) loss array per epoch turned into g per-client lists of
-    epoch losses."""
-    return np.stack(epoch_losses, axis=-1).tolist()
-
-
 def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
                    train_round, round_bytes, client_loss=np.mean):
     """Rounds of federated averaging starting from params.
 
     train_round(r, params) trains round r's participants from params as
     one stack and returns their positions in clients, in client order,
-    the trained (g, ...) ParamSet and one (g,) loss array per local
-    epoch. The losses are checked client by client, so a divergence
+    the trained (g, ...) ParamSet and their (g, epochs) local-epoch
+    losses. The losses are checked client by client, so a divergence
     names the client a per-client loop would have stopped at; the slices
     are averaged by shard size. round_bytes(r, n, size) gives the round's
     traffic for n participants and a model of size scalars; client_loss
@@ -251,7 +249,7 @@ def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
         t0 = time.perf_counter()
         positions, stack, epoch_losses = train_round(r, params)
         ids = [clients[c].client_id for c in positions]
-        losses = _client_losses(epoch_losses)
+        losses = epoch_losses.tolist()
         for client, client_losses in zip(ids, losses):
             for loss in client_losses:
                 _check_finite(loss, stage, client, r)
@@ -411,6 +409,22 @@ def _batches(n: int, batch_size: int, rng):
         yield order[..., start:start + batch_size]
 
 
+def _epochs(params, epochs: int, n: int, batch_size: int, rng, step):
+    """The one batch driver: epochs passes over n rows, each drawing its
+    batch order from rng (a list of g streams gives (g, b) rows, see
+    _batches) and stepping params = step(params, rows), which returns the
+    new params and the batch loss, a float or a (g,) array. Returns the
+    params and the row-weighted epoch losses, (epochs,) or (g, epochs)."""
+    losses = []
+    for _ in range(epochs):
+        total = 0.0
+        for rows in _batches(n, batch_size, rng):
+            params, loss = step(params, rows)
+            total += loss * rows.shape[-1]
+        losses.append(total / n)
+    return params, np.stack(losses, axis=-1)
+
+
 def _take_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
     """a's entries at rows along axis: (b,) rows pick the same rows of
     every slice, (g, b) rows pick rows[i] of slice i."""
@@ -420,21 +434,18 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, axis: int) -> np.ndarray:
                               axis=axis)
 
 
-def _sgd_ce_epoch(spec: MlpSpec, params: ParamSet, inputs: np.ndarray,
-                  labels: np.ndarray, lr: float, batch_size: int, rng):
-    """One cross-entropy epoch of a network on fixed inputs. A stack
-    takes (g, n, width) inputs and (g, n) labels, every slice stepping on
-    the same rows, or on its own rows given a list of g streams."""
-    n = inputs.shape[-2]
-    total = 0.0
-    for rows in _batches(n, batch_size, rng):
+def _ce_step(spec: MlpSpec, inputs: np.ndarray, labels: np.ndarray,
+             lr: float):
+    """_epochs' step of a network's cross-entropy on fixed inputs. A
+    stack takes (g, n, width) inputs and (g, n) labels, every slice
+    stepping on the same (b,) rows, or on its own rows of (g, b)."""
+    def step(params, rows):
         logits, tape = forward(spec, params, _take_rows(inputs, rows, -2),
                                want_tape=True)
         loss, dlogits = cross_entropy(logits, _take_rows(labels, rows, -1))
         grads, _ = backward(tape, dlogits, input_grad=False)
-        params = sgd_step(params, grads, lr)
-        total += loss * rows.shape[-1]
-    return params, total / n
+        return sgd_step(params, grads, lr), loss
+    return step
 
 
 def _chain_params(spec: MlpSpec, fe: ParamSet, head: ParamSet) -> ParamSet:
@@ -537,30 +548,27 @@ def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
     return r
 
 
-def _sgd_spectral_epoch(fe_spec: MlpSpec, fe: ParamSet,
-                        features: np.ndarray, aug_spec: AugmentSpec,
-                        rbar: np.ndarray, q: float, lr: float,
-                        batch_size: int, rng: np.random.Generator):
-    """One spectral-contrastive epoch on two augmented views per batch.
+def _spectral_step(fe_spec: MlpSpec, features: np.ndarray,
+                   aug_spec: AugmentSpec, rbar: np.ndarray, q: float,
+                   lr: float, rng: np.random.Generator):
+    """_epochs' step of the spectral-contrastive loss on two augmented
+    views of the batch.
 
-    The stream draws the epoch's batch order, then for each batch the
-    augment draws of a (rows, width) batch: view-1 noise and mask,
-    view-2 noise and mask. Stacks like _sgd_ce_epoch: (g, n, width)
-    features and g aggregates under one weight q, every client applying
-    the same draws to its own rows.
+    rng is the stream _epochs draws the batch order from; each step then
+    draws the augmentations of a (rows, width) batch from it: view-1
+    noise and mask, view-2 noise and mask. Stacks like _ce_step:
+    (g, n, width) features and g aggregates under one weight q, every
+    client applying the same draws to its own rows.
     """
-    n = features.shape[-2]
-    total = 0.0
-    for rows in _batches(n, batch_size, rng):
+    def step(fe, rows):
         x1, x2 = augment(aug_spec, features.take(rows, axis=-2), rng)
         z1, tape1 = forward(fe_spec, fe, x1, want_tape=True)
         z2, tape2 = forward(fe_spec, fe, x2, want_tape=True)
         loss, dz1, dz2 = spectral_contrastive_local_loss(z1, z2, rbar, q)
         g1, _ = backward(tape1, dz1, input_grad=False)
         g2, _ = backward(tape2, dz2, input_grad=False)
-        fe = sgd_step(fe, add_params(g1, g2), lr)
-        total += loss * rows.size
-    return fe, total / n
+        return sgd_step(fe, add_params(g1, g2), lr), loss
+    return step
 
 
 def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
@@ -584,18 +592,16 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
     heads = stack_params([head0] * m)
+    n = features.shape[1]
+    step = _ce_step(spec, features, labels, lr)
 
     def train_round(r, fe):
         nonlocal heads
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        stack = _chain_params(spec, fe, heads)
-        epoch_losses = []
-        for _ in range(local_epochs):
-            stack, loss = _sgd_ce_epoch(spec, stack, features, labels, lr,
-                                        batch_size, rng)
-            epoch_losses.append(loss)
+        stack, losses = _epochs(
+            _chain_params(spec, fe, heads), local_epochs, n, batch_size,
+            derive_rng(seed, seeding.STAGE1, r, 0), step)
         fe_g, heads = _split_chain(stack, fe_spec, head_spec)
-        return range(m), fe_g, epoch_losses
+        return range(m), fe_g, losses
 
     fe, reports = _fedavg_rounds(
         "stage1_fedce", clients,
@@ -621,16 +627,13 @@ def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
     _check_clients(clients)
     m = len(clients)
     features, labels = _stack_shards(clients)
+    step = _ce_step(spec, features, labels, lr)
 
     def train_round(r, params):
-        rng = round_rng(r)
-        stack = stack_params([params] * m)
-        epoch_losses = []
-        for _ in range(local_epochs):
-            stack, loss = _sgd_ce_epoch(spec, stack, features, labels, lr,
-                                        batch_size, rng)
-            epoch_losses.append(loss)
-        return range(m), stack, epoch_losses
+        stack, losses = _epochs(stack_params([params] * m), local_epochs,
+                                features.shape[1], batch_size, round_rng(r),
+                                step)
+        return range(m), stack, losses
 
     return _fedavg_rounds(
         "baseline_fedavg_classifier", clients, params, rounds, train_round,
@@ -688,15 +691,13 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         """Round r's local epochs of clients lo to hi under their
         aggregates: their (g, P) extractors and (g, epochs) losses."""
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        fe_g = stack_params(
-            [ParamSet.from_flat(fe_spec.layout, fe_flat)] * (hi - lo))
-        epoch_losses = []
-        for _ in range(local_epochs):
-            fe_g, loss = _sgd_spectral_epoch(
-                fe_spec, fe_g, features[lo:hi], aug_spec, rbars, q, lr,
-                batch_size, rng)
-            epoch_losses.append(loss)
-        return fe_g.flat, np.stack(epoch_losses, axis=-1)
+        fe_g, losses = _epochs(
+            stack_params(
+                [ParamSet.from_flat(fe_spec.layout, fe_flat)] * (hi - lo)),
+            local_epochs, features.shape[1], batch_size, rng,
+            _spectral_step(fe_spec, features[lo:hi], aug_spec, rbars, q, lr,
+                           rng))
+        return fe_g.flat, losses
 
     def upper(r, fe_flat, rbars=None):
         """The peer's clients' shares, or, given their aggregates, their
@@ -721,7 +722,7 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         flat, losses = _halves(
             peer, lambda: train(r, fe.flat, 0, split, rbars[:split]),
             r, fe.flat, rbars[split:])
-        return range(m), ParamSet.from_flat(fe.layout, flat), losses.T
+        return range(m), ParamSet.from_flat(fe.layout, flat), losses
 
     peer = _Peer(upper, "the stage1_fedsc peer") if split < m else None
     try:
@@ -757,12 +758,13 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     labels = np.stack([s.train.labels for s in clients])
     # one stream, carried across epochs like each client's own
     rng = derive_rng(seed, seeding.STAGE2, 0, 0)
+    step = _ce_step(expert_spec, latents, labels, lr)
     reports = []
     for epoch in range(epochs):
         t0 = time.perf_counter()
-        stack, loss = _sgd_ce_epoch(expert_spec, stack, latents, labels, lr,
-                                    batch_size, rng)
-        losses = loss.tolist()
+        stack, loss = _epochs(stack, 1, latents.shape[1], batch_size, rng,
+                              step)
+        losses = loss[:, 0].tolist()
         for shard, v in zip(clients, losses):
             _check_finite(v, "stage2_experts", shard.client_id, epoch)
         experts = unstack_params(stack)
@@ -837,15 +839,13 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         t0 = time.perf_counter()
         losses: dict[int, float] = {}
         for c, shard in enumerate(clients):
-            rng = derive_rng(seed, seeding.STAGE3, pass_index, 0)
-            epoch_losses = []
-            for _ in range(epochs_per_client):
-                gate_params, loss = _sgd_ce_epoch(
-                    spec, gate_params, latents[c], pseudo[c], lr,
-                    batch_size, rng)
+            gate_params, epoch_losses = _epochs(
+                gate_params, epochs_per_client, latents.shape[1],
+                batch_size, derive_rng(seed, seeding.STAGE3, pass_index, 0),
+                _ce_step(spec, latents[c], pseudo[c], lr))
+            for loss in epoch_losses:
                 _check_finite(loss, "stage3_rollgate", shard.client_id,
                               pass_index)
-                epoch_losses.append(loss)
             losses[shard.client_id] = float(np.mean(epoch_losses))
         pass_avg = float(np.mean(list(losses.values())))
         reports.append(FedRoundReport(
@@ -867,32 +867,30 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         reports=tuple(reports))
 
 
-def _sgd_gate_epoch(params: ParamSet, noise_std: float,
-                    latents: np.ndarray, labels: np.ndarray,
-                    owners: np.ndarray, expert_spec: MlpSpec, experts,
-                    k: int, lr: float, lambda_load: float,
-                    grad_max_norm: float, batch_size: int,
-                    rng: np.random.Generator):
-    """One FedGate epoch of a stack of g gates (stack_params of a
+def _gate_step(noise_std: float, latents: np.ndarray, labels: np.ndarray,
+               owners: np.ndarray, expert_spec: MlpSpec, experts, k: int,
+               lr: float, lambda_load: float, grad_max_norm: float,
+               rng: np.random.Generator):
+    """_epochs' FedGate step of a stack of g gates (stack_params of a
     GateParams' params) over the federation's m equal-size shards:
     latents (m, n, d) and labels (m, n). Slice i trains on shard
-    owners[i], every slice on the same rows and noise. Each batch is
-    routed (_route), its routed experts' logits computed
-    (_routed_logits), and the loss and gate gradient taken by
-    moe_backward, the objective the centralized mixture trains with too;
-    gradients are normalized before each step.
+    owners[i], every slice on the same rows and the same gate noise,
+    which the step draws from rng, the stream _epochs draws the batch
+    order from. Each batch is routed (_route), its routed experts'
+    logits computed (_routed_logits), and the loss and gate gradient
+    taken by moe_backward, the objective the centralized mixture trains
+    with too; gradients are normalized before each step.
 
     Experts are frozen, but no table of their logits is kept: each batch
     computes only its k routed slots, (g, k, rows, classes), with
     _routed_logits from the latents, the TILE-aligned rows one forward
     per routed expert and the tail rows one stacked forward. Each slot
-    holds the bits of the expert's forward over the whole shard. Returns
-    the stepped stack and its g epoch losses.
+    holds the bits of the expert's forward over the whole shard. The
+    loss is the g slices' batch losses.
     """
-    n = latents.shape[-2]
     own = owners[:, None]
-    total = 0.0
-    for rows in _batches(n, batch_size, rng):
+
+    def step(params, rows):
         x = latents[own, rows]
         idx, probs = _route(x, params, noise_std, k, rng)
         chosen = _routed_logits(expert_spec, experts, latents, owners, rows,
@@ -900,9 +898,8 @@ def _sgd_gate_epoch(params: ParamSet, noise_std: float,
         loss, _, grads, _ = moe_backward(x, probs, idx, chosen,
                                          labels[own, rows], lambda_load)
         grads = grad_normalize(grads, grad_max_norm)
-        params = sgd_step(params, grads, lr)
-        total += loss * rows.size
-    return params, total / n
+        return sgd_step(params, grads, lr), loss
+    return step
 
 
 # Row granularity of the routed expert forwards. On the OpenBLAS dgemm
@@ -1017,16 +1014,14 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         """Round r's local epochs of the participants at positions, from
         the gate gate_flat: their (g, P) gates and (g, epochs) losses."""
         rng = derive_rng(seed, seeding.STAGE3, r, 0)
-        stack = stack_params(
-            [ParamSet.from_flat(layout, gate_flat)] * len(positions))
-        epoch_losses = []
-        for _ in range(local_epochs):
-            stack, loss = _sgd_gate_epoch(
-                stack, gate_init.noise_std, latents, labels, positions,
-                expert_spec, experts, k, lr, lambda_load, grad_max_norm,
-                batch_size, rng)
-            epoch_losses.append(loss)
-        return stack.flat, np.stack(epoch_losses, axis=-1)
+        stack, losses = _epochs(
+            stack_params(
+                [ParamSet.from_flat(layout, gate_flat)] * len(positions)),
+            local_epochs, latents.shape[1], batch_size, rng,
+            _gate_step(gate_init.noise_std, latents, labels, positions,
+                       expert_spec, experts, k, lr, lambda_load,
+                       grad_max_norm, rng))
+        return stack.flat, losses
 
     def train_round(r, params):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
@@ -1034,7 +1029,7 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         flat, losses = _halves(
             peer, lambda: train(r, params.flat, participants[:split]),
             r, params.flat, participants[split:])
-        return participants, ParamSet.from_flat(layout, flat), losses.T
+        return participants, ParamSet.from_flat(layout, flat), losses
 
     peer = _Peer(train, "the stage3_fedgate peer") if split < count else None
     try:

@@ -37,9 +37,9 @@ from .errors import ConfigError, InternalError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, stage1_fedce,
                         stage1_fedsc, stage2_experts, stage3_fedgate,
-                        stage3_rangate, stage3_rollgate, _Peer, _batches,
-                        _check_clients, _check_finite, _client_losses,
-                        _sgd_ce_epoch, _stack_shards)
+                        stage3_rangate, stage3_rollgate, _Peer, _ce_step,
+                        _check_clients, _check_finite, _epochs,
+                        _stack_shards)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, _route, init_gate_params,
                   moe_backward, save_model)
@@ -356,45 +356,49 @@ def train_centralized_moe(config: RunConfig, shards
     max_norm = config.stage3.grad_max_norm
     lr = config.baselines.lr
     rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
-    n = pooled.num_samples
+
+    def step(params, rows):
+        fe, gate, experts = params
+        latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
+                                   want_tape=True)
+        idx, probs = _route(latents, gate, noise_std, config.k, rng)
+        # blown-up gate logits give NaN probabilities, which the balance
+        # loss would report as bad data; the probabilities sum to a
+        # finite value exactly when all are finite
+        _check_finite(float(probs.sum()), "baseline_centralized_moe", 0,
+                      epoch)
+        outputs, expert_tape = forward(
+            expert_spec, experts,
+            np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
+        batch_rows = np.arange(rows.size)
+        loss, dlogits, gate_grads, dgate_logits = moe_backward(
+            latents, probs, idx, outputs[idx.T, batch_rows],
+            pooled.labels[rows], lam)
+        selected = np.zeros(probs.shape, dtype=bool)
+        selected[batch_rows[:, None], idx] = True
+        expert_grads, dlat = backward(
+            expert_tape, np.where(selected.T[:, :, None],
+                                  probs.T[:, :, None] * dlogits, 0.0))
+        # the gate's share first, then each expert's in index order
+        dlatents = dgate_logits @ gate["w0"].T
+        for e in range(m):
+            dlatents += dlat[e]
+        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
+        return (sgd_step(fe, grad_normalize(fe_grads, max_norm), lr),
+                sgd_step(gate, grad_normalize(gate_grads, max_norm), lr),
+                sgd_step(experts, grad_normalize(expert_grads, max_norm),
+                         lr)), loss
+
+    params = fe, gate, experts
     losses = []
     for epoch in range(config.baselines.epochs):
-        total = 0.0
-        for rows in _batches(n, config.batch_size, rng):
-            latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
-                                       want_tape=True)
-            idx, probs = _route(latents, gate, noise_std, config.k, rng)
-            # blown-up gate logits give NaN probabilities, which the
-            # balance loss would report as bad data; the probabilities
-            # sum to a finite value exactly when all are finite
-            _check_finite(float(probs.sum()), "baseline_centralized_moe", 0,
-                          epoch)
-            outputs, expert_tape = forward(
-                expert_spec, experts,
-                np.broadcast_to(latents, (m,) + latents.shape),
-                want_tape=True)
-            batch_rows = np.arange(rows.size)
-            loss, dlogits, gate_grads, dgate_logits = moe_backward(
-                latents, probs, idx, outputs[idx.T, batch_rows],
-                pooled.labels[rows], lam)
-            selected = np.zeros(probs.shape, dtype=bool)
-            selected[batch_rows[:, None], idx] = True
-            expert_grads, dlat = backward(
-                expert_tape, np.where(selected.T[:, :, None],
-                                      probs.T[:, :, None] * dlogits, 0.0))
-            # the gate's share first, then each expert's in index order
-            dlatents = dgate_logits @ gate["w0"].T
-            for e in range(m):
-                dlatents += dlat[e]
-            fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
-            fe = sgd_step(fe, grad_normalize(fe_grads, max_norm), lr)
-            gate = sgd_step(gate, grad_normalize(gate_grads, max_norm), lr)
-            experts = sgd_step(experts, grad_normalize(expert_grads, max_norm),
-                               lr)
-            total += loss * rows.size
-        loss = total / n
-        _check_finite(loss, "baseline_centralized_moe", 0, epoch)
-        losses.append(float(loss))
+        # one epoch per call: a non-finite epoch loss must fail here,
+        # before the next epoch's probability check names that epoch
+        params, loss = _epochs(params, 1, pooled.num_samples,
+                               config.batch_size, rng, step)
+        _check_finite(loss[0], "baseline_centralized_moe", 0, epoch)
+        losses.append(float(loss[0]))
+    fe, gate, experts = params
     model = NmoeModel(fe_spec=fe_spec, fe_params=fe,
                       gate=GateParams(params=gate, noise_std=noise_std),
                       expert_spec=expert_spec,
@@ -418,13 +422,11 @@ def train_local_classifiers(config: RunConfig, shards
     rngs = [derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
             for c in ids]
     features, labels = _stack_shards(shards)
-    epoch_losses = []
-    for _ in range(config.baselines.epochs):
-        params, loss = _sgd_ce_epoch(
-            spec, params, features, labels, config.baselines.lr,
-            config.batch_size, rngs)
-        epoch_losses.append(loss)
-    losses = _client_losses(epoch_losses)
+    params, losses = _epochs(
+        params, config.baselines.epochs, features.shape[1],
+        config.batch_size, rngs,
+        _ce_step(spec, features, labels, config.baselines.lr))
+    losses = losses.tolist()
     # client by client, epoch by epoch: the first failure a per-client
     # loop would have stopped at
     for c, client_losses in zip(ids, losses):

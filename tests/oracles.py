@@ -12,10 +12,10 @@ import numpy as np
 
 from nmoe import kernels, seeding
 from nmoe.datasets import augment
-from nmoe.federated import (_batches, _chain_params, _check_finite,
-                            _check_schedule, _digest_group, _frozen_latents,
-                            _sgd_ce_epoch, _sgd_gate_epoch,
-                            _sgd_spectral_epoch, _split_chain,
+from nmoe.federated import (_batches, _ce_step, _chain_params,
+                            _check_finite, _check_schedule, _digest_group,
+                            _epochs, _frozen_latents, _gate_step,
+                            _spectral_step, _split_chain,
                             compute_correlation_share, fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
                       init_gate_params, load_balance_loss)
@@ -280,11 +280,11 @@ def same_param_bits(a: ParamSet, b: ParamSet) -> bool:
 # per-client federated loops: each client trains on its own 2-d arrays, one
 # client after another, as the package did before it stacked its clients.
 # They return (params_digest, client_losses) per round. Most run the
-# package's 2-d epoch helpers, so what they check is the stacking (shared
-# streams, per-slice reductions, aggregation order), not the epoch
-# arithmetic, which the gradient tests cover. FedCE's loop runs
-# two_network_epoch, so it checks the chained extractor-and-head network
-# too.
+# package's batch driver, _epochs, over its 2-d steps, so what they check
+# is the stacking (shared streams, per-slice reductions, aggregation
+# order), not the step arithmetic, which the gradient tests cover. FedCE's
+# loop runs two_network_epoch, so it checks the chained extractor-and-head
+# network too.
 
 def two_network_epoch(fe_spec, fe, head_spec, head, features, labels, lr,
                       batch_size, rng):
@@ -367,14 +367,12 @@ def per_client_fedsc(clients, fe_spec, rounds, local_epochs, lr, aug_spec,
             # each client derives the shared local-training stream itself
             # and draws its batch orders and views from it, epoch by epoch
             rng = _derive(seed, seeding.STAGE1, r)
-            fe_c = fe
-            epoch_losses = []
-            for _ in range(local_epochs):
-                fe_c, loss = _sgd_spectral_epoch(
-                    fe_spec, fe_c, shard.train.features, aug_spec, rbar,
-                    float(q[c]), lr, batch_size, rng)
+            fe_c, epoch_losses = _epochs(
+                fe, local_epochs, shard.train.num_samples, batch_size, rng,
+                _spectral_step(fe_spec, shard.train.features, aug_spec, rbar,
+                               float(q[c]), lr, rng))
+            for loss in epoch_losses:
                 _check_finite(loss, "stage1_fedsc", shard.client_id, r)
-                epoch_losses.append(loss)
             locals_fe.append(fe_c)
             losses[shard.client_id] = float(np.mean(epoch_losses))
         fe = fedavg(locals_fe, sizes)
@@ -393,11 +391,11 @@ def per_client_experts(clients, fe_spec, fe_params, expert_spec, epochs, lr,
     for epoch in range(epochs):
         losses = {}
         for c, shard in enumerate(clients):
-            experts[c], loss = _sgd_ce_epoch(
-                expert_spec, experts[c], latents[c], shard.train.labels, lr,
-                batch_size, rngs[c])
-            _check_finite(loss, "stage2_experts", shard.client_id, epoch)
-            losses[shard.client_id] = loss
+            experts[c], loss = _epochs(
+                experts[c], 1, shard.train.num_samples, batch_size, rngs[c],
+                _ce_step(expert_spec, latents[c], shard.train.labels, lr))
+            _check_finite(loss[0], "stage2_experts", shard.client_id, epoch)
+            losses[shard.client_id] = float(loss[0])
         rounds_out.append((_digest_group(experts), losses))
     return rounds_out, experts
 
@@ -479,8 +477,8 @@ def per_client_fedgate(clients, fe_spec, fe_params, expert_spec, experts,
 
 
 # The one-dataset counterparts of stage1_fedce, stage1_fedsc and
-# stage3_fedgate. They run the package's epoch helpers on one shard, under
-# the stream derivations of a lone federated client, so a one-client
+# stage3_fedgate. They run the package's steps under _epochs on one shard,
+# with the stream derivations of a lone federated client, so a one-client
 # federation must match them bit for bit (acceptance criterion 3).
 
 def centralized_classifier(train, fe_spec, head_spec, rounds, local_epochs,
@@ -496,14 +494,15 @@ def centralized_classifier(train, fe_spec, head_spec, rounds, local_epochs,
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
     params = _chain_params(spec, fe, init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)))
+    step = _ce_step(spec, train.features, train.labels, lr)
     losses = []
     for r in range(rounds):
-        rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        for _ in range(local_epochs):
-            params, loss = _sgd_ce_epoch(spec, params, train.features,
-                                         train.labels, lr, batch_size, rng)
+        params, epoch_losses = _epochs(
+            params, local_epochs, train.num_samples, batch_size,
+            derive_rng(seed, seeding.STAGE1, r, 0), step)
+        for loss in epoch_losses:
             _check_finite(loss, "centralized_classifier", 0, r)
-            losses.append(loss)
+        losses.extend(epoch_losses.tolist())
     fe, head = _split_chain(params, fe_spec, head_spec)
     return fe, head, losses
 
@@ -519,12 +518,13 @@ def centralized_spectral(train, fe_spec, rounds, local_epochs, lr, aug_spec,
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
-        for _ in range(local_epochs):
-            fe, loss = _sgd_spectral_epoch(
-                fe_spec, fe, train.features, aug_spec, rbar, 1.0, lr,
-                batch_size, rng)
+        fe, epoch_losses = _epochs(
+            fe, local_epochs, train.num_samples, batch_size, rng,
+            _spectral_step(fe_spec, train.features, aug_spec, rbar, 1.0, lr,
+                           rng))
+        for loss in epoch_losses:
             _check_finite(loss, "centralized_spectral", 0, r)
-            losses.append(loss)
+        losses.extend(epoch_losses.tolist())
     return fe, losses
 
 
@@ -539,14 +539,14 @@ def centralized_gate(train, fe_spec, fe_params, expert_spec, experts,
     losses = []
     for r in range(rounds):
         rng = derive_rng(seed, seeding.STAGE3, r, 0)
-        for _ in range(local_epochs):
-            params, loss = _sgd_gate_epoch(
-                params, gate_init.noise_std, latents, train.labels[None],
-                np.zeros(1, dtype=np.int64), expert_spec, experts, k, lr,
-                lambda_load, grad_max_norm, batch_size, rng)
-            loss = float(loss[0])
+        params, epoch_losses = _epochs(
+            params, local_epochs, train.num_samples, batch_size, rng,
+            _gate_step(gate_init.noise_std, latents, train.labels[None],
+                       np.zeros(1, dtype=np.int64), expert_spec, experts, k,
+                       lr, lambda_load, grad_max_norm, rng))
+        for loss in epoch_losses[0]:
             _check_finite(loss, "centralized_gate", 0, r)
-            losses.append(loss)
+        losses.extend(epoch_losses[0].tolist())
     return GateParams(params=unstack_params(params)[0],
                       noise_std=gate_init.noise_std), losses
 
@@ -585,17 +585,18 @@ def per_client_fedavg_classifier(config, shards):
         locals_p = []
         losses = {}
         for shard in shards:
-            rng = _derive(config.seed, seeding.BASELINE,
-                          _BASE_FEDAVG_ROUND + r)
-            params = global_params
-            for _ in range(s1.local_epochs):
-                params, loss = _sgd_ce_epoch(
-                    spec, params, shard.train.features, shard.train.labels,
-                    s1.lr, config.batch_size, rng)
+            params, epoch_losses = _epochs(
+                global_params, s1.local_epochs, shard.train.num_samples,
+                config.batch_size,
+                _derive(config.seed, seeding.BASELINE,
+                        _BASE_FEDAVG_ROUND + r),
+                _ce_step(spec, shard.train.features, shard.train.labels,
+                         s1.lr))
+            for loss in epoch_losses:
                 _check_finite(loss, "baseline_fedavg_classifier",
                               shard.client_id, r)
             locals_p.append(params)
-            losses[shard.client_id] = loss
+            losses[shard.client_id] = float(epoch_losses[-1])
         global_params = fedavg(locals_p, sizes)
         rounds_out.append((params_digest(global_params), losses))
     return rounds_out
@@ -611,14 +612,16 @@ def per_client_local_classifiers(config, shards):
         c = shard.client_id
         params = init_mlp_params(spec, derive_rng(
             config.seed, seeding.BASELINE, _BASE_LOCAL_INIT, c))
-        rng = derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
-        for epoch in range(config.baselines.epochs):
-            params, loss = _sgd_ce_epoch(
-                spec, params, shard.train.features, shard.train.labels,
-                config.baselines.lr, config.batch_size, rng)
+        params, epoch_losses = _epochs(
+            params, config.baselines.epochs, shard.train.num_samples,
+            config.batch_size,
+            derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c),
+            _ce_step(spec, shard.train.features, shard.train.labels,
+                     config.baselines.lr))
+        for epoch, loss in enumerate(epoch_losses):
             _check_finite(loss, "baseline_local_classifier", c, epoch)
         params_by_client[c] = params
-        losses.append(loss)
+        losses.append(float(epoch_losses[-1]))
     return params_by_client, losses
 
 

@@ -186,6 +186,33 @@ def test_export_heatmap_matches_training_artifact(tmp_path, trained):
         == json.loads((trained / "heatmap.manifest.json").read_text())
 
 
+def test_export_heatmap_creates_the_parent_directory(tmp_path, trained):
+    out = tmp_path / "new" / "dir" / "hm.csv"
+    rc = main(["export-heatmap", str(trained / "results.json"), str(out)])
+    assert rc == 0
+    assert out.read_bytes() == (trained / "heatmap.csv").read_bytes()
+
+
+@pytest.mark.parametrize("counts", [
+    [[1, 2, 3]],                 # not square
+    [[3, -1], [0, 2]],           # negative
+    [[1.5]],                     # not integers: truncated to 1 before
+    [[2.0, 1.0], [0.0, 3.0]],    # integral floats are still not counts
+    [[True]],
+])
+def test_export_heatmap_rejects_malformed_counts(tmp_path, trained, capsys,
+                                                 counts):
+    record = json.loads((trained / "results.json").read_text())
+    record["routing"]["counts"] = counts
+    bad = tmp_path / "results.json"
+    bad.write_text(json.dumps(record))
+    out = tmp_path / "hm.csv"
+    rc = main(["export-heatmap", str(bad), str(out)])
+    assert rc == 4
+    assert "error (format)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_export_heatmap_rejects_non_record(tmp_path, cfg_file, capsys):
     rc = main(["export-heatmap", str(cfg_file), str(tmp_path / "hm.csv")])
     assert rc == 4

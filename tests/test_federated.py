@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -945,6 +947,109 @@ def test_routed_logits_match_full_forward(seed, shards, n, classes, depth,
     assert np.array_equal(got[0], cache[0][idx[0].T, rows])
 
 
+# --- the batch driver ---------------------------------------------------
+
+def hand_epochs(params, epochs, n, batch_size, rng, step):
+    """_epochs written out: each epoch draws the batch order (one
+    permutation per stream given a list), then steps batch by batch."""
+    losses = []
+    for _ in range(epochs):
+        if isinstance(rng, list):
+            order = np.stack([r.permutation(n) for r in rng])
+        else:
+            order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            rows = order[..., start:start + batch_size]
+            params, loss = step(params, rows)
+            total = total + loss * rows.shape[-1]
+        losses.append(total / n)
+    return params, losses
+
+
+def toy_step(x, rng, seen):
+    """A step on x's rows that draws from rng after the batch order, as
+    the spectral and gate steps do, unless rng is None; a 2-d x gives a
+    float loss, a stack (g,) losses. seen collects every batch's rows."""
+    def step(params, rows):
+        seen.append(rows)
+        params = 0.9 * params + federated._take_rows(x, rows, -2).mean(-2)
+        loss = np.sin(params).sum(axis=-1)
+        if rng is not None:
+            loss = loss + rng.normal()
+        return params, float(loss) if loss.ndim == 0 else loss
+    return step
+
+
+@pytest.mark.parametrize("n,batch_size", [(65, 64), (10, 64), (45, 16)])
+@pytest.mark.parametrize("kind", ["float", "stack", "streams"])
+def test_epochs_matches_a_hand_written_loop(n, batch_size, kind):
+    """65 rows at batch 64 end on a one-row batch; a batch of 64 over 10
+    rows is the whole shard. One stream steps a 2-d network (float
+    losses, (epochs,)) or a stack ((g,) losses, (g, epochs)); a list of
+    g streams gives (g, b) rows."""
+    g, d, epochs = 3, 4, 2
+    x = np.random.default_rng(5).normal(
+        size=(n, d) if kind == "float" else (g, n, d))
+    results = []
+    for driver in (federated._epochs, hand_epochs):
+        if kind == "streams":
+            rng = [np.random.default_rng(7 + i) for i in range(g)]
+            draws = None
+        else:
+            rng = draws = np.random.default_rng(7)
+        seen = []
+        params, losses = driver(np.zeros(x.shape[:-2] + (d,)), epochs, n,
+                                batch_size, rng, toy_step(x, draws, seen))
+        after = [r.random() for r in (rng if kind == "streams" else [rng])]
+        results.append((params, losses, seen, after))
+    (params, losses, seen, after), (params_h, losses_h, seen_h, after_h) = \
+        results
+    assert losses.shape == ((epochs,) if kind == "float" else (g, epochs))
+    assert losses.tolist() == np.stack(losses_h, axis=-1).tolist()
+    assert params.tobytes() == params_h.tobytes()
+    assert len(seen) == len(seen_h) == epochs * -(-n // batch_size)
+    assert all(np.array_equal(a, b) for a, b in zip(seen, seen_h))
+    assert seen[-1].shape == ((g, n % batch_size or batch_size)
+                              if kind == "streams" else
+                              (n % batch_size or batch_size,))
+    assert after == after_h
+
+
+def test_batches_has_one_caller_the_batch_driver():
+    """Every trainer is a step under federated._epochs, the one place
+    that draws batch orders; a trainer with its own batch loop, or a
+    module importing _batches, fails here."""
+    uses = []
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def note(self, name, node):
+            if name == "_batches":
+                uses.append(f"{self.module}.{'.'.join(self.scope)}")
+            self.generic_visit(node)
+
+        def visit_Name(self, node):
+            self.note(node.id, node)
+
+        def visit_Attribute(self, node):
+            self.note(node.attr, node)
+
+        def visit_alias(self, node):
+            self.note(node.name, node)
+
+    for path in sorted(Path(federated.__file__).parent.glob("*.py")):
+        Uses(path.stem).visit(ast.parse(path.read_text()))
+    assert uses == ["federated._epochs"]
+
+
 def scale_features(clients, scale, which=(1,)):
     """The same shards with the train features of the clients at the
     given positions multiplied by scale."""
@@ -994,6 +1099,19 @@ class TestStackedDivergenceNamesTheClient:
                            match=self.message.format("stage2_experts")):
             stage2_experts(clients, self.fe_spec, fe, self.head_spec,
                            epochs=2, lr=0.05, seed=1, batch_size=16)
+
+    def test_rollgate(self):
+        # the ring reaches client 1 with client 0's finite gate, and
+        # client 1's scaled latents blow the gate up within its hop
+        clients = scale_features(make_clients(3, 1.0), 1e200)
+        fe = init_mlp_params(self.fe_spec, np.random.default_rng(0))
+        gate_init = init_gate_params(6, 3, 0.0, np.random.default_rng(2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(TrainingError,
+                              match=self.message.format("stage3_rollgate")):
+            stage3_rollgate(clients, self.fe_spec, fe, gate_init, p=0.7,
+                            epochs_per_client=2, max_passes=3, lr=0.5,
+                            seed=1, batch_size=16)
 
     def test_fedgate(self):
         # the equal-size participants train as one stack; client 1's
@@ -1280,7 +1398,7 @@ def test_peer_that_dies_is_an_internal_error(monkeypatch):
         peer.close()
     # a stage whose peer dies mid-round fails the same way, no hang
     parent = os.getpid()
-    real = federated._sgd_gate_epoch
+    real = federated._gate_step
 
     def dying(*args):
         if os.getpid() != parent:
@@ -1288,7 +1406,7 @@ def test_peer_that_dies_is_an_internal_error(monkeypatch):
         return real(*args)
 
     cpus(monkeypatch, True)
-    monkeypatch.setattr(federated, "_sgd_gate_epoch", dying)
+    monkeypatch.setattr(federated, "_gate_step", dying)
     with pytest.raises(InternalError, match=r"^the stage3_fedgate peer "
                        r"ended with code 7$"):
         fedgate_call(lockstep_clients(4, (47,)))
@@ -1312,13 +1430,13 @@ def test_interrupt_mid_stage_kills_the_peer(monkeypatch):
     for a child or a pipe left behind) instead of waiting."""
     parent = os.getpid()
 
-    def epoch(*args):
+    def step(*args):
         if os.getpid() == parent:
             raise KeyboardInterrupt
         time.sleep(30)
 
     forks = cpus(monkeypatch, True)
-    monkeypatch.setattr(federated, "_sgd_spectral_epoch", epoch)
+    monkeypatch.setattr(federated, "_spectral_step", step)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
         fedsc_call(lockstep_clients(4, (45,)))
