@@ -51,18 +51,28 @@ def dense_backward(x: np.ndarray, w: np.ndarray, out: np.ndarray,
         dpre *= dout
     else:
         dpre = dout
-    dw = np.matmul(np.swapaxes(x, -1, -2), dpre, out=dw)
-    db = np.sum(dpre, axis=-2, out=db)
-    dx = dpre @ np.swapaxes(w, -1, -2) if input_grad else None
+    dw = np.matmul(x.swapaxes(-1, -2), dpre, out=dw)
+    db = np.add.reduce(dpre, axis=-2, out=db)
+    dx = dpre @ w.swapaxes(-1, -2) if input_grad else None
     return dx, dw, db
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax along the last axis of (..., rows, width)."""
-    m = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    s = e.sum(axis=-1, keepdims=True)
-    return e / s
+    e = z - _row_max(z)
+    np.exp(e, out=e)
+    return np.divide(e, np.add.reduce(e, axis=-1, keepdims=True), out=e)
+
+
+def _row_max(z: np.ndarray) -> np.ndarray:
+    """The largest entry of each row along the last axis, (..., 1): NaN
+    for a row holding one, as np.max gives it, but read at the row's
+    argmax, which numpy finds in a fraction of np.max's time over short
+    rows. A row whose largest entries are zeros of both signs may get
+    either zero, as np.max itself may, depending on its order."""
+    flat = z.reshape(-1)
+    at = np.arange(0, flat.size, z.shape[-1]).reshape(z.shape[:-1])
+    return flat.take(at + z.argmax(axis=-1))[..., None]
 
 
 def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
@@ -73,7 +83,7 @@ def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
     # argmax breaks ties toward the lowest index as the sort does, but it
     # ranks NaN first where the sort ranks it last: a row holding a NaN
     # picks one, and only those rows go through the sort
-    top = np.argmax(z, axis=-1)[..., None]
+    top = z.argmax(axis=-1)[..., None]
     nan = np.isnan(np.take_along_axis(z, top, axis=-1)[..., 0])
     if nan.any():
         top[nan] = _sorted_topk(z[nan], 1)
@@ -83,19 +93,16 @@ def topk_indices(z: np.ndarray, k: int) -> np.ndarray:
 def _sorted_topk(z: np.ndarray, k: int) -> np.ndarray:
     # Stable sort of the negated row keeps equal values in input order,
     # which breaks ties at the boundary toward the lowest index.
-    order = np.argsort(-z, axis=-1, kind="stable")
+    order = (-z).argsort(axis=-1, kind="stable")
     return np.ascontiguousarray(order[..., :k])
 
 
-def combine_topk(all_logits: np.ndarray, idx: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """Each row's slots weighted and summed, slot by slot: all_logits
-    (..., experts, rows, classes) with idx and weights (..., rows, slots)
-    of the same leading shape give (..., rows, classes)."""
-    *lead, n, slots = idx.shape
-    out = np.zeros((*lead, n, all_logits.shape[-1]))
-    stack = tuple(a[..., None] for a in np.indices(lead, sparse=True))
-    rows = np.arange(n)
-    for s in range(slots):
-        out += weights[..., s, None] * all_logits[(*stack, idx[..., s], rows)]
+def combine_topk(chosen: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row's picks weighted and summed: chosen (..., slots, rows,
+    classes) holds the logits of every row's picks slot by slot, weights
+    (..., rows, slots) their weights, of the same leading shape; gives
+    (..., rows, classes), summed from zero in slot order."""
+    out = np.zeros(chosen.shape[:-3] + chosen.shape[-2:])
+    for s in range(weights.shape[-1]):
+        out += weights[..., s, None] * chosen[..., s, :, :]
     return out

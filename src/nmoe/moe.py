@@ -17,6 +17,7 @@ positive scaling never moves an argmax.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,9 +27,9 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, DataError, FormatError
-from .numerics import (MlpSpec, ParamSet, activation_id, activation_name,
-                       cross_entropy, decode_params, encode_params, forward,
-                       softmax_backward)
+from .numerics import (Layout, MlpSpec, ParamSet, activation_id,
+                       activation_name, cross_entropy, decode_params,
+                       encode_params, forward, softmax_backward)
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -70,6 +71,13 @@ class GateParams:
 def gate_spec(latent_dim: int, num_experts: int) -> MlpSpec:
     """The gate as a one-layer MLP over latents."""
     return MlpSpec((latent_dim, num_experts), (kernels.ACT_IDENTITY,))
+
+
+@functools.lru_cache(maxsize=None)
+def _gate_layout(latent_dim: int, num_experts: int) -> Layout:
+    """gate_spec(latent_dim, num_experts).layout, built once per pair:
+    moe_backward asks for it on every batch."""
+    return gate_spec(latent_dim, num_experts).layout
 
 
 def init_gate_params(latent_dim: int, num_experts: int, noise_std: float,
@@ -173,7 +181,7 @@ def _gate_logits(latents: np.ndarray, params: ParamSet, noise_std: float,
     logits = kernels.dense_forward(x, params["w0"], params["b0"],
                                    kernels.ACT_IDENTITY)
     if rng is not None and noise_std > 0.0:
-        logits = logits + rng.normal(0.0, noise_std, size=logits.shape[-2:])
+        logits += rng.normal(0.0, noise_std, size=logits.shape[-2:])
     return logits
 
 
@@ -244,27 +252,27 @@ def load_balance_loss(probs: np.ndarray
     if p.ndim < 2 or p.shape[-2] < 1:
         raise DataError(f"expected a nonempty 2-d array, got shape {p.shape}")
     n, m = p.shape[-2:]
-    # np.allclose(row_sums, 1.0, atol=1e-6) written out; NaN fails
-    err = np.abs(p.sum(axis=-1) - 1.0)
-    if (p < 0.0).any() or not (err <= 1e-6 + 1e-5).all():
+    # np.allclose(row_sums, 1.0, atol=1e-6) written out over the worst
+    # row; a NaN makes the worst row NaN, which fails it
+    worst = np.maximum.reduce(np.abs(np.add.reduce(p, axis=-1) - 1.0),
+                              axis=None)
+    if np.minimum.reduce(p, axis=None) < 0.0 or not worst <= 1e-6 + 1e-5:
         raise DataError("rows must be probability vectors")
     mult = float(m)
     stack = p.reshape(-1, n, m)
     g = stack.shape[0]
-    winners = np.argmax(stack, axis=-1) + m * np.arange(g)[:, None]
+    winners = stack.argmax(axis=-1) + np.arange(0, g * m, m)[:, None]
     counts = np.bincount(winners.ravel(), minlength=g * m).reshape(g, m)
-    f = counts.astype(np.float64) / n
-    used = counts > 0
     # exact accumulation keeps the fixtures bitwise (uniform routing over a
     # power-of-two batch gives exactly 1.0, full collapse exactly m); one
-    # fsum per slice and routed column, then one per slice
-    cols = stack.swapaxes(-1, -2)[used]
-    col_mean = np.array([math.fsum(col) for col in cols.tolist()]) / n
-    terms = (f[used] * col_mean).tolist()
-    ends = np.cumsum(used.sum(axis=-1)).tolist()
-    losses = [mult * math.fsum(terms[start:end])
-              for start, end in zip([0] + ends, ends)]
-    dprobs = np.repeat((mult * f / n)[:, None, :], n, axis=-2)
+    # fsum per slice and routed column, then one per slice, on the float
+    # arithmetic numpy would do: f_i = count / n, P_i = fsum / n
+    cols = memoryview(stack.swapaxes(-1, -2)[counts > 0].reshape(-1))
+    means = iter([math.fsum(cols[i:i + n]) / n
+                  for i in range(0, len(cols), n)])
+    losses = [mult * math.fsum([c / n * next(means) for c in row if c])
+              for row in counts.tolist()]
+    dprobs = (mult * (counts / n) / n)[:, None, :].repeat(n, axis=-2)
     if p.ndim == 2:
         return losses[0], dprobs[0]
     return (np.array(losses).reshape(p.shape[:-2]),
@@ -357,23 +365,26 @@ def moe_backward(latents: np.ndarray, probs: np.ndarray, idx: np.ndarray,
     (g, k, rows, classes) chosen, and gives g losses and stacked
     gradients, each slice the bits of its own 2-d call.
     """
-    k = idx.shape[-1]
-    slots = np.broadcast_to(np.arange(k), idx.shape)
-    combined = kernels.combine_topk(
-        chosen, slots, np.take_along_axis(probs, idx, axis=-1))
-    ce, dlogits = cross_entropy(combined, labels)
+    lead = idx.shape[:-1]
+    # (..., rows) index arrays that broadcast against idx: probs[(*at,
+    # idx)] is each pick's unmasked probability
+    at = tuple(np.arange(size).reshape((size,) + (1,) * (len(lead) - axis))
+               for axis, size in enumerate(lead))
+    ce, dlogits = cross_entropy(
+        kernels.combine_topk(chosen, probs[(*at, idx)]), labels)
     lb, dlb = load_balance_loss(probs)
     dprob = lambda_load * dlb
-    at = np.indices(idx.shape[:-1], sparse=True)
-    for s in range(k):
-        dprob[(*at, idx[..., s])] += np.sum(
-            dlogits * chosen[..., s, :, :], axis=-1)
+    # each pick's probability gets its expert's logits dotted with the
+    # logit gradient; a row's picks are distinct, so one scatter adds
+    # every slot's share
+    dprob[(*at, idx)] += np.add.reduce(
+        dlogits[..., None, :, :] * chosen, axis=-1).swapaxes(-1, -2)
     dgate_logits = softmax_backward(probs, dprob)
-    layout = gate_spec(latents.shape[-1], probs.shape[-1]).layout
+    layout = _gate_layout(latents.shape[-1], probs.shape[-1])
     flat = np.empty(latents.shape[:-2] + (layout.size,))
     grads = layout.views(flat)
-    np.matmul(np.swapaxes(latents, -1, -2), dgate_logits, out=grads["w0"])
-    np.sum(dgate_logits, axis=-2, out=grads["b0"])
+    np.matmul(latents.swapaxes(-1, -2), dgate_logits, out=grads["w0"])
+    np.add.reduce(dgate_logits, axis=-2, out=grads["b0"])
     return (ce + lambda_load * lb, dlogits, ParamSet.from_flat(layout, flat),
             dgate_logits)
 

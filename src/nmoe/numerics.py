@@ -332,11 +332,18 @@ def forward(spec: MlpSpec, params: ParamSet, batch: np.ndarray,
     """Run the network on a batch of rows, (rows, width), or on a stack
     (g, rows, width) with params of (g, ...) arrays.
 
+    The batch is not copied when each of its (rows, width) blocks is
+    C-contiguous, as in a 2-d batch broadcast to (g, rows, width) by
+    np.broadcast_to: matmul hands gemm the blocks a copy would hold, so
+    the bits are the same, and every network of the stack runs on the
+    one batch. Any other layout is copied.
+
     Returns the output array, or (output, tape) when want_tape is set.
     """
-    x = np.ascontiguousarray(batch, dtype=np.float64)
+    x = np.asarray(batch, dtype=np.float64)
     if x.ndim < 2:
         raise ConfigError(f"expected a batch of rows, got shape {x.shape}")
+    x = _contiguous_blocks(x)
     if x.shape[-1] != spec.in_width:
         raise ConfigError(
             f"batch width {x.shape[-1]} does not match the network input "
@@ -385,6 +392,18 @@ def backward(tape: Tape, upstream: np.ndarray, input_grad: bool = True
     return ParamSet.from_flat(layout, flat), d
 
 
+def _contiguous_blocks(x: np.ndarray) -> np.ndarray:
+    """x when each (rows, width) block of it is C-contiguous, whatever
+    the strides of its leading axes (a broadcast stack's are zero): gemm
+    then reads every block as it would read it from a C-contiguous copy.
+    Anything else is copied."""
+    rows, width = x.shape[-2:]
+    if (x.strides[-1] == x.itemsize or width == 1) and \
+            (x.strides[-2] == width * x.itemsize or rows == 1):
+        return x
+    return np.ascontiguousarray(x)
+
+
 def _check_spec_params(spec: MlpSpec, params: ParamSet) -> None:
     for layer in range(spec.num_layers):
         wname, bname = f"w{layer}", f"b{layer}"
@@ -413,7 +432,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def softmax_backward(probs: np.ndarray, dprobs: np.ndarray) -> np.ndarray:
     """Gradient through a row-wise softmax given gradients on its output;
     rows run along the last axis, under any leading stack axes."""
-    inner = (dprobs * probs).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(dprobs * probs, axis=-1, keepdims=True)
     return probs * (dprobs - inner)
 
 
@@ -434,22 +453,23 @@ def cross_entropy(logits: np.ndarray,
     n, classes = z.shape[-2:]
     if n == 0:
         raise DataError("cross entropy over an empty batch")
-    # every row of every slice, flattened, with its label
-    y = y.astype(np.int64).reshape(-1)
-    if y.min() < 0 or y.max() >= classes:
-        raise DataError(
-            f"label outside [0, {classes}): {int(y.min())}..{int(y.max())}")
-    rows = np.arange(y.size)
-    rowmax = z.max(axis=-1, keepdims=True)
-    shifted = z - rowmax
-    logsum = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    logp = shifted - logsum
-    picked = logp.reshape(-1, classes)[rows, y].reshape(z.shape[:-1])
-    loss = -picked.mean(axis=-1)
+    # every row of every slice, flattened, with its label; at is where
+    # each row's label sits in the flattened logits
+    y = y.astype(np.int64, copy=False).reshape(-1)
+    low, high = np.minimum.reduce(y), np.maximum.reduce(y)
+    if low < 0 or high >= classes:
+        raise DataError(f"label outside [0, {classes}): {low}..{high}")
+    at = np.arange(0, y.size * classes, classes) + y
+    shifted = z - kernels._row_max(z)
+    logsum = np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    logp = np.subtract(shifted, logsum, out=shifted)
+    # the mean written out: the sum over rows, then one division
+    loss = -(np.add.reduce(logp.take(at).reshape(z.shape[:-1]), axis=-1)
+             / n)
     if z.ndim == 2:
         loss = float(loss)
     grad = np.exp(logp)
-    grad.reshape(-1, classes)[rows, y] -= 1.0
+    grad.reshape(-1)[at] -= 1.0
     grad /= n
     return loss, grad
 
@@ -474,15 +494,29 @@ def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
     pairwise sum np.sum takes over that array, and the arrays' sums are
     added in name order, so every slice gets the bits of a call on its
     own set.
+
+    Most sets are well within the bound and come back as they are, which
+    one dot product of the buffer with itself settles. It and the
+    per-array sums each lie within a relative P * 2**-52 of the exact
+    sum of the P squares, so for P < 2**26 a dot product under
+    (1 - 2**-20) times the squared bound puts the per-array norm under
+    the bound too. That needs the squared bound to be a normal float;
+    other bounds, and the sets the dot product does not settle, NaN ones
+    included, take the per-array sums.
     """
     if max_norm <= 0.0:
         raise ConfigError(f"max_norm must be positive, got {max_norm}")
     flat = grads.flat
+    bound = max_norm * max_norm
+    if flat.shape[-1] < 2 ** 26 and 2.0 ** -1000 < bound < 2.0 ** 1000 and \
+            (np.einsum("...i,...i->...", flat, flat)
+             <= bound * (1.0 - 2.0 ** -20)).all():
+        return grads
     squares = flat * flat
     first, *rest = grads.layout.spans
-    total = squares[..., first].sum(axis=-1)
+    total = np.add.reduce(squares[..., first], axis=-1)
     for span in rest:
-        total = total + squares[..., span].sum(axis=-1)
+        total = total + np.add.reduce(squares[..., span], axis=-1)
     total = np.sqrt(total)
     if (total <= max_norm).all():
         return grads

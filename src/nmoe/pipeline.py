@@ -23,6 +23,7 @@ Artifacts written under the output directory:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -46,7 +47,7 @@ from .moe import (GateParams, NmoeModel, _route, init_gate_params,
 from .netsim import CostModel, InferenceResult, RoutingLog, export_heatmap, \
     local_ratio, simulate_inference
 from .numerics import (MlpSpec, ParamSet, backward, chain_specs, forward,
-                       grad_normalize, init_mlp_params, sgd_step, softmax,
+                       grad_normalize, init_mlp_params, softmax,
                        stack_params, unstack_params)
 from .seeding import derive_rng
 
@@ -333,33 +334,79 @@ def train_centralized_moe(config: RunConfig, shards
                           ) -> tuple[NmoeModel, list[float]]:
     """Jointly train extractor, gate, and experts on the pooled data with
     moe_backward's loss, the one FedGate trains with: cross-entropy of
-    the routed mixture plus the load-balance penalty. The m experts run
-    every row as one (m, ...) stack, so one clip and one SGD step update
-    them all; the model is built once, at the end."""
+    the routed mixture plus the load-balance penalty, one
+    _centralized_step per batch. The model is built once, at the end."""
     pooled = _pooled_train(shards)
+    flat, fe, gate, experts = _centralized_params(config)
+    rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
+    step = _centralized_step(config, pooled, fe, gate, experts, rng)
+    losses = []
+    for epoch in range(config.baselines.epochs):
+        # one epoch per call: a non-finite epoch loss must fail here,
+        # before the next epoch's probability check names that epoch
+        flat, loss = _epochs(flat, 1, pooled.num_samples, config.batch_size,
+                             rng, functools.partial(step, epoch=epoch))
+        _check_finite(loss[0], "baseline_centralized_moe", 0, epoch)
+        losses.append(float(loss[0]))
+    model = NmoeModel(fe_spec=config.model.fe_spec(), fe_params=fe,
+                      gate=GateParams(params=gate,
+                                      noise_std=config.model.gate_noise_std),
+                      expert_spec=config.model.expert_spec(),
+                      experts=tuple(unstack_params(experts)))
+    return model, losses
+
+
+def _centralized_params(config: RunConfig):
+    """The centralized mixture's initial parameters in one flat buffer,
+    extractor, then gate, then the stack of m experts, and the three
+    sets as read-only views of it: (flat, fe, gate, experts)."""
+    m = config.data.num_clients
+    fe_spec = config.model.fe_spec()
+    expert_spec = config.model.expert_spec()
+
+    def init(slot):
+        return derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_INIT,
+                          slot)
+
+    fe = init_mlp_params(fe_spec, init(0))
+    gate = init_gate_params(config.model.latent_dim, m,
+                            config.model.gate_noise_std, init(1),
+                            scale=0.0).params
+    experts = stack_params(init_mlp_params(expert_spec, init(2 + e))
+                           for e in range(m))
+    flat = np.concatenate([fe.flat, gate.flat, experts.flat.reshape(-1)])
+    fe_end = fe.flat.size
+    gate_end = fe_end + gate.flat.size
+    return (flat, ParamSet.from_flat(fe.layout, flat[:fe_end]),
+            ParamSet.from_flat(gate.layout, flat[fe_end:gate_end]),
+            ParamSet.from_flat(experts.layout,
+                               flat[gate_end:].reshape(m, -1)))
+
+
+def _centralized_step(config: RunConfig, pooled: Dataset, fe: ParamSet,
+                      gate: ParamSet, experts: ParamSet, rng):
+    """The centralized mixture's per-batch step, step(flat, rows, epoch)
+    -> (flat, loss), over the views _centralized_params made of flat: it
+    updates flat in place, so the views always hold the current
+    parameters. It routes with gate noise from rng, the stream the batch
+    order comes from, and names the epoch when the gate diverges.
+
+    The m experts run every row as one (m, ...) stack on the batch's
+    latents, broadcast to (m, rows, d) without a copy; their upstream
+    gradient is zero but at each row's k picks. The extractor, the gate
+    and the expert stack are each clipped on their own, every expert by
+    its own norm, and one SGD step then updates the whole buffer."""
     m = config.data.num_clients
     fe_spec = config.model.fe_spec()
     expert_spec = config.model.expert_spec()
     noise_std = config.model.gate_noise_std
-    fe = init_mlp_params(fe_spec, derive_rng(config.seed, seeding.BASELINE,
-                                             _BASE_CENTRAL_INIT, 0))
-    gate = init_gate_params(
-        config.model.latent_dim, m, noise_std,
-        derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_INIT, 1),
-        scale=0.0).params
-    experts = stack_params(
-        init_mlp_params(expert_spec, derive_rng(config.seed,
-                                                seeding.BASELINE,
-                                                _BASE_CENTRAL_INIT, 2 + e))
-        for e in range(m))
     lam = config.stage3.lambda_load
     max_norm = config.stage3.grad_max_norm
     lr = config.baselines.lr
-    rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
+    features, labels = pooled.features, pooled.labels
 
-    def step(params, rows):
-        fe, gate, experts = params
-        latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
+    def step(flat, rows, epoch):
+        latents, fe_tape = forward(fe_spec, fe, features[rows],
                                    want_tape=True)
         idx, probs = _route(latents, gate, noise_std, config.k, rng)
         # blown-up gate logits give NaN probabilities, which the balance
@@ -370,40 +417,28 @@ def train_centralized_moe(config: RunConfig, shards
         outputs, expert_tape = forward(
             expert_spec, experts,
             np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
-        batch_rows = np.arange(rows.size)
+        at = np.arange(rows.size)[:, None]
         loss, dlogits, gate_grads, dgate_logits = moe_backward(
-            latents, probs, idx, outputs[idx.T, batch_rows],
-            pooled.labels[rows], lam)
-        selected = np.zeros(probs.shape, dtype=bool)
-        selected[batch_rows[:, None], idx] = True
-        expert_grads, dlat = backward(
-            expert_tape, np.where(selected.T[:, :, None],
-                                  probs.T[:, :, None] * dlogits, 0.0))
-        # the gate's share first, then each expert's in index order
-        dlatents = dgate_logits @ gate["w0"].T
-        for e in range(m):
-            dlatents += dlat[e]
-        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
-        return (sgd_step(fe, grad_normalize(fe_grads, max_norm), lr),
-                sgd_step(gate, grad_normalize(gate_grads, max_norm), lr),
-                sgd_step(experts, grad_normalize(expert_grads, max_norm),
-                         lr)), loss
-
-    params = fe, gate, experts
-    losses = []
-    for epoch in range(config.baselines.epochs):
-        # one epoch per call: a non-finite epoch loss must fail here,
-        # before the next epoch's probability check names that epoch
-        params, loss = _epochs(params, 1, pooled.num_samples,
-                               config.batch_size, rng, step)
-        _check_finite(loss[0], "baseline_centralized_moe", 0, epoch)
-        losses.append(float(loss[0]))
-    fe, gate, experts = params
-    model = NmoeModel(fe_spec=fe_spec, fe_params=fe,
-                      gate=GateParams(params=gate, noise_std=noise_std),
-                      expert_spec=expert_spec,
-                      experts=tuple(unstack_params(experts)))
-    return model, losses
+            latents, probs, idx, outputs[idx.T, at.T], labels[rows], lam)
+        # each pick's probability times the logit gradient, written only
+        # at the k picked (expert, row) pairs
+        upstream = np.zeros(outputs.shape)
+        upstream[idx.T, at.T] = probs[at, idx].T[..., None] * dlogits
+        expert_grads, dlat = backward(expert_tape, upstream)
+        # the gate's share, then each expert's in index order: one sum
+        # over the expert axis after the gate's share joins the first
+        # expert's, which adds them in that order
+        dlat[0] += dgate_logits @ gate["w0"].T
+        fe_grads, _ = backward(fe_tape, np.add.reduce(dlat, axis=0),
+                               input_grad=False)
+        sgd = np.concatenate([
+            grad_normalize(fe_grads, max_norm).flat,
+            grad_normalize(gate_grads, max_norm).flat,
+            grad_normalize(expert_grads, max_norm).flat.reshape(-1)])
+        sgd *= lr
+        flat -= sgd
+        return flat, loss
+    return step
 
 
 def train_local_classifiers(config: RunConfig, shards

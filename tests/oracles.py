@@ -18,7 +18,7 @@ from nmoe.federated import (_batches, _ce_step, _chain_params,
                             _spectral_step, _split_chain,
                             compute_correlation_share, fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
-                      init_gate_params, load_balance_loss)
+                      init_gate_params, load_balance_loss, moe_backward)
 from nmoe.numerics import (ParamSet, backward, chain_specs, cross_entropy,
                            forward, grad_normalize, init_mlp_params,
                            params_digest, sgd_step, softmax_backward,
@@ -410,8 +410,9 @@ def cache_gate_epoch(gate, latents, labels, expert_logits, k, lr,
         idx, probs = _route(x, gate.params, gate.noise_std, k, rng)
         chosen = expert_logits[idx.T, rows]
         gathered = np.take_along_axis(probs, idx, axis=-1)
-        slots = np.broadcast_to(np.arange(k), idx.shape)
-        combined = kernels.combine_topk(chosen, slots, gathered)
+        combined = np.zeros(chosen.shape[1:])
+        for s in range(k):
+            combined += gathered[:, s, None] * chosen[s]
         ce, dlogits = cross_entropy(combined, labels[rows])
         lb, dlb = load_balance_loss(probs)
         dprob = lambda_load * dlb
@@ -645,8 +646,10 @@ def per_expert_moe_forward(model, batch, k, rng=None):
                                    want_tape=True)
         tapes.append(tape)
     rows = np.arange(n)
-    combine_w = np.ascontiguousarray(probs[rows[:, None], decision.indices])
-    logits = kernels.combine_topk(outputs, decision.indices, combine_w)
+    logits = np.zeros((n, model.num_classes))
+    for s in range(k):
+        pick = decision.indices[:, s]
+        logits += probs[rows, pick][:, None] * outputs[pick, rows]
     return logits, decision.indices, probs, latents, fe_tape, outputs, tapes
 
 
@@ -732,3 +735,51 @@ def per_expert_centralized_moe(config, shards):
         _check_finite(loss, "baseline_centralized_moe", 0, epoch)
         losses.append(float(loss))
     return model, losses
+
+
+def dense_centralized_step(config, pooled, rng):
+    """The centralized mixture's dense step, the reference for
+    pipeline._centralized_step: step((fe, gate, experts), rows, epoch)
+    -> (params, loss) on three separate sets, every expert's upstream a
+    dense (m, rows, classes) product masked to the picks, the latent
+    gradient an m-term loop, then three clips and three SGD steps."""
+    m = config.data.num_clients
+    fe_spec = config.model.fe_spec()
+    expert_spec = config.model.expert_spec()
+    noise_std = config.model.gate_noise_std
+    lam = config.stage3.lambda_load
+    max_norm = config.stage3.grad_max_norm
+    lr = config.baselines.lr
+
+    def step(params, rows, epoch):
+        fe, gate, experts = params
+        latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
+                                   want_tape=True)
+        idx, probs = _route(latents, gate, noise_std, config.k, rng)
+        # blown-up gate logits give NaN probabilities, which the balance
+        # loss would report as bad data; the probabilities sum to a
+        # finite value exactly when all are finite
+        _check_finite(float(probs.sum()), "baseline_centralized_moe", 0,
+                      epoch)
+        outputs, expert_tape = forward(
+            expert_spec, experts,
+            np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
+        batch_rows = np.arange(rows.size)
+        loss, dlogits, gate_grads, dgate_logits = moe_backward(
+            latents, probs, idx, outputs[idx.T, batch_rows],
+            pooled.labels[rows], lam)
+        selected = np.zeros(probs.shape, dtype=bool)
+        selected[batch_rows[:, None], idx] = True
+        expert_grads, dlat = backward(
+            expert_tape, np.where(selected.T[:, :, None],
+                                  probs.T[:, :, None] * dlogits, 0.0))
+        # the gate's share first, then each expert's in index order
+        dlatents = dgate_logits @ gate["w0"].T
+        for e in range(m):
+            dlatents += dlat[e]
+        fe_grads, _ = backward(fe_tape, dlatents, input_grad=False)
+        return (sgd_step(fe, grad_normalize(fe_grads, max_norm), lr),
+                sgd_step(gate, grad_normalize(gate_grads, max_norm), lr),
+                sgd_step(experts, grad_normalize(expert_grads, max_norm),
+                         lr)), loss
+    return step

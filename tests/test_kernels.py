@@ -86,9 +86,27 @@ def test_combine_topk_single_slot(impl):
     all_logits = RNG.normal(size=(3, 5, 4))
     idx = np.array([[0], [2], [1], [1], [0]], dtype=np.int64)
     w = np.ones((5, 1))
-    out = impl(all_logits, idx, w)
+    out = impl(all_logits[idx.T, np.arange(5)], w)
     expect = np.stack([all_logits[e, i] for i, e in enumerate(idx[:, 0])])
     assert np.array_equal(out, expect)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 20),
+       st.integers(1, 6))
+def test_combine_topk_adds_slots_in_order_from_zero(seed, slots, rows,
+                                                    classes):
+    # magnitudes 30 decades apart make the sum depend on its order, and
+    # zeros of either sign on the order's start
+    rng = np.random.default_rng(seed)
+    chosen = rng.normal(size=(slots, rows, classes)) \
+        * 10.0 ** rng.integers(-15, 16, size=(slots, rows, classes))
+    chosen[rng.random(size=chosen.shape) < 0.2] = -0.0
+    weights = rng.random(size=(rows, slots))
+    expect = np.zeros((rows, classes))
+    for s in range(slots):
+        expect += weights[:, s, None] * chosen[s]
+    assert same_bits(K.combine_topk(chosen, weights), expect)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,11 +217,12 @@ def test_stacked_combine_topk_matches_per_slice(seed, g, experts, rows,
     idx = np.argsort(rng.random(size=(g, rows, experts)),
                      axis=-1)[..., :slots]
     weights = rng.random(size=(g, rows, slots))
-    out = K.combine_topk(logits, idx, weights)
+    chosen = logits[np.arange(g)[:, None, None], idx.swapaxes(-1, -2),
+                    np.arange(rows)]
+    out = K.combine_topk(chosen, weights)
     assert out.shape == (g, rows, classes)
     for c in range(g):
-        assert np.array_equal(out[c],
-                              K.combine_topk(logits[c], idx[c], weights[c]))
+        assert np.array_equal(out[c], K.combine_topk(chosen[c], weights[c]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

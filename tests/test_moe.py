@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nmoe import kernels
+from nmoe import kernels, moe
 from nmoe.errors import ConfigError, DataError, FormatError
 from nmoe.moe import (GateParams, NmoeModel, RandomGate, _route, gate_topk,
                       init_gate_params, load_balance_loss, load_model,
@@ -15,7 +15,8 @@ from nmoe.numerics import (MlpSpec, ParamSet, cross_entropy,
                            stack_params)
 from oracles import (dense_mixture, finite_difference_params,
                      load_balance_all_columns, max_relative_error_params,
-                     per_expert_moe_backward, per_expert_moe_forward)
+                     per_expert_moe_backward, per_expert_moe_forward,
+                     same_bits)
 
 I, T = kernels.ACT_IDENTITY, kernels.ACT_TANH
 
@@ -425,6 +426,51 @@ class TestStackedTrainMode:
         assert loss == ce + 0.01 * lb
         assert np.array_equal(dl, dlogits)
         assert grads == gate
+
+
+@pytest.mark.parametrize("rows", [1, 17, 64])
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("g", [1, 3])
+def test_stacked_moe_backward_matches_per_slice(g, k, rows):
+    # each slice of a (g, ...) call carries the bits of its own 2-d
+    # call: loss, logit gradient, gate gradient and the gate logits'
+    # gradient the centralized mixture backpropagates
+    rng = np.random.default_rng(100 * g + 10 * k + rows)
+    m, d, classes = 5, 4, 3
+    latents = rng.normal(size=(g, rows, d))
+    logits = rng.normal(size=(g, rows, m))
+    probs = kernels.softmax_rows(logits)
+    idx = kernels.topk_indices(logits, k)
+    chosen = rng.normal(size=(g, k, rows, classes))
+    labels = rng.integers(0, classes, size=(g, rows))
+    loss, dlogits, grads, dgate = moe_backward(latents, probs, idx, chosen,
+                                               labels, 0.01)
+    assert loss.shape == (g,) and grads.stack_shape == (g,)
+    for i in range(g):
+        one = moe_backward(latents[i], probs[i], idx[i], chosen[i],
+                           labels[i], 0.01)
+        assert loss[i].tobytes() == np.float64(one[0]).tobytes()
+        assert same_bits(dlogits[i], one[1])
+        assert same_bits(grads.flat[i], one[2].flat)
+        assert same_bits(dgate[i], one[3])
+
+
+def test_moe_backward_builds_the_gate_layout_once(monkeypatch):
+    # the gate layout comes from a cache keyed by (latent_dim, m), so a
+    # second batch of the same gate asks gate_spec for nothing
+    specs = []
+    real = moe.gate_spec
+    monkeypatch.setattr(moe, "gate_spec",
+                        lambda d, m: specs.append((d, m)) or real(d, m))
+    moe._gate_layout.cache_clear()
+    rng = np.random.default_rng(7)
+    logits = rng.normal(size=(6, 5))
+    args = (rng.normal(size=(6, 4)), kernels.softmax_rows(logits),
+            kernels.topk_indices(logits, 2), rng.normal(size=(2, 6, 3)),
+            rng.integers(0, 3, size=6), 0.01)
+    first, second = moe_backward(*args)[2], moe_backward(*args)[2]
+    assert specs == [(4, 5)]
+    assert first.layout is second.layout is real(4, 5).layout
 
 
 class TestMoeBackward:

@@ -210,6 +210,44 @@ def test_backward_without_input_grad(seed, widths, acts, lead, rows):
     assert grads.stack_shape == params.stack_shape
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.lists(st.integers(1, 12), min_size=2,
+                                           max_size=4),
+       st.lists(st.sampled_from(kernels.VALID_ACTIVATIONS), min_size=3,
+                max_size=3),
+       st.integers(1, 6), st.integers(1, 70))
+def test_forward_runs_a_broadcast_batch_in_place(seed, widths, acts, g,
+                                                 rows):
+    # a 2-d batch broadcast over a stack of g networks is read where it
+    # lies and gives the bits of its materialized copy, forward and
+    # backward
+    rng = np.random.default_rng(seed)
+    spec = MlpSpec(tuple(widths), tuple(acts[:len(widths) - 1]))
+    params = stack_params(init_mlp_params(spec, rng) for _ in range(g))
+    x = rng.normal(size=(rows, spec.in_width))
+    out, tape = forward(spec, params,
+                        np.broadcast_to(x, (g,) + x.shape), want_tape=True)
+    dense_out, dense_tape = forward(spec, params, np.tile(x, (g, 1, 1)),
+                                    want_tape=True)
+    assert np.shares_memory(tape.records[0], x)
+    assert same_bits(out, dense_out)
+    upstream = rng.normal(size=out.shape)
+    grads, dx = backward(tape, upstream)
+    dense_grads, dense_dx = backward(dense_tape, upstream)
+    assert same_param_bits(grads, dense_grads)
+    assert same_bits(dx, dense_dx)
+
+
+def test_forward_copies_a_batch_gemm_cannot_read_in_place():
+    spec, params = mlp([3, 4, 2], [T, I])
+    wide = np.random.default_rng(1).normal(size=(5, 6))
+    out, tape = forward(spec, params, wide[:, ::2], want_tape=True)
+    assert not np.shares_memory(tape.records[0], wide)
+    assert tape.records[0].flags.c_contiguous
+    assert same_bits(out, forward(spec, params,
+                                  np.ascontiguousarray(wide[:, ::2])))
+
+
 class TestSoftmax:
     def test_uniform_row(self):
         out = softmax(np.zeros((1, 3)))
@@ -484,6 +522,29 @@ def test_flat_grad_normalize_matches_per_array(shape, special, factor,
                                    unstack_params(grads)):
             assert same_param_bits(stacked,
                                    grad_normalize(single, max_norm))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=120, deadline=None)
+@given(param_shapes,
+       st.sampled_from([1 - 2**-19, 1 - 2**-21, 1 - 2**-45, 1.0, 1 + 2**-45,
+                        1 + 2**-21]),
+       st.sampled_from([1.0, 1e-160, 1e160]))
+def test_grad_normalize_near_the_bound_matches_per_array(shape, factor,
+                                                         magnitude):
+    # the bound within a relative 2**-19 of the set's norm, on both sides,
+    # where one sum of the whole buffer must not decide alone; gradients
+    # of 1e-160 give subnormal squares and a subnormal squared bound, and
+    # gradients of 1e160 overflow their squares under a finite bound
+    seed, widths, g = shape
+    rng = np.random.default_rng(seed)
+    grads = _random_set(rng, widths, g)
+    first = grads.flat if g is None else grads.flat[0]
+    max_norm = float(np.sqrt(np.sum(first * first))) * factor * magnitude
+    grads = param_set(((n, a * magnitude) for n, a in grads.items()),
+                      g is not None)
+    assert same_param_bits(grad_normalize(grads, max_norm),
+                           per_array_grad_normalize(grads, max_norm))
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,8 +21,9 @@ from nmoe.pipeline import (RunResult, _centralized_entry, build_shards,
                            train_centralized_moe, train_fedavg_classifier,
                            train_local_classifiers, write_sweep_csv)
 from nmoe.numerics import params_digest
-from oracles import (per_client_fedavg_classifier,
-                     per_client_local_classifiers, per_expert_centralized_moe)
+from oracles import (dense_centralized_step, per_client_fedavg_classifier,
+                     per_client_local_classifiers, per_expert_centralized_moe,
+                     same_bits)
 from nmoe.seeding import derive_rng
 
 ARTIFACTS = ("config.json", "results.json", "training_log.jsonl",
@@ -374,6 +375,60 @@ def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
                                                                  shards)
     assert model_digests(model) == model_digests(expected_model)
     assert losses == expected_losses
+
+
+# two-layer experts send the upstream, zero but at each row's picks,
+# through a hidden layer: the sign of an exact-zero gradient there is
+# what a sparse upstream could get wrong
+@pytest.mark.parametrize("sizes", [(60, 60, 45), (65, 64)])
+@pytest.mark.parametrize("num_clients,k", [(2, 1), (2, 2), (5, 1), (5, 2),
+                                           (5, 5)])
+@pytest.mark.parametrize("hidden", ["relu", "tanh", "identity"])
+def test_centralized_moe_with_two_layer_experts_matches_per_expert_loop(
+        hidden, num_clients, k, sizes):
+    config = small_config(
+        data={"num_clients": num_clients, "train_per_client": 65},
+        model={"fe_activations": ["relu", "tanh"],
+               "expert_widths": [32, 16, 10],
+               "expert_activations": [hidden, "identity"]}, k=k)
+    shards = trimmed_shards(config, sizes)
+    model, losses = train_centralized_moe(config, shards)
+    expected_model, expected_losses = per_expert_centralized_moe(config,
+                                                                 shards)
+    assert model_digests(model) == model_digests(expected_model)
+    assert losses == expected_losses
+
+
+def test_centralized_step_matches_the_dense_step_batch_by_batch():
+    # supervised-k2's mixture: m = 10 experts and k = 2 over 5000 pooled
+    # rows, 78 full batches of 64 and a last batch of 8. After every
+    # batch the flat buffer holds the dense step's parameters, the losses
+    # have the same bits and the two streams the same state, so the next
+    # draw of each is the same.
+    config = config_from_dict({"config_version": 1, "seed": 0, "k": 2,
+                               "stage1": {"method": "fedce"},
+                               "stage3": {"method": "rollgate"}})
+    pooled = pipeline._pooled_train(build_shards(config))
+    n, size = pooled.num_samples, config.batch_size
+    assert (n // size, n % size) == (78, 8)
+    flat, fe, gate, experts = pipeline._centralized_params(config)
+    _, *params = pipeline._centralized_params(config)
+    streams = [derive_rng(config.seed, seeding.BASELINE,
+                          pipeline._BASE_CENTRAL_TRAIN, 0) for _ in range(2)]
+    step = pipeline._centralized_step(config, pooled, fe, gate, experts,
+                                      streams[0])
+    dense_step = dense_centralized_step(config, pooled, streams[1])
+    order = streams[0].permutation(n)
+    assert np.array_equal(order, streams[1].permutation(n))
+    for start in range(0, n, size):
+        rows = order[start:start + size]
+        flat, loss = step(flat, rows, 0)
+        params, dense_loss = dense_step(params, rows, 0)
+        assert same_bits(flat, np.concatenate(
+            [p.flat.reshape(-1) for p in params]))
+        assert loss.hex() == dense_loss.hex()
+        assert streams[0].bit_generator.state == \
+            streams[1].bit_generator.state
 
 
 # 65-row shards each leave a one-row last batch, so the stack then runs
