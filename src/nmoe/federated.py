@@ -35,17 +35,19 @@ extractor and head chained into one network), _spectral_step for FedSC,
 _gate_step for FedGate, and the centralized mixture's step in
 nmoe.pipeline.
 
-FedSC and FedGate train their stacks on two CPUs when the process may
-use two, no other _Peer is live (with baselines, the centralized
-mixture's child already uses the second CPU) and the stack has two
-slices or more. Each forks one _Peer for the stage, after its constant
-arrays exist, so the peer inherits them. Each round this process
-trains the first ceil(g/2) slices and the peer the rest, from the same
-derived streams; the peer sends back flat buffers and loss arrays,
-which join in client order before _fedavg_rounds. A slice's bits do
-not depend on the stack around it, so the result is the one stack's,
-bit for bit. Otherwise the same
-functions train the whole stack here and nothing forks.
+_fedavg_rounds is the one place that splits a stack over two CPUs, so
+FedCE, FedSC, FedGate and the FedAvg-classifier baseline all split by
+one rule: when the process may use two CPUs, no other _Peer is live
+(with baselines, the centralized mixture's child already uses the
+second CPU) and a call has two slices or more, this process trains the
+first ceil(g/2) slices and the stage's one _Peer the rest, from the
+same derived streams. A stage hands the driver its per-slice functions,
+fn(r, flat, positions, *per_slice), and the peer, forked once after the
+stage's constant arrays exist, inherits those arrays; it sends back
+(g, ...) arrays, which join in position order. A slice's bits do not
+depend on the stack around it, so the result is the one stack's, bit
+for bit. Otherwise the same functions train the whole stack here and
+nothing forks. RollGate and stage 2 train in this process only.
 
 FedGate keeps the frozen latents of every shard but no table of the
 frozen experts' logits. Each batch runs one forward per routed expert
@@ -230,37 +232,77 @@ def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
 
 
 def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
-                   train_round, round_bytes, client_loss=np.mean):
-    """Rounds of federated averaging starting from params.
+                   train_round, served, round_bytes, client_loss=np.mean):
+    """Rounds of federated averaging starting from params, the one place
+    that splits a stack over two CPUs.
 
-    train_round(r, params) trains round r's participants from params as
-    one stack and returns their positions in clients, in client order,
-    the trained (g, ...) ParamSet and their (g, epochs) local-epoch
-    losses. The losses are checked client by client, so a divergence
-    names the client a per-client loop would have stopped at; the slices
-    are averaged by shard size. round_bytes(r, n, size) gives the round's
+    train_round(r, params, split) trains round r's participants from
+    params as one stack and returns their positions in clients, in client
+    order, the trained (g, ...) ParamSet and their (g, epochs) local-epoch
+    losses. It trains through split(fn, r, flat, positions, *per_slice),
+    which returns fn(r, flat, positions, *per_slice) for fn one of the
+    stage's served functions: a tuple of (g, ...) arrays, row i for the
+    participant at positions[i], given the round's flat params and
+    per_slice arrays of (g, ...) rows. positions is a range, whose slices
+    stay ranges and so slice the stage's arrays as views, or an int array.
+
+    When the process may use two CPUs and no other _Peer is live, a call
+    over g >= 2 positions runs fn over the first ceil(g/2) here while the
+    stage's _Peer runs it over the rest, from the same derived streams,
+    and the halves join in position order. The peer is forked at the
+    first such call, after the stage's constant arrays exist, so it
+    inherits them; requests carry only flat, positions and per_slice
+    rows. A slice's bits do not depend on the stack around it, so the
+    join gives the bits of one call over all g. Otherwise fn runs over
+    all g here and nothing forks.
+
+    The losses are checked client by client, so a divergence names the
+    client a per-client loop would have stopped at; the slices are
+    averaged by shard size. round_bytes(r, n, size) gives the round's
     traffic for n participants and a model of size scalars; client_loss
     reduces a client's epoch losses for the report. Returns the final
     params and the reports.
     """
     sizes = [float(s.train.num_samples) for s in clients]
+    spare = _two_cpus() and not _Peer.live
+    peer = None
+
+    def split(fn, r, flat, positions, *per_slice):
+        nonlocal peer
+        half = -(-len(positions) // 2)
+        if not spare or half == len(positions):
+            return fn(r, flat, positions, *per_slice)
+        if peer is None:
+            peer = _Peer(lambda i, *args: served[i](*args),
+                         f"the {stage} peer")
+        peer.ask(served.index(fn), r, flat, positions[half:],
+                 *(a[half:] for a in per_slice))
+        mine = fn(r, flat, positions[:half], *(a[:half] for a in per_slice))
+        return tuple(np.concatenate(pair)
+                     for pair in zip(mine, peer.answer()))
+
     reports = []
-    for r in range(rounds):
-        t0 = time.perf_counter()
-        positions, stack, epoch_losses = train_round(r, params)
-        ids = [clients[c].client_id for c in positions]
-        losses = epoch_losses.tolist()
-        for client, client_losses in zip(ids, losses):
-            for loss in client_losses:
-                _check_finite(loss, stage, client, r)
-        params = fedavg(unstack_params(stack), [sizes[c] for c in positions])
-        reports.append(FedRoundReport(
-            stage=stage, round_index=r, participants=tuple(ids),
-            client_losses={c: float(client_loss(v))
-                           for c, v in zip(ids, losses)},
-            params_digest=params_digest(params),
-            bytes_sent=round_bytes(r, len(ids), params.size()),
-            wall_clock=time.perf_counter() - t0))
+    try:
+        for r in range(rounds):
+            t0 = time.perf_counter()
+            positions, stack, epoch_losses = train_round(r, params, split)
+            ids = [clients[c].client_id for c in positions]
+            losses = epoch_losses.tolist()
+            for client, client_losses in zip(ids, losses):
+                for loss in client_losses:
+                    _check_finite(loss, stage, client, r)
+            params = fedavg(unstack_params(stack),
+                            [sizes[c] for c in positions])
+            reports.append(FedRoundReport(
+                stage=stage, round_index=r, participants=tuple(ids),
+                client_losses={c: float(client_loss(v))
+                               for c, v in zip(ids, losses)},
+                params_digest=params_digest(params),
+                bytes_sent=round_bytes(r, len(ids), params.size()),
+                wall_clock=time.perf_counter() - t0))
+    finally:
+        if peer is not None:
+            peer.close()
     return params, tuple(reports)
 
 
@@ -270,16 +312,6 @@ def _two_cpus() -> bool:
     one."""
     return hasattr(os, "sched_getaffinity") and \
         len(os.sched_getaffinity(0)) > 1
-
-
-def _lower_half(slices: int) -> int:
-    """How many of a stack's slices this process trains: ceil(slices /
-    2) when it may use two CPUs and no other _Peer is live, a new _Peer
-    training the rest, and all of them otherwise (always all of one
-    slice). A live peer, such as the baselines' centralized-mixture
-    child, already keeps the second CPU busy: a third process would
-    time-slice two CPUs and slow the child down."""
-    return -(-slices // 2) if _two_cpus() and not _Peer.live else slices
 
 
 class _Peer:
@@ -377,17 +409,6 @@ def _serve(fn, inbox: int, outbox: int) -> None:
                 reply = (exc, None)
             pickle.dump(reply, replies, pickle.HIGHEST_PROTOCOL)
             replies.flush()
-
-
-def _halves(peer: _Peer | None, lower, *upper):
-    """lower() here while peer answers upper, each a tuple of arrays
-    with a leading slice axis, joined along it, lower half first.
-    Without a peer lower() trains the whole stack."""
-    if peer is None:
-        return lower()
-    peer.ask(*upper)
-    mine = lower()
-    return tuple(np.concatenate(pair) for pair in zip(mine, peer.answer()))
 
 
 def _digest_group(param_sets) -> str:
@@ -583,6 +604,8 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     proportional to shard sizes. Heads never leave their clients; they
     are returned with the extractor. Each round's (m, P) stack of
     chained networks holds the averaged extractor, then a client's head.
+    On two CPUs the upper half of the clients trains in the stage's peer
+    (see _fedavg_rounds), which gets their heads with the request.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -592,22 +615,32 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
     heads = stack_params([head0] * m)
-    n = features.shape[1]
-    step = _ce_step(spec, features, labels, lr)
 
-    def train_round(r, fe):
-        nonlocal heads
+    def train(r, fe_flat, positions, heads_flat):
+        """Round r's local epochs of the clients at positions, from the
+        extractor fe_flat and their heads heads_flat: their (g, P)
+        chained networks and (g, epochs) losses."""
+        part = slice(positions.start, positions.stop)
         stack, losses = _epochs(
-            _chain_params(spec, fe, heads), local_epochs, n, batch_size,
-            derive_rng(seed, seeding.STAGE1, r, 0), step)
-        fe_g, heads = _split_chain(stack, fe_spec, head_spec)
+            _chain_params(spec, ParamSet.from_flat(fe_spec.layout, fe_flat),
+                          ParamSet.from_flat(head_spec.layout, heads_flat)),
+            local_epochs, features.shape[1], batch_size,
+            derive_rng(seed, seeding.STAGE1, r, 0),
+            _ce_step(spec, features[part], labels[part], lr))
+        return stack.flat, losses
+
+    def train_round(r, fe, split):
+        nonlocal heads
+        flat, losses = split(train, r, fe.flat, range(m), heads.flat)
+        fe_g, heads = _split_chain(ParamSet.from_flat(spec.layout, flat),
+                                   fe_spec, head_spec)
         return range(m), fe_g, losses
 
     fe, reports = _fedavg_rounds(
         "stage1_fedce", clients,
         init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
                                             seeding.INIT_EXTRACTOR, 0)),
-        rounds, train_round,
+        rounds, train_round, (train,),
         lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar))
     return Stage1Result(fe_params=fe, heads=tuple(unstack_params(heads)),
                         reports=reports)
@@ -622,21 +655,31 @@ def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
 
     Every round each client trains the global model on its shard for the
     given epochs, every client drawing from round_rng(r); a report's
-    client losses hold each client's last-epoch loss.
+    client losses hold each client's last-epoch loss. The clients train
+    as one stack, split over two CPUs by _fedavg_rounds.
     """
     _check_clients(clients)
     m = len(clients)
     features, labels = _stack_shards(clients)
-    step = _ce_step(spec, features, labels, lr)
 
-    def train_round(r, params):
-        stack, losses = _epochs(stack_params([params] * m), local_epochs,
-                                features.shape[1], batch_size, round_rng(r),
-                                step)
-        return range(m), stack, losses
+    def train(r, flat, positions):
+        """Round r's local epochs of the clients at positions from the
+        model flat: their (g, P) models and (g, epochs) losses."""
+        part = slice(positions.start, positions.stop)
+        stack, losses = _epochs(
+            stack_params([ParamSet.from_flat(spec.layout, flat)]
+                         * len(positions)),
+            local_epochs, features.shape[1], batch_size, round_rng(r),
+            _ce_step(spec, features[part], labels[part], lr))
+        return stack.flat, losses
+
+    def train_round(r, params, split):
+        flat, losses = split(train, r, params.flat, range(m))
+        return range(m), ParamSet.from_flat(spec.layout, flat), losses
 
     return _fedavg_rounds(
         "baseline_fedavg_classifier", clients, params, rounds, train_round,
+        (train,),
         lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar),
         client_loss=lambda v: v[-1])
 
@@ -658,12 +701,9 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     stream over a shard of the same size, so all clients draw the same
     batch orders and augmentations and train as one stack.
 
-    With two CPUs and no other live _Peer, a _Peer forked once for the
-    stage takes the upper half of the clients: each round it computes
-    their shares while this process computes the rest, then, given their
-    aggregates, trains them while this process trains the lower half.
-    A slice's bits do not depend on the stack around it, so the halves
-    join to the bits of one stack.
+    Each round runs two calls through _fedavg_rounds' split: every
+    client's share, then, given every aggregate, every client's local
+    epochs; on two CPUs each call's upper half runs in the stage's peer.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -675,40 +715,32 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     d = fe_spec.out_width
     ids = np.arange(m)
     features = np.stack([s.train.features for s in clients])
-    split = _lower_half(m)
 
-    def shares(r, fe_flat, lo, hi):
-        """Round r's correlation shares of clients lo to hi, (g, d, d)."""
+    def shares(r, fe_flat, positions):
+        """Round r's correlation shares of the clients at positions,
+        (g, d, d)."""
         fe = ParamSet.from_flat(fe_spec.layout, fe_flat)
         return np.stack([
             compute_correlation_share(
                 fe_spec, fe, shard, aug_spec, dp_noise_std,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
-            for shard in clients[lo:hi]
+            for shard in clients[positions.start:positions.stop]
         ]),
 
-    def train(r, fe_flat, lo, hi, rbars):
-        """Round r's local epochs of clients lo to hi under their
+    def train(r, fe_flat, positions, rbars):
+        """Round r's local epochs of the clients at positions under their
         aggregates: their (g, P) extractors and (g, epochs) losses."""
         rng = derive_rng(seed, seeding.STAGE1, r, 0)
+        fe = ParamSet.from_flat(fe_spec.layout, fe_flat)
         fe_g, losses = _epochs(
-            stack_params(
-                [ParamSet.from_flat(fe_spec.layout, fe_flat)] * (hi - lo)),
-            local_epochs, features.shape[1], batch_size, rng,
-            _spectral_step(fe_spec, features[lo:hi], aug_spec, rbars, q, lr,
-                           rng))
+            stack_params([fe] * len(positions)), local_epochs,
+            features.shape[1], batch_size, rng,
+            _spectral_step(fe_spec, features[positions.start:positions.stop],
+                           aug_spec, rbars, q, lr, rng))
         return fe_g.flat, losses
 
-    def upper(r, fe_flat, rbars=None):
-        """The peer's clients' shares, or, given their aggregates, their
-        local epochs."""
-        if rbars is None:
-            return shares(r, fe_flat, split, m)
-        return train(r, fe_flat, split, m, rbars)
-
-    def train_round(r, fe):
-        every_share, = _halves(peer, lambda: shares(r, fe.flat, 0, split),
-                               r, fe.flat)
+    def train_round(r, fe, split):
+        every_share, = split(shares, r, fe.flat, range(m))
 
         # every client's weighted mean of the other clients' shares, all
         # built at once: aggregate c takes share i's term in list order,
@@ -719,23 +751,16 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
                 rbars[ids != i] += q * share
             rbars /= 1.0 - q
 
-        flat, losses = _halves(
-            peer, lambda: train(r, fe.flat, 0, split, rbars[:split]),
-            r, fe.flat, rbars[split:])
+        flat, losses = split(train, r, fe.flat, range(m), rbars)
         return range(m), ParamSet.from_flat(fe.layout, flat), losses
 
-    peer = _Peer(upper, "the stage1_fedsc peer") if split < m else None
-    try:
-        fe, reports = _fedavg_rounds(
-            "stage1_fedsc", clients,
-            init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
-                                                seeding.INIT_EXTRACTOR, 0)),
-            rounds, train_round,
-            lambda r, n, size: spectral_round_bytes(n, size, d,
-                                                    bytes_per_scalar))
-    finally:
-        if peer is not None:
-            peer.close()
+    fe, reports = _fedavg_rounds(
+        "stage1_fedsc", clients,
+        init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
+                                            seeding.INIT_EXTRACTOR, 0)),
+        rounds, train_round, (shares, train),
+        lambda r, n, size: spectral_round_bytes(n, size, d,
+                                                bytes_per_scalar))
     return Stage1Result(fe_params=fe, heads=None, reports=reports)
 
 
@@ -985,10 +1010,8 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     experts are available, so their one-time shipping cost lands in the
     first round's bytes.
 
-    With two CPUs and no other live _Peer, a _Peer forked once for the
-    stage, after the latents exist, trains the upper half of each
-    round's participants from the gate and their positions while this
-    process trains the lower half.
+    On two CPUs, the upper half of each round's participants trains in
+    the stage's peer, forked by _fedavg_rounds after the latents exist.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -1008,7 +1031,6 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
     layout = gate_init.params.layout
-    split = _lower_half(count)
 
     def train(r, gate_flat, positions):
         """Round r's local epochs of the participants at positions, from
@@ -1023,23 +1045,17 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                        grad_max_norm, rng))
         return stack.flat, losses
 
-    def train_round(r, params):
+    def train_round(r, params, split):
         sched = derive_rng(seed, seeding.SCHEDULE, r, 0)
         participants = np.sort(sched.choice(m, size=count, replace=False))
-        flat, losses = _halves(
-            peer, lambda: train(r, params.flat, participants[:split]),
-            r, params.flat, participants[split:])
+        flat, losses = split(train, r, params.flat, participants)
         return participants, ParamSet.from_flat(layout, flat), losses
 
-    peer = _Peer(train, "the stage3_fedgate peer") if split < count else None
-    try:
-        params, reports = _fedavg_rounds(
-            "stage3_fedgate", clients, gate_init.params, rounds, train_round,
-            lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
-            + (setup if r == 0 else 0))
-    finally:
-        if peer is not None:
-            peer.close()
+    params, reports = _fedavg_rounds(
+        "stage3_fedgate", clients, gate_init.params, rounds, train_round,
+        (train,),
+        lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
+        + (setup if r == 0 else 0))
     if params_digest(fe_params) != fe_before:
         raise InternalError("stage 3 mutated the frozen extractor")
     if _digest_group(experts) != experts_before:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from nmoe import federated
+
 # Make the oracles module importable regardless of how pytest was invoked.
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -26,11 +28,14 @@ def open_pipes() -> set:
 
 @pytest.fixture(autouse=True)
 def no_child_left_behind():
-    """Fail a test that leaves a child process unreaped or a pipe open:
-    the baselines and the FedSC and FedGate peers run in forked
-    children, which every path must kill or wait for, and whose pipes it
-    must close (a write end left open keeps a child from seeing the end
-    of its requests)."""
+    """Fail a test that leaves a child process unreaped, a pipe open or
+    federated._Peer.live above zero: the baselines' centralized-mixture
+    child and the FedAvg round driver's peers run in forked children,
+    which every path must kill or wait for, and whose pipes it must close
+    (a write end left open keeps a child from seeing the end of its
+    requests). A leaked live count would keep every later stage from
+    using the second CPU; it is reset so that only the leaking test
+    fails."""
     before = open_pipes()
     yield
     try:
@@ -44,3 +49,6 @@ def no_child_left_behind():
     leaked = sorted(open_pipes() - before)
     if leaked:
         pytest.fail(f"the test left pipes open: {leaked}")
+    live, federated._Peer.live = federated._Peer.live, 0
+    if live:
+        pytest.fail(f"the test left _Peer.live at {live}")

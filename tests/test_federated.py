@@ -1016,24 +1016,45 @@ def test_epochs_matches_a_hand_written_loop(n, batch_size, kind):
     assert after == after_h
 
 
-def test_batches_has_one_caller_the_batch_driver():
-    """Every trainer is a step under federated._epochs, the one place
-    that draws batch orders; a trainer with its own batch loop, or a
-    module importing _batches, fails here."""
-    uses = []
+# Each private name one place must own, with the only functions that may
+# use it (a function nested in one counts as that one); "name(...)" counts
+# only calls. Every trainer is a step under federated._epochs, the one
+# place that draws batch orders; every split of a stack over two CPUs is
+# made by the FedAvg round driver, and the only other forked peer is the
+# centralized-mixture child.
+OWNERS = {
+    "_batches": {"federated._epochs"},
+    "_Peer(...)": {"federated._fedavg_rounds",
+                   "pipeline._CentralizedChild.__init__"},
+}
+
+
+def test_private_names_are_used_only_by_their_owners():
+    """A trainer with its own batch loop, a module importing _batches,
+    or a stage forking its own peer fails here."""
+    uses = {name: set() for name in OWNERS}
 
     class Uses(ast.NodeVisitor):
         def __init__(self, module):
-            self.module, self.scope = module, []
+            self.module, self.scope, self.nested = module, [], False
 
-        def visit_FunctionDef(self, node):
+        def visit_ClassDef(self, node):
             self.scope.append(node.name)
             self.generic_visit(node)
             self.scope.pop()
 
+        def visit_FunctionDef(self, node):
+            if self.nested:
+                return self.generic_visit(node)
+            self.scope.append(node.name)
+            self.nested = True
+            self.generic_visit(node)
+            self.nested = False
+            self.scope.pop()
+
         def note(self, name, node):
-            if name == "_batches":
-                uses.append(f"{self.module}.{'.'.join(self.scope)}")
+            if name in uses:
+                uses[name].add(".".join([self.module] + self.scope))
             self.generic_visit(node)
 
         def visit_Name(self, node):
@@ -1045,9 +1066,15 @@ def test_batches_has_one_caller_the_batch_driver():
         def visit_alias(self, node):
             self.note(node.name, node)
 
+        def visit_Call(self, node):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            self.note(f"{name}(...)", node)
+
     for path in sorted(Path(federated.__file__).parent.glob("*.py")):
         Uses(path.stem).visit(ast.parse(path.read_text()))
-    assert uses == ["federated._epochs"]
+    assert uses == OWNERS
 
 
 def scale_features(clients, scale, which=(1,)):
@@ -1219,18 +1246,46 @@ def fedgate_call(clients, **overrides):
                           gate_init, **kw)
 
 
+def fedce_call(clients):
+    head_spec = MlpSpec((6, clients[0].train.num_classes), (I,))
+    return stage1_fedce(clients, LOCKSTEP_FE["tanh"], head_spec, rounds=2,
+                        local_epochs=2, lr=0.05, seed=7, batch_size=16)
+
+
+def fedavg_classifier_call(clients):
+    """The baseline's classifier and reports, as a Stage1Result."""
+    spec = MlpSpec((8, 12, clients[0].train.num_classes), (T, I))
+    params, reports = fedavg_classifier(
+        clients, spec, init_mlp_params(spec, np.random.default_rng(0)), 2, 2,
+        0.05, lambda r: derive_rng(3, seeding.BASELINE, r, 0),
+        batch_size=16)
+    return Stage1Result(fe_params=params, heads=None, reports=reports)
+
+
+CLIENT_STACK_CALLS = {"fedsc": fedsc_call, "fedce": fedce_call,
+                      "fedavg_classifier": fedavg_classifier_call}
+
+
 @pytest.mark.parametrize("num_clients", [1, 2, 5, 7])
-def test_fedsc_peer_matches_in_process(monkeypatch, num_clients):
-    """The upper half of the clients trained in the forked peer: the
-    same extractor, digests and losses as the whole stack here; one
-    client, or one CPU, forks nothing."""
+@pytest.mark.parametrize("stage", sorted(CLIENT_STACK_CALLS))
+def test_client_stack_peer_matches_in_process(monkeypatch, stage,
+                                              num_clients):
+    """The upper half of the clients trained in the forked peer (FedCE
+    sends it their heads): the same extractor or classifier, heads,
+    digests and losses as the whole stack here; one client, or one CPU,
+    forks nothing."""
     clients = lockstep_clients(num_clients, (45,))
+    call = CLIENT_STACK_CALLS[stage]
     cpus(monkeypatch, False)
-    alone = fedsc_call(clients)
+    alone = call(clients)
     forks = cpus(monkeypatch, True)
-    halves = fedsc_call(clients)
+    halves = call(clients)
     assert len(forks) == (num_clients > 1)
     assert params_digest(halves.fe_params) == params_digest(alone.fe_params)
+    assert (halves.heads is None) == (alone.heads is None) == \
+        (stage != "fedce")
+    assert [params_digest(h) for h in halves.heads or ()] == \
+        [params_digest(h) for h in alone.heads or ()]
     assert round_outcomes(halves) == round_outcomes(alone)
 
 
@@ -1254,25 +1309,33 @@ def test_fedgate_peer_matches_in_process(monkeypatch, num_clients, k,
     assert round_outcomes(halves) == round_outcomes(alone)
 
 
-def test_pipeline_artifacts_match_in_process(monkeypatch, tmp_path):
-    """A FedSC + FedGate run writes the same bytes with the peers as
-    without them."""
+@pytest.mark.parametrize("stage1,stage3,peers", [
+    ({"method": "fedsc", "rounds": 2},
+     {"method": "fedgate", "rounds": 2, "client_fraction": 0.6}, 2),
+    # RollGate, a sequential ring, never splits
+    ({"method": "fedce", "rounds": 2},
+     {"method": "rollgate", "max_passes": 2}, 1),
+])
+def test_pipeline_artifacts_match_in_process(monkeypatch, tmp_path, stage1,
+                                             stage3, peers):
+    """A run writes the same bytes with the peers as without them, one
+    peer per stage that splits."""
     files = ("results.json", "model.json", "training_log.jsonl")
     doc = {"config_version": 1, "seed": 4, "k": 2,
            "data": {"num_clients": 5, "samples_per_class": 100,
                     "train_per_client": 70, "test_per_client": 20},
-           "stage1": {"rounds": 2}, "stage2": {"epochs": 2},
-           "stage3": {"rounds": 2, "client_fraction": 0.6}}
+           "stage1": stage1, "stage2": {"epochs": 2}, "stage3": stage3}
     out = tmp_path / "run"
     written = {}
     for two in (False, True):
         forks = cpus(monkeypatch, two)
         run_pipeline(config_from_dict(dict(doc, output_dir=str(out))))
-        assert len(forks) == 2 * two
+        assert len(forks) == peers * two
         written[two] = [(out / name).read_bytes() for name in files]
     assert written[True] == written[False]
-    assert json.loads(written[True][0])["config"]["stage1"]["method"] == \
-        "fedsc"
+    config = json.loads(written[True][0])["config"]
+    assert (config["stage1"]["method"], config["stage3"]["method"]) == \
+        (stage1["method"], stage3["method"])
 
 
 def test_a_live_peer_keeps_the_stages_in_process(monkeypatch):
@@ -1309,7 +1372,8 @@ def test_a_live_peer_keeps_the_stages_in_process(monkeypatch):
 def test_pipeline_with_baselines_forks_only_the_centralized_child(
         monkeypatch, tmp_path):
     """With baselines the centralized mixture's child is live through
-    stages 1 to 3, so FedSC and FedGate fork no peer of their own."""
+    stages 1 to 3 and the classifier baselines, so the round driver
+    forks no peer for FedSC, FedGate or the FedAvg classifier."""
     doc = {"config_version": 1, "seed": 4,
            "data": {"num_clients": 4, "samples_per_class": 60,
                     "train_per_client": 50, "test_per_client": 20},
@@ -1322,15 +1386,21 @@ def test_pipeline_with_baselines_forks_only_the_centralized_child(
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("stage", ["stage1_fedsc", "stage3_fedgate"])
+@pytest.mark.parametrize("stage", ["stage1_fedce", "stage1_fedsc",
+                                   "stage3_fedgate"])
 def test_divergence_in_the_peer_names_client_and_round(monkeypatch, stage):
     """Client 2 of 3 trains in the peer, as the upper half, and its
     divergence fails the stage exactly as in-process."""
-    scale = {"stage1_fedsc": 1e100, "stage3_fedgate": 1e307}[stage]
+    scale = {"stage1_fedce": 1e200, "stage1_fedsc": 1e100,
+             "stage3_fedgate": 1e307}[stage]
     clients = scale_features(make_clients(3, 1.0), scale, (2,))
     fe_spec = MlpSpec((8, 10, 6), (R, I))
 
     def run():
+        if stage == "stage1_fedce":
+            return stage1_fedce(clients, fe_spec, MlpSpec((6, 4), (I,)),
+                                rounds=2, local_epochs=2, lr=0.05, seed=1,
+                                batch_size=16)
         if stage == "stage1_fedsc":
             return stage1_fedsc(clients, fe_spec, rounds=2, local_epochs=1,
                                 lr=0.05, aug_spec=AugmentSpec(0.1, 0.1),
