@@ -24,16 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import seeding
 from .config import config_hash, load_config
 from .datasets import save_dataset
 from .errors import ConfigError, DataError, FormatError, NmoeError
-from .metrics import evaluate_clients
 from .moe import load_model
-from .netsim import RoutingLog, export_heatmap, local_ratio, simulate_inference
-from .pipeline import SWEEP_AXES, build_dataset, build_shards, cost_model, \
-    run_ablation, run_baselines, run_pipeline, write_sweep_csv
-from .seeding import derive_rng
+from .netsim import RoutingLog, export_heatmap, local_ratio
+from .pipeline import SWEEP_AXES, build_dataset, build_shards, \
+    evaluate_model, run_ablation, run_baselines, run_pipeline, \
+    write_sweep_csv
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -93,12 +91,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise FormatError(
             f"checkpoint {args.model} was trained under config hash "
             f"{recorded}, but {args.config} hashes to {expected}")
-    shards = build_shards(config)
-    inference = simulate_inference(
-        model, shards, config.k, cost_model(config),
-        rng=derive_rng(config.seed, seeding.EVAL, 0, 0))
-    report = evaluate_clients(inference.predictions, inference.scores,
-                              inference.labels, config.data.num_classes)
+    inference, report = evaluate_model(config, model, build_shards(config),
+                                       0)
     payload = {
         "config_hash": expected,
         "evaluation": report.as_dict(),

@@ -49,14 +49,17 @@ depend on the stack around it, so the result is the one stack's, bit
 for bit. Otherwise the same functions train the whole stack here and
 nothing forks. RollGate and stage 2 train in this process only.
 
-FedGate keeps the frozen latents of every shard but no table of the
-frozen experts' logits. Each batch runs one forward per routed expert
-over the rows routed to it, padded to a multiple of TILE rows, which
-gives every row the bits of the expert's forward over the whole shard.
-A shard's last n mod TILE rows, which no aligned block reaches, come
-from one stacked forward per batch, one slice per (shard, expert) pair
-its tail picks name, over that shard's last TILE + n mod TILE rows (see
-TILE).
+Stages 2 and 3 never see the extractor. run_pipeline builds the
+frozen extractor's latents of every train shard once, with
+frozen_latents, as one read-only (m, n, d) array, and hands it to
+stage 2, RollGate and FedGate; each checks its shape. FedGate keeps
+those latents but no table of the frozen experts' logits. Each batch
+runs one forward per routed expert over the rows routed to it, padded
+to a multiple of TILE rows, which gives every row the bits of the
+expert's forward over the whole shard. A shard's last n mod TILE rows,
+which no aligned block reaches, come from one stacked forward per
+batch, one slice per (shard, expert) pair its tail picks name, over
+that shard's last TILE + n mod TILE rows (see TILE).
 
 Communication accounting (4-byte wire scalars by default): FedCE moves
 the extractor down and up for every client each round; FedSC adds one
@@ -189,9 +192,20 @@ def _check_clients(clients) -> None:
     ids = [s.client_id for s in clients]
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate client ids: {sorted(ids)}")
-    sizes = sorted({s.train.num_samples for s in clients})
+    _check_sizes([s.train for s in clients])
+
+
+def _check_sizes(datasets) -> None:
+    sizes = sorted({d.num_samples for d in datasets})
     if len(sizes) > 1:
         raise DataError(f"train shards must share one size, got {sizes}")
+
+
+def _check_latents(latents: np.ndarray, clients, width: int) -> None:
+    want = (len(clients), clients[0].train.num_samples, width)
+    if latents.shape != want:
+        raise ConfigError(f"latents must have shape (clients, rows, width) "
+                          f"= {want}, got {latents.shape}")
 
 
 def _check_schedule(rounds: int, epochs: int, lr: float,
@@ -219,15 +233,18 @@ def _stack_shards(clients):
             np.stack([s.train.labels for s in clients]))
 
 
-def _frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
-                    datasets) -> np.ndarray:
+def frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
+                   datasets) -> np.ndarray:
     """The frozen extractor's latents of equal-size datasets, (m, n, d):
     each dataset's forward, written into its slice of one preallocated
-    array."""
+    array, which is returned read-only. Stages 2 and 3 train on it and
+    never see the extractor."""
+    _check_sizes(datasets)
     latents = np.empty((len(datasets), datasets[0].num_samples,
                         fe_spec.out_width))
     for out, data in zip(latents, datasets):
         out[...] = forward(fe_spec, fe_params, data.features)
+    latents.flags.writeable = False
     return latents
 
 
@@ -764,22 +781,18 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     return Stage1Result(fe_params=fe, heads=None, reports=reports)
 
 
-def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
-                   expert_spec: MlpSpec, epochs: int, lr: float, seed: int,
-                   *, batch_size: int = 64) -> Stage2Result:
-    """Per-client expert training on frozen extractor features, from
-    fresh experts. No bytes move in this stage.
+def stage2_experts(clients, latents: np.ndarray, expert_spec: MlpSpec,
+                   epochs: int, lr: float, seed: int, *,
+                   batch_size: int = 64) -> Stage2Result:
+    """Per-client expert training on the frozen extractor's latents of
+    the clients' train shards, (m, n, expert input width), from fresh
+    experts. No bytes move in this stage.
     """
     _check_clients(clients)
     _check_schedule(1, epochs, lr, batch_size)
-    if expert_spec.in_width != fe_spec.out_width:
-        raise ConfigError(
-            f"expert input width {expert_spec.in_width} does not match "
-            f"the extractor output {fe_spec.out_width}")
-    fe_before = params_digest(fe_params)
+    _check_latents(latents, clients, expert_spec.in_width)
     rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
     stack = stack_params(init_mlp_params(expert_spec, rng) for _ in clients)
-    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
     labels = np.stack([s.train.labels for s in clients])
     # one stream, carried across epochs like each client's own
     rng = derive_rng(seed, seeding.STAGE2, 0, 0)
@@ -799,8 +812,6 @@ def stage2_experts(clients, fe_spec: MlpSpec, fe_params: ParamSet,
             client_losses={s.client_id: v for s, v in zip(clients, losses)},
             params_digest=_digest_group(experts),
             bytes_sent=0, wall_clock=time.perf_counter() - t0))
-    if params_digest(fe_params) != fe_before:
-        raise InternalError("stage 2 mutated the frozen extractor")
     return Stage2Result(experts=tuple(experts), reports=tuple(reports))
 
 
@@ -830,8 +841,8 @@ def rollgate_pseudo_labels(num_experts: int, own_id: int, p: float,
     return out
 
 
-def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
-                    gate_init: GateParams, p: float, epochs_per_client: int,
+def stage3_rollgate(clients, latents: np.ndarray, gate_init: GateParams,
+                    p: float, epochs_per_client: int,
                     max_passes: int, lr: float, seed: int, *,
                     batch_size: int = 64,
                     bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
@@ -839,18 +850,19 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     """Ring-trained gate on pseudo client-id labels.
 
     The gate visits clients 0, 1, ..., m-1 in a loop, training
-    epochs_per_client cross-entropy epochs per hop on frozen-extractor
-    latents. Training stops once a full pass moves the pass-averaged loss
-    by less than ROLLGATE_LOSS_TOL, or after max_passes.
+    epochs_per_client cross-entropy epochs per hop on the frozen
+    extractor's latents of its train shard, one slice of latents
+    (m, n, gate latent dim). Training stops once a full pass moves the
+    pass-averaged loss by less than ROLLGATE_LOSS_TOL, or after
+    max_passes.
     """
     _check_clients(clients)
     _check_schedule(max_passes, epochs_per_client, lr, batch_size)
     m = len(clients)
     if m < 2:
         raise ConfigError("rolling training needs at least two clients")
-    fe_before = params_digest(fe_params)
+    _check_latents(latents, clients, gate_init.latent_dim)
     spec = gate_spec(gate_init.latent_dim, m)
-    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
     pseudo = [
         rollgate_pseudo_labels(
             m, c, p, s.train.num_samples,
@@ -885,8 +897,6 @@ def stage3_rollgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
                 abs(pass_avg - previous) < ROLLGATE_LOSS_TOL:
             break
         previous = pass_avg
-    if params_digest(fe_params) != fe_before:
-        raise InternalError("stage 3 mutated the frozen extractor")
     return Stage3Result(
         gate=GateParams(params=gate_params, noise_std=gate_init.noise_std),
         reports=tuple(reports))
@@ -992,15 +1002,17 @@ def _routed_logits(expert_spec, experts, latents, owners, rows, idx):
     return out.reshape(picks.shape + (-1,))
 
 
-def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
-                   expert_spec: MlpSpec, experts, gate_init: GateParams,
+def stage3_fedgate(clients, latents: np.ndarray, expert_spec: MlpSpec,
+                   experts, gate_init: GateParams,
                    rounds: int, local_epochs: int, lr: float,
                    lambda_load: float, client_fraction: float,
                    grad_max_norm: float, k: int, seed: int, *,
                    batch_size: int = 64,
                    bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
                    ) -> Stage3Result:
-    """Federated-averaged gate over frozen extractor and experts.
+    """Federated-averaged gate over frozen experts and the frozen
+    extractor's latents of the clients' train shards, (m, n, expert
+    input width).
 
     Each round samples ceil(client_fraction * m) participants without
     replacement; each trains the gate on its shard through the same top-k
@@ -1011,7 +1023,8 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     first round's bytes.
 
     On two CPUs, the upper half of each round's participants trains in
-    the stage's peer, forked by _fedavg_rounds after the latents exist.
+    the stage's peer, forked by _fedavg_rounds, which inherits the
+    latents.
     """
     _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
@@ -1024,9 +1037,8 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
     experts = tuple(experts)
     if len(experts) != m:
         raise ConfigError(f"got {len(experts)} experts for {m} clients")
-    fe_before = params_digest(fe_params)
+    _check_latents(latents, clients, expert_spec.in_width)
     experts_before = _digest_group(experts)
-    latents = _frozen_latents(fe_spec, fe_params, [s.train for s in clients])
     labels = np.stack([s.train.labels for s in clients])
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
@@ -1056,8 +1068,6 @@ def stage3_fedgate(clients, fe_spec: MlpSpec, fe_params: ParamSet,
         (train,),
         lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
         + (setup if r == 0 else 0))
-    if params_digest(fe_params) != fe_before:
-        raise InternalError("stage 3 mutated the frozen extractor")
     if _digest_group(experts) != experts_before:
         raise InternalError("stage 3 mutated a frozen expert")
     return Stage3Result(

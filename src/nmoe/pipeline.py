@@ -36,11 +36,11 @@ from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
 from .errors import ConfigError, InternalError, NmoeError
 from .federated import (FedRoundReport, Stage1Result, Stage2Result,
-                        Stage3Result, fedavg_classifier, stage1_fedce,
-                        stage1_fedsc, stage2_experts, stage3_fedgate,
-                        stage3_rangate, stage3_rollgate, _Peer, _ce_step,
-                        _check_clients, _check_finite, _epochs,
-                        _stack_shards)
+                        Stage3Result, fedavg_classifier, frozen_latents,
+                        stage1_fedce, stage1_fedsc, stage2_experts,
+                        stage3_fedgate, stage3_rangate, stage3_rollgate,
+                        _Peer, _ce_step, _check_clients, _check_finite,
+                        _epochs, _stack_shards)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, _route, init_gate_params,
                   moe_backward, save_model)
@@ -158,7 +158,7 @@ def _run_stage1(config: RunConfig, shards) -> Stage1Result:
                         dp_noise_std=s1.dp_noise_std, **common)
 
 
-def _run_stage3(config: RunConfig, shards, fe_params: ParamSet,
+def _run_stage3(config: RunConfig, shards, latents: np.ndarray,
                 experts) -> Stage3Result:
     s3 = config.stage3
     m = config.data.num_clients
@@ -172,14 +172,13 @@ def _run_stage3(config: RunConfig, shards, fe_params: ParamSet,
         scale=0.0)
     if s3.method == "rollgate":
         return stage3_rollgate(
-            shards, config.model.fe_spec(), fe_params, gate_init,
+            shards, latents, gate_init,
             p=s3.pseudo_ratio, epochs_per_client=s3.epochs_per_client,
             max_passes=s3.max_passes, lr=s3.lr, seed=config.seed,
             batch_size=config.batch_size,
             bytes_per_scalar=config.bytes_per_scalar)
     return stage3_fedgate(
-        shards, config.model.fe_spec(), fe_params,
-        config.model.expert_spec(), experts, gate_init,
+        shards, latents, config.model.expert_spec(), experts, gate_init,
         rounds=s3.rounds, local_epochs=s3.local_epochs, lr=s3.lr,
         lambda_load=s3.lambda_load, client_fraction=s3.client_fraction,
         grad_max_norm=s3.grad_max_norm, k=config.k, seed=config.seed,
@@ -187,11 +186,20 @@ def _run_stage3(config: RunConfig, shards, fe_params: ParamSet,
         bytes_per_scalar=config.bytes_per_scalar)
 
 
-def cost_model(config: RunConfig) -> CostModel:
-    """The inference byte model of a config."""
-    return CostModel(latent_dim=config.model.latent_dim,
+def evaluate_model(config: RunConfig, model: NmoeModel, shards, slot: int
+                   ) -> tuple[InferenceResult, EvalReport]:
+    """Route every test sample of the shards through model under the
+    config's byte model, from evaluation stream slot, and score the
+    predictions."""
+    cost = CostModel(latent_dim=config.model.latent_dim,
                      num_classes=config.data.num_classes,
                      bytes_per_scalar=config.bytes_per_scalar)
+    inference = simulate_inference(
+        model, shards, config.k, cost,
+        rng=derive_rng(config.seed, seeding.EVAL, slot, 0))
+    return inference, evaluate_clients(
+        inference.predictions, inference.scores, inference.labels,
+        config.data.num_classes)
 
 
 def _write_failed(out: Path | None, stage: str, error: Exception) -> None:
@@ -230,30 +238,26 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
         stage = "stage1"
         stage1 = _run_stage1(config, shards)
         stage = "stage2"
+        latents = frozen_latents(config.model.fe_spec(), stage1.fe_params,
+                                 [s.train for s in shards])
         # experts start fresh for every stage-1 method: warm-starting from
         # the FedCE heads would hand FedCE extra head epochs that the
         # head-free FedSC run can never match
         stage2 = stage2_experts(
-            shards, config.model.fe_spec(), stage1.fe_params,
-            config.model.expert_spec(), epochs=config.stage2.epochs,
-            lr=config.stage2.lr, seed=config.seed,
-            batch_size=config.batch_size)
+            shards, latents, config.model.expert_spec(),
+            epochs=config.stage2.epochs, lr=config.stage2.lr,
+            seed=config.seed, batch_size=config.batch_size)
         stage = "stage3"
-        stage3 = _run_stage3(config, shards, stage1.fe_params,
-                             stage2.experts)
+        stage3 = _run_stage3(config, shards, latents, stage2.experts)
+        # inference and the baselines must not keep the stack alive
+        del latents
         stage = "inference"
         model = NmoeModel(fe_spec=config.model.fe_spec(),
                           fe_params=stage1.fe_params,
                           gate=stage3.gate,
                           expert_spec=config.model.expert_spec(),
                           experts=stage2.experts)
-        inference = simulate_inference(
-            model, shards, config.k, cost_model(config),
-            rng=derive_rng(config.seed, seeding.EVAL, 0, 0))
-        stage = "metrics"
-        evaluation = evaluate_clients(inference.predictions,
-                                      inference.scores, inference.labels,
-                                      config.data.num_classes)
+        inference, evaluation = evaluate_model(config, model, shards, 0)
         baselines = None
         if with_baselines:
             stage = "baselines"
@@ -492,11 +496,7 @@ def _centralized_entry(config: RunConfig, shards) -> dict:
     """The centralized mixture's baseline entry: trained on the pooled
     shards, then routed and evaluated like the pipeline's model."""
     model, losses = train_centralized_moe(config, shards)
-    inference = simulate_inference(
-        model, shards, config.k, cost_model(config),
-        rng=derive_rng(config.seed, seeding.EVAL, 1, 0))
-    report = evaluate_clients(inference.predictions, inference.scores,
-                              inference.labels, config.data.num_classes)
+    inference, report = evaluate_model(config, model, shards, 1)
     return _baseline_entry(report, inference.log, 0, losses)
 
 

@@ -14,7 +14,7 @@ from nmoe import kernels, seeding
 from nmoe.datasets import augment
 from nmoe.federated import (_batches, _ce_step, _chain_params,
                             _check_finite, _check_schedule, _digest_group,
-                            _epochs, _frozen_latents, _gate_step,
+                            _epochs, _gate_step,
                             _spectral_step, _split_chain,
                             compute_correlation_share, fedavg)
 from nmoe.moe import (GateParams, NmoeModel, _route, gate_topk,
@@ -529,13 +529,13 @@ def centralized_spectral(train, fe_spec, rounds, local_epochs, lr, aug_spec,
     return fe, losses
 
 
-def centralized_gate(train, fe_spec, fe_params, expert_spec, experts,
-                     gate_init, rounds, local_epochs, lr, lambda_load,
-                     grad_max_norm, k, seed, *, batch_size=64):
+def centralized_gate(train, latents, expert_spec, experts, gate_init,
+                     rounds, local_epochs, lr, lambda_load, grad_max_norm, k,
+                     seed, *, batch_size=64):
     """Gate-training counterpart of stage3_fedgate on one dataset: a
-    stack of one gate trained on one shard."""
+    stack of one gate trained on one shard, from the shard's frozen
+    latents, (1, n, d)."""
     _check_schedule(rounds, local_epochs, lr, batch_size)
-    latents = _frozen_latents(fe_spec, fe_params, [train])
     params = stack_params([gate_init.params])
     losses = []
     for r in range(rounds):

@@ -21,8 +21,9 @@ from nmoe import seeding
 from nmoe.config import RunConfig, config_from_dict
 from nmoe.datasets import (AugmentSpec, Dataset, gen_synthetic, load_cifar10,
                            partition_noniid, save_cifar10)
-from nmoe.federated import (fedavg, spectral_contrastive_local_loss,
-                            stage1_fedce, stage1_fedsc, stage3_fedgate)
+from nmoe.federated import (fedavg, frozen_latents,
+                            spectral_contrastive_local_loss, stage1_fedce,
+                            stage1_fedsc, stage3_fedgate)
 from nmoe.metrics import macro_auc
 from nmoe.moe import (GateParams, NmoeModel, gate_topk, init_gate_params,
                       load_balance_loss)
@@ -225,11 +226,12 @@ def test_criterion_03_single_client_matches_centralized_bitwise():
     experts = (init_mlp_params(expert_spec, rng),)
     gate_init = init_gate_params(
         6, 1, 0.01, derive_rng(5, seeding.INIT, seeding.INIT_GATE, 0))
-    result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+    latents = frozen_latents(fe_spec, fe, [clients[0].train])
+    result = stage3_fedgate(clients, latents, expert_spec, experts,
                             gate_init, rounds=3, local_epochs=2, lr=0.05,
                             lambda_load=0.01, client_fraction=0.7,
                             grad_max_norm=1.0, k=1, seed=5)
-    gate, _ = centralized_gate(clients[0].train, fe_spec, fe, expert_spec,
+    gate, _ = centralized_gate(clients[0].train, latents, expert_spec,
                                experts, gate_init, rounds=3, local_epochs=2,
                                lr=0.05, lambda_load=0.01, grad_max_norm=1.0,
                                k=1, seed=5)

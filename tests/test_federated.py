@@ -19,7 +19,7 @@ from nmoe.federated import (FedRoundReport, Stage1Result, _Peer,
                             _view_grad, classifier_round_bytes,
                             compute_correlation_share, fedavg,
                             fedavg_classifier, fedgate_round_bytes,
-                            fedgate_setup_bytes,
+                            fedgate_setup_bytes, frozen_latents,
                             rollgate_pass_bytes, rollgate_pseudo_labels,
                             spectral_contrastive_local_loss,
                             spectral_round_bytes, stage1_fedce, stage1_fedsc,
@@ -46,6 +46,19 @@ def identity_extractor(dim: int) -> tuple[MlpSpec, ParamSet]:
     spec = MlpSpec((dim, dim), (I,))
     params = ParamSet({"w0": np.eye(dim), "b0": np.zeros(dim)})
     return spec, params
+
+
+def latents_of(clients, fe_spec, fe):
+    """The clients' frozen train latents, as run_pipeline hands them to
+    stages 2 and 3."""
+    return frozen_latents(fe_spec, fe, [s.train for s in clients])
+
+
+def fedgate_over(clients, fe_spec, fe, *args, **kw):
+    """stage3_fedgate on the clients' frozen latents, called like
+    oracles.per_client_fedgate."""
+    return stage3_fedgate(clients, latents_of(clients, fe_spec, fe), *args,
+                          **kw)
 
 
 def make_clients(num_clients, tau, *, num_classes=4, dim=8, per_class=120,
@@ -313,9 +326,10 @@ class TestStage1FedCE:
         accs = {}
         for name, fe in (("trained", result.fe_params),
                          ("random", random_fe)):
-            probe = stage2_experts(
-                [Shard(client_id=0, train=pooled_train, test=pooled_test)],
-                fe_spec, fe, probe_spec, epochs=30, lr=0.1, seed=5)
+            pooled = [Shard(client_id=0, train=pooled_train,
+                            test=pooled_test)]
+            probe = stage2_experts(pooled, latents_of(pooled, fe_spec, fe),
+                                   probe_spec, epochs=30, lr=0.1, seed=5)
             accs[name] = probe_accuracy(fe_spec, fe, probe_spec,
                                         probe.experts[0], pooled_test)
         assert accs["trained"] - accs["random"] >= 0.20
@@ -388,8 +402,8 @@ class TestStage2Experts:
         data = gen_synthetic(4, 8, 50, 0.02, seed=2)
         clients = [Shard(client_id=0, train=data, test=data)]
         expert_spec = MlpSpec((8, 16, 4), (T, I))
-        result = stage2_experts(clients, spec, params, expert_spec,
-                                epochs=30, lr=0.1, seed=3)
+        result = stage2_experts(clients, latents_of(clients, spec, params),
+                                expert_spec, epochs=30, lr=0.1, seed=3)
         acc = probe_accuracy(spec, params, expert_spec, result.experts[0],
                              data)
         assert acc == 1.0
@@ -397,7 +411,7 @@ class TestStage2Experts:
     def test_no_bytes_move(self):
         spec, params = identity_extractor(8)
         clients = make_clients(2, 1.0)
-        result = stage2_experts(clients, spec, params,
+        result = stage2_experts(clients, latents_of(clients, spec, params),
                                 MlpSpec((8, 4), (I,)), epochs=3, lr=0.05,
                                 seed=3)
         assert all(r.bytes_sent == 0 for r in result.reports)
@@ -408,8 +422,8 @@ class TestStage2Experts:
                                test_pc=50, spread=0.4)
         spec, params = identity_extractor(8)
         expert_spec = MlpSpec((8, 16, 4), (T, I))
-        result = stage2_experts(clients, spec, params, expert_spec,
-                                epochs=20, lr=0.1, seed=4)
+        result = stage2_experts(clients, latents_of(clients, spec, params),
+                                expert_spec, epochs=20, lr=0.1, seed=4)
         mixed = Dataset(
             features=np.concatenate([c.test.features for c in clients]),
             labels=np.concatenate([c.test.labels for c in clients]),
@@ -487,7 +501,8 @@ class TestRollGate:
         ]
         spec, params = identity_extractor(8)
         gate_init = init_gate_params(8, 2, 0.0, np.random.default_rng(1))
-        result = stage3_rollgate(clients, spec, params, gate_init, p=0.95,
+        result = stage3_rollgate(clients, latents_of(clients, spec, params),
+                                 gate_init, p=0.95,
                                  epochs_per_client=2, max_passes=20,
                                  lr=0.2, seed=8)
         assert len(result.reports) <= 20
@@ -502,7 +517,8 @@ class TestRollGate:
         spec, params = identity_extractor(8)
         gate_init = init_gate_params(8, 1, 0.0, np.random.default_rng(1))
         with pytest.raises(ConfigError):
-            stage3_rollgate(clients, spec, params, gate_init, p=0.7,
+            stage3_rollgate(clients, latents_of(clients, spec, params),
+                            gate_init, p=0.7,
                             epochs_per_client=1, max_passes=5, lr=0.1,
                             seed=0)
 
@@ -515,7 +531,8 @@ class TestFedGate:
         clients = make_clients(num_clients, tau, **kw)
         fe_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 12, 4), (T, I))
-        experts = stage2_experts(clients, fe_spec, fe, expert_spec,
+        experts = stage2_experts(clients, latents_of(clients, fe_spec, fe),
+                                 expert_spec,
                                  epochs=10, lr=0.1, seed=3).experts
         gate_init = init_gate_params(8, num_clients, 0.01,
                                      derive_rng(5, seeding.INIT,
@@ -525,13 +542,15 @@ class TestFedGate:
     def test_single_client_matches_centralized_bitwise(self):
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(1)
-        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, experts,
                                 gate_init, rounds=3, local_epochs=2,
                                 lr=0.05, lambda_load=0.01,
                                 client_fraction=0.7, grad_max_norm=1.0,
                                 k=1, seed=5)
         gate, losses = centralized_gate(
-            clients[0].train, fe_spec, fe, expert_spec, experts, gate_init,
+            clients[0].train, latents_of(clients, fe_spec, fe), expert_spec,
+            experts, gate_init,
             rounds=3, local_epochs=2, lr=0.05, lambda_load=0.01,
             grad_max_norm=1.0, k=1, seed=5)
         assert result.gate.params == gate.params
@@ -550,7 +569,8 @@ class TestFedGate:
                                         np.random.default_rng(i))
                         for i in range(10))
         gate_init = init_gate_params(8, 10, 0.0, np.random.default_rng(2))
-        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, experts,
                                 gate_init, rounds=200, local_epochs=1,
                                 lr=0.01, lambda_load=0.01,
                                 client_fraction=0.7, grad_max_norm=1.0,
@@ -568,7 +588,8 @@ class TestFedGate:
     def test_byte_accounting(self):
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(4)
-        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, experts,
                                 gate_init, rounds=3, local_epochs=1,
                                 lr=0.05, lambda_load=0.01,
                                 client_fraction=0.5, grad_max_norm=1.0,
@@ -584,7 +605,8 @@ class TestFedGate:
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(4, tau=0.2, per_class=200, train_pc=100, test_pc=50,
                        spread=0.3)
-        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, experts,
                                 gate_init, rounds=12, local_epochs=2,
                                 lr=0.2, lambda_load=0.01,
                                 client_fraction=1.0, grad_max_norm=1.0,
@@ -598,12 +620,13 @@ class TestFedGate:
         clients = make_clients(5, 0.3, num_classes=5)
         fe_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 12, 5), (T, I))
-        experts = stage2_experts(clients, fe_spec, fe, expert_spec,
-                                 epochs=5, lr=0.1, seed=3).experts
+        experts = stage2_experts(clients, latents_of(clients, fe_spec, fe),
+                                 expert_spec, epochs=5, lr=0.1, seed=3).experts
         gate_init = init_gate_params(8, 5, 0.01,
                                      derive_rng(5, seeding.INIT,
                                                 seeding.INIT_GATE, 0))
-        result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, experts,
                                 gate_init, rounds=3, local_epochs=2,
                                 lr=0.1, lambda_load=0.05,
                                 client_fraction=0.6, grad_max_norm=1.0,
@@ -628,12 +651,14 @@ class TestFedGate:
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(2)
         with pytest.raises(ConfigError):
-            stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                           expert_spec, experts,
                            gate_init, rounds=1, local_epochs=1, lr=0.05,
                            lambda_load=0.01, client_fraction=1.5,
                            grad_max_norm=1.0, k=1, seed=5)
         with pytest.raises(ConfigError):
-            stage3_fedgate(clients, fe_spec, fe, expert_spec, experts[:1],
+            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                           expert_spec, experts[:1],
                            gate_init, rounds=1, local_epochs=1, lr=0.05,
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=5)
@@ -694,34 +719,40 @@ class TestLockstepMatchesPerClient:
         fe = init_mlp_params(fe_spec, np.random.default_rng(5))
         expert_spec = MlpSpec((6, 10, 5), (T, I))
         kw = dict(epochs=3, lr=0.1, seed=4, batch_size=16)
-        result = stage2_experts(clients, fe_spec, fe, expert_spec, **kw)
+        result = stage2_experts(clients, latents_of(clients, fe_spec, fe),
+                                expert_spec, **kw)
         rounds, experts = oracles.per_client_experts(
             clients, fe_spec, fe, expert_spec, **kw)
         assert report_pairs(result.reports) == rounds
         assert list(result.experts) == experts
 
 
-def unequal_stage_calls():
-    """Each stacked entry point, called on clients of its own setup."""
+def unequal_stage_calls(latents=None):
+    """Each stacked entry point, called on clients of its own setup;
+    stages 2 and 3 train on latents, three 60-row shards of 8 wide ones
+    by default."""
     fe_spec, fe = identity_extractor(8)
     spec = MlpSpec((8, 4), (I,))
     experts = tuple(init_mlp_params(spec, np.random.default_rng(i))
                     for i in range(3))
     gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
     common = dict(lr=0.05, seed=1, batch_size=16)
+    if latents is None:
+        latents = np.zeros((3, 60, 8))
     return {
         "stage1_fedce": lambda c: stage1_fedce(
             c, fe_spec, spec, rounds=1, local_epochs=1, **common),
         "stage1_fedsc": lambda c: stage1_fedsc(
             c, fe_spec, rounds=1, local_epochs=1,
             aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.0, **common),
+        "frozen_latents": lambda c: latents_of(c, fe_spec, fe),
         "stage2_experts": lambda c: stage2_experts(
-            c, fe_spec, fe, spec, epochs=1, **common),
+            c, latents, spec, epochs=1, **common),
         "stage3_rollgate": lambda c: stage3_rollgate(
-            c, fe_spec, fe, gate_init, p=0.5, epochs_per_client=1,
+            c, latents, gate_init, p=0.5, epochs_per_client=1,
             max_passes=1, **common),
         "stage3_fedgate": lambda c: stage3_fedgate(
-            c, fe_spec, fe, spec, experts, gate_init, rounds=1,
+            c, latents, spec, experts, gate_init, rounds=1,
             local_epochs=1, lambda_load=0.01, client_fraction=1.0,
             grad_max_norm=1.0, k=1, **common),
         "fedavg_classifier": lambda c: fedavg_classifier(
@@ -739,6 +770,36 @@ def test_unequal_train_shards_are_rejected(stage):
                        match=r"^train shards must share one size, "
                              r"got \[45, 60\]$"):
         unequal_stage_calls()[stage](clients)
+
+
+@pytest.mark.parametrize("shape", [(2, 60, 8), (4, 60, 8), (3, 59, 8),
+                                   (3, 60, 7), (60, 8)])
+@pytest.mark.parametrize("stage", ["stage2_experts", "stage3_rollgate",
+                                   "stage3_fedgate"])
+def test_stages_reject_latents_of_another_shape(stage, shape):
+    """Stages 2 and 3 take the latents of their clients' train shards,
+    (clients, rows, width): a stack of another client count, row count
+    or width is a config error, before any training."""
+    clients = lockstep_clients(3, (60,))
+    with pytest.raises(ConfigError, match=r"^latents must have shape "
+                                          r"\(clients, rows, width\) = "
+                                          r"\(3, 60, 8\), got "):
+        unequal_stage_calls(np.zeros(shape))[stage](clients)
+
+
+def test_frozen_latents_are_each_shards_forward_and_read_only():
+    clients = lockstep_clients(3, (45,))
+    fe_spec = LOCKSTEP_FE["tanh"]
+    fe = init_mlp_params(fe_spec, np.random.default_rng(5))
+    latents = latents_of(clients, fe_spec, fe)
+    assert latents.shape == (3, 45, 6)
+    for out, shard in zip(latents, clients):
+        assert oracles.same_bits(out, forward(fe_spec, fe,
+                                              shard.train.features))
+    with pytest.raises(ValueError, match="read-only"):
+        latents[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        latents[1] += 1.0
 
 
 # 60, 45 and 47 rows leave 12, 13 and 15 rows past the last TILE-aligned
@@ -766,8 +827,8 @@ def test_fedgate_matches_per_client(sizes, num_clients, k, client_fraction,
     kw = dict(rounds=3, local_epochs=2, lr=0.1, lambda_load=0.05,
               client_fraction=client_fraction, grad_max_norm=0.5, k=k,
               seed=9, batch_size=16)
-    result = stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
-                            gate_init, **kw)
+    result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                            expert_spec, experts, gate_init, **kw)
     expect = oracles.per_client_fedgate(clients, fe_spec, fe, expert_spec,
                                         experts, gate_init, **kw)
     assert [(r.params_digest, r.client_losses, r.participants)
@@ -793,7 +854,8 @@ def test_fedgate_keeps_no_logit_cache():
     cache_bytes = m * m * n * classes * 8
     tracemalloc.start()
     try:
-        stage3_fedgate(clients, fe_spec, fe, expert_spec, experts, gate_init,
+        stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                       expert_spec, experts, gate_init,
                        rounds=2, local_epochs=1, lr=0.05, lambda_load=0.01,
                        client_fraction=1.0, grad_max_norm=1.0, k=2, seed=1)
         _, peak = tracemalloc.get_traced_memory()
@@ -846,9 +908,9 @@ def test_fedgate_memory_grows_quadratically():
         setup = gate_setup(m, m, depth=1)
         tracemalloc.start()
         try:
-            stage3_fedgate(clients, *setup, rounds=1, local_epochs=1,
-                           lr=0.1, lambda_load=0.05, client_fraction=1.0,
-                           grad_max_norm=0.5, k=1, seed=2, batch_size=16)
+            fedgate_over(clients, *setup, rounds=1, local_epochs=1,
+                         lr=0.1, lambda_load=0.05, client_fraction=1.0,
+                         grad_max_norm=0.5, k=1, seed=2, batch_size=16)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -869,7 +931,7 @@ def test_fedgate_matches_logit_cache(sizes, num_clients, k, classes):
     kw = dict(rounds=2, local_epochs=2, lr=0.1, lambda_load=0.05,
               client_fraction=0.6, grad_max_norm=0.5, k=k, seed=9,
               batch_size=16)
-    result = stage3_fedgate(clients, *setup, **kw)
+    result = fedgate_over(clients, *setup, **kw)
     assert [(r.params_digest, r.client_losses, r.participants)
             for r in result.reports] == \
         oracles.per_client_fedgate(clients, *setup, **kw)
@@ -891,7 +953,7 @@ def test_fedgate_one_row_blocks_match_logit_cache(num_clients, k,
     # 45 rows leave 13 rows past the last TILE-aligned one, 65 rows one
     for n in (45, 65):
         clients = random_clients(num_clients, (n,), 10)
-        result = stage3_fedgate(clients, *setup, **kw)
+        result = fedgate_over(clients, *setup, **kw)
         assert [(r.params_digest, r.client_losses, r.participants)
                 for r in result.reports] == \
             oracles.per_client_fedgate(clients, *setup, **kw), n
@@ -912,7 +974,8 @@ def test_centralized_gate_matches_logit_cache(n, batch_size, num_experts, k,
               k=k, seed=6, batch_size=batch_size)
     digests, losses = oracles.cache_centralized_gate(train, *setup,
                                                      rounds=2, **kw)
-    got = [centralized_gate(train, *setup, rounds=r, **kw)
+    latents = frozen_latents(*setup[:2], [train])
+    got = [centralized_gate(train, latents, *setup[2:], rounds=r, **kw)
            for r in (1, 2)]
     assert [params_digest(gate.params) for gate, _ in got] == digests
     assert got[-1][1] == losses
@@ -1016,22 +1079,25 @@ def test_epochs_matches_a_hand_written_loop(n, batch_size, kind):
     assert after == after_h
 
 
-# Each private name one place must own, with the only functions that may
-# use it (a function nested in one counts as that one); "name(...)" counts
-# only calls. Every trainer is a step under federated._epochs, the one
-# place that draws batch orders; every split of a stack over two CPUs is
-# made by the FedAvg round driver, and the only other forked peer is the
-# centralized-mixture child.
+# Each name one place must own, with the only functions that may use it
+# (a function nested in one counts as that one); "name(...)" counts only
+# calls. Every trainer is a step under federated._epochs, the one place
+# that draws batch orders; every split of a stack over two CPUs is made
+# by the FedAvg round driver, and the only other forked peer is the
+# centralized-mixture child; the frozen latents stages 2 and 3 train on
+# are computed once per run.
 OWNERS = {
     "_batches": {"federated._epochs"},
     "_Peer(...)": {"federated._fedavg_rounds",
                    "pipeline._CentralizedChild.__init__"},
+    "frozen_latents(...)": {"pipeline.run_pipeline"},
 }
 
 
 def test_private_names_are_used_only_by_their_owners():
     """A trainer with its own batch loop, a module importing _batches,
-    or a stage forking its own peer fails here."""
+    a stage forking its own peer or computing the frozen latents again
+    fails here."""
     uses = {name: set() for name in OWNERS}
 
     class Uses(ast.NodeVisitor):
@@ -1124,7 +1190,8 @@ class TestStackedDivergenceNamesTheClient:
         fe = init_mlp_params(self.fe_spec, np.random.default_rng(0))
         with pytest.raises(TrainingError,
                            match=self.message.format("stage2_experts")):
-            stage2_experts(clients, self.fe_spec, fe, self.head_spec,
+            stage2_experts(clients, latents_of(clients, self.fe_spec, fe),
+                           self.head_spec,
                            epochs=2, lr=0.05, seed=1, batch_size=16)
 
     def test_rollgate(self):
@@ -1136,7 +1203,8 @@ class TestStackedDivergenceNamesTheClient:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError,
                               match=self.message.format("stage3_rollgate")):
-            stage3_rollgate(clients, self.fe_spec, fe, gate_init, p=0.7,
+            stage3_rollgate(clients, latents_of(clients, self.fe_spec, fe),
+                            gate_init, p=0.7,
                             epochs_per_client=2, max_passes=3, lr=0.5,
                             seed=1, batch_size=16)
 
@@ -1151,7 +1219,8 @@ class TestStackedDivergenceNamesTheClient:
         gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
         with pytest.raises(TrainingError,
                            match=self.message.format("stage3_fedgate")):
-            stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
+            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                           expert_spec, experts,
                            gate_init, rounds=2, local_epochs=2, lr=0.05,
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=1, batch_size=16)
@@ -1176,11 +1245,11 @@ class TestStackedDivergenceNamesTheClient:
         # client 2 diverges on its own as well
         with pytest.raises(TrainingError,
                            match=r"^client 2 .* round 0$"):
-            run(stage3_fedgate, (2,))
+            run(fedgate_over, (2,))
         with pytest.raises(Exception) as expected:
             run(oracles.per_client_fedgate, (1, 2))
         with pytest.raises(Exception) as got:
-            run(stage3_fedgate, (1, 2))
+            run(fedgate_over, (1, 2))
         assert (got.type, str(got.value)) == \
             (expected.type, str(expected.value))
         assert expected.type is TrainingError
@@ -1242,8 +1311,8 @@ def fedgate_call(clients, **overrides):
               client_fraction=1.0, grad_max_norm=0.5, k=1, seed=9,
               batch_size=16)
     kw.update(overrides)
-    return stage3_fedgate(clients, fe_spec, fe, expert_spec, experts,
-                          gate_init, **kw)
+    return stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+                          expert_spec, experts, gate_init, **kw)
 
 
 def fedce_call(clients):
@@ -1410,7 +1479,8 @@ def test_divergence_in_the_peer_names_client_and_round(monkeypatch, stage):
         experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
                         for i in range(3))
         gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
-        return stage3_fedgate(clients, identity_spec, fe, expert_spec, experts,
+        return stage3_fedgate(clients, latents_of(clients, identity_spec, fe),
+                              expert_spec, experts,
                               gate_init, rounds=2, local_epochs=2, lr=0.05,
                               lambda_load=0.01, client_fraction=1.0,
                               grad_max_norm=1.0, k=1, seed=1, batch_size=16)

@@ -1,9 +1,12 @@
+import ctypes
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +148,48 @@ def test_checkpoint_reproduces_recorded_evaluation(tmp_path):
                               inference.labels, cfg.data.num_classes)
     assert report.as_dict() == result.evaluation.as_dict()
     assert np.array_equal(inference.log.counts, result.routing.counts)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text())
+
+
+def openblas_core() -> str | None:
+    """The core numpy's bundled OpenBLAS picked at run time, or None
+    when numpy carries no such library."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*")):
+        corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_reference_workloads_reproduce_recorded_digests(workload, tmp_path,
+                                                        monkeypatch):
+    """Config seed 0 of each benchmark workload writes results.json,
+    model.json and training_log.jsonl with the digests the benchmark
+    checks every run against. A row's bits depend on the BLAS kernel
+    (ROADMAP, "Bitwise constraint"), so the digests hold on the core
+    they were recorded on."""
+    core = openblas_core()
+    if core != "SkylakeX":
+        pytest.skip(f"reference digests hold on OpenBLAS core SkylakeX, "
+                    f"this numpy runs {core}")
+    spec = WORKLOADS[workload]
+    # results.json echoes output_dir, so the run writes where the
+    # benchmark's does, relative to its working directory
+    monkeypatch.chdir(tmp_path)
+    run_pipeline(config_from_dict({**spec["config"], "seed": 0,
+                                   "output_dir": "artifacts"}),
+                 with_baselines=spec["with_baselines"])
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    for name in ("results.json", "model.json", "training_log.jsonl"):
+        digest = hashlib.sha256(
+            (tmp_path / "artifacts" / name).read_bytes()).hexdigest()
+        assert digest == reference[workload]["0"][name], name
 
 
 def test_failure_leaves_marker_and_partial_artifacts(tmp_path):
