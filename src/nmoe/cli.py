@@ -7,7 +7,9 @@ Subcommands:
   train CONFIG OUT_DIR               run the full pipeline, write artifacts
   evaluate MODEL CONFIG              re-run inference + metrics on a checkpoint
   baselines CONFIG OUT_FILE          run the three reference systems
-  sweep CONFIG OUT_CSV --axis --values   one pipeline per grid value
+  sweep CONFIG OUT_CSV --axis KEY --values V...
+                                     one pipeline per JSON value of one
+                                     dotted config key
   export-heatmap RESULTS OUT_CSV     heatmap CSV from a results record
 
 Every path is taken as an argument; nothing is read from environment
@@ -29,9 +31,8 @@ from .datasets import save_dataset
 from .errors import ConfigError, DataError, FormatError, NmoeError
 from .moe import load_model
 from .netsim import RoutingLog, export_heatmap, local_ratio
-from .pipeline import SWEEP_AXES, build_dataset, build_shards, \
-    evaluate_model, run_ablation, run_baselines, run_pipeline, \
-    write_sweep_csv
+from .pipeline import build_dataset, build_shards, evaluate_model, \
+    run_ablation, run_baselines, run_pipeline, write_sweep_csv
 
 
 def _write_json(payload: dict, path: Path) -> None:
@@ -124,17 +125,12 @@ def _cmd_baselines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_value(axis: str, text: str):
-    try:
-        return float(text) if axis == "tau" else int(text)
-    except ValueError as exc:
-        raise ConfigError(f"sweep value {text!r} is not valid for axis "
-                          f"{axis!r}") from exc
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    values = [_sweep_value(args.axis, v) for v in args.values]
+    try:
+        values = [json.loads(v) for v in args.values]
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"sweep value {exc.doc!r} is not JSON") from exc
     rows = run_ablation(config, args.axis, values)
     Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, args.out_csv)
@@ -217,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="one pipeline per grid value")
     p.add_argument("config")
     p.add_argument("out_csv")
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
+    p.add_argument("--axis", required=True, help="config key, as data.tau")
     p.add_argument("--values", required=True, nargs="+",
-                   help="grid values (ints, or floats for tau)")
+                   help="JSON values, as 2, 0.5 or '\"fedsc\"'")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("export-heatmap",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -38,18 +38,31 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+# a finite float: NaN, the infinities and an int past the float range
+# fail the bound, where math.isfinite would raise OverflowError on the int
 def _positive_float(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value > 0,
+             and abs(value) <= sys.float_info.max and value > 0,
              f"{name} must be a positive number, got {value!r}")
     return float(value)
 
 
 def _nonnegative_float(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value) and value >= 0,
+             and abs(value) <= sys.float_info.max and value >= 0,
              f"{name} must be a nonnegative number, got {value!r}")
     return float(value)
+
+
+def _store_floats(section) -> None:
+    """Store an int given for a float field as that float, so 1 and 1.0
+    load to one echo and one hash. A key idle under the section's
+    selector is not checked until after this, so it may hold any int."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if type(f.default) is float and type(value) is int \
+                and abs(value) <= sys.float_info.max:
+            object.__setattr__(section, f.name, float(value))
 
 
 def _fraction(value, name: str, *, closed_top: bool) -> float:
@@ -82,8 +95,9 @@ class DataConfig:
                  f"data.source must be 'synthetic' or 'cifar10', "
                  f"got {self.source!r}")
         if self.source == "cifar10":
-            _require(self.path is not None,
-                     "data.path is required when data.source is 'cifar10'")
+            _require(isinstance(self.path, str),
+                     "data.path is required as a string when data.source "
+                     f"is 'cifar10', got {self.path!r}")
             if not Path(self.path).exists():
                 raise ConfigError(
                     f"data.path does not exist: {self.path}")
@@ -108,6 +122,7 @@ class DataConfig:
         _require(self.test_distribution in ("matched", "iid"),
                  f"data.test_distribution must be 'matched' or 'iid', "
                  f"got {self.test_distribution!r}")
+        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,7 @@ class ModelConfig:
             for i, width in enumerate(getattr(self, key)):
                 _positive_int(width, f"model.{key}[{i}]")
         _nonnegative_float(self.gate_noise_std, "model.gate_noise_std")
+        _store_floats(self)
         self.fe_spec()
         self.expert_spec()
 
@@ -168,9 +184,11 @@ class Stage1Config:
         _positive_float(self.lr, "stage1.lr")
         _nonnegative_float(self.dp_noise_std, "stage1.dp_noise_std")
         _nonnegative_float(self.aug_noise_std, "stage1.aug_noise_std")
-        _require(0.0 <= self.aug_mask_prob < 1.0,
+        _require(_nonnegative_float(self.aug_mask_prob,
+                                    "stage1.aug_mask_prob") < 1.0,
                  f"stage1.aug_mask_prob must lie in [0, 1), "
                  f"got {self.aug_mask_prob!r}")
+        _store_floats(self)
 
     def aug_spec(self) -> AugmentSpec:
         return AugmentSpec(noise_std=self.aug_noise_std,
@@ -185,6 +203,7 @@ class Stage2Config:
     def __post_init__(self):
         _positive_int(self.epochs, "stage2.epochs")
         _positive_float(self.lr, "stage2.lr")
+        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -215,6 +234,7 @@ class Stage3Config:
                   closed_top=False)
         _positive_int(self.epochs_per_client, "stage3.epochs_per_client")
         _positive_int(self.max_passes, "stage3.max_passes")
+        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -228,6 +248,7 @@ class BaselineConfig:
     def __post_init__(self):
         _positive_int(self.epochs, "baselines.epochs")
         _positive_float(self.lr, "baselines.lr")
+        _store_floats(self)
 
 
 # Each section whose keys depend on a selector: the selector, then each
@@ -388,6 +409,33 @@ def load_config(path) -> RunConfig:
 def save_config(config: RunConfig, path) -> None:
     Path(path).write_text(
         json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
+
+
+def config_keys() -> list[str]:
+    """Every dotted leaf key a document may set, such as 'k', 'data.tau'
+    or 'stage3.method'; output_dir names no part of the experiment."""
+    top = [f for f in fields(RunConfig) if f.name != "output_dir"]
+    return [f.name for f in top if not _is_section(f)] + [
+        f"{f.name}.{g.name}" for f in top if _is_section(f)
+        for g in fields(f.default_factory)]
+
+
+def with_key(config: RunConfig, key: str, value) -> RunConfig:
+    """The config with one key of config_keys() set and output_dir null,
+    loaded from its echo so that every check of a document applies.
+    Setting a selector drops the keys that apply only under other values
+    of it."""
+    _require(key in config_keys(), f"unknown config key {key!r}")
+    doc = dict(config.to_dict(), output_dir=None)
+    name, _, leaf = key.rpartition(".")
+    if not name:
+        return config_from_dict(dict(doc, **{leaf: value}))
+    selector, groups = _SELECTORS.get(name, (None, ()))
+    idle = {k for values, keys in groups
+            if leaf == selector and value not in values for k in keys}
+    doc[name] = {k: v for k, v in doc[name].items() if k not in idle}
+    doc[name][leaf] = value
+    return config_from_dict(doc)
 
 
 def config_hash(config: RunConfig) -> str:

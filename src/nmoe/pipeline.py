@@ -25,13 +25,14 @@ from __future__ import annotations
 import csv
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import federated, seeding
-from .config import RunConfig, config_hash, save_config
+from .config import RunConfig, config_hash, config_keys, save_config, \
+    with_key
 from .datasets import Dataset, Shard, gen_synthetic, load_cifar10, \
     partition_noniid
 from .errors import ConfigError, InternalError, NmoeError
@@ -571,33 +572,23 @@ def run_baselines(config: RunConfig, shards=None, child=None) -> dict:
 # ---------------------------------------------------------------------------
 # sweeps
 
-SWEEP_AXES = ("num_clients", "k", "tau")
-
 _SWEEP_COLUMNS = ("axis", "value", "status", "config_hash",
                   "pooled_accuracy", "pooled_macro_f1", "pooled_macro_auc",
                   "client_mean_macro_f1", "local_ratio", "bytes_out",
                   "bytes_back", "training_bytes", "error")
 
 
-def _sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
-    if axis == "k":
-        return replace(config, output_dir=None, k=value)
-    if axis in ("num_clients", "tau"):
-        return replace(config, output_dir=None,
-                       data=replace(config.data, **{axis: value}))
-    raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
-                      f"got {axis!r}")
-
-
 def run_ablation(config: RunConfig, axis: str, values) -> list[dict]:
-    """One full pipeline per value, all under the shared base seed.
+    """One full pipeline per value of one config key, all under the
+    shared base seed. The axis is a dotted key of config.config_keys(),
+    such as 'k', 'data.tau' or 'stage3.method'.
 
     A failing grid point is recorded with its error and the sweep
     continues; every row carries the derived config's hash.
     """
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
-                          f"got {axis!r}")
+    if axis not in config_keys():
+        raise ConfigError(f"sweep axis must be a config key, one of "
+                          f"{', '.join(config_keys())}; got {axis!r}")
     values = list(values)
     if not values:
         raise ConfigError("sweep values must be nonempty")
@@ -606,7 +597,7 @@ def run_ablation(config: RunConfig, axis: str, values) -> list[dict]:
         row = {c: None for c in _SWEEP_COLUMNS}
         row.update(axis=axis, value=value)
         try:
-            derived = _sweep_config(config, axis, value)
+            derived = with_key(config, axis, value)
             row["config_hash"] = config_hash(derived)
             result = run_pipeline(derived)
             ev = result.evaluation
@@ -631,7 +622,11 @@ def run_ablation(config: RunConfig, axis: str, values) -> list[dict]:
 
 
 def write_sweep_csv(rows, path) -> None:
-    def fmt(value):
+    """One line per grid point. The value is written as given; only the
+    float metrics are rounded, to 6 decimals."""
+    def fmt(column, value):
+        if column == "value":
+            return str(value)
         if value is None:
             return ""
         if isinstance(value, float):
@@ -642,4 +637,4 @@ def write_sweep_csv(rows, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_SWEEP_COLUMNS)
         for row in rows:
-            writer.writerow([fmt(row[c]) for c in _SWEEP_COLUMNS])
+            writer.writerow([fmt(c, row[c]) for c in _SWEEP_COLUMNS])

@@ -171,10 +171,35 @@ def test_sweep_rejects_non_numeric_value(tmp_path, cfg_file, capsys):
     assert "error (config)" in capsys.readouterr().err
 
 
-def test_sweep_rejects_unknown_axis(tmp_path, cfg_file):
-    with pytest.raises(SystemExit):
-        main(["sweep", str(cfg_file), str(tmp_path / "s.csv"),
-              "--axis", "lr", "--values", "1"])
+def test_sweep_rejects_unknown_axis(tmp_path, cfg_file, capsys):
+    rc = main(["sweep", str(cfg_file), str(tmp_path / "s.csv"),
+               "--axis", "lr", "--values", "1"])
+    assert rc == 2
+    assert "error (config): sweep axis" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_sweep_values_are_json(tmp_path, cfg_file, capsys):
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", str(cfg_file), str(out),
+               "--axis", "stage1.method", "--values", '"fedsc"'])
+    assert rc == 0
+    row = out.read_text().splitlines()[1]
+    assert row.startswith("stage1.method,fedsc,ok,")
+    rc = main(["sweep", str(cfg_file), str(tmp_path / "bare.csv"),
+               "--axis", "stage1.method", "--values", "fedsc"])
+    assert rc == 2
+    assert "error (config): sweep value 'fedsc' is not JSON" \
+        in capsys.readouterr().err
+
+
+def test_train_on_a_mistyped_value_exits_with_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(small_doc(stage1={"aug_mask_prob": "x"})))
+    rc = main(["train", str(cfg), str(tmp_path / "run")])
+    assert rc == 2
+    assert "error (config): stage1.aug_mask_prob" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_export_heatmap_matches_training_artifact(tmp_path, trained):

@@ -1,13 +1,15 @@
 import copy
+import itertools
 import json
+import math
 import re
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from nmoe.config import (CIFAR10_CLASSES, CIFAR10_DIM, CONFIG_VERSION,
                          RunConfig, config_from_dict, config_hash,
-                         load_config, save_config)
+                         config_keys, load_config, save_config, with_key)
 from nmoe.datasets import Dataset, save_cifar10
 from nmoe.errors import ConfigError, FormatError
 
@@ -200,6 +202,8 @@ def test_rangate_rejects_learning_rate():
     ("data", "test_distribution", "shifted", "matched"),
     ("stage1", "rounds", 0, "positive integer"),
     ("stage1", "aug_mask_prob", 1.0, "aug_mask_prob"),
+    ("stage1", "aug_mask_prob", False, "aug_mask_prob"),
+    ("stage1", "aug_mask_prob", "x", "aug_mask_prob"),
     ("stage3", "client_fraction", 0.0, "client_fraction"),
     ("stage3", "lambda_load", float("nan"), "lambda_load"),
 ])
@@ -251,6 +255,9 @@ def test_cifar_requires_existing_path(tmp_path):
     doc = minimal()
     doc["data"] = {"source": "cifar10"}
     with pytest.raises(ConfigError, match="path is required"):
+        config_from_dict(doc)
+    doc["data"] = {"source": "cifar10", "path": 5}
+    with pytest.raises(ConfigError, match="path is required as a string"):
         config_from_dict(doc)
     doc["data"] = {"source": "cifar10", "path": str(tmp_path / "missing")}
     with pytest.raises(ConfigError, match="does not exist"):
@@ -360,3 +367,115 @@ def test_hash_is_sha256_hex():
 
 def test_echo_is_json_serializable():
     json.dumps(RunConfig().to_dict())
+
+
+def default_of(key: str):
+    section, _, leaf = key.rpartition(".")
+    owner = getattr(RunConfig(), section) if section else RunConfig()
+    return getattr(owner, leaf)
+
+
+@pytest.mark.parametrize("key", [k for k in config_keys()
+                                 if type(default_of(k)) is float])
+def test_an_int_for_a_float_field_loads_as_that_float(key):
+    section, leaf = key.split(".")
+
+    def doc_with(method, value):
+        doc = minimal()
+        doc["stage3"] = {"method": method}
+        doc.setdefault(section, {})[leaf] = value
+        return doc
+
+    loaded = 0
+    for method, number in itertools.product(("rollgate", "fedgate"), (0, 1)):
+        try:
+            want = config_from_dict(doc_with(method, float(number)))
+        except ConfigError:
+            continue
+        got = config_from_dict(doc_with(method, number))
+        assert config_hash(got) == config_hash(want)
+        assert type(got.to_dict()[section][leaf]) is float
+        assert type(getattr(getattr(got, section), leaf)) is float
+        loaded += 1
+    # (0, 1) holds no integer
+    assert (loaded > 0) == (key != "stage3.pseudo_ratio")
+
+
+def test_config_keys_are_every_leaf_but_output_dir():
+    cfg = RunConfig()
+    expected = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):
+            expected += [f"{f.name}.{g.name}" for g in fields(value)]
+        elif f.name != "output_dir":
+            expected.append(f.name)
+    assert config_keys() == expected
+    assert {"seed", "k", "data.tau", "data.path", "stage1.method",
+            "stage3.method", "baselines.lr"} <= set(expected)
+
+
+def test_with_key_of_an_echoed_value_is_the_same_config():
+    cfg = RunConfig(output_dir="/somewhere")
+    echo = cfg.to_dict()
+    for key in config_keys():
+        section, _, leaf = key.rpartition(".")
+        owner = echo[section] if section else echo
+        if leaf in owner:
+            assert with_key(cfg, key, owner[leaf]) \
+                == RunConfig(output_dir=None), key
+
+
+def test_with_key_of_a_selector_drops_the_keys_of_its_old_value():
+    cfg = config_from_dict({"config_version": 1,
+                            "stage3": {"method": "fedgate", "rounds": 5,
+                                       "lr": 0.2}})
+    rollgate = with_key(cfg, "stage3.method", "rollgate")
+    assert rollgate.to_dict()["stage3"] == {
+        "method": "rollgate", "lr": 0.2, "pseudo_ratio": 0.7,
+        "epochs_per_client": 2, "max_passes": 20}
+    rangate = with_key(cfg, "stage3.method", "rangate")
+    assert rangate.to_dict()["stage3"] == {"method": "rangate"}
+    assert with_key(rangate, "stage3.method", "fedgate") == RunConfig()
+    with pytest.raises(ConfigError, match="stage3.method must be"):
+        with_key(cfg, "stage3.method", "gate")
+    with pytest.raises(ConfigError, match="data.path is required"):
+        with_key(cfg, "data.source", "cifar10")
+
+
+@pytest.mark.parametrize("key", ["data", "output_dir", "config_version",
+                                 "stage3.method.x", "lr", ""])
+def test_with_key_rejects_what_is_not_a_leaf_key(key):
+    with pytest.raises(ConfigError, match=f"^unknown config key {key!r}$"):
+        with_key(RunConfig(), key, 1)
+
+
+MISTYPED = ["x", True, False, None, [], {}, [1], -1, 0, 2.5, math.nan,
+            math.inf, 10 ** 400]
+
+
+def test_every_mistyped_value_loads_or_is_a_config_error(tmp_path):
+    # every key, under every selector value, set to every value: none may
+    # escape as a TypeError or OverflowError (exit 1, no category)
+    cifar = {"data": {"source": "cifar10", "path": cifar_file(tmp_path)},
+             "model": {"fe_widths": [CIFAR10_DIM, 32, 32]}}
+    bases = [minimal(), dict(minimal(), **cifar),
+             dict(minimal(), stage1={"method": "fedce"}),
+             dict(minimal(), stage3={"method": "rangate"}),
+             dict(minimal(), stage3={"method": "rollgate"})]
+    for base in bases:
+        config_from_dict(base)
+    names = ["config_version"] + [f.name for f in fields(RunConfig)]
+    loaded = rejected = 0
+    for base, key, value in itertools.product(
+            bases, names + config_keys(), MISTYPED):
+        doc = copy.deepcopy(base)
+        section, _, leaf = key.rpartition(".")
+        (doc.setdefault(section, {}) if section else doc)[leaf] = value
+        try:
+            config_from_dict(doc)
+        except ConfigError:
+            rejected += 1
+        else:
+            loaded += 1
+    assert loaded and rejected

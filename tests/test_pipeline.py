@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,8 @@ import pytest
 
 from nmoe import federated, pipeline, seeding
 from nmoe.cli import main
-from nmoe.config import RunConfig, config_from_dict, config_hash, save_config
+from nmoe.config import (RunConfig, config_from_dict, config_hash,
+                         save_config, with_key)
 from nmoe.errors import ConfigError, DataError, InternalError, TrainingError
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
@@ -670,21 +672,103 @@ def test_sweep_rejects_bad_axis_and_empty_grid():
 
 
 def test_client_sweep_splits_static_dataset():
-    rows = run_ablation(small_config(), "num_clients", [5, 10])
+    rows = run_ablation(small_config(), "data.num_clients", [5, 10])
     assert all(r["status"] == "ok" for r in rows)
     assert rows[0]["config_hash"] != rows[1]["config_hash"]
 
 
+SWEEP_AXES = ("num_clients", "k", "tau")
+
+
+def per_axis_sweep_config(config: RunConfig, axis: str, value) -> RunConfig:
+    """The sweep's derived config as the three-axis table built it
+    before any config key could be swept; kept as the oracle."""
+    if axis == "k":
+        return replace(config, output_dir=None, k=value)
+    if axis in ("num_clients", "tau"):
+        return replace(config, output_dir=None,
+                       data=replace(config.data, **{axis: value}))
+    raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, "
+                      f"got {axis!r}")
+
+
+@pytest.mark.parametrize("key,value,axis,old_value", [
+    ("k", 1, "k", 1), ("k", 2, "k", 2),
+    ("data.num_clients", 5, "num_clients", 5),
+    ("data.num_clients", 10, "num_clients", 10),
+    ("data.tau", 0.5, "tau", 0.5),
+    # the per-axis CLI parsed every tau value as a float
+    ("data.tau", 1, "tau", 1.0), ("data.tau", 1.0, "tau", 1.0),
+])
+def test_sweep_config_matches_the_per_axis_config(monkeypatch, key, value,
+                                                  axis, old_value):
+    base = replace(small_config(), output_dir="/elsewhere")
+    expected = per_axis_sweep_config(base, axis, old_value)
+    derived = with_key(base, key, value)
+    assert derived == expected
+    assert config_hash(derived) == config_hash(expected)
+    assert derived.to_dict() == expected.to_dict()
+    seen = []
+
+    def record(config):
+        seen.append(config)
+        raise ConfigError("recorded")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", record)
+    [row] = run_ablation(base, key, [value])
+    assert seen == [expected]
+    assert row["config_hash"] == config_hash(expected)
+
+
+def test_sweep_over_the_stage3_method():
+    methods = ["rangate", "rollgate", "fedgate"]
+    rows = run_ablation(small_config(), "stage3.method", methods)
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert len({r["config_hash"] for r in rows}) == 3
+    for row, method in zip(rows, methods):
+        doc = small_doc()
+        # the fedgate-only keys of the base document go with its method
+        doc["stage3"] = {"method": method} if method != "fedgate" \
+            else dict(doc["stage3"], method=method)
+        assert row["config_hash"] == config_hash(config_from_dict(doc))
+
+
+def test_sweep_of_an_idle_key_fails_each_point_naming_the_selector():
+    base = small_config(stage3={"method": "rollgate"})
+    rows = run_ablation(base, "stage3.rounds", [5, 6])
+    assert [r["status"] for r in rows] == ["failed"] * 2
+    for row in rows:
+        assert row["error"] == (
+            "config: stage3.rounds only applies to the 'fedgate' method, "
+            "but stage3.method is 'rollgate'")
+
+
+@pytest.mark.parametrize("axis", ["lr", "data", "output_dir", "config_version",
+                                  "stage3.method.x", "stage9.lr"])
+def test_sweep_rejects_a_non_key_before_any_run(monkeypatch, axis):
+    def never(config):
+        raise AssertionError("run_pipeline ran")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", never)
+    with pytest.raises(ConfigError, match=rf"^sweep axis .+ got '{axis}'$"):
+        run_ablation(small_config(), axis, [1])
+
+
 def test_sweep_csv_layout(tmp_path):
     rows = run_ablation(small_config(), "k", [99, 1])
+    # grid values are written as given, however small
+    rows += [dict(rows[1], axis="stage3.lr", value=v) for v in (1e-7, 2e-7)]
     path = tmp_path / "sweep.csv"
     write_sweep_csv(rows, path)
-    header, failed, ok = path.read_text().splitlines()
+    header, failed, ok, tiny, tinier = path.read_text().splitlines()
     assert header.startswith("axis,value,status,config_hash")
     assert failed.startswith("k,99,failed,")
     assert ok.startswith("k,1,ok,")
     acc_field = ok.split(",")[4]
     assert len(acc_field.split(".")[1]) == 6
+    assert float(tiny.split(",")[1]) == 1e-7
+    assert float(tinier.split(",")[1]) == 2e-7
+    assert tiny.split(",")[4] == acc_field
 
 
 def test_top_k_insensitivity_trend():
