@@ -95,9 +95,11 @@ class DataConfig:
                  f"data.source must be 'synthetic' or 'cifar10', "
                  f"got {self.source!r}")
         if self.source == "cifar10":
-            _require(isinstance(self.path, str),
-                     "data.path is required as a string when data.source "
-                     f"is 'cifar10', got {self.path!r}")
+            # "" is the working directory to Path, which always exists
+            _require(isinstance(self.path, str) and self.path != "",
+                     "data.path is required as a string naming a file or "
+                     "directory when data.source is 'cifar10', got "
+                     f"{self.path!r}")
             if not Path(self.path).exists():
                 raise ConfigError(
                     f"data.path does not exist: {self.path}")

@@ -38,10 +38,10 @@ CHECKPOINT_FORMAT_VERSION = 1
 class GateParams:
     """One linear gating map plus the training-time perturbation scale.
 
-    params holds "w0" (latent_dim x num_experts) and "b0" (num_experts),
-    the same layout a one-layer MlpSpec produces, so the gate can be
-    trained and federated with the ordinary machinery. Gates that train
-    in lockstep are a stack of such params (stack_params), stepped as a
+    params is one unstacked set of gate_spec's layout, "w0" (latent_dim
+    x num_experts) then "b0" (num_experts), so the gate can be trained
+    and federated with the ordinary machinery. Gates that train in
+    lockstep are a stack of such params (stack_params), stepped as a
     plain ParamSet and routed by _route; a GateParams holds one gate.
     """
 
@@ -49,13 +49,12 @@ class GateParams:
     noise_std: float = 0.0
 
     def __post_init__(self):
-        if "w0" not in self.params or "b0" not in self.params:
-            raise ConfigError("gate parameters need arrays 'w0' and 'b0'")
-        w, b = self.params["w0"], self.params["b0"]
-        if w.ndim != 2 or b.shape != w.shape[1:]:
+        layout = self.params.layout
+        if self.params.stack_shape or len(layout.shapes[0]) != 2 or \
+                layout is not _gate_layout(*layout.shapes[0]):
             raise ConfigError(
                 f"a 2-d gate needs w0 (latent_dim, num_experts) and b0 "
-                f"(num_experts,), got w0 {w.shape} and b0 {b.shape}")
+                f"(num_experts,), got {self.params!r}")
         if self.noise_std < 0.0:
             raise ConfigError(f"noise_std must be >= 0: {self.noise_std}")
 
@@ -161,6 +160,13 @@ class NmoeModel:
             raise ConfigError(
                 f"gate latent width {self.gate.latent_dim} does not match "
                 f"the extractor output {self.fe_spec.out_width}")
+        for name, params, spec in (
+                ("extractor", self.fe_params, self.fe_spec),
+                *((f"expert {e}", p, self.expert_spec)
+                  for e, p in enumerate(self.experts))):
+            if params.layout is not spec.layout:
+                raise ConfigError(f"{name} parameters {params!r} do not fit "
+                                  f"the network of widths {spec.widths}")
 
     @property
     def num_experts(self) -> int:

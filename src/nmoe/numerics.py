@@ -20,6 +20,11 @@ batch runs a stack with one batched matmul per layer, and each slice
 gets the bits a 2-d call would give it. backward(..., input_grad=False)
 skips the first layer's input gradient, a full matmul, for callers that
 discard it.
+
+One rule decides fit: a set fits a network exactly when its layout is
+spec.layout, the interned layout of init_mlp_params's w0, b0, w1, b1,
+..., and forward raises ConfigError for any other set. Two sets are
+compatible exactly when they share a layout and a stack shape.
 """
 
 from __future__ import annotations
@@ -162,8 +167,8 @@ class ParamSet:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamSet):
             return NotImplemented
-        return self.names == other.names and all(
-            np.array_equal(self[n], other[n]) for n in self.names)
+        return self._layout is other._layout and \
+            np.array_equal(self._flat, other._flat)
 
     def __repr__(self) -> str:
         shapes = ", ".join(f"{n}:{'x'.join(map(str, a.shape))}"
@@ -195,19 +200,10 @@ def unstack_params(stacked: ParamSet) -> list[ParamSet]:
 
 def check_compatible(a: ParamSet, b: ParamSet) -> None:
     """Raise unless a and b share a layout and a stack shape."""
-    if a.layout is b.layout and a.flat.shape == b.flat.shape:
-        return
-    if a.names != b.names:
+    if a.layout is not b.layout or a.flat.shape != b.flat.shape:
         raise ConfigError(
-            f"parameter sets are not compatible: names {a.names} vs {b.names}")
-    for name in a.names:
-        if a[name].shape != b[name].shape:
-            raise ConfigError(
-                f"parameter {name!r} has shape {a[name].shape} in one set "
-                f"and {b[name].shape} in the other")
-    raise ConfigError(
-        f"parameter sets are not compatible: stack shapes {a.stack_shape} "
-        f"vs {b.stack_shape}")
+            f"parameter sets are not compatible: {a!r} vs {b!r} differ in "
+            f"layout or in stack shapes {a.stack_shape} vs {b.stack_shape}")
 
 
 def params_digest(params: ParamSet) -> str:
@@ -338,6 +334,7 @@ def forward(spec: MlpSpec, params: ParamSet, batch: np.ndarray,
     the bits are the same, and every network of the stack runs on the
     one batch. Any other layout is copied.
 
+    params must have spec.layout (the module docstring's fit rule).
     Returns the output array, or (output, tape) when want_tape is set.
     """
     x = np.asarray(batch, dtype=np.float64)
@@ -349,7 +346,8 @@ def forward(spec: MlpSpec, params: ParamSet, batch: np.ndarray,
             f"batch width {x.shape[-1]} does not match the network input "
             f"width {spec.in_width}")
     if params.layout is not spec.layout:
-        _check_spec_params(spec, params)
+        raise ConfigError(f"parameter set {params!r} does not fit the "
+                          f"network of widths {spec.widths}")
     arrays, names = params._arrays(), spec.layout.names
     records = [x]
     for layer, act in enumerate(spec.activations):
@@ -376,13 +374,9 @@ def backward(tape: Tape, upstream: np.ndarray, input_grad: bool = True
             f"upstream gradient shape {d.shape} does not match the tape "
             f"output shape {tape.records[-1].shape}")
     spec, params = tape.spec, tape.params
-    layout = params.layout
-    if layout is not spec.layout and \
-            len(layout.names) != len(spec.layout.names):
-        raise InternalError(f"parameter set {layout.names} holds arrays "
-                            f"the network {spec.layout.names} does not")
+    layout = spec.layout
     flat = np.empty(params.flat.shape)
-    grads, names = layout.views(flat), spec.layout.names
+    grads, names = layout.views(flat), layout.names
     for layer in range(spec.num_layers - 1, -1, -1):
         wname, bname = names[2 * layer:2 * layer + 2]
         d, _, _ = kernels.dense_backward(
@@ -402,17 +396,6 @@ def _contiguous_blocks(x: np.ndarray) -> np.ndarray:
             (x.strides[-2] == width * x.itemsize or rows == 1):
         return x
     return np.ascontiguousarray(x)
-
-
-def _check_spec_params(spec: MlpSpec, params: ParamSet) -> None:
-    for layer in range(spec.num_layers):
-        wname, bname = f"w{layer}", f"b{layer}"
-        if wname not in params or bname not in params:
-            raise ConfigError(f"parameter set lacks layer {layer}")
-        expect = (spec.widths[layer], spec.widths[layer + 1])
-        if params[wname].shape[-2:] != expect:
-            raise ConfigError(
-                f"{wname} has shape {params[wname].shape}, spec wants {expect}")
 
 
 # ---------------------------------------------------------------------------

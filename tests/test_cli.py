@@ -10,8 +10,8 @@ import pytest
 from test_pipeline import small_doc
 
 from nmoe.cli import main
-from nmoe.config import config_from_dict, config_hash
-from nmoe.datasets import load_dataset
+from nmoe.config import CIFAR10_DIM, config_from_dict, config_hash
+from nmoe.datasets import Dataset, load_dataset, save_cifar10
 from nmoe.numerics import ParamSet, encode_params
 
 
@@ -123,6 +123,23 @@ def _damage_gate_width(doc):
         ParamSet({"w0": np.zeros((d, m)), "b0": np.zeros(m)}))
 
 
+def _damage_extractor_depth(doc, extra):
+    # the extractor one layer short, or one layer long, of its spec
+    if extra:
+        d = doc["fe_spec"]["widths"][-1]
+        doc["fe_params"] += encode_params(
+            ParamSet({"w2": np.zeros((d, d)), "b2": np.zeros(d)}))
+    else:
+        del doc["fe_params"][-2:]
+
+
+def _damage_expert_width(doc):
+    # expert 3 sized for 7 classes where the spec says 10
+    d = doc["expert_spec"]["widths"][0]
+    doc["experts"][3] = encode_params(
+        ParamSet({"w0": np.zeros((d, 7)), "b0": np.zeros(7)}))
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: _damage_activations(doc, ["swish"]),
     lambda doc: _damage_activations(doc, [["tanh"]]),
@@ -130,8 +147,13 @@ def _damage_gate_width(doc):
         "kind": "random",
         "distribution": [-0.5, 1.5] + [0.0] * (len(doc["experts"]) - 2)}),
     _damage_gate_width,
+    lambda doc: _damage_extractor_depth(doc, extra=False),
+    _damage_expert_width,
+    lambda doc: _damage_extractor_depth(doc, extra=True),
 ], ids=["unknown-activation", "unhashable-activation",
-        "negative-random-gate", "gate-for-wrong-expert-count"])
+        "negative-random-gate", "gate-for-wrong-expert-count",
+        "extractor-without-its-last-layer", "expert-of-the-wrong-width",
+        "extractor-with-an-extra-layer"])
 def test_evaluate_reports_bad_checkpoint_content_as_format(
         tmp_path, cfg_file, trained, capsys, damage):
     # contents the validators reject are a damaged file, exit 4, like a
@@ -199,6 +221,48 @@ def test_train_on_a_mistyped_value_exits_with_config_error(tmp_path, capsys):
     rc = main(["train", str(cfg), str(tmp_path / "run")])
     assert rc == 2
     assert "error (config): stage1.aug_mask_prob" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def cifar_doc(path) -> dict:
+    return {"config_version": 1,
+            "data": {"source": "cifar10", "path": path, "num_clients": 3,
+                     "train_per_client": 40, "test_per_client": 20},
+            "model": {"fe_widths": [3072, 8, 8], "expert_widths": [8, 10]},
+            "stage1": {"rounds": 2, "local_epochs": 1},
+            "stage2": {"epochs": 1},
+            "stage3": {"rounds": 2, "local_epochs": 1}}
+
+
+def test_train_on_cifar10_records_is_reproducible(tmp_path):
+    # 100 random pixel records per class in the CIFAR-10 binary layout
+    rng = np.random.default_rng(0)
+    pixels = rng.integers(0, 256, (1000, CIFAR10_DIM)) / 255.0
+    save_cifar10(Dataset(pixels, np.repeat(np.arange(10), 100), 10),
+                 tmp_path / "data_batch_1.bin")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cifar_doc(str(tmp_path / "data_batch_1.bin"))))
+    names = ("results.json", "model.json", "training_log.jsonl")
+    runs = []
+    for out in ("run", "run", "other"):
+        assert main(["train", str(cfg), str(tmp_path / out)]) == 0
+        runs.append({name: (tmp_path / out / name).read_text()
+                     for name in names})
+    assert runs[1] == runs[0]
+    # another directory changes only the echoed output_dir
+    moved = {name: text.replace(str(tmp_path / "other"),
+                                str(tmp_path / "run"))
+             for name, text in runs[2].items()}
+    assert runs[2] != runs[0] and moved == runs[0]
+
+
+def test_train_on_an_empty_cifar10_path_is_a_config_error(tmp_path, capsys):
+    # Path("") is the working directory, so only the schema can refuse it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(cifar_doc("")))
+    rc = main(["train", str(cfg), str(tmp_path / "run")])
+    assert rc == 2
+    assert "error (config): data.path" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

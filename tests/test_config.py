@@ -256,9 +256,10 @@ def test_cifar_requires_existing_path(tmp_path):
     doc["data"] = {"source": "cifar10"}
     with pytest.raises(ConfigError, match="path is required"):
         config_from_dict(doc)
-    doc["data"] = {"source": "cifar10", "path": 5}
-    with pytest.raises(ConfigError, match="path is required as a string"):
-        config_from_dict(doc)
+    for path in (5, ""):
+        doc["data"] = {"source": "cifar10", "path": path}
+        with pytest.raises(ConfigError, match="path is required as a string"):
+            config_from_dict(doc)
     doc["data"] = {"source": "cifar10", "path": str(tmp_path / "missing")}
     with pytest.raises(ConfigError, match="does not exist"):
         config_from_dict(doc)

@@ -651,3 +651,25 @@ def test_model_validation():
         NmoeModel(fe_spec=model.fe_spec, fe_params=model.fe_params,
                   gate=model.gate, expert_spec=bad_expert,
                   experts=model.experts)
+    narrow = init_gate_params(2, 3, 0.0, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="gate latent width 2"):
+        NmoeModel(fe_spec=model.fe_spec, fe_params=model.fe_params,
+                  gate=narrow, expert_spec=model.expert_spec,
+                  experts=model.experts)
+
+
+def test_model_refuses_params_that_do_not_fit_their_spec():
+    model = small_model(m=3)
+    fe = dict(model.fe_params.items())
+    short_expert = ParamSet(list(model.experts[1].items())[:2])
+    for fe_params, experts, name in [
+            (ParamSet({**fe, "w1": np.ones((4, 4)), "b1": np.zeros(4)}),
+             model.experts, "extractor"),
+            (ParamSet(reversed(fe.items())), model.experts, "extractor"),
+            (model.fe_params, (model.experts[0], short_expert,
+                               model.experts[2]), "expert 1")]:
+        with pytest.raises(ConfigError, match=f"^{name} parameters .* do "
+                           "not fit the network"):
+            NmoeModel(fe_spec=model.fe_spec, fe_params=fe_params,
+                      gate=model.gate, expert_spec=model.expert_spec,
+                      experts=experts)

@@ -121,20 +121,24 @@ class TestForward:
 
 
 def test_forward_checks_params_against_the_spec():
+    # a set fits a network exactly when it has the spec's layout: the
+    # same arrays in another order, a layer short, a reshaped array or
+    # an extra one are each refused
     spec, params = mlp((3, 4, 2), (R, I))
     x = np.random.default_rng(0).normal(size=(5, 3))
-    # a set that lists its arrays in another order is not the spec's
-    # layout, but it holds every layer and still runs
-    shuffled = ParamSet((n, params[n]) for n in reversed(params.names))
-    assert shuffled.layout is not spec.layout
-    assert np.array_equal(forward(spec, shuffled, x), forward(spec, params, x))
-    missing = ParamSet((n, params[n]) for n in params.names if n != "b1")
-    with pytest.raises(ConfigError, match="lacks layer 1"):
-        forward(spec, missing, x)
-    wrong = ParamSet({**dict(params.items()), "w1": np.ones((4, 3))})
-    with pytest.raises(ConfigError,
-                       match=r"w1 has shape \(4, 3\), spec wants"):
-        forward(spec, wrong, x)
+    arrays = dict(params.items())
+    bad = {
+        "reordered": [(n, arrays[n]) for n in reversed(params.names)],
+        "missing": [(n, a) for n, a in arrays.items() if n != "b1"],
+        "wrong-shaped": {**arrays, "w1": np.ones((4, 3))},
+        "superset": {**arrays, "w2": np.ones((2, 2)), "b2": np.zeros(2)},
+    }
+    for case, items in bad.items():
+        odd = ParamSet(items)
+        assert odd.layout is not spec.layout, case
+        with pytest.raises(ConfigError, match="does not fit the network"):
+            forward(spec, odd, x)
+    assert forward(spec, ParamSet(arrays), x).shape == (5, 2)
 
 
 class TestBackward:
