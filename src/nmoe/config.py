@@ -6,6 +6,10 @@ echo alone. Unknown keys are rejected rather than ignored, and keys that
 only apply to one method (say, DP noise under the self-supervised
 stage 1) are rejected under the other, so a config cannot silently
 carry dead settings.
+
+Each key is declared once, as one field line built by _key: its default,
+its check and the selector values it applies under. The checks, the echo
+and the rule on keys that do not apply are all derived from those lines.
 """
 
 from __future__ import annotations
@@ -31,6 +35,15 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _key(default, check, *, only: tuple = ()):
+    """A config key's one declaration: its default; the check that takes
+    a value and the key's dotted name, raises ConfigError for a bad value
+    and returns the value to store; and the values of its section's
+    selector (the section's first field) under which it applies, where
+    none means all of them."""
+    return field(default=default, metadata={"check": check, "only": only})
+
+
 def _positive_int(value, name: str) -> int:
     _require(isinstance(value, int) and not isinstance(value, bool)
              and value > 0, f"{name} must be a positive integer, "
@@ -38,8 +51,16 @@ def _positive_int(value, name: str) -> int:
     return value
 
 
+def _nonnegative_int(value, name: str) -> int:
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             and value >= 0, f"{name} must be a nonnegative integer, "
+             f"got {value!r}")
+    return value
+
+
 # a finite float: NaN, the infinities and an int past the float range
-# fail the bound, where math.isfinite would raise OverflowError on the int
+# fail the bound, where math.isfinite would raise OverflowError on the int;
+# an int is stored as its float, so 1 and 1.0 load to one echo and hash
 def _positive_float(value, name: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool)
              and abs(value) <= sys.float_info.max and value > 0,
@@ -54,46 +75,83 @@ def _nonnegative_float(value, name: str) -> float:
     return float(value)
 
 
-def _store_floats(section) -> None:
-    """Store an int given for a float field as that float, so 1 and 1.0
-    load to one echo and one hash. A key idle under the section's
-    selector is not checked until after this, so it may hold any int."""
-    for f in fields(section):
-        value = getattr(section, f.name)
-        if type(f.default) is float and type(value) is int \
-                and abs(value) <= sys.float_info.max:
-            object.__setattr__(section, f.name, float(value))
+def _unit(interval: str):
+    """The check of a number in interval, a part of [0, 1] written as
+    "(0, 1]", "(0, 1)" or "[0, 1)"."""
+    low = _positive_float if interval[0] == "(" else _nonnegative_float
+
+    def check(value, name: str) -> float:
+        v = low(value, name)
+        _require(v < 1.0 or v == 1.0 and interval[-1] == "]",
+                 f"{name} must lie in {interval}, got {value!r}")
+        return v
+    return check
 
 
-def _fraction(value, name: str, *, closed_top: bool) -> float:
-    v = _positive_float(value, name)
-    top_ok = v <= 1.0 if closed_top else v < 1.0
-    _require(top_ok, f"{name} must lie in "
-             f"(0, 1{']' if closed_top else ')'}, got {value!r}")
-    return v
+def _choice(*values):
+    """The check that a value is one of values."""
+    names = [repr(v) for v in values]
+    listed = " or ".join(names) if len(names) < 3 else \
+        f"{', '.join(names[:-1])}, or {names[-1]}"
+
+    def check(value, name: str):
+        _require(value in values, f"{name} must be {listed}, got {value!r}")
+        return value
+    return check
+
+
+def _optional_str(value, name: str) -> str | None:
+    _require(value is None or isinstance(value, str),
+             f"{name} must be a string or null, got {value!r}")
+    return value
+
+
+# a list in the document, stored as a tuple
+def _list(value, name: str) -> tuple:
+    _require(isinstance(value, (list, tuple)), f"{name} must be a list")
+    return tuple(value)
+
+
+def _widths(value, name: str) -> tuple[int, ...]:
+    return tuple(_positive_int(width, f"{name}[{i}]")
+                 for i, width in enumerate(_list(value, name)))
+
+
+class _Keyed:
+    """The base of every config dataclass: it runs each key's check under
+    the key's dotted name and stores what the check returns. A check runs
+    whatever the section's selector says; whether a document may set the
+    key is _build_section's rule."""
+
+    def __post_init__(self):
+        prefix = next((f"{f.name}." for f in fields(RunConfig)
+                       if f.default_factory is type(self)), "")
+        for f in fields(self):
+            if "check" in f.metadata:
+                object.__setattr__(self, f.name, f.metadata["check"](
+                    getattr(self, f.name), prefix + f.name))
 
 
 @dataclass(frozen=True)
-class DataConfig:
+class DataConfig(_Keyed):
     """Synthetic benchmark generator or a CIFAR-10 binary file, plus the
     non-IID partition shape."""
 
-    source: str = "synthetic"
-    path: str | None = None
-    num_classes: int = 10
-    dim: int = 16
-    samples_per_class: int = 800
-    cluster_spread: float = 0.3
-    num_clients: int = 10
-    tau: float = 0.3
-    train_per_client: int = 500
-    test_per_client: int = 200
-    test_distribution: str = "matched"
+    source: str = _key("synthetic", _choice("synthetic", "cifar10"))
+    path: str | None = _key(None, _optional_str, only=("cifar10",))
+    num_classes: int = _key(10, _positive_int, only=("synthetic",))
+    dim: int = _key(16, _positive_int, only=("synthetic",))
+    samples_per_class: int = _key(800, _positive_int, only=("synthetic",))
+    cluster_spread: float = _key(0.3, _positive_float, only=("synthetic",))
+    num_clients: int = _key(10, _positive_int)
+    tau: float = _key(0.3, _unit("(0, 1]"))
+    train_per_client: int = _key(500, _positive_int)
+    test_per_client: int = _key(200, _positive_int)
+    test_distribution: str = _key("matched", _choice("matched", "iid"))
 
     def __post_init__(self):
-        _require(self.source in ("synthetic", "cifar10"),
-                 f"data.source must be 'synthetic' or 'cifar10', "
-                 f"got {self.source!r}")
+        # before the key checks, so that a cifar10 document whose path is
+        # not a usable string is told that the path is required
         if self.source == "cifar10":
             # "" is the working directory to Path, which always exists
             _require(isinstance(self.path, str) and self.path != "",
@@ -109,47 +167,25 @@ class DataConfig:
             _require(self.dim == CIFAR10_DIM,
                      f"CIFAR-10 samples have {CIFAR10_DIM} features, "
                      f"got dim={self.dim}")
-        else:
-            _require(self.path is None,
-                     "data.path only applies to the 'cifar10' source, but "
-                     f"data.source is {self.source!r}")
-            _positive_int(self.num_classes, "data.num_classes")
-            _positive_int(self.dim, "data.dim")
-            _positive_int(self.samples_per_class, "data.samples_per_class")
-            _positive_float(self.cluster_spread, "data.cluster_spread")
-        _positive_int(self.num_clients, "data.num_clients")
-        _fraction(self.tau, "data.tau", closed_top=True)
-        _positive_int(self.train_per_client, "data.train_per_client")
-        _positive_int(self.test_per_client, "data.test_per_client")
-        _require(self.test_distribution in ("matched", "iid"),
-                 f"data.test_distribution must be 'matched' or 'iid', "
-                 f"got {self.test_distribution!r}")
-        _store_floats(self)
+        super().__post_init__()
+        _require(self.num_clients <= self.num_classes,
+                 f"data.num_clients={self.num_clients} exceeds the "
+                 f"{self.num_classes} classes: each client needs a "
+                 f"distinct dominant class")
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(_Keyed):
     """Extractor and expert topologies plus the gate's logit noise."""
 
-    fe_widths: tuple[int, ...] = (16, 32, 32)
-    fe_activations: tuple[str, ...] = ("tanh", "tanh")
-    expert_widths: tuple[int, ...] = (32, 10)
-    expert_activations: tuple[str, ...] = ("identity",)
-    gate_noise_std: float = 0.01
+    fe_widths: tuple[int, ...] = _key((16, 32, 32), _widths)
+    fe_activations: tuple[str, ...] = _key(("tanh", "tanh"), _list)
+    expert_widths: tuple[int, ...] = _key((32, 10), _widths)
+    expert_activations: tuple[str, ...] = _key(("identity",), _list)
+    gate_noise_std: float = _key(0.01, _nonnegative_float)
 
     def __post_init__(self):
-        # every tuple field is a list in the document
-        for f in fields(self):
-            if isinstance(f.default, tuple):
-                value = getattr(self, f.name)
-                _require(isinstance(value, (list, tuple)),
-                         f"model.{f.name} must be a list")
-                object.__setattr__(self, f.name, tuple(value))
-        for key in ("fe_widths", "expert_widths"):
-            for i, width in enumerate(getattr(self, key)):
-                _positive_int(width, f"model.{key}[{i}]")
-        _nonnegative_float(self.gate_noise_std, "model.gate_noise_std")
-        _store_floats(self)
+        super().__post_init__()
         self.fe_spec()
         self.expert_spec()
 
@@ -168,29 +204,14 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class Stage1Config:
-    method: str = "fedsc"
-    rounds: int = 30
-    local_epochs: int = 2
-    lr: float = 0.05
-    dp_noise_std: float = 0.05
-    aug_noise_std: float = 0.1
-    aug_mask_prob: float = 0.2
-
-    def __post_init__(self):
-        _require(self.method in ("fedce", "fedsc"),
-                 f"stage1.method must be 'fedce' or 'fedsc', "
-                 f"got {self.method!r}")
-        _positive_int(self.rounds, "stage1.rounds")
-        _positive_int(self.local_epochs, "stage1.local_epochs")
-        _positive_float(self.lr, "stage1.lr")
-        _nonnegative_float(self.dp_noise_std, "stage1.dp_noise_std")
-        _nonnegative_float(self.aug_noise_std, "stage1.aug_noise_std")
-        _require(_nonnegative_float(self.aug_mask_prob,
-                                    "stage1.aug_mask_prob") < 1.0,
-                 f"stage1.aug_mask_prob must lie in [0, 1), "
-                 f"got {self.aug_mask_prob!r}")
-        _store_floats(self)
+class Stage1Config(_Keyed):
+    method: str = _key("fedsc", _choice("fedce", "fedsc"))
+    rounds: int = _key(30, _positive_int)
+    local_epochs: int = _key(2, _positive_int)
+    lr: float = _key(0.05, _positive_float)
+    dp_noise_std: float = _key(0.05, _nonnegative_float, only=("fedsc",))
+    aug_noise_std: float = _key(0.1, _nonnegative_float, only=("fedsc",))
+    aug_mask_prob: float = _key(0.2, _unit("[0, 1)"), only=("fedsc",))
 
     def aug_spec(self) -> AugmentSpec:
         return AugmentSpec(noise_std=self.aug_noise_std,
@@ -198,93 +219,47 @@ class Stage1Config:
 
 
 @dataclass(frozen=True)
-class Stage2Config:
-    epochs: int = 30
-    lr: float = 0.05
-
-    def __post_init__(self):
-        _positive_int(self.epochs, "stage2.epochs")
-        _positive_float(self.lr, "stage2.lr")
-        _store_floats(self)
+class Stage2Config(_Keyed):
+    epochs: int = _key(30, _positive_int)
+    lr: float = _key(0.05, _positive_float)
 
 
 @dataclass(frozen=True)
-class Stage3Config:
-    method: str = "fedgate"
-    rounds: int = 20
-    local_epochs: int = 2
-    lr: float = 0.05
-    lambda_load: float = 0.01
-    client_fraction: float = 0.7
-    grad_max_norm: float = 1.0
-    pseudo_ratio: float = 0.7
-    epochs_per_client: int = 2
-    max_passes: int = 20
-
-    def __post_init__(self):
-        _require(self.method in ("rangate", "rollgate", "fedgate"),
-                 f"stage3.method must be 'rangate', 'rollgate', or "
-                 f"'fedgate', got {self.method!r}")
-        _positive_int(self.rounds, "stage3.rounds")
-        _positive_int(self.local_epochs, "stage3.local_epochs")
-        _positive_float(self.lr, "stage3.lr")
-        _nonnegative_float(self.lambda_load, "stage3.lambda_load")
-        _fraction(self.client_fraction, "stage3.client_fraction",
-                  closed_top=True)
-        _positive_float(self.grad_max_norm, "stage3.grad_max_norm")
-        _fraction(self.pseudo_ratio, "stage3.pseudo_ratio",
-                  closed_top=False)
-        _positive_int(self.epochs_per_client, "stage3.epochs_per_client")
-        _positive_int(self.max_passes, "stage3.max_passes")
-        _store_floats(self)
+class Stage3Config(_Keyed):
+    method: str = _key("fedgate", _choice("rangate", "rollgate", "fedgate"))
+    rounds: int = _key(20, _positive_int, only=("fedgate",))
+    local_epochs: int = _key(2, _positive_int, only=("fedgate",))
+    lr: float = _key(0.05, _positive_float, only=("rollgate", "fedgate"))
+    lambda_load: float = _key(0.01, _nonnegative_float, only=("fedgate",))
+    client_fraction: float = _key(0.7, _unit("(0, 1]"), only=("fedgate",))
+    grad_max_norm: float = _key(1.0, _positive_float, only=("fedgate",))
+    pseudo_ratio: float = _key(0.7, _unit("(0, 1)"), only=("rollgate",))
+    epochs_per_client: int = _key(2, _positive_int, only=("rollgate",))
+    max_passes: int = _key(20, _positive_int, only=("rollgate",))
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
+class BaselineConfig(_Keyed):
     """Budget for the centralized mixture and the per-client classifier;
-    the federated-classifier baseline reuses the stage-1 schedule."""
+    the federated-classifier baseline reuses the stage-1 schedule. The
+    centralized mixture also trains with stage3.lambda_load and
+    stage3.grad_max_norm, which a document may set only under fedgate:
+    under rangate or rollgate it takes their defaults."""
 
-    epochs: int = 30
-    lr: float = 0.05
-
-    def __post_init__(self):
-        _positive_int(self.epochs, "baselines.epochs")
-        _positive_float(self.lr, "baselines.lr")
-        _store_floats(self)
-
-
-# Each section whose keys depend on a selector: the selector, then each
-# group of keys that applies only under some of the selector's values,
-# as (values, keys). Every other key of the section applies under every
-# value. The echo omits an idle group and a document may not set one.
-_SELECTORS = {
-    "data": ("source", (
-        (("synthetic",), ("dim", "num_classes", "samples_per_class",
-                          "cluster_spread")),
-        (("cifar10",), ("path",)),
-    )),
-    "stage1": ("method", (
-        (("fedsc",), ("dp_noise_std", "aug_noise_std", "aug_mask_prob")),
-    )),
-    "stage3": ("method", (
-        (("fedgate",), ("rounds", "local_epochs", "lambda_load",
-                        "client_fraction", "grad_max_norm")),
-        (("rollgate",), ("pseudo_ratio", "epochs_per_client", "max_passes")),
-        (("rollgate", "fedgate"), ("lr",)),
-    )),
-}
+    epochs: int = _key(30, _positive_int)
+    lr: float = _key(0.05, _positive_float)
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_Keyed):
     """Everything a run depends on. The hash excludes output_dir, so the
     same experiment written to two places is recognized as one."""
 
-    seed: int = 0
-    k: int = 1
-    batch_size: int = 64
-    bytes_per_scalar: int = 4
-    output_dir: str | None = None
+    seed: int = _key(0, _nonnegative_int)
+    k: int = _key(1, _positive_int)
+    batch_size: int = _key(64, _positive_int)
+    bytes_per_scalar: int = _key(4, _positive_int)
+    output_dir: str | None = _key(None, _optional_str)
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     stage1: Stage1Config = field(default_factory=Stage1Config)
@@ -293,15 +268,7 @@ class RunConfig:
     baselines: BaselineConfig = field(default_factory=BaselineConfig)
 
     def __post_init__(self):
-        _require(isinstance(self.seed, int) and not isinstance(
-            self.seed, bool) and self.seed >= 0,
-            f"seed must be a nonnegative integer, got {self.seed!r}")
-        _positive_int(self.k, "k")
-        _positive_int(self.batch_size, "batch_size")
-        _positive_int(self.bytes_per_scalar, "bytes_per_scalar")
-        _require(self.output_dir is None or isinstance(self.output_dir, str),
-                 f"output_dir must be a string or null, "
-                 f"got {self.output_dir!r}")
+        super().__post_init__()
         _require(self.k <= self.data.num_clients,
                  f"k={self.k} selects more experts than the "
                  f"{self.data.num_clients} clients provide")
@@ -325,7 +292,7 @@ class RunConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if _is_section(f):
-                idle = {k for _, keys in _idle_groups(f.name, value)
+                idle = {k for keys in _idle_groups(value).values()
                         for k in keys}
                 value = {g.name: list(v) if isinstance(
                     v := getattr(value, g.name), tuple) else v
@@ -338,14 +305,16 @@ def _is_section(f) -> bool:
     return f.default_factory is not MISSING
 
 
-def _idle_groups(name: str, section) -> list:
-    """The (values, keys) groups of a built section that do not apply
-    under its selector's value."""
-    if name not in _SELECTORS:
-        return []
-    selector, groups = _SELECTORS[name]
-    return [(values, keys) for values, keys in groups
-            if getattr(section, selector) not in values]
+def _idle_groups(section) -> dict:
+    """The keys of a built section that do not apply under its selector's
+    value, grouped by the selector values they do apply under."""
+    selected = getattr(section, fields(section)[0].name)
+    groups = {}
+    for f in fields(section):
+        only = f.metadata["only"]
+        if only and selected not in only:
+            groups.setdefault(only, []).append(f.name)
+    return groups
 
 
 def _build_section(cls, obj, name: str):
@@ -363,9 +332,9 @@ def _build_section(cls, obj, name: str):
     # building first checks the selector's value; the keys the document
     # itself sets are then checked against it
     built = cls(**kwargs)
-    for values, keys in _idle_groups(name, built):
+    selector = fields(cls)[0].name
+    for values, keys in _idle_groups(built).items():
         present = sorted(k for k in keys if k in obj)
-        selector = _SELECTORS[name][0]
         _require(not present,
                  f"{name}.{', '.join(present)} only appl"
                  f"{'ies' if len(present) == 1 else 'y'} to the "
@@ -432,10 +401,11 @@ def with_key(config: RunConfig, key: str, value) -> RunConfig:
     name, _, leaf = key.rpartition(".")
     if not name:
         return config_from_dict(dict(doc, **{leaf: value}))
-    selector, groups = _SELECTORS.get(name, (None, ()))
-    idle = {k for values, keys in groups
-            if leaf == selector and value not in values for k in keys}
-    doc[name] = {k: v for k, v in doc[name].items() if k not in idle}
+    only = {f.name: f.metadata["only"] for f in fields(getattr(config, name))}
+    # the section's first field is its selector
+    if leaf == next(iter(only)):
+        doc[name] = {k: v for k, v in doc[name].items()
+                     if not only[k] or value in only[k]}
     doc[name][leaf] = value
     return config_from_dict(doc)
 

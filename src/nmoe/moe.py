@@ -55,8 +55,10 @@ class GateParams:
             raise ConfigError(
                 f"a 2-d gate needs w0 (latent_dim, num_experts) and b0 "
                 f"(num_experts,), got {self.params!r}")
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0: {self.noise_std}")
+        # NaN fails both comparisons
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ConfigError(f"noise_std must be a finite number >= 0: "
+                              f"{self.noise_std}")
 
     @property
     def latent_dim(self) -> int:

@@ -526,12 +526,18 @@ def encode_array(arr: np.ndarray) -> dict:
 
 
 def decode_array(obj: dict) -> np.ndarray:
+    """The array of an encode_array record; a record of the wrong size or
+    with a NaN or infinite entry is a FormatError."""
     try:
         raw = base64.b64decode(obj["data"])
         arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        return arr.reshape(obj["shape"])
+        arr = arr.reshape(obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed array record: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise FormatError(f"array record of shape {arr.shape} holds a "
+                          f"non-finite entry")
+    return arr
 
 
 def encode_params(params: ParamSet) -> list:

@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -140,6 +141,21 @@ def _damage_expert_width(doc):
         ParamSet({"w0": np.zeros((d, 7)), "b0": np.zeros(7)}))
 
 
+def _damage_expert_weight(doc):
+    # one NaN in expert 0's first weight matrix
+    record = doc["experts"][0][0][1]
+    w0 = np.frombuffer(base64.b64decode(record["data"]), "<f8").copy()
+    w0[0] = np.nan
+    record["data"] = base64.b64encode(w0.tobytes()).decode("ascii")
+
+
+def _damage_record_length(doc):
+    # the extractor's first array one scalar short of its shape
+    record = doc["fe_params"][0][1]
+    raw = base64.b64decode(record["data"])[:-8]
+    record["data"] = base64.b64encode(raw).decode("ascii")
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: _damage_activations(doc, ["swish"]),
     lambda doc: _damage_activations(doc, [["tanh"]]),
@@ -150,10 +166,14 @@ def _damage_expert_width(doc):
     lambda doc: _damage_extractor_depth(doc, extra=False),
     _damage_expert_width,
     lambda doc: _damage_extractor_depth(doc, extra=True),
+    _damage_expert_weight,
+    lambda doc: doc["gate"].update(noise_std=float("nan")),
+    _damage_record_length,
 ], ids=["unknown-activation", "unhashable-activation",
         "negative-random-gate", "gate-for-wrong-expert-count",
         "extractor-without-its-last-layer", "expert-of-the-wrong-width",
-        "extractor-with-an-extra-layer"])
+        "extractor-with-an-extra-layer", "nan-expert-weight",
+        "nan-gate-noise", "truncated-array-record"])
 def test_evaluate_reports_bad_checkpoint_content_as_format(
         tmp_path, cfg_file, trained, capsys, damage):
     # contents the validators reject are a damaged file, exit 4, like a
@@ -221,6 +241,20 @@ def test_train_on_a_mistyped_value_exits_with_config_error(tmp_path, capsys):
     rc = main(["train", str(cfg), str(tmp_path / "run")])
     assert rc == 2
     assert "error (config): stage1.aug_mask_prob" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_with_more_clients_than_classes_is_a_config_error(tmp_path,
+                                                                capsys):
+    # each client needs a dominant class of its own; the document is
+    # refused before the output directory or the dataset exists
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"config_version": 1,
+                               "data": {"num_clients": 12}}))
+    rc = main(["train", str(cfg), str(tmp_path / "run")])
+    assert rc == 2
+    assert "error (config): data.num_clients=12 exceeds the 10 classes" \
+        in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

@@ -3,7 +3,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, fields, is_dataclass
 
 import pytest
 
@@ -121,6 +121,27 @@ def test_expert_chain_must_match_latent_and_classes():
     doc["model"] = {"expert_widths": [32, 7]}
     with pytest.raises(ConfigError, match="10 classes"):
         config_from_dict(doc)
+
+
+def test_more_clients_than_classes_rejected(tmp_path):
+    # each client needs a dominant class of its own, also the 10 classes
+    # a cifar10 source injects
+    doc = minimal()
+    doc["data"] = {"num_clients": 12}
+    with pytest.raises(ConfigError, match=r"^data\.num_clients=12 exceeds "
+                       r"the 10 classes"):
+        config_from_dict(doc)
+    doc["data"] = {"source": "cifar10", "path": cifar_file(tmp_path),
+                   "num_clients": 11}
+    doc["model"] = {"fe_widths": [CIFAR10_DIM, 32, 32]}
+    with pytest.raises(ConfigError, match="num_clients=11 exceeds the 10"):
+        config_from_dict(doc)
+    doc["data"]["num_clients"] = 10
+    assert config_from_dict(doc).data.num_clients == 10
+    doc = minimal()
+    doc["data"] = {"num_classes": 12, "num_clients": 12}
+    doc["model"] = {"expert_widths": [32, 12]}
+    assert config_from_dict(doc).data.num_clients == 12
 
 
 def test_rollgate_needs_two_clients():
@@ -340,6 +361,28 @@ def test_echo_omits_exactly_the_keys_a_document_may_not_set(
                        rf"{re.escape(repr(getattr(section, selector)))}$")
             with pytest.raises(ConfigError, match=message):
                 config_from_dict(written)
+
+
+def test_every_key_declares_its_check_and_a_selector_that_takes_its_only():
+    # a key added without a check fails here, and so does an `only` value
+    # its section's selector (the first field) refuses, such as a
+    # misspelled method, which would leave the key idle under every value
+    for f in fields(RunConfig):
+        if f.default_factory is MISSING:
+            keys, selector = [f], None
+        else:
+            keys = fields(f.default_factory)
+            selector = keys[0]
+            assert selector.metadata.get("only") == (), f.name
+        for key in keys:
+            check, only = key.metadata.get("check"), key.metadata.get("only")
+            assert callable(check), key.name
+            assert only == () or selector is not None, key.name
+            stored = check(key.default, key.name)
+            assert stored == key.default, key.name
+            assert type(stored) is type(key.default), key.name
+            for value in only:
+                selector.metadata["check"](value, selector.name)
 
 
 def test_hash_ignores_output_dir():

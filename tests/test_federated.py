@@ -525,6 +525,40 @@ class TestRollGate:
     def test_pass_bytes(self):
         assert rollgate_pass_bytes(10, 33, 4) == 1320
 
+    @staticmethod
+    def pass_moves(zero_latents, max_passes, lr):
+        """The reports of a 3-client ring and how far each pass after the
+        first moved the pass-averaged loss the reports record."""
+        clients = make_clients(3, 1.0)
+        spec, params = identity_extractor(8)
+        latents = latents_of(clients, spec, params)
+        if zero_latents:
+            latents = np.zeros_like(latents)
+        gate_init = init_gate_params(8, 3, 0.0, np.random.default_rng(1),
+                                     scale=0.0)
+        result = stage3_rollgate(clients, latents, gate_init, p=0.7,
+                                 epochs_per_client=1, max_passes=max_passes,
+                                 lr=lr, seed=3)
+        averages = [np.mean(list(r.client_losses.values()))
+                    for r in result.reports]
+        assert [r.round_index for r in result.reports] == \
+            list(range(len(averages)))
+        return result.reports, np.abs(np.diff(averages))
+
+    def test_ring_stops_at_the_first_pass_that_settles(self):
+        # a bias-only gate (zero latents) settles geometrically: passes
+        # move the average by 9.8e-3, 4.7e-3, 1.6e-3, 5.0e-4, 1.5e-4 and
+        # then 4.6e-5, under the tolerance, so 7 of 20 passes run
+        reports, moves = self.pass_moves(True, max_passes=20, lr=1.0)
+        assert len(reports) == 7
+        assert (moves[:-1] >= federated.ROLLGATE_LOSS_TOL).all()
+        assert moves[-1] < federated.ROLLGATE_LOSS_TOL
+
+    def test_ring_that_never_settles_runs_every_pass(self):
+        reports, moves = self.pass_moves(False, max_passes=6, lr=0.2)
+        assert len(reports) == 6
+        assert (moves >= federated.ROLLGATE_LOSS_TOL).all()
+
 
 class TestFedGate:
     def build(self, num_clients, tau=1.0, **kw):
