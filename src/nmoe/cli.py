@@ -32,16 +32,13 @@ from .errors import ConfigError, DataError, FormatError, NmoeError
 from .moe import load_model
 from .netsim import RoutingLog, export_heatmap, local_ratio
 from .pipeline import build_dataset, build_shards, evaluate_model, \
-    run_ablation, run_baselines, run_pipeline, write_sweep_csv
-
-
-def _write_json(payload: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    make_output_dir, run_ablation, run_baselines, run_pipeline, \
+    write_sweep_csv
 
 
 def _cmd_generate_data(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    make_output_dir(args.out_dir)
     data = build_dataset(config)
     save_dataset(data, args.out_dir,
                  meta={"config_hash": config_hash(config),
@@ -53,8 +50,8 @@ def _cmd_generate_data(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    out = make_output_dir(args.out_dir)
     shards = build_shards(config)
-    out = Path(args.out_dir)
     meta = {"config_hash": config_hash(config), "seed": config.seed,
             "tau": config.data.tau}
     for shard in shards:
@@ -92,6 +89,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise FormatError(
             f"checkpoint {args.model} was trained under config hash "
             f"{recorded}, but {args.config} hashes to {expected}")
+    if args.output is not None:
+        make_output_dir(Path(args.output).parent)
     inference, report = evaluate_model(config, model, build_shards(config),
                                        0)
     payload = {
@@ -106,7 +105,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
     if args.output is not None:
-        Path(args.output).parent.mkdir(parents=True, exist_ok=True)
         Path(args.output).write_text(text + "\n")
     else:
         print(text)
@@ -115,9 +113,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
     config = load_config(args.config)
+    make_output_dir(Path(args.out_file).parent)
     results = run_baselines(config)
-    _write_json({"config_hash": config_hash(config), "baselines": results},
-                Path(args.out_file))
+    Path(args.out_file).write_text(json.dumps(
+        {"config_hash": config_hash(config), "baselines": results},
+        sort_keys=True, indent=2) + "\n")
     for name, entry in results.items():
         pooled = entry["evaluation"]["pooled"]
         print(f"{name}: accuracy {pooled['accuracy']:.4f}  "
@@ -131,8 +131,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values = [json.loads(v) for v in args.values]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"sweep value {exc.doc!r} is not JSON") from exc
+    make_output_dir(Path(args.out_csv).parent)
     rows = run_ablation(config, args.axis, values)
-    Path(args.out_csv).parent.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(rows, args.out_csv)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} grid points ({len(failed)} failed) -> {args.out_csv}")
@@ -144,15 +144,15 @@ def _cmd_export_heatmap(args: argparse.Namespace) -> int:
         record = json.loads(Path(args.results).read_text())
     except OSError as exc:
         raise FormatError(f"cannot read results record: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{args.results} is not valid JSON: {exc}") from exc
     try:
         routing = record["routing"]
         counts = np.asarray(routing["counts"])
-        bytes_out = int(routing["bytes_out"])
-        bytes_back = int(routing["bytes_back"])
-        k = int(record["config"]["k"])
-        seed = int(record["config"]["seed"])
+        ints = {"routing.bytes_out": routing["bytes_out"],
+                "routing.bytes_back": routing["bytes_back"],
+                "config.k": record["config"]["k"],
+                "config.seed": record["config"]["seed"]}
         digest = str(record["config_hash"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(
@@ -160,14 +160,20 @@ def _cmd_export_heatmap(args: argparse.Namespace) -> int:
             f"{exc}") from exc
     if counts.dtype.kind not in "iu":
         raise FormatError(f"{args.results}: routing counts must be integers")
+    for name, value in ints.items():
+        # a bool is an int too, and a float would be truncated
+        if type(value) is not int:
+            raise FormatError(
+                f"{args.results}: {name} must be an integer, got {value!r}")
     try:
-        log = RoutingLog(counts=counts, bytes_out=bytes_out,
-                         bytes_back=bytes_back)
+        log = RoutingLog(counts=counts, bytes_out=ints["routing.bytes_out"],
+                         bytes_back=ints["routing.bytes_back"])
     except DataError as exc:
         raise FormatError(f"{args.results}: {exc}") from exc
     out = Path(args.out_csv)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    manifest = export_heatmap(log, out, k=k, seed=seed, config_hash=digest)
+    make_output_dir(out.parent)
+    manifest = export_heatmap(log, out, k=ints["config.k"],
+                              seed=ints["config.seed"], config_hash=digest)
     print(f"wrote {args.out_csv} and {manifest}")
     return 0
 

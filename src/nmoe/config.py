@@ -371,7 +371,10 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file does not exist: {path}")
     try:
         obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{exc.strerror or exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"config {path} is not valid JSON: {exc}") \
             from exc
     return config_from_dict(obj)

@@ -16,15 +16,18 @@ bit (the one-dataset trainers of tests/oracles.py run the same steps
 under _epochs with the same derivations). Correlation noise and pseudo-label
 assignment keep per-client streams.
 
-A federation's train shards share one size, which every stage checks
-(the partition gives every client the same number of train rows). Since
-clients share a stream, they draw the same batch rows (in FedSC the same
-augmentations, in FedGate the same gate noise), so FedCE, FedSC, stage
-2, FedGate and the FedAvg-classifier baseline train all their clients,
-or a round's participants, as one computation over a leading client
-axis: one stacked ParamSet stepped by batched matmuls. Every slice gets
-the bits its own per-client loop would give; in FedGate only the top-k
-picks and balance terms differ per slice.
+No trainer sees a Shard. train_stack checks a federation's train
+shards once, that client i sits at position i and that the shards share
+one size (the partition gives every client the same number of train
+rows), and stacks them into read-only (m, n, width) features and (m, n)
+labels; every trainer takes these arrays, and a client's id is its
+position in them. Since clients share a stream, they draw the same batch
+rows (in FedSC the same augmentations, in FedGate the same gate noise),
+so FedCE, FedSC, stage 2, FedGate and the FedAvg-classifier baseline
+train all their clients, or a round's participants, as one computation
+over the leading client axis: one stacked ParamSet stepped by batched
+matmuls. Every slice gets the bits its own per-client loop would give;
+in FedGate only the top-k picks and balance terms differ per slice.
 RollGate, a sequential ring, trains one client at a time. FedCE, FedSC,
 FedGate and the FedAvg-classifier baseline share one round driver,
 _fedavg_rounds, for finiteness checks, averaging and round reports.
@@ -49,10 +52,11 @@ depend on the stack around it, so the result is the one stack's, bit
 for bit. Otherwise the same functions train the whole stack here and
 nothing forks. RollGate and stage 2 train in this process only.
 
-Stages 2 and 3 never see the extractor. run_pipeline builds the
-frozen extractor's latents of every train shard once, with
-frozen_latents, as one read-only (m, n, d) array, and hands it to
-stage 2, RollGate and FedGate; each checks its shape. FedGate keeps
+Stages 2 and 3 never see the extractor or the features. run_pipeline
+builds the frozen extractor's latents of the stacked features once,
+with frozen_latents, as one read-only (m, n, d) array, and hands it to
+stage 2, RollGate and FedGate; each checks its shape against the labels
+or, in RollGate, the gate. FedGate keeps
 those latents but no table of the frozen experts' logits. Each batch
 runs one forward per routed expert over the rows routed to it, padded
 to a multiple of TILE rows, which gives every row the bits of the
@@ -81,7 +85,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
-from .datasets import AugmentSpec, Shard, apportion, augment, draw_views
+from .datasets import AugmentSpec, apportion, augment, draw_views
 from .errors import ConfigError, DataError, InternalError, TrainingError
 from .moe import GateParams, RandomGate, _route, gate_spec, moe_backward
 from .numerics import (MlpSpec, ParamSet, add_params, backward,
@@ -186,23 +190,29 @@ def fedavg(param_sets, weights) -> ParamSet:
     return ParamSet.from_flat(sets[0].layout, acc)
 
 
-def _check_clients(clients) -> None:
-    if not clients:
+def train_stack(shards) -> tuple[np.ndarray, np.ndarray]:
+    """The federation's train data, the one input of every trainer:
+    read-only (m, n, width) features and (m, n) labels, client i's train
+    shard at position i. Raises ConfigError for no shards or a client
+    out of place, DataError for shards of unequal size."""
+    if not shards:
         raise ConfigError("at least one client is required")
-    ids = [s.client_id for s in clients]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate client ids: {sorted(ids)}")
-    _check_sizes([s.train for s in clients])
-
-
-def _check_sizes(datasets) -> None:
-    sizes = sorted({d.num_samples for d in datasets})
+    ids = [s.client_id for s in shards]
+    if ids != list(range(len(shards))):
+        raise ConfigError(f"client i must sit at position i, got ids {ids}")
+    sizes = sorted({s.train.num_samples for s in shards})
     if len(sizes) > 1:
         raise DataError(f"train shards must share one size, got {sizes}")
+    features = np.stack([s.train.features for s in shards])
+    labels = np.stack([s.train.labels for s in shards])
+    features.flags.writeable = labels.flags.writeable = False
+    return features, labels
 
 
-def _check_latents(latents: np.ndarray, clients, width: int) -> None:
-    want = (len(clients), clients[0].train.num_samples, width)
+def _check_latents(latents: np.ndarray, lead: tuple, width: int) -> None:
+    """latents must have shape lead + (width,), lead being the (clients,
+    rows) the labels or the gate give."""
+    want = tuple(lead) + (width,)
     if latents.shape != want:
         raise ConfigError(f"latents must have shape (clients, rows, width) "
                           f"= {want}, got {latents.shape}")
@@ -226,42 +236,34 @@ def _check_finite(loss: float, stage: str, client: int, round_index: int):
             f"round {round_index}")
 
 
-def _stack_shards(clients):
-    """(features, labels) of the clients' equal-size train shards stacked
-    along a leading client axis."""
-    return (np.stack([s.train.features for s in clients]),
-            np.stack([s.train.labels for s in clients]))
-
-
 def frozen_latents(fe_spec: MlpSpec, fe_params: ParamSet,
-                   datasets) -> np.ndarray:
-    """The frozen extractor's latents of equal-size datasets, (m, n, d):
-    each dataset's forward, written into its slice of one preallocated
-    array, which is returned read-only. Stages 2 and 3 train on it and
-    never see the extractor."""
-    _check_sizes(datasets)
-    latents = np.empty((len(datasets), datasets[0].num_samples,
-                        fe_spec.out_width))
-    for out, data in zip(latents, datasets):
-        out[...] = forward(fe_spec, fe_params, data.features)
+                   features: np.ndarray) -> np.ndarray:
+    """The frozen extractor's latents of (m, n, width) features,
+    (m, n, d): each client's forward, written into its slice of one
+    preallocated array, which is returned read-only. Stages 2 and 3
+    train on it and never see the extractor."""
+    latents = np.empty(features.shape[:2] + (fe_spec.out_width,))
+    for out, x in zip(latents, features):
+        out[...] = forward(fe_spec, fe_params, x)
     latents.flags.writeable = False
     return latents
 
 
-def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
+def _fedavg_rounds(stage: str, params: ParamSet, rounds: int,
                    train_round, served, round_bytes, client_loss=np.mean):
     """Rounds of federated averaging starting from params, the one place
     that splits a stack over two CPUs.
 
     train_round(r, params, split) trains round r's participants from
-    params as one stack and returns their positions in clients, in client
-    order, the trained (g, ...) ParamSet and their (g, epochs) local-epoch
-    losses. It trains through split(fn, r, flat, positions, *per_slice),
-    which returns fn(r, flat, positions, *per_slice) for fn one of the
-    stage's served functions: a tuple of (g, ...) arrays, row i for the
-    participant at positions[i], given the round's flat params and
-    per_slice arrays of (g, ...) rows. positions is a range, whose slices
-    stay ranges and so slice the stage's arrays as views, or an int array.
+    params as one stack and returns their positions, which are their
+    client ids, in client order, the trained (g, ...) ParamSet and their
+    (g, epochs) local-epoch losses. It trains through split(fn, r, flat,
+    positions, *per_slice), which returns fn(r, flat, positions,
+    *per_slice) for fn one of the stage's served functions: a tuple of
+    (g, ...) arrays, row i for the participant at positions[i], given the
+    round's flat params and per_slice arrays of (g, ...) rows. positions
+    is a range, whose slices stay ranges and so slice the stage's arrays
+    as views, or an int array.
 
     When the process may use two CPUs and no other _Peer is live, a call
     over g >= 2 positions runs fn over the first ceil(g/2) here while the
@@ -275,12 +277,12 @@ def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
 
     The losses are checked client by client, so a divergence names the
     client a per-client loop would have stopped at; the slices are
-    averaged by shard size. round_bytes(r, n, size) gives the round's
-    traffic for n participants and a model of size scalars; client_loss
-    reduces a client's epoch losses for the report. Returns the final
-    params and the reports.
+    averaged with equal weights, since the shards share one size n
+    (weights of n each normalize to the same 1/g). round_bytes(r, n,
+    size) gives the round's traffic for n participants and a model of
+    size scalars; client_loss reduces a client's epoch losses for the
+    report. Returns the final params and the reports.
     """
-    sizes = [float(s.train.num_samples) for s in clients]
     spare = _two_cpus() and not _Peer.live
     peer = None
 
@@ -303,13 +305,12 @@ def _fedavg_rounds(stage: str, clients, params: ParamSet, rounds: int,
         for r in range(rounds):
             t0 = time.perf_counter()
             positions, stack, epoch_losses = train_round(r, params, split)
-            ids = [clients[c].client_id for c in positions]
+            ids = [int(c) for c in positions]
             losses = epoch_losses.tolist()
             for client, client_losses in zip(ids, losses):
                 for loss in client_losses:
                     _check_finite(loss, stage, client, r)
-            params = fedavg(unstack_params(stack),
-                            [sizes[c] for c in positions])
+            params = fedavg(unstack_params(stack), [1.0] * len(ids))
             reports.append(FedRoundReport(
                 stage=stage, round_index=r, participants=tuple(ids),
                 client_losses={c: float(client_loss(v))
@@ -563,18 +564,18 @@ def _slice_sums(a: np.ndarray):
     return float(sums) if a.ndim == 2 else sums
 
 
-def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet, shard: Shard,
-                              aug_spec: AugmentSpec, dp_noise_std: float,
+def compute_correlation_share(fe_spec: MlpSpec, fe: ParamSet,
+                              features: np.ndarray, aug_spec: AugmentSpec,
+                              dp_noise_std: float,
                               rng: np.random.Generator) -> np.ndarray:
-    """A client's share: the (d, d) full-shard latent correlation under
-    the current extractor.
+    """A client's share: the (d, d) latent correlation of its whole
+    (n, width) train features under the current extractor.
 
     Draws both augmented views, so the noise draw that follows sits where
     it always has on the stream, but applies only the first; symmetrizes
     the Gram estimate, then adds elementwise Gaussian noise when
     dp_noise_std > 0.
     """
-    features = shard.train.features
     view, _ = draw_views(aug_spec, features.shape, rng)
     z = forward(fe_spec, fe, view.apply(features))
     r = z.T @ z / z.shape[0]
@@ -609,12 +610,13 @@ def _spectral_step(fe_spec: MlpSpec, features: np.ndarray,
     return step
 
 
-def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
-                 local_epochs: int, lr: float, seed: int, *,
-                 batch_size: int = 64,
+def stage1_fedce(features: np.ndarray, labels: np.ndarray, fe_spec: MlpSpec,
+                 head_spec: MlpSpec, rounds: int, local_epochs: int,
+                 lr: float, seed: int, *, batch_size: int = 64,
                  bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
                  ) -> Stage1Result:
-    """Federated supervised pretraining of the shared extractor.
+    """Federated supervised pretraining of the shared extractor on
+    train_stack's features and labels.
 
     Every round each client minimizes local cross-entropy through its own
     head for the given epochs; extractors are then averaged with weights
@@ -624,11 +626,9 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
     On two CPUs the upper half of the clients trains in the stage's peer
     (see _fedavg_rounds), which gets their heads with the request.
     """
-    _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
     spec = chain_specs(fe_spec, head_spec)
-    m = len(clients)
-    features, labels = _stack_shards(clients)
+    m = len(features)
     head0 = init_mlp_params(
         head_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0))
     heads = stack_params([head0] * m)
@@ -654,7 +654,7 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
         return range(m), fe_g, losses
 
     fe, reports = _fedavg_rounds(
-        "stage1_fedce", clients,
+        "stage1_fedce",
         init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
                                             seeding.INIT_EXTRACTOR, 0)),
         rounds, train_round, (train,),
@@ -663,21 +663,21 @@ def stage1_fedce(clients, fe_spec: MlpSpec, head_spec: MlpSpec, rounds: int,
                         reports=reports)
 
 
-def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
-                      rounds: int, local_epochs: int, lr: float, round_rng,
-                      *, batch_size: int = 64,
+def fedavg_classifier(features: np.ndarray, labels: np.ndarray,
+                      spec: MlpSpec, params: ParamSet, rounds: int,
+                      local_epochs: int, lr: float, round_rng, *,
+                      batch_size: int = 64,
                       bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
                       ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
     """FedAvg of a whole classifier, the baseline beside stage1_fedce.
 
-    Every round each client trains the global model on its shard for the
-    given epochs, every client drawing from round_rng(r); a report's
-    client losses hold each client's last-epoch loss. The clients train
-    as one stack, split over two CPUs by _fedavg_rounds.
+    Every round each client trains the global model on its slice of
+    train_stack's features and labels for the given epochs, every
+    client drawing from round_rng(r); a report's client losses hold each
+    client's last-epoch loss. The clients train as one stack, split over
+    two CPUs by _fedavg_rounds.
     """
-    _check_clients(clients)
-    m = len(clients)
-    features, labels = _stack_shards(clients)
+    m = len(features)
 
     def train(r, flat, positions):
         """Round r's local epochs of the clients at positions from the
@@ -695,18 +695,19 @@ def fedavg_classifier(clients, spec: MlpSpec, params: ParamSet,
         return range(m), ParamSet.from_flat(spec.layout, flat), losses
 
     return _fedavg_rounds(
-        "baseline_fedavg_classifier", clients, params, rounds, train_round,
+        "baseline_fedavg_classifier", params, rounds, train_round,
         (train,),
         lambda r, n, size: classifier_round_bytes(n, size, bytes_per_scalar),
         client_loss=lambda v: v[-1])
 
 
-def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
-                 lr: float, aug_spec: AugmentSpec, dp_noise_std: float,
-                 seed: int, *, batch_size: int = 64,
+def stage1_fedsc(features: np.ndarray, fe_spec: MlpSpec, rounds: int,
+                 local_epochs: int, lr: float, aug_spec: AugmentSpec,
+                 dp_noise_std: float, seed: int, *, batch_size: int = 64,
                  bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
                  ) -> Stage1Result:
-    """Federated self-supervised pretraining of the shared extractor.
+    """Federated self-supervised pretraining of the shared extractor on
+    train_stack's features; no label is read.
 
     Every round: each client shares its noised full-shard correlation
     matrix; the server hands each client the weighted aggregate of
@@ -722,16 +723,14 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     client's share, then, given every aggregate, every client's local
     epochs; on two CPUs each call's upper half runs in the stage's peer.
     """
-    _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
     if dp_noise_std < 0.0:
         raise ConfigError(f"dp_noise_std must be >= 0, got {dp_noise_std}")
-    m = len(clients)
+    m = len(features)
     # every shard has one size n, and n / (m n) rounds to 1 / m
     q = 1.0 / m
     d = fe_spec.out_width
     ids = np.arange(m)
-    features = np.stack([s.train.features for s in clients])
 
     def shares(r, fe_flat, positions):
         """Round r's correlation shares of the clients at positions,
@@ -739,9 +738,9 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         fe = ParamSet.from_flat(fe_spec.layout, fe_flat)
         return np.stack([
             compute_correlation_share(
-                fe_spec, fe, shard, aug_spec, dp_noise_std,
-                derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
-            for shard in clients[positions.start:positions.stop]
+                fe_spec, fe, features[c], aug_spec, dp_noise_std,
+                derive_rng(seed, seeding.CORRELATION, r, c))
+            for c in positions
         ]),
 
     def train(r, fe_flat, positions, rbars):
@@ -772,7 +771,7 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
         return range(m), ParamSet.from_flat(fe.layout, flat), losses
 
     fe, reports = _fedavg_rounds(
-        "stage1_fedsc", clients,
+        "stage1_fedsc",
         init_mlp_params(fe_spec, derive_rng(seed, seeding.INIT,
                                             seeding.INIT_EXTRACTOR, 0)),
         rounds, train_round, (shares, train),
@@ -781,19 +780,17 @@ def stage1_fedsc(clients, fe_spec: MlpSpec, rounds: int, local_epochs: int,
     return Stage1Result(fe_params=fe, heads=None, reports=reports)
 
 
-def stage2_experts(clients, latents: np.ndarray, expert_spec: MlpSpec,
-                   epochs: int, lr: float, seed: int, *,
-                   batch_size: int = 64) -> Stage2Result:
+def stage2_experts(latents: np.ndarray, labels: np.ndarray,
+                   expert_spec: MlpSpec, epochs: int, lr: float, seed: int,
+                   *, batch_size: int = 64) -> Stage2Result:
     """Per-client expert training on the frozen extractor's latents of
-    the clients' train shards, (m, n, expert input width), from fresh
-    experts. No bytes move in this stage.
+    the clients' train shards, (m, n, expert input width), and their
+    (m, n) labels, from fresh experts. No bytes move in this stage.
     """
-    _check_clients(clients)
     _check_schedule(1, epochs, lr, batch_size)
-    _check_latents(latents, clients, expert_spec.in_width)
+    _check_latents(latents, labels.shape, expert_spec.in_width)
     rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
-    stack = stack_params(init_mlp_params(expert_spec, rng) for _ in clients)
-    labels = np.stack([s.train.labels for s in clients])
+    stack = stack_params(init_mlp_params(expert_spec, rng) for _ in labels)
     # one stream, carried across epochs like each client's own
     rng = derive_rng(seed, seeding.STAGE2, 0, 0)
     step = _ce_step(expert_spec, latents, labels, lr)
@@ -803,13 +800,13 @@ def stage2_experts(clients, latents: np.ndarray, expert_spec: MlpSpec,
         stack, loss = _epochs(stack, 1, latents.shape[1], batch_size, rng,
                               step)
         losses = loss[:, 0].tolist()
-        for shard, v in zip(clients, losses):
-            _check_finite(v, "stage2_experts", shard.client_id, epoch)
+        for c, v in enumerate(losses):
+            _check_finite(v, "stage2_experts", c, epoch)
         experts = unstack_params(stack)
         reports.append(FedRoundReport(
             stage="stage2_experts", round_index=epoch,
-            participants=tuple(s.client_id for s in clients),
-            client_losses={s.client_id: v for s, v in zip(clients, losses)},
+            participants=tuple(range(len(losses))),
+            client_losses=dict(enumerate(losses)),
             params_digest=_digest_group(experts),
             bytes_sent=0, wall_clock=time.perf_counter() - t0))
     return Stage2Result(experts=tuple(experts), reports=tuple(reports))
@@ -841,7 +838,7 @@ def rollgate_pseudo_labels(num_experts: int, own_id: int, p: float,
     return out
 
 
-def stage3_rollgate(clients, latents: np.ndarray, gate_init: GateParams,
+def stage3_rollgate(latents: np.ndarray, gate_init: GateParams,
                     p: float, epochs_per_client: int,
                     max_passes: int, lr: float, seed: int, *,
                     batch_size: int = 64,
@@ -852,22 +849,20 @@ def stage3_rollgate(clients, latents: np.ndarray, gate_init: GateParams,
     The gate visits clients 0, 1, ..., m-1 in a loop, training
     epochs_per_client cross-entropy epochs per hop on the frozen
     extractor's latents of its train shard, one slice of latents
-    (m, n, gate latent dim). Training stops once a full pass moves the
-    pass-averaged loss by less than ROLLGATE_LOSS_TOL, or after
-    max_passes.
+    (m, n, gate latent dim), m being the gate's expert count. Training
+    stops once a full pass moves the pass-averaged loss by less than
+    ROLLGATE_LOSS_TOL, or after max_passes.
     """
-    _check_clients(clients)
     _check_schedule(max_passes, epochs_per_client, lr, batch_size)
-    m = len(clients)
+    m = gate_init.num_experts
     if m < 2:
         raise ConfigError("rolling training needs at least two clients")
-    _check_latents(latents, clients, gate_init.latent_dim)
+    _check_latents(latents, (m,) + latents.shape[1:2], gate_init.latent_dim)
     spec = gate_spec(gate_init.latent_dim, m)
     pseudo = [
-        rollgate_pseudo_labels(
-            m, c, p, s.train.num_samples,
-            derive_rng(seed, seeding.PSEUDO, 0, s.client_id))
-        for c, s in enumerate(clients)
+        rollgate_pseudo_labels(m, c, p, latents.shape[1],
+                               derive_rng(seed, seeding.PSEUDO, 0, c))
+        for c in range(m)
     ]
     gate_params = gate_init.params
     reports = []
@@ -875,19 +870,18 @@ def stage3_rollgate(clients, latents: np.ndarray, gate_init: GateParams,
     for pass_index in range(max_passes):
         t0 = time.perf_counter()
         losses: dict[int, float] = {}
-        for c, shard in enumerate(clients):
+        for c in range(m):
             gate_params, epoch_losses = _epochs(
                 gate_params, epochs_per_client, latents.shape[1],
                 batch_size, derive_rng(seed, seeding.STAGE3, pass_index, 0),
                 _ce_step(spec, latents[c], pseudo[c], lr))
             for loss in epoch_losses:
-                _check_finite(loss, "stage3_rollgate", shard.client_id,
-                              pass_index)
-            losses[shard.client_id] = float(np.mean(epoch_losses))
+                _check_finite(loss, "stage3_rollgate", c, pass_index)
+            losses[c] = float(np.mean(epoch_losses))
         pass_avg = float(np.mean(list(losses.values())))
         reports.append(FedRoundReport(
             stage="stage3_rollgate", round_index=pass_index,
-            participants=tuple(s.client_id for s in clients),
+            participants=tuple(range(m)),
             client_losses=losses,
             params_digest=params_digest(gate_params),
             bytes_sent=rollgate_pass_bytes(m, gate_params.size(),
@@ -1002,8 +996,8 @@ def _routed_logits(expert_spec, experts, latents, owners, rows, idx):
     return out.reshape(picks.shape + (-1,))
 
 
-def stage3_fedgate(clients, latents: np.ndarray, expert_spec: MlpSpec,
-                   experts, gate_init: GateParams,
+def stage3_fedgate(latents: np.ndarray, labels: np.ndarray,
+                   expert_spec: MlpSpec, experts, gate_init: GateParams,
                    rounds: int, local_epochs: int, lr: float,
                    lambda_load: float, client_fraction: float,
                    grad_max_norm: float, k: int, seed: int, *,
@@ -1012,7 +1006,7 @@ def stage3_fedgate(clients, latents: np.ndarray, expert_spec: MlpSpec,
                    ) -> Stage3Result:
     """Federated-averaged gate over frozen experts and the frozen
     extractor's latents of the clients' train shards, (m, n, expert
-    input width).
+    input width), with their (m, n) labels.
 
     Each round samples ceil(client_fraction * m) participants without
     replacement; each trains the gate on its shard through the same top-k
@@ -1026,20 +1020,18 @@ def stage3_fedgate(clients, latents: np.ndarray, expert_spec: MlpSpec,
     the stage's peer, forked by _fedavg_rounds, which inherits the
     latents.
     """
-    _check_clients(clients)
     _check_schedule(rounds, local_epochs, lr, batch_size)
     if not 0.0 < client_fraction <= 1.0:
         raise ConfigError(
             f"client_fraction must lie in (0, 1], got {client_fraction}")
     if lambda_load < 0.0:
         raise ConfigError(f"lambda_load must be >= 0, got {lambda_load}")
-    m = len(clients)
+    m = len(labels)
     experts = tuple(experts)
     if len(experts) != m:
         raise ConfigError(f"got {len(experts)} experts for {m} clients")
-    _check_latents(latents, clients, expert_spec.in_width)
+    _check_latents(latents, labels.shape, expert_spec.in_width)
     experts_before = _digest_group(experts)
-    labels = np.stack([s.train.labels for s in clients])
     count = max(1, min(m, math.ceil(client_fraction * m - 1e-9)))
     setup = fedgate_setup_bytes(m, experts[0].size(), bytes_per_scalar)
     layout = gate_init.params.layout
@@ -1064,7 +1056,7 @@ def stage3_fedgate(clients, latents: np.ndarray, expert_spec: MlpSpec,
         return participants, ParamSet.from_flat(layout, flat), losses
 
     params, reports = _fedavg_rounds(
-        "stage3_fedgate", clients, gate_init.params, rounds, train_round,
+        "stage3_fedgate", gate_init.params, rounds, train_round,
         (train,),
         lambda r, n, size: fedgate_round_bytes(n, size, bytes_per_scalar)
         + (setup if r == 0 else 0))

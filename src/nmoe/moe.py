@@ -441,7 +441,7 @@ def load_model(path) -> tuple[NmoeModel, dict]:
     expert count); their messages are kept."""
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or \
             doc.get("format_version") != CHECKPOINT_FORMAT_VERSION or \

@@ -6,10 +6,10 @@ a stream derived as (seed, component, round, client), artifacts never
 record wall-clock time, and floats are serialized by repr, so rerunning
 a config reproduces its results record byte for byte. With baselines
 and two usable CPUs, a child forked right after the shards are built
-trains the centralized mixture while this process runs the stages and
-the classifiers; it has this process's numpy and BLAS, so its bits are
-those of a sequential run. With one CPU this process trains it when the
-baselines ask for its entry.
+and stacked trains the centralized mixture while this process runs the
+stages and the classifiers; it has this process's numpy and BLAS, so
+its bits are those of a sequential run. With one CPU this process
+trains it when the baselines ask for its entry.
 
 Artifacts written under the output directory:
   config.json       the validated config echo
@@ -40,8 +40,8 @@ from .federated import (FedRoundReport, Stage1Result, Stage2Result,
                         Stage3Result, fedavg_classifier, frozen_latents,
                         stage1_fedce, stage1_fedsc, stage2_experts,
                         stage3_fedgate, stage3_rangate, stage3_rollgate,
-                        _Peer, _ce_step, _check_clients, _check_finite,
-                        _epochs, _stack_shards)
+                        train_stack, _Peer, _ce_step, _check_finite,
+                        _epochs)
 from .metrics import EvalReport, evaluate_clients
 from .moe import (GateParams, NmoeModel, _route, init_gate_params,
                   moe_backward, save_model)
@@ -140,27 +140,20 @@ def build_shards(config: RunConfig) -> list[Shard]:
                             test_distribution=d.test_distribution)
 
 
-def _pooled_train(shards) -> Dataset:
-    features = np.concatenate([s.train.features for s in shards])
-    labels = np.concatenate([s.train.labels for s in shards])
-    return Dataset(features, labels, shards[0].train.num_classes)
-
-
-def _run_stage1(config: RunConfig, shards) -> Stage1Result:
+def _run_stage1(config: RunConfig, features, labels) -> Stage1Result:
     s1 = config.stage1
     common = dict(rounds=s1.rounds, local_epochs=s1.local_epochs, lr=s1.lr,
                   seed=config.seed, batch_size=config.batch_size,
                   bytes_per_scalar=config.bytes_per_scalar)
     if s1.method == "fedce":
-        return stage1_fedce(shards, config.model.fe_spec(),
+        return stage1_fedce(features, labels, config.model.fe_spec(),
                             config.model.expert_spec(), **common)
-    return stage1_fedsc(shards, config.model.fe_spec(),
+    return stage1_fedsc(features, config.model.fe_spec(),
                         aug_spec=s1.aug_spec(),
                         dp_noise_std=s1.dp_noise_std, **common)
 
 
-def _run_stage3(config: RunConfig, shards, latents: np.ndarray,
-                experts) -> Stage3Result:
+def _run_stage3(config: RunConfig, latents, labels, experts) -> Stage3Result:
     s3 = config.stage3
     m = config.data.num_clients
     if s3.method == "rangate":
@@ -173,13 +166,13 @@ def _run_stage3(config: RunConfig, shards, latents: np.ndarray,
         scale=0.0)
     if s3.method == "rollgate":
         return stage3_rollgate(
-            shards, latents, gate_init,
+            latents, gate_init,
             p=s3.pseudo_ratio, epochs_per_client=s3.epochs_per_client,
             max_passes=s3.max_passes, lr=s3.lr, seed=config.seed,
             batch_size=config.batch_size,
             bytes_per_scalar=config.bytes_per_scalar)
     return stage3_fedgate(
-        shards, latents, config.model.expert_spec(), experts, gate_init,
+        latents, labels, config.model.expert_spec(), experts, gate_init,
         rounds=s3.rounds, local_epochs=s3.local_epochs, lr=s3.lr,
         lambda_load=s3.lambda_load, client_fraction=s3.client_fraction,
         grad_max_norm=s3.grad_max_norm, k=config.k, seed=config.seed,
@@ -203,6 +196,18 @@ def evaluate_model(config: RunConfig, model: NmoeModel, shards, slot: int
         config.data.num_classes)
 
 
+def make_output_dir(path) -> Path:
+    """path as a directory, made with its parents where missing; a path
+    that cannot be one is a ConfigError naming it."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
+    return path
+
+
 def _write_failed(out: Path | None, stage: str, error: Exception) -> None:
     if out is None:
         return
@@ -222,9 +227,8 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
     were already written, then propagates the error.
     """
     h = config_hash(config)
-    out = Path(config.output_dir) if config.output_dir else None
+    out = make_output_dir(config.output_dir) if config.output_dir else None
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
         failed = out / "FAILED"
         if failed.exists():
             failed.unlink()
@@ -234,24 +238,27 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
     child = None
     try:
         shards = build_shards(config)
+        features, labels = train_stack(shards)
         if with_baselines:
             child = _CentralizedChild(config, shards)
         stage = "stage1"
-        stage1 = _run_stage1(config, shards)
+        stage1 = _run_stage1(config, features, labels)
         stage = "stage2"
         latents = frozen_latents(config.model.fe_spec(), stage1.fe_params,
-                                 [s.train for s in shards])
+                                 features)
+        # stages 2 and 3 must not keep the features alive
+        del features
         # experts start fresh for every stage-1 method: warm-starting from
         # the FedCE heads would hand FedCE extra head epochs that the
         # head-free FedSC run can never match
         stage2 = stage2_experts(
-            shards, latents, config.model.expert_spec(),
+            latents, labels, config.model.expert_spec(),
             epochs=config.stage2.epochs, lr=config.stage2.lr,
             seed=config.seed, batch_size=config.batch_size)
         stage = "stage3"
-        stage3 = _run_stage3(config, shards, latents, stage2.experts)
-        # inference and the baselines must not keep the stack alive
-        del latents
+        stage3 = _run_stage3(config, latents, labels, stage2.experts)
+        # inference and the baselines must not keep the stacks alive
+        del latents, labels
         stage = "inference"
         model = NmoeModel(fe_spec=config.model.fe_spec(),
                           fe_params=stage1.fe_params,
@@ -335,22 +342,24 @@ def _baseline_entry(report: EvalReport, log: RoutingLog,
     }
 
 
-def train_centralized_moe(config: RunConfig, shards
+def train_centralized_moe(config: RunConfig, features, labels
                           ) -> tuple[NmoeModel, list[float]]:
-    """Jointly train extractor, gate, and experts on the pooled data with
-    moe_backward's loss, the one FedGate trains with: cross-entropy of
-    the routed mixture plus the load-balance penalty, one
-    _centralized_step per batch. The model is built once, at the end."""
-    pooled = _pooled_train(shards)
+    """Jointly train extractor, gate, and experts on train_stack's
+    features and labels pooled, client after client, with moe_backward's
+    loss, the one FedGate trains with: cross-entropy of the routed
+    mixture plus the load-balance penalty, one _centralized_step per
+    batch. The model is built once, at the end."""
+    pooled = features.reshape(-1, features.shape[-1])
     flat, fe, gate, experts = _centralized_params(config)
     rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
-    step = _centralized_step(config, pooled, fe, gate, experts, rng)
+    step = _centralized_step(config, pooled, labels.reshape(-1), fe, gate,
+                             experts, rng)
     losses = []
     for epoch in range(config.baselines.epochs):
         # one epoch per call: a non-finite epoch loss must fail here,
         # before the next epoch's probability check names that epoch
-        flat, loss = _epochs(flat, 1, pooled.num_samples, config.batch_size,
-                             rng, functools.partial(step, epoch=epoch))
+        flat, loss = _epochs(flat, 1, len(pooled), config.batch_size, rng,
+                             functools.partial(step, epoch=epoch))
         _check_finite(loss[0], "baseline_centralized_moe", 0, epoch)
         losses.append(float(loss[0]))
     model = NmoeModel(fe_spec=config.model.fe_spec(), fe_params=fe,
@@ -388,10 +397,11 @@ def _centralized_params(config: RunConfig):
                                flat[gate_end:].reshape(m, -1)))
 
 
-def _centralized_step(config: RunConfig, pooled: Dataset, fe: ParamSet,
+def _centralized_step(config: RunConfig, features, labels, fe: ParamSet,
                       gate: ParamSet, experts: ParamSet, rng):
-    """The centralized mixture's per-batch step, step(flat, rows, epoch)
-    -> (flat, loss), over the views _centralized_params made of flat: it
+    """The centralized mixture's per-batch step on the pooled (rows,
+    width) features and (rows,) labels, step(flat, rows, epoch) ->
+    (flat, loss), over the views _centralized_params made of flat: it
     updates flat in place, so the views always hold the current
     parameters. It routes with gate noise from rng, the stream the batch
     order comes from, and names the epoch when the gate diverges.
@@ -408,7 +418,6 @@ def _centralized_step(config: RunConfig, pooled: Dataset, fe: ParamSet,
     lam = config.stage3.lambda_load
     max_norm = config.stage3.grad_max_norm
     lr = config.baselines.lr
-    features, labels = pooled.features, pooled.labels
 
     def step(flat, rows, epoch):
         latents, fe_tape = forward(fe_spec, fe, features[rows],
@@ -446,22 +455,21 @@ def _centralized_step(config: RunConfig, pooled: Dataset, fe: ParamSet,
     return step
 
 
-def train_local_classifiers(config: RunConfig, shards
+def train_local_classifiers(config: RunConfig, features, labels
                             ) -> tuple[dict, list[float]]:
-    """One classifier per client on its own shard, from per-client init
-    and batch-order streams. The clients' equal-size shards train as one
-    stack, each slice drawing its own batch rows. Returns the parameters
-    by client id and each client's last-epoch loss, in client order."""
-    _check_clients(shards)
+    """One classifier per client on its own slice of train_stack's
+    features and labels, from per-client init and batch-order streams.
+    The clients train as one stack, each slice drawing its own batch
+    rows. Returns the parameters by client id and each client's
+    last-epoch loss, in client order."""
     spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
-    ids = [s.client_id for s in shards]
+    ids = range(len(features))
     params = stack_params(
         init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
                                          _BASE_LOCAL_INIT, c))
         for c in ids)
     rngs = [derive_rng(config.seed, seeding.BASELINE, _BASE_LOCAL_TRAIN, c)
             for c in ids]
-    features, labels = _stack_shards(shards)
     params, losses = _epochs(
         params, config.baselines.epochs, features.shape[1],
         config.batch_size, rngs,
@@ -476,14 +484,14 @@ def train_local_classifiers(config: RunConfig, shards
             [v[-1] for v in losses])
 
 
-def train_fedavg_classifier(config: RunConfig, shards
+def train_fedavg_classifier(config: RunConfig, features, labels
                             ) -> tuple[ParamSet, tuple[FedRoundReport, ...]]:
     """FedAvg of the whole classifier on stage 1's schedule, from the
     baseline streams."""
     spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     s1 = config.stage1
     return fedavg_classifier(
-        shards, spec,
+        features, labels, spec,
         init_mlp_params(spec, derive_rng(config.seed, seeding.BASELINE,
                                          _BASE_FEDAVG_INIT, 0)),
         s1.rounds, s1.local_epochs, s1.lr,
@@ -496,7 +504,7 @@ def train_fedavg_classifier(config: RunConfig, shards
 def _centralized_entry(config: RunConfig, shards) -> dict:
     """The centralized mixture's baseline entry: trained on the pooled
     shards, then routed and evaluated like the pipeline's model."""
-    model, losses = train_centralized_moe(config, shards)
+    model, losses = train_centralized_moe(config, *train_stack(shards))
     inference, report = evaluate_model(config, model, shards, 1)
     return _baseline_entry(report, inference.log, 0, losses)
 
@@ -544,11 +552,11 @@ def run_baselines(config: RunConfig, shards=None, child=None) -> dict:
     num_classes = config.data.num_classes
     spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
     try:
-        local_params, local_losses = train_local_classifiers(config, shards)
+        stack = train_stack(shards)
+        local_params, local_losses = train_local_classifiers(config, *stack)
         local_report, local_log = _inference_on_own_shard(
             local_params, spec, shards, num_classes)
-        global_params, fedavg_rounds = train_fedavg_classifier(config,
-                                                               shards)
+        global_params, fedavg_rounds = train_fedavg_classifier(config, *stack)
         fedavg_report, fedavg_log = _inference_on_own_shard(
             {s.client_id: global_params for s in shards}, spec, shards,
             num_classes)

@@ -25,8 +25,7 @@ from nmoe.numerics import (ParamSet, backward, chain_specs, cross_entropy,
                            stack_params, unstack_params)
 from nmoe.pipeline import (_BASE_CENTRAL_INIT, _BASE_CENTRAL_TRAIN,
                            _BASE_FEDAVG_INIT, _BASE_FEDAVG_ROUND,
-                           _BASE_LOCAL_INIT, _BASE_LOCAL_TRAIN,
-                           _pooled_train)
+                           _BASE_LOCAL_INIT, _BASE_LOCAL_TRAIN)
 from nmoe.seeding import derive_rng
 
 
@@ -252,10 +251,10 @@ def spectral_view_grad_expr(z, z_other, coupling, b):
     return (-z_other + 0.5 * (z @ coupling)) / b
 
 
-def correlation_share_both_views(fe_spec, fe, shard, aug_spec, dp_noise_std,
-                                 rng):
+def correlation_share_both_views(fe_spec, fe, features, aug_spec,
+                                 dp_noise_std, rng):
     """compute_correlation_share with both augmented views applied."""
-    view, _ = augment(aug_spec, shard.train.features, rng)
+    view, _ = augment(aug_spec, features, rng)
     z = forward(fe_spec, fe, view)
     r = z.T @ z / z.shape[0]
     r = 0.5 * (r + r.T)
@@ -352,7 +351,7 @@ def per_client_fedsc(clients, fe_spec, rounds, local_epochs, lr, aug_spec,
     for r in range(rounds):
         shares = [
             compute_correlation_share(
-                fe_spec, fe, shard, aug_spec, dp_noise_std,
+                fe_spec, fe, shard.train.features, aug_spec, dp_noise_std,
                 derive_rng(seed, seeding.CORRELATION, r, shard.client_id))
             for shard in clients]
         locals_fe = []
@@ -685,7 +684,8 @@ def per_expert_moe_backward(model, fwd, dlogits, dprobs=None):
 def per_expert_centralized_moe(config, shards):
     """train_centralized_moe with one 2-d network per expert and the
     model rebuilt after every batch; returns (model, losses)."""
-    pooled = _pooled_train(shards)
+    pooled_x = np.concatenate([s.train.features for s in shards])
+    pooled_y = np.concatenate([s.train.labels for s in shards])
     m = config.data.num_clients
     fe_spec = config.model.fe_spec()
     expert_spec = config.model.expert_spec()
@@ -706,16 +706,16 @@ def per_expert_centralized_moe(config, shards):
     max_norm = config.stage3.grad_max_norm
     lr = config.baselines.lr
     rng = derive_rng(config.seed, seeding.BASELINE, _BASE_CENTRAL_TRAIN, 0)
-    n = pooled.num_samples
+    n = len(pooled_y)
     losses = []
     for epoch in range(config.baselines.epochs):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
-            fwd = per_expert_moe_forward(model, pooled.features[rows],
-                                         config.k, rng)
-            ce, dlogits = cross_entropy(fwd[0], pooled.labels[rows])
+            fwd = per_expert_moe_forward(model, pooled_x[rows], config.k,
+                                         rng)
+            ce, dlogits = cross_entropy(fwd[0], pooled_y[rows])
             lb, dlb = load_balance_loss(fwd[2])
             fe_g, gate_g, expert_g = per_expert_moe_backward(
                 model, fwd, dlogits, lam * dlb)
@@ -737,8 +737,9 @@ def per_expert_centralized_moe(config, shards):
     return model, losses
 
 
-def dense_centralized_step(config, pooled, rng):
-    """The centralized mixture's dense step, the reference for
+def dense_centralized_step(config, features, labels, rng):
+    """The centralized mixture's dense step on pooled (rows, width)
+    features and (rows,) labels, the reference for
     pipeline._centralized_step: step((fe, gate, experts), rows, epoch)
     -> (params, loss) on three separate sets, every expert's upstream a
     dense (m, rows, classes) product masked to the picks, the latent
@@ -753,7 +754,7 @@ def dense_centralized_step(config, pooled, rng):
 
     def step(params, rows, epoch):
         fe, gate, experts = params
-        latents, fe_tape = forward(fe_spec, fe, pooled.features[rows],
+        latents, fe_tape = forward(fe_spec, fe, features[rows],
                                    want_tape=True)
         idx, probs = _route(latents, gate, noise_std, config.k, rng)
         # blown-up gate logits give NaN probabilities, which the balance
@@ -766,8 +767,8 @@ def dense_centralized_step(config, pooled, rng):
             np.broadcast_to(latents, (m,) + latents.shape), want_tape=True)
         batch_rows = np.arange(rows.size)
         loss, dlogits, gate_grads, dgate_logits = moe_backward(
-            latents, probs, idx, outputs[idx.T, batch_rows],
-            pooled.labels[rows], lam)
+            latents, probs, idx, outputs[idx.T, batch_rows], labels[rows],
+            lam)
         selected = np.zeros(probs.shape, dtype=bool)
         selected[batch_rows[:, None], idx] = True
         expert_grads, dlat = backward(

@@ -23,7 +23,7 @@ from nmoe.datasets import (AugmentSpec, Dataset, gen_synthetic, load_cifar10,
                            partition_noniid, save_cifar10)
 from nmoe.federated import (fedavg, frozen_latents,
                             spectral_contrastive_local_loss, stage1_fedce,
-                            stage1_fedsc, stage3_fedgate)
+                            stage1_fedsc, stage3_fedgate, train_stack)
 from nmoe.metrics import macro_auc
 from nmoe.moe import (GateParams, NmoeModel, gate_topk, init_gate_params,
                       load_balance_loss)
@@ -195,10 +195,11 @@ def test_criterion_03_single_client_matches_centralized_bitwise():
     averaging fixtures are exact."""
     data = gen_synthetic(4, 8, 60, 0.15, 11)
     clients = partition_noniid(data, 1, 1.0, 60, 30, 11)
+    features, labels = train_stack(clients)
     fe_spec = MlpSpec((8, 10, 6), (1, 2))
     head_spec = MlpSpec((6, 4), (0,))
 
-    result = stage1_fedce(clients, fe_spec, head_spec, rounds=2,
+    result = stage1_fedce(features, labels, fe_spec, head_spec, rounds=2,
                           local_epochs=2, lr=0.05, seed=7)
     fe, head, _ = centralized_classifier(clients[0].train, fe_spec,
                                          head_spec, rounds=2,
@@ -214,7 +215,7 @@ def test_criterion_03_single_client_matches_centralized_bitwise():
     assert list(result.heads) == heads
 
     aug = AugmentSpec(noise_std=0.1, mask_prob=0.1)
-    result = stage1_fedsc(clients, fe_spec, rounds=2, local_epochs=2,
+    result = stage1_fedsc(features, fe_spec, rounds=2, local_epochs=2,
                           lr=0.05, aug_spec=aug, dp_noise_std=0.05, seed=13)
     fe_sc, _ = centralized_spectral(clients[0].train, fe_spec, rounds=2,
                                     local_epochs=2, lr=0.05, aug_spec=aug,
@@ -226,8 +227,8 @@ def test_criterion_03_single_client_matches_centralized_bitwise():
     experts = (init_mlp_params(expert_spec, rng),)
     gate_init = init_gate_params(
         6, 1, 0.01, derive_rng(5, seeding.INIT, seeding.INIT_GATE, 0))
-    latents = frozen_latents(fe_spec, fe, [clients[0].train])
-    result = stage3_fedgate(clients, latents, expert_spec, experts,
+    latents = frozen_latents(fe_spec, fe, features)
+    result = stage3_fedgate(latents, labels, expert_spec, experts,
                             gate_init, rounds=3, local_epochs=2, lr=0.05,
                             lambda_load=0.01, client_fraction=0.7,
                             grad_max_norm=1.0, k=1, seed=5)

@@ -10,6 +10,7 @@ import pytest
 
 from test_pipeline import small_doc
 
+from nmoe import cli
 from nmoe.cli import main
 from nmoe.config import CIFAR10_DIM, config_from_dict, config_hash
 from nmoe.datasets import Dataset, load_dataset, save_cifar10
@@ -377,3 +378,86 @@ def test_unhashable_activation_reports_config_category(tmp_path, capsys):
     rc = main(["train", str(bad), str(tmp_path / "o")])
     assert rc == 2
     assert "error (config)" in capsys.readouterr().err
+
+
+def command_argv(command, cfg_file, trained, out):
+    """A run of one writing subcommand whose output goes under out."""
+    return {
+        "train": ["train", str(cfg_file), str(out)],
+        "evaluate": ["evaluate", str(trained / "model.json"), str(cfg_file),
+                     "--output", str(out / "x.json")],
+        "baselines": ["baselines", str(cfg_file), str(out / "b.json")],
+        "generate-data": ["generate-data", str(cfg_file), str(out)],
+        "partition": ["partition", str(cfg_file), str(out / "p")],
+        "sweep": ["sweep", str(cfg_file), str(out / "s.csv"), "--axis", "k",
+                  "--values", "1"],
+        "export-heatmap": ["export-heatmap", str(trained / "results.json"),
+                           str(out / "h.csv")],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "baselines",
+                                     "generate-data", "partition", "sweep",
+                                     "export-heatmap"])
+def test_an_output_path_that_cannot_be_made_is_a_config_error(
+        tmp_path, cfg_file, trained, capsys, monkeypatch, command):
+    # a regular file where a directory must go; the path is checked
+    # before any data is built, any model trained or any sample routed
+    afile = tmp_path / "afile"
+    afile.write_text("")
+
+    def too_early(*args, **kwargs):
+        raise AssertionError("ran before the output path was made")
+
+    for name in ("build_dataset", "build_shards", "evaluate_model",
+                 "run_ablation", "run_baselines"):
+        monkeypatch.setattr(cli, name, too_early)
+    rc = main(command_argv(command, cfg_file, trained, afile))
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith(f"error (config): cannot create output "
+                          f"directory {afile}")
+    assert afile.read_text() == ""
+
+
+def test_a_config_path_that_is_a_directory_is_a_config_error(tmp_path,
+                                                             capsys):
+    rc = main(["train", str(tmp_path), str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"error (config): cannot read config {tmp_path}: ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bad", ["config", "checkpoint", "results"])
+def test_input_that_is_not_utf8_is_a_format_error(tmp_path, cfg_file,
+                                                  trained, capsys, bad):
+    # invalid UTF-8 fails like invalid JSON, in each command reading it
+    damaged = tmp_path / "damaged.json"
+    damaged.write_bytes(b"\xff{}")
+    argv = {
+        "config": ["train", str(damaged), str(tmp_path / "run")],
+        "checkpoint": ["evaluate", str(damaged), str(cfg_file)],
+        "results": ["export-heatmap", str(damaged), str(tmp_path / "h.csv")],
+    }[bad]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error (format): ") and "utf-8" in err
+
+
+@pytest.mark.parametrize("key,value", [("k", 1.7), ("k", 2.0), ("k", True),
+                                       ("seed", True), ("seed", 3.0)])
+def test_export_heatmap_rejects_non_integer_k_and_seed(tmp_path, trained,
+                                                       capsys, key, value):
+    # int() would truncate 1.7 to 1 and read true as 1 in the manifest
+    record = json.loads((trained / "results.json").read_text())
+    record["config"][key] = value
+    bad = tmp_path / "results.json"
+    bad.write_text(json.dumps(record))
+    out = tmp_path / "hm.csv"
+    assert main(["export-heatmap", str(bad), str(out)]) == 4
+    assert capsys.readouterr().err == (
+        f"error (format): {bad}: config.{key} must be an integer, got "
+        f"{value!r}\n")
+    assert not out.exists()
+    assert not (tmp_path / "hm.manifest.json").exists()

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -24,7 +25,7 @@ from nmoe.federated import (FedRoundReport, Stage1Result, _Peer,
                             spectral_contrastive_local_loss,
                             spectral_round_bytes, stage1_fedce, stage1_fedsc,
                             stage2_experts, stage3_fedgate, stage3_rangate,
-                            stage3_rollgate)
+                            stage3_rollgate, train_stack)
 from nmoe.moe import GateParams, RandomGate, gate_topk, init_gate_params
 from nmoe.numerics import (MlpSpec, ParamSet, forward, init_mlp_params,
                            params_digest)
@@ -48,17 +49,27 @@ def identity_extractor(dim: int) -> tuple[MlpSpec, ParamSet]:
     return spec, params
 
 
+def features_of(clients):
+    """The clients' stacked train features, as train_stack gives them."""
+    return train_stack(clients)[0]
+
+
+def labels_of(clients):
+    """The clients' stacked train labels, as train_stack gives them."""
+    return train_stack(clients)[1]
+
+
 def latents_of(clients, fe_spec, fe):
     """The clients' frozen train latents, as run_pipeline hands them to
     stages 2 and 3."""
-    return frozen_latents(fe_spec, fe, [s.train for s in clients])
+    return frozen_latents(fe_spec, fe, features_of(clients))
 
 
 def fedgate_over(clients, fe_spec, fe, *args, **kw):
-    """stage3_fedgate on the clients' frozen latents, called like
-    oracles.per_client_fedgate."""
-    return stage3_fedgate(clients, latents_of(clients, fe_spec, fe), *args,
-                          **kw)
+    """stage3_fedgate on the clients' frozen latents and train labels,
+    called like oracles.per_client_fedgate."""
+    return stage3_fedgate(latents_of(clients, fe_spec, fe),
+                          labels_of(clients), *args, **kw)
 
 
 def make_clients(num_clients, tau, *, num_classes=4, dim=8, per_class=120,
@@ -207,22 +218,21 @@ class TestSpectralLoss:
 class TestCorrelationShare:
     def setup_method(self):
         self.spec, self.params = identity_extractor(6)
-        data = gen_synthetic(3, 6, 40, 0.2, seed=3)
-        self.shard = Shard(client_id=2, train=data, test=data)
+        self.features = gen_synthetic(3, 6, 40, 0.2, seed=3).features
         self.aug = AugmentSpec(noise_std=0.1, mask_prob=0.1)
 
     def test_symmetric_without_noise(self):
         share = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.0,
+            self.spec, self.params, self.features, self.aug, 0.0,
             np.random.default_rng(9))
         assert np.array_equal(share, share.T)
 
     def test_noise_magnitude_concentrates(self):
         clean = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.0,
+            self.spec, self.params, self.features, self.aug, 0.0,
             np.random.default_rng(9))
         noisy = compute_correlation_share(
-            self.spec, self.params, self.shard, self.aug, 0.05,
+            self.spec, self.params, self.features, self.aug, 0.05,
             np.random.default_rng(9))
         dist = float(np.linalg.norm(noisy - clean))
         # Frobenius norm of d x d elementwise Gaussian noise is close to
@@ -236,10 +246,10 @@ class TestCorrelationShare:
         spec = MlpSpec((6, 5, 4), (kernels.ACT_TANH, kernels.ACT_IDENTITY))
         params = init_mlp_params(spec, np.random.default_rng(1))
         rng, expect_rng = np.random.default_rng(9), np.random.default_rng(9)
-        share = compute_correlation_share(spec, params, self.shard, self.aug,
-                                          dp_noise_std, rng)
+        share = compute_correlation_share(spec, params, self.features,
+                                          self.aug, dp_noise_std, rng)
         expect = oracles.correlation_share_both_views(
-            spec, params, self.shard, self.aug, dp_noise_std, expect_rng)
+            spec, params, self.features, self.aug, dp_noise_std, expect_rng)
         assert oracles.same_bits(share, expect)
         assert rng.random() == expect_rng.random()
 
@@ -250,8 +260,9 @@ class TestStage1FedCE:
 
     def test_single_client_matches_centralized_bitwise(self):
         clients = make_clients(1, 1.0)
-        result = stage1_fedce(clients, self.fe_spec, self.head_spec,
-                              rounds=2, local_epochs=2, lr=0.05, seed=7)
+        result = stage1_fedce(*train_stack(clients), self.fe_spec,
+                              self.head_spec, rounds=2, local_epochs=2,
+                              lr=0.05, seed=7)
         fe, head, _ = centralized_classifier(
             clients[0].train, self.fe_spec, self.head_spec, rounds=2,
             local_epochs=2, lr=0.05, seed=7)
@@ -262,8 +273,9 @@ class TestStage1FedCE:
         data = make_clients(1, 1.0)[0]
         clients = [Shard(client_id=0, train=data.train, test=data.test),
                    Shard(client_id=1, train=data.train, test=data.test)]
-        result = stage1_fedce(clients, self.fe_spec, self.head_spec,
-                              rounds=2, local_epochs=1, lr=0.05, seed=7)
+        result = stage1_fedce(*train_stack(clients), self.fe_spec,
+                              self.head_spec, rounds=2, local_epochs=1,
+                              lr=0.05, seed=7)
         fe, _, _ = centralized_classifier(
             data.train, self.fe_spec, self.head_spec, rounds=2,
             local_epochs=1, lr=0.05, seed=7)
@@ -272,8 +284,9 @@ class TestStage1FedCE:
 
     def test_reports_and_byte_accounting(self):
         clients = make_clients(3, 1.0)
-        result = stage1_fedce(clients, self.fe_spec, self.head_spec,
-                              rounds=2, local_epochs=1, lr=0.05, seed=1)
+        result = stage1_fedce(*train_stack(clients), self.fe_spec,
+                              self.head_spec, rounds=2, local_epochs=1,
+                              lr=0.05, seed=1)
         assert len(result.reports) == 2
         expected = classifier_round_bytes(3, result.fe_params.size(), 4)
         for r, report in enumerate(result.reports):
@@ -288,13 +301,13 @@ class TestStage1FedCE:
         clients = make_clients(1, 1.0)
         kw = dict(rounds=1, local_epochs=1, lr=0.05, seed=0)
         with pytest.raises(ConfigError):
-            stage1_fedce(clients, self.fe_spec, self.head_spec,
+            stage1_fedce(*train_stack(clients), self.fe_spec, self.head_spec,
                          **dict(kw, rounds=0))
         # the head must take the extractor's 6-wide output
         wide_head = MlpSpec((7, 4), (I,))
         match = "input width 7 does not match the output width 6"
         with pytest.raises(ConfigError, match=match):
-            stage1_fedce(clients, self.fe_spec, wide_head, **kw)
+            stage1_fedce(*train_stack(clients), self.fe_spec, wide_head, **kw)
         with pytest.raises(ConfigError, match=match):
             centralized_classifier(clients[0].train, self.fe_spec,
                                    wide_head, **kw)
@@ -304,7 +317,7 @@ class TestStage1FedCE:
         clients = make_clients(2, 1.0)
         spec = MlpSpec((8, 10, 6), (R, I))
         with pytest.raises(TrainingError, match=r"client \d+.*round"):
-            stage1_fedce(clients, spec, self.head_spec, rounds=4,
+            stage1_fedce(*train_stack(clients), spec, self.head_spec, rounds=4,
                          local_epochs=2, lr=1e10, seed=1)
 
     def test_trained_extractor_beats_random_frozen_probe(self):
@@ -312,8 +325,8 @@ class TestStage1FedCE:
         clients = partition_noniid(data, 10, 1.0, 100, 50, seed=21)
         fe_spec = MlpSpec((16, 32, 16), (R, T))
         probe_spec = MlpSpec((16, 10), (I,))
-        result = stage1_fedce(clients, fe_spec, probe_spec, rounds=30,
-                              local_epochs=2, lr=0.1, seed=21)
+        result = stage1_fedce(*train_stack(clients), fe_spec, probe_spec,
+                              rounds=30, local_epochs=2, lr=0.1, seed=21)
         random_fe = init_mlp_params(fe_spec, np.random.default_rng(99))
         pooled_train = Dataset(
             features=np.concatenate([c.train.features for c in clients]),
@@ -328,8 +341,9 @@ class TestStage1FedCE:
                          ("random", random_fe)):
             pooled = [Shard(client_id=0, train=pooled_train,
                             test=pooled_test)]
-            probe = stage2_experts(pooled, latents_of(pooled, fe_spec, fe),
-                                   probe_spec, epochs=30, lr=0.1, seed=5)
+            probe = stage2_experts(latents_of(pooled, fe_spec, fe),
+                                   labels_of(pooled), probe_spec, epochs=30,
+                                   lr=0.1, seed=5)
             accs[name] = probe_accuracy(fe_spec, fe, probe_spec,
                                         probe.experts[0], pooled_test)
         assert accs["trained"] - accs["random"] >= 0.20
@@ -342,7 +356,7 @@ class TestStage1FedSC:
     def test_single_client_matches_centralized_bitwise(self):
         clients = make_clients(1, 1.0)
         for dp in (0.0, 0.05):
-            result = stage1_fedsc(clients, self.fe_spec, rounds=2,
+            result = stage1_fedsc(features_of(clients), self.fe_spec, rounds=2,
                                   local_epochs=2, lr=0.05,
                                   aug_spec=self.aug, dp_noise_std=dp,
                                   seed=13)
@@ -353,7 +367,7 @@ class TestStage1FedSC:
 
     def test_multi_client_run_and_bytes(self):
         clients = make_clients(3, 0.4)
-        result = stage1_fedsc(clients, self.fe_spec, rounds=3,
+        result = stage1_fedsc(features_of(clients), self.fe_spec, rounds=3,
                               local_epochs=1, lr=0.05, aug_spec=self.aug,
                               dp_noise_std=0.05, seed=13)
         assert len(result.reports) == 3
@@ -369,7 +383,7 @@ class TestStage1FedSC:
         # clients trained as one stack
         clients = [Shard(s.client_id, s.train.take(np.arange(45)), s.test)
                    for s in make_clients(3, 0.4)]
-        result = stage1_fedsc(clients, self.fe_spec, rounds=3,
+        result = stage1_fedsc(features_of(clients), self.fe_spec, rounds=3,
                               local_epochs=2, lr=0.05, aug_spec=self.aug,
                               dp_noise_std=0.05, seed=13, batch_size=16)
         pins = [
@@ -391,9 +405,9 @@ class TestStage1FedSC:
     def test_dp_noise_validation(self):
         clients = make_clients(1, 1.0)
         with pytest.raises(ConfigError):
-            stage1_fedsc(clients, self.fe_spec, rounds=1, local_epochs=1,
-                         lr=0.05, aug_spec=self.aug, dp_noise_std=-0.1,
-                         seed=0)
+            stage1_fedsc(features_of(clients), self.fe_spec, rounds=1,
+                         local_epochs=1, lr=0.05, aug_spec=self.aug,
+                         dp_noise_std=-0.1, seed=0)
 
 
 class TestStage2Experts:
@@ -402,8 +416,9 @@ class TestStage2Experts:
         data = gen_synthetic(4, 8, 50, 0.02, seed=2)
         clients = [Shard(client_id=0, train=data, test=data)]
         expert_spec = MlpSpec((8, 16, 4), (T, I))
-        result = stage2_experts(clients, latents_of(clients, spec, params),
-                                expert_spec, epochs=30, lr=0.1, seed=3)
+        result = stage2_experts(latents_of(clients, spec, params),
+                                labels_of(clients), expert_spec, epochs=30,
+                                lr=0.1, seed=3)
         acc = probe_accuracy(spec, params, expert_spec, result.experts[0],
                              data)
         assert acc == 1.0
@@ -411,9 +426,9 @@ class TestStage2Experts:
     def test_no_bytes_move(self):
         spec, params = identity_extractor(8)
         clients = make_clients(2, 1.0)
-        result = stage2_experts(clients, latents_of(clients, spec, params),
-                                MlpSpec((8, 4), (I,)), epochs=3, lr=0.05,
-                                seed=3)
+        result = stage2_experts(latents_of(clients, spec, params),
+                                labels_of(clients), MlpSpec((8, 4), (I,)),
+                                epochs=3, lr=0.05, seed=3)
         assert all(r.bytes_sent == 0 for r in result.reports)
         assert len(result.reports) == 3
 
@@ -422,8 +437,9 @@ class TestStage2Experts:
                                test_pc=50, spread=0.4)
         spec, params = identity_extractor(8)
         expert_spec = MlpSpec((8, 16, 4), (T, I))
-        result = stage2_experts(clients, latents_of(clients, spec, params),
-                                expert_spec, epochs=20, lr=0.1, seed=4)
+        result = stage2_experts(latents_of(clients, spec, params),
+                                labels_of(clients), expert_spec, epochs=20,
+                                lr=0.1, seed=4)
         mixed = Dataset(
             features=np.concatenate([c.test.features for c in clients]),
             labels=np.concatenate([c.test.labels for c in clients]),
@@ -501,7 +517,7 @@ class TestRollGate:
         ]
         spec, params = identity_extractor(8)
         gate_init = init_gate_params(8, 2, 0.0, np.random.default_rng(1))
-        result = stage3_rollgate(clients, latents_of(clients, spec, params),
+        result = stage3_rollgate(latents_of(clients, spec, params),
                                  gate_init, p=0.95,
                                  epochs_per_client=2, max_passes=20,
                                  lr=0.2, seed=8)
@@ -517,7 +533,7 @@ class TestRollGate:
         spec, params = identity_extractor(8)
         gate_init = init_gate_params(8, 1, 0.0, np.random.default_rng(1))
         with pytest.raises(ConfigError):
-            stage3_rollgate(clients, latents_of(clients, spec, params),
+            stage3_rollgate(latents_of(clients, spec, params),
                             gate_init, p=0.7,
                             epochs_per_client=1, max_passes=5, lr=0.1,
                             seed=0)
@@ -536,7 +552,7 @@ class TestRollGate:
             latents = np.zeros_like(latents)
         gate_init = init_gate_params(8, 3, 0.0, np.random.default_rng(1),
                                      scale=0.0)
-        result = stage3_rollgate(clients, latents, gate_init, p=0.7,
+        result = stage3_rollgate(latents, gate_init, p=0.7,
                                  epochs_per_client=1, max_passes=max_passes,
                                  lr=lr, seed=3)
         averages = [np.mean(list(r.client_losses.values()))
@@ -565,9 +581,9 @@ class TestFedGate:
         clients = make_clients(num_clients, tau, **kw)
         fe_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 12, 4), (T, I))
-        experts = stage2_experts(clients, latents_of(clients, fe_spec, fe),
-                                 expert_spec,
-                                 epochs=10, lr=0.1, seed=3).experts
+        experts = stage2_experts(latents_of(clients, fe_spec, fe),
+                                 labels_of(clients), expert_spec, epochs=10,
+                                 lr=0.1, seed=3).experts
         gate_init = init_gate_params(8, num_clients, 0.01,
                                      derive_rng(5, seeding.INIT,
                                                 seeding.INIT_GATE, 0))
@@ -576,12 +592,11 @@ class TestFedGate:
     def test_single_client_matches_centralized_bitwise(self):
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(1)
-        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, experts,
-                                gate_init, rounds=3, local_epochs=2,
-                                lr=0.05, lambda_load=0.01,
-                                client_fraction=0.7, grad_max_norm=1.0,
-                                k=1, seed=5)
+        result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, experts,
+                                gate_init, rounds=3, local_epochs=2, lr=0.05,
+                                lambda_load=0.01, client_fraction=0.7,
+                                grad_max_norm=1.0, k=1, seed=5)
         gate, losses = centralized_gate(
             clients[0].train, latents_of(clients, fe_spec, fe), expert_spec,
             experts, gate_init,
@@ -603,12 +618,11 @@ class TestFedGate:
                                         np.random.default_rng(i))
                         for i in range(10))
         gate_init = init_gate_params(8, 10, 0.0, np.random.default_rng(2))
-        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, experts,
-                                gate_init, rounds=200, local_epochs=1,
-                                lr=0.01, lambda_load=0.01,
-                                client_fraction=0.7, grad_max_norm=1.0,
-                                k=1, seed=42)
+        result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, experts,
+                                gate_init, rounds=200, local_epochs=1, lr=0.01,
+                                lambda_load=0.01, client_fraction=0.7,
+                                grad_max_norm=1.0, k=1, seed=42)
         counts = np.zeros(10)
         for report in result.reports:
             ids = report.participants
@@ -622,12 +636,11 @@ class TestFedGate:
     def test_byte_accounting(self):
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(4)
-        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, experts,
-                                gate_init, rounds=3, local_epochs=1,
-                                lr=0.05, lambda_load=0.01,
-                                client_fraction=0.5, grad_max_norm=1.0,
-                                k=1, seed=5)
+        result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, experts,
+                                gate_init, rounds=3, local_epochs=1, lr=0.05,
+                                lambda_load=0.01, client_fraction=0.5,
+                                grad_max_norm=1.0, k=1, seed=5)
         gate_size = result.gate.params.size()
         setup = fedgate_setup_bytes(4, experts[0].size(), 4)
         per_round = fedgate_round_bytes(2, gate_size, 4)
@@ -639,12 +652,11 @@ class TestFedGate:
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(4, tau=0.2, per_class=200, train_pc=100, test_pc=50,
                        spread=0.3)
-        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, experts,
-                                gate_init, rounds=12, local_epochs=2,
-                                lr=0.2, lambda_load=0.01,
-                                client_fraction=1.0, grad_max_norm=1.0,
-                                k=1, seed=5)
+        result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, experts,
+                                gate_init, rounds=12, local_epochs=2, lr=0.2,
+                                lambda_load=0.01, client_fraction=1.0,
+                                grad_max_norm=1.0, k=1, seed=5)
         first = np.mean(list(result.reports[0].client_losses.values()))
         last = np.mean(list(result.reports[-1].client_losses.values()))
         assert last < first
@@ -654,17 +666,17 @@ class TestFedGate:
         clients = make_clients(5, 0.3, num_classes=5)
         fe_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 12, 5), (T, I))
-        experts = stage2_experts(clients, latents_of(clients, fe_spec, fe),
-                                 expert_spec, epochs=5, lr=0.1, seed=3).experts
+        experts = stage2_experts(latents_of(clients, fe_spec, fe),
+                                 labels_of(clients), expert_spec, epochs=5,
+                                 lr=0.1, seed=3).experts
         gate_init = init_gate_params(8, 5, 0.01,
                                      derive_rng(5, seeding.INIT,
                                                 seeding.INIT_GATE, 0))
-        result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, experts,
-                                gate_init, rounds=3, local_epochs=2,
-                                lr=0.1, lambda_load=0.05,
-                                client_fraction=0.6, grad_max_norm=1.0,
-                                k=2, seed=5, batch_size=16)
+        result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, experts,
+                                gate_init, rounds=3, local_epochs=2, lr=0.1,
+                                lambda_load=0.05, client_fraction=0.6,
+                                grad_max_norm=1.0, k=2, seed=5, batch_size=16)
         pins = [
             ("20c7a07cce5002a95959a4fcb784fccba2ab142b07265c08da10ee4e673fd455",
              {0: 1.5544487442799761, 1: 1.46109526846806,
@@ -685,14 +697,13 @@ class TestFedGate:
         clients, fe_spec, fe, expert_spec, experts, gate_init = \
             self.build(2)
         with pytest.raises(ConfigError):
-            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                           expert_spec, experts,
-                           gate_init, rounds=1, local_epochs=1, lr=0.05,
-                           lambda_load=0.01, client_fraction=1.5,
-                           grad_max_norm=1.0, k=1, seed=5)
+            stage3_fedgate(latents_of(clients, fe_spec, fe),
+                           labels_of(clients), expert_spec, experts, gate_init,
+                           rounds=1, local_epochs=1, lr=0.05, lambda_load=0.01,
+                           client_fraction=1.5, grad_max_norm=1.0, k=1, seed=5)
         with pytest.raises(ConfigError):
-            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                           expert_spec, experts[:1],
+            stage3_fedgate(latents_of(clients, fe_spec, fe),
+                           labels_of(clients), expert_spec, experts[:1],
                            gate_init, rounds=1, local_epochs=1, lr=0.05,
                            lambda_load=0.01, client_fraction=1.0,
                            grad_max_norm=1.0, k=1, seed=5)
@@ -733,15 +744,15 @@ class TestLockstepMatchesPerClient:
         clients = lockstep_clients(num_clients, sizes)
         kw = dict(rounds=2, local_epochs=2, lr=0.05, aug_spec=self.aug,
                   dp_noise_std=0.05, seed=13, batch_size=16)
-        result = stage1_fedsc(clients, LOCKSTEP_FE[act], **kw)
+        result = stage1_fedsc(features_of(clients), LOCKSTEP_FE[act], **kw)
         assert report_pairs(result.reports) == \
             oracles.per_client_fedsc(clients, LOCKSTEP_FE[act], **kw)
 
     def test_fedce(self, num_clients, sizes, act):
         clients = lockstep_clients(num_clients, sizes)
         kw = dict(rounds=2, local_epochs=2, lr=0.05, seed=7, batch_size=16)
-        result = stage1_fedce(clients, LOCKSTEP_FE[act], self.head_spec,
-                              **kw)
+        result = stage1_fedce(*train_stack(clients), LOCKSTEP_FE[act],
+                              self.head_spec, **kw)
         rounds, heads = oracles.per_client_fedce(
             clients, LOCKSTEP_FE[act], self.head_spec, **kw)
         assert report_pairs(result.reports) == rounds
@@ -753,52 +764,86 @@ class TestLockstepMatchesPerClient:
         fe = init_mlp_params(fe_spec, np.random.default_rng(5))
         expert_spec = MlpSpec((6, 10, 5), (T, I))
         kw = dict(epochs=3, lr=0.1, seed=4, batch_size=16)
-        result = stage2_experts(clients, latents_of(clients, fe_spec, fe),
-                                expert_spec, **kw)
+        result = stage2_experts(latents_of(clients, fe_spec, fe),
+                                labels_of(clients), expert_spec, **kw)
         rounds, experts = oracles.per_client_experts(
             clients, fe_spec, fe, expert_spec, **kw)
         assert report_pairs(result.reports) == rounds
         assert list(result.experts) == experts
 
 
-def unequal_stage_calls(latents=None):
-    """Each stacked entry point, called on clients of its own setup;
-    stages 2 and 3 train on latents, three 60-row shards of 8 wide ones
-    by default."""
+def test_train_stack_is_every_train_shard_read_only():
+    clients = lockstep_clients(3, (45,))
+    features, labels = train_stack(clients)
+    assert features.shape == (3, 45, 8) and labels.shape == (3, 45)
+    for c, shard in enumerate(clients):
+        assert oracles.same_bits(features[c], shard.train.features)
+        assert oracles.same_bits(labels[c], shard.train.labels)
+    for array in (features, labels):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1
+
+
+def test_train_stack_rejects_what_cannot_stack():
+    """Every trainer takes the stack and reads a client's id as its
+    position, so train shards of 60 and 45 rows are a data error that
+    names both sizes, and no clients or a client out of place a config
+    error."""
+    with pytest.raises(DataError, match=r"^train shards must share one "
+                                        r"size, got \[45, 60\]$"):
+        train_stack(lockstep_clients(3, (60, 45)))
+    clients = lockstep_clients(3, (60,))
+    for ids in ([0, 2, 1], [1, 2, 3], [0, 0, 1]):
+        moved = [Shard(c, s.train, s.test) for c, s in zip(ids, clients)]
+        with pytest.raises(ConfigError, match=(
+                r"^client i must sit at position i, got ids "
+                + re.escape(str(ids)) + "$")):
+            train_stack(moved)
+    with pytest.raises(ConfigError,
+                       match=r"^at least one client is required$"):
+        train_stack([])
+
+
+def unequal_stage_calls():
+    """Each stacked entry point, called on clients the way the pipeline
+    feeds it: through train_stack, then the frozen latents for stages 2
+    and 3."""
     fe_spec, fe = identity_extractor(8)
     spec = MlpSpec((8, 4), (I,))
     experts = tuple(init_mlp_params(spec, np.random.default_rng(i))
                     for i in range(3))
     gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
     common = dict(lr=0.05, seed=1, batch_size=16)
-    if latents is None:
-        latents = np.zeros((3, 60, 8))
     return {
         "stage1_fedce": lambda c: stage1_fedce(
-            c, fe_spec, spec, rounds=1, local_epochs=1, **common),
+            *train_stack(c), fe_spec, spec, rounds=1, local_epochs=1,
+            **common),
         "stage1_fedsc": lambda c: stage1_fedsc(
-            c, fe_spec, rounds=1, local_epochs=1,
+            features_of(c), fe_spec, rounds=1, local_epochs=1,
             aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.0, **common),
         "frozen_latents": lambda c: latents_of(c, fe_spec, fe),
         "stage2_experts": lambda c: stage2_experts(
-            c, latents, spec, epochs=1, **common),
+            latents_of(c, fe_spec, fe), labels_of(c), spec, epochs=1,
+            **common),
         "stage3_rollgate": lambda c: stage3_rollgate(
-            c, latents, gate_init, p=0.5, epochs_per_client=1,
-            max_passes=1, **common),
+            latents_of(c, fe_spec, fe), gate_init, p=0.5,
+            epochs_per_client=1, max_passes=1, **common),
         "stage3_fedgate": lambda c: stage3_fedgate(
-            c, latents, spec, experts, gate_init, rounds=1,
-            local_epochs=1, lambda_load=0.01, client_fraction=1.0,
-            grad_max_norm=1.0, k=1, **common),
+            latents_of(c, fe_spec, fe), labels_of(c), spec, experts,
+            gate_init, rounds=1, local_epochs=1, lambda_load=0.01,
+            client_fraction=1.0, grad_max_norm=1.0, k=1, **common),
         "fedavg_classifier": lambda c: fedavg_classifier(
-            c, spec, init_mlp_params(spec, np.random.default_rng(0)), 1, 1,
-            0.05, lambda r: np.random.default_rng(r), batch_size=16),
+            *train_stack(c), spec,
+            init_mlp_params(spec, np.random.default_rng(0)), 1, 1, 0.05,
+            lambda r: np.random.default_rng(r), batch_size=16),
     }
 
 
 @pytest.mark.parametrize("stage", sorted(unequal_stage_calls()))
 def test_unequal_train_shards_are_rejected(stage):
     """Every stage trains its clients as one stack, so train shards of
-    60 and 45 rows are a data error that names both sizes."""
+    60 and 45 rows are a data error that names both sizes, raised before
+    the stage trains anything."""
     clients = lockstep_clients(3, (60, 45))
     with pytest.raises(DataError,
                        match=r"^train shards must share one size, "
@@ -806,19 +851,49 @@ def test_unequal_train_shards_are_rejected(stage):
         unequal_stage_calls()[stage](clients)
 
 
-@pytest.mark.parametrize("shape", [(2, 60, 8), (4, 60, 8), (3, 59, 8),
-                                   (3, 60, 7), (60, 8)])
-@pytest.mark.parametrize("stage", ["stage2_experts", "stage3_rollgate",
-                                   "stage3_fedgate"])
+def latent_stage_calls(latents):
+    """Stages 2 and 3 on latents, beside the labels of three 60-row
+    shards where they take labels, with 8 wide inputs."""
+    spec = MlpSpec((8, 4), (I,))
+    labels = np.zeros((3, 60), dtype=np.int64)
+    experts = tuple(init_mlp_params(spec, np.random.default_rng(i))
+                    for i in range(3))
+    gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
+    common = dict(lr=0.05, seed=1, batch_size=16)
+    return {
+        "stage2_experts": lambda: stage2_experts(
+            latents, labels, spec, epochs=1, **common),
+        "stage3_rollgate": lambda: stage3_rollgate(
+            latents, gate_init, p=0.5, epochs_per_client=1, max_passes=1,
+            **common),
+        "stage3_fedgate": lambda: stage3_fedgate(
+            latents, labels, spec, experts, gate_init, rounds=1,
+            local_epochs=1, lambda_load=0.01, client_fraction=1.0,
+            grad_max_norm=1.0, k=1, **common),
+    }
+
+
+LATENT_SHAPES = [(2, 60, 8), (4, 60, 8), (3, 59, 8), (3, 60, 7), (60, 8)]
+
+
+# RollGate takes no labels, so its row count comes from its latents and
+# has nothing to mismatch
+@pytest.mark.parametrize("stage,shape", [
+    pytest.param(stage, shape, id=f"{stage}-shape{i}")
+    for stage in ("stage2_experts", "stage3_fedgate", "stage3_rollgate")
+    for i, shape in enumerate(LATENT_SHAPES)
+    if stage != "stage3_rollgate" or shape != (3, 59, 8)])
 def test_stages_reject_latents_of_another_shape(stage, shape):
-    """Stages 2 and 3 take the latents of their clients' train shards,
-    (clients, rows, width): a stack of another client count, row count
-    or width is a config error, before any training."""
-    clients = lockstep_clients(3, (60,))
-    with pytest.raises(ConfigError, match=r"^latents must have shape "
-                                          r"\(clients, rows, width\) = "
-                                          r"\(3, 60, 8\), got "):
-        unequal_stage_calls(np.zeros(shape))[stage](clients)
+    """Stages 2 and 3 take latents (clients, rows, width): a stack of
+    another client count than the labels (RollGate: the gate's experts),
+    another row count than the labels, or another width than the network
+    takes, is a config error, before any training."""
+    want = (3,) + shape[1:2] + (8,) if stage == "stage3_rollgate" \
+        else (3, 60, 8)
+    with pytest.raises(ConfigError, match=(
+            r"^latents must have shape \(clients, rows, width\) = "
+            + re.escape(f"{want}, got {shape}") + "$")):
+        latent_stage_calls(np.zeros(shape))[stage]()
 
 
 def test_frozen_latents_are_each_shards_forward_and_read_only():
@@ -861,8 +936,9 @@ def test_fedgate_matches_per_client(sizes, num_clients, k, client_fraction,
     kw = dict(rounds=3, local_epochs=2, lr=0.1, lambda_load=0.05,
               client_fraction=client_fraction, grad_max_norm=0.5, k=k,
               seed=9, batch_size=16)
-    result = stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                            expert_spec, experts, gate_init, **kw)
+    result = stage3_fedgate(latents_of(clients, fe_spec, fe),
+                            labels_of(clients), expert_spec, experts,
+                            gate_init, **kw)
     expect = oracles.per_client_fedgate(clients, fe_spec, fe, expert_spec,
                                         experts, gate_init, **kw)
     assert [(r.params_digest, r.client_losses, r.participants)
@@ -888,7 +964,7 @@ def test_fedgate_keeps_no_logit_cache():
     cache_bytes = m * m * n * classes * 8
     tracemalloc.start()
     try:
-        stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+        stage3_fedgate(latents_of(clients, fe_spec, fe), labels_of(clients),
                        expert_spec, experts, gate_init,
                        rounds=2, local_epochs=1, lr=0.05, lambda_load=0.01,
                        client_fraction=1.0, grad_max_norm=1.0, k=2, seed=1)
@@ -1008,7 +1084,7 @@ def test_centralized_gate_matches_logit_cache(n, batch_size, num_experts, k,
               k=k, seed=6, batch_size=batch_size)
     digests, losses = oracles.cache_centralized_gate(train, *setup,
                                                      rounds=2, **kw)
-    latents = frozen_latents(*setup[:2], [train])
+    latents = frozen_latents(*setup[:2], train.features[None])
     got = [centralized_gate(train, latents, *setup[2:], rounds=r, **kw)
            for r in (1, 2)]
     assert [params_digest(gate.params) for gate, _ in got] == digests
@@ -1119,19 +1195,23 @@ def test_epochs_matches_a_hand_written_loop(n, batch_size, kind):
 # that draws batch orders; every split of a stack over two CPUs is made
 # by the FedAvg round driver, and the only other forked peer is the
 # centralized-mixture child; the frozen latents stages 2 and 3 train on
-# are computed once per run.
+# are computed once per run; the train shards are checked and stacked
+# once per run, and once more by each baseline trainer that runs apart
+# from the pipeline's stack (the classifiers, the centralized mixture).
 OWNERS = {
     "_batches": {"federated._epochs"},
     "_Peer(...)": {"federated._fedavg_rounds",
                    "pipeline._CentralizedChild.__init__"},
     "frozen_latents(...)": {"pipeline.run_pipeline"},
+    "train_stack(...)": {"pipeline.run_pipeline", "pipeline.run_baselines",
+                         "pipeline._centralized_entry"},
 }
 
 
 def test_private_names_are_used_only_by_their_owners():
     """A trainer with its own batch loop, a module importing _batches,
-    a stage forking its own peer or computing the frozen latents again
-    fails here."""
+    a stage forking its own peer, computing the frozen latents again or
+    stacking the train shards itself fails here."""
     uses = {name: set() for name in OWNERS}
 
     class Uses(ast.NodeVisitor):
@@ -1204,8 +1284,9 @@ class TestStackedDivergenceNamesTheClient:
         clients = scale_features(make_clients(3, 1.0), 1e200)
         with pytest.raises(TrainingError,
                            match=self.message.format("stage1_fedce")):
-            stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,
-                         local_epochs=2, lr=0.05, seed=1, batch_size=16)
+            stage1_fedce(*train_stack(clients), self.fe_spec, self.head_spec,
+                         rounds=2, local_epochs=2, lr=0.05, seed=1,
+                         batch_size=16)
 
     def test_fedsc(self):
         # 1e100 keeps client 1's correlation share finite, so the other
@@ -1215,18 +1296,19 @@ class TestStackedDivergenceNamesTheClient:
         clients = scale_features(make_clients(3, 1.0), 1e100)
         with pytest.raises(TrainingError,
                            match=self.message.format("stage1_fedsc")):
-            stage1_fedsc(clients, self.fe_spec, rounds=2, local_epochs=1,
-                         lr=0.05, aug_spec=AugmentSpec(0.1, 0.1),
-                         dp_noise_std=0.0, seed=1, batch_size=64)
+            stage1_fedsc(features_of(clients), self.fe_spec, rounds=2,
+                         local_epochs=1, lr=0.05,
+                         aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.0,
+                         seed=1, batch_size=64)
 
     def test_stage2_experts(self):
         clients = scale_features(make_clients(3, 1.0), 1e200)
         fe = init_mlp_params(self.fe_spec, np.random.default_rng(0))
         with pytest.raises(TrainingError,
                            match=self.message.format("stage2_experts")):
-            stage2_experts(clients, latents_of(clients, self.fe_spec, fe),
-                           self.head_spec,
-                           epochs=2, lr=0.05, seed=1, batch_size=16)
+            stage2_experts(latents_of(clients, self.fe_spec, fe),
+                           labels_of(clients), self.head_spec, epochs=2,
+                           lr=0.05, seed=1, batch_size=16)
 
     def test_rollgate(self):
         # the ring reaches client 1 with client 0's finite gate, and
@@ -1237,7 +1319,7 @@ class TestStackedDivergenceNamesTheClient:
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingError,
                               match=self.message.format("stage3_rollgate")):
-            stage3_rollgate(clients, latents_of(clients, self.fe_spec, fe),
+            stage3_rollgate(latents_of(clients, self.fe_spec, fe),
                             gate_init, p=0.7,
                             epochs_per_client=2, max_passes=3, lr=0.5,
                             seed=1, batch_size=16)
@@ -1253,11 +1335,11 @@ class TestStackedDivergenceNamesTheClient:
         gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
         with pytest.raises(TrainingError,
                            match=self.message.format("stage3_fedgate")):
-            stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
-                           expert_spec, experts,
-                           gate_init, rounds=2, local_epochs=2, lr=0.05,
-                           lambda_load=0.01, client_fraction=1.0,
-                           grad_max_norm=1.0, k=1, seed=1, batch_size=16)
+            stage3_fedgate(latents_of(clients, fe_spec, fe),
+                           labels_of(clients), expert_spec, experts, gate_init,
+                           rounds=2, local_epochs=2, lr=0.05, lambda_load=0.01,
+                           client_fraction=1.0, grad_max_norm=1.0, k=1, seed=1,
+                           batch_size=16)
 
     def test_fedgate_two_diverging_clients(self):
         # clients 1 and 2 both diverge in round 0 in one stack, and the
@@ -1296,8 +1378,9 @@ class TestStackedDivergenceNamesTheClient:
         clients = scale_features(make_clients(3, 1.0), 1e200, (1, 2))
         with pytest.raises(TrainingError,
                            match=self.message.format("stage1_fedce")):
-            stage1_fedce(clients, self.fe_spec, self.head_spec, rounds=2,
-                         local_epochs=2, lr=0.05, seed=1, batch_size=16)
+            stage1_fedce(*train_stack(clients), self.fe_spec, self.head_spec,
+                         rounds=2, local_epochs=2, lr=0.05, seed=1,
+                         batch_size=16)
 
 
 # --- the forked peer ----------------------------------------------------
@@ -1331,7 +1414,7 @@ def fedsc_call(clients, **overrides):
               aug_spec=AugmentSpec(0.1, 0.1), dp_noise_std=0.05, seed=13,
               batch_size=16)
     kw.update(overrides)
-    return stage1_fedsc(clients, LOCKSTEP_FE["tanh"], **kw)
+    return stage1_fedsc(features_of(clients), LOCKSTEP_FE["tanh"], **kw)
 
 
 def fedgate_call(clients, **overrides):
@@ -1345,22 +1428,24 @@ def fedgate_call(clients, **overrides):
               client_fraction=1.0, grad_max_norm=0.5, k=1, seed=9,
               batch_size=16)
     kw.update(overrides)
-    return stage3_fedgate(clients, latents_of(clients, fe_spec, fe),
+    return stage3_fedgate(latents_of(clients, fe_spec, fe), labels_of(clients),
                           expert_spec, experts, gate_init, **kw)
 
 
 def fedce_call(clients):
     head_spec = MlpSpec((6, clients[0].train.num_classes), (I,))
-    return stage1_fedce(clients, LOCKSTEP_FE["tanh"], head_spec, rounds=2,
-                        local_epochs=2, lr=0.05, seed=7, batch_size=16)
+    return stage1_fedce(*train_stack(clients), LOCKSTEP_FE["tanh"], head_spec,
+                        rounds=2, local_epochs=2, lr=0.05, seed=7,
+                        batch_size=16)
 
 
 def fedavg_classifier_call(clients):
     """The baseline's classifier and reports, as a Stage1Result."""
     spec = MlpSpec((8, 12, clients[0].train.num_classes), (T, I))
     params, reports = fedavg_classifier(
-        clients, spec, init_mlp_params(spec, np.random.default_rng(0)), 2, 2,
-        0.05, lambda r: derive_rng(3, seeding.BASELINE, r, 0),
+        *train_stack(clients), spec,
+        init_mlp_params(spec, np.random.default_rng(0)), 2, 2, 0.05,
+        lambda r: derive_rng(3, seeding.BASELINE, r, 0),
         batch_size=16)
     return Stage1Result(fe_params=params, heads=None, reports=reports)
 
@@ -1501,20 +1586,21 @@ def test_divergence_in_the_peer_names_client_and_round(monkeypatch, stage):
 
     def run():
         if stage == "stage1_fedce":
-            return stage1_fedce(clients, fe_spec, MlpSpec((6, 4), (I,)),
-                                rounds=2, local_epochs=2, lr=0.05, seed=1,
-                                batch_size=16)
+            return stage1_fedce(*train_stack(clients), fe_spec,
+                                MlpSpec((6, 4), (I,)), rounds=2,
+                                local_epochs=2, lr=0.05, seed=1, batch_size=16)
         if stage == "stage1_fedsc":
-            return stage1_fedsc(clients, fe_spec, rounds=2, local_epochs=1,
-                                lr=0.05, aug_spec=AugmentSpec(0.1, 0.1),
+            return stage1_fedsc(features_of(clients), fe_spec, rounds=2,
+                                local_epochs=1, lr=0.05,
+                                aug_spec=AugmentSpec(0.1, 0.1),
                                 dp_noise_std=0.0, seed=1, batch_size=64)
         identity_spec, fe = identity_extractor(8)
         expert_spec = MlpSpec((8, 4), (I,))
         experts = tuple(init_mlp_params(expert_spec, np.random.default_rng(i))
                         for i in range(3))
         gate_init = init_gate_params(8, 3, 0.01, np.random.default_rng(2))
-        return stage3_fedgate(clients, latents_of(clients, identity_spec, fe),
-                              expert_spec, experts,
+        return stage3_fedgate(latents_of(clients, identity_spec, fe),
+                              labels_of(clients), expert_spec, experts,
                               gate_init, rounds=2, local_epochs=2, lr=0.05,
                               lambda_load=0.01, client_fraction=1.0,
                               grad_max_norm=1.0, k=1, seed=1, batch_size=16)

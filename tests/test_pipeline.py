@@ -17,6 +17,7 @@ from nmoe.cli import main
 from nmoe.config import (RunConfig, config_from_dict, config_hash,
                          save_config, with_key)
 from nmoe.errors import ConfigError, DataError, InternalError, TrainingError
+from nmoe.federated import train_stack
 from nmoe.metrics import evaluate_clients
 from nmoe.moe import load_model
 from nmoe.netsim import CostModel, simulate_inference
@@ -317,7 +318,7 @@ def stage_failure_kills_the_baselines_child(monkeypatch):
 def interrupt_kills_the_baselines_child(monkeypatch):
     sleeping_child(monkeypatch)
 
-    def interrupted(config, shards):
+    def interrupted(config, features, labels):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "_run_stage1", interrupted)
@@ -388,7 +389,7 @@ def test_fedavg_classifier_matches_per_client_loop(num_clients, sizes, act):
         model={"fe_activations": [act, act]},
         stage1={"rounds": 2, "local_epochs": 2}, k=1)
     shards = trimmed_shards(config, sizes)
-    _, reports = train_fedavg_classifier(config, shards)
+    _, reports = train_fedavg_classifier(config, *train_stack(shards))
     assert [(r.params_digest, r.client_losses) for r in reports] == \
         per_client_fedavg_classifier(config, shards)
 
@@ -407,9 +408,9 @@ def model_digests(model):
             [params_digest(e) for e in model.experts])
 
 
-# sizes 65/64/... leave the pooled set a one-row last batch (64-row
-# batches); 65 alone leaves the lone shard one too
-@pytest.mark.parametrize("sizes", [(60,), (60, 60, 45), (65, 64)])
+# at 64-row batches a lone 65-row shard, or five 13-row ones, leave the
+# pooled set a one-row last batch
+@pytest.mark.parametrize("sizes", [(60,), (13,), (65,)])
 @pytest.mark.parametrize("num_clients,k", [(1, 1), (2, 1), (2, 2), (5, 1),
                                            (5, 2), (5, 5)])
 def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
@@ -417,7 +418,7 @@ def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
         data={"num_clients": num_clients, "train_per_client": 65},
         model={"fe_activations": ["relu", "tanh"]}, k=k)
     shards = trimmed_shards(config, sizes)
-    model, losses = train_centralized_moe(config, shards)
+    model, losses = train_centralized_moe(config, *train_stack(shards))
     expected_model, expected_losses = per_expert_centralized_moe(config,
                                                                  shards)
     assert model_digests(model) == model_digests(expected_model)
@@ -427,7 +428,7 @@ def test_centralized_moe_matches_per_expert_loop(num_clients, k, sizes):
 # two-layer experts send the upstream, zero but at each row's picks,
 # through a hidden layer: the sign of an exact-zero gradient there is
 # what a sparse upstream could get wrong
-@pytest.mark.parametrize("sizes", [(60, 60, 45), (65, 64)])
+@pytest.mark.parametrize("sizes", [(45,), (13,)])
 @pytest.mark.parametrize("num_clients,k", [(2, 1), (2, 2), (5, 1), (5, 2),
                                            (5, 5)])
 @pytest.mark.parametrize("hidden", ["relu", "tanh", "identity"])
@@ -439,7 +440,7 @@ def test_centralized_moe_with_two_layer_experts_matches_per_expert_loop(
                "expert_widths": [32, 16, 10],
                "expert_activations": [hidden, "identity"]}, k=k)
     shards = trimmed_shards(config, sizes)
-    model, losses = train_centralized_moe(config, shards)
+    model, losses = train_centralized_moe(config, *train_stack(shards))
     expected_model, expected_losses = per_expert_centralized_moe(config,
                                                                  shards)
     assert model_digests(model) == model_digests(expected_model)
@@ -455,16 +456,18 @@ def test_centralized_step_matches_the_dense_step_batch_by_batch():
     config = config_from_dict({"config_version": 1, "seed": 0, "k": 2,
                                "stage1": {"method": "fedce"},
                                "stage3": {"method": "rollgate"}})
-    pooled = pipeline._pooled_train(build_shards(config))
-    n, size = pooled.num_samples, config.batch_size
+    features, labels = train_stack(build_shards(config))
+    features = features.reshape(-1, features.shape[-1])
+    labels = labels.reshape(-1)
+    n, size = len(labels), config.batch_size
     assert (n // size, n % size) == (78, 8)
     flat, fe, gate, experts = pipeline._centralized_params(config)
     _, *params = pipeline._centralized_params(config)
     streams = [derive_rng(config.seed, seeding.BASELINE,
                           pipeline._BASE_CENTRAL_TRAIN, 0) for _ in range(2)]
-    step = pipeline._centralized_step(config, pooled, fe, gate, experts,
-                                      streams[0])
-    dense_step = dense_centralized_step(config, pooled, streams[1])
+    step = pipeline._centralized_step(config, features, labels, fe, gate,
+                                      experts, streams[0])
+    dense_step = dense_centralized_step(config, features, labels, streams[1])
     order = streams[0].permutation(n)
     assert np.array_equal(order, streams[1].permutation(n))
     for start in range(0, n, size):
@@ -489,7 +492,7 @@ def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
         data={"num_clients": num_clients, "train_per_client": 65},
         model={"fe_activations": [act, act]})
     shards = trimmed_shards(config, sizes)
-    params, losses = train_local_classifiers(config, shards)
+    params, losses = train_local_classifiers(config, *train_stack(shards))
     expected_params, expected_losses = per_client_local_classifiers(config,
                                                                     shards)
     assert list(params) == list(expected_params)
@@ -499,10 +502,12 @@ def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
 
 
 def test_local_classifiers_reject_unequal_train_shards():
+    # the baselines stack the shards once for both classifiers, and the
+    # centralized mixture, wherever it trains, stacks them too
     config = small_config(data={"num_clients": 3, "train_per_client": 60})
     with pytest.raises(DataError, match=r"^train shards must share one "
                        r"size, got \[45, 60\]$"):
-        train_local_classifiers(config, trimmed_shards(config, (60, 45)))
+        run_baselines(config, trimmed_shards(config, (60, 45)))
 
 
 def test_fedavg_classifier_divergence_names_the_client():
@@ -515,7 +520,7 @@ def test_fedavg_classifier_divergence_names_the_client():
                                  train.num_classes), shards[1].test)
     with pytest.raises(TrainingError, match=r"^client 1 loss became "
                        r"non-finite in baseline_fedavg_classifier round 0$"):
-        train_fedavg_classifier(config, shards)
+        train_fedavg_classifier(config, *train_stack(shards))
 
 
 def scale_train(shards, scales):
@@ -553,7 +558,7 @@ class TestBaselineDivergence:
         with pytest.raises(TrainingError, match=r"^client 0 loss became "
                            r"non-finite in baseline_centralized_moe "
                            r"round 1$"):
-            train_centralized_moe(config, shards)
+            train_centralized_moe(config, *train_stack(shards))
 
     def test_centralized_moe_blow_up_is_a_divergence(self):
         # under the default clip a 1e200 scale turns the gate
@@ -564,7 +569,7 @@ class TestBaselineDivergence:
         with pytest.raises(TrainingError, match=r"^client 0 loss became "
                            r"non-finite in baseline_centralized_moe "
                            r"round 0$"):
-            train_centralized_moe(config, shards)
+            train_centralized_moe(config, *train_stack(shards))
 
     def test_local_classifier_names_client_and_first_bad_epoch(self):
         # the clipped centralized mixture survives the scale, the
@@ -583,7 +588,7 @@ class TestBaselineDivergence:
         shards = scale_train(build_shards(config), {1: 1e200})
         with pytest.raises(TrainingError, match=r"^client 1 .* "
                            r"baseline_local_classifier round 1$"):
-            train_local_classifiers(config, shards)
+            train_local_classifiers(config, *train_stack(shards))
         with pytest.raises(TrainingError, match=r"^client 0 loss became "
                            r"non-finite in baseline_centralized_moe "
                            r"round 0$"):
@@ -594,10 +599,11 @@ class TestBaselineDivergence:
         # only the centralized mixture sees the scaled shard, and it
         # trains in the forked child, or here on one CPU
         real = pipeline.train_centralized_moe
+        scale = np.array([1.0, 1e200, 1.0])[:, None, None]
         monkeypatch.setattr(
             pipeline, "train_centralized_moe",
-            lambda config, shards: real(config,
-                                        scale_train(shards, {1: 1e200})))
+            lambda config, features, labels: real(config, features * scale,
+                                                  labels))
         cfg_file = tmp_path / "cfg.json"
         save_config(divergence_config(), cfg_file)
         out = tmp_path / "run"
