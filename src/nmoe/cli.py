@@ -36,6 +36,17 @@ from .pipeline import build_dataset, build_shards, evaluate_model, \
     write_sweep_csv
 
 
+def _output_file(path) -> Path:
+    """path as a file to write, checked before any work: its parent is
+    made with make_output_dir, and a path that is a directory is a
+    ConfigError naming it."""
+    path = Path(path)
+    make_output_dir(path.parent)
+    if path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+    return path
+
+
 def _cmd_generate_data(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     make_output_dir(args.out_dir)
@@ -89,8 +100,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         raise FormatError(
             f"checkpoint {args.model} was trained under config hash "
             f"{recorded}, but {args.config} hashes to {expected}")
-    if args.output is not None:
-        make_output_dir(Path(args.output).parent)
+    output = None if args.output is None else _output_file(args.output)
     inference, report = evaluate_model(config, model, build_shards(config),
                                        0)
     payload = {
@@ -104,8 +114,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         },
     }
     text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.output is not None:
-        Path(args.output).write_text(text + "\n")
+    if output is not None:
+        output.write_text(text + "\n")
     else:
         print(text)
     return 0
@@ -113,9 +123,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_baselines(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    make_output_dir(Path(args.out_file).parent)
+    out = _output_file(args.out_file)
     results = run_baselines(config)
-    Path(args.out_file).write_text(json.dumps(
+    out.write_text(json.dumps(
         {"config_hash": config_hash(config), "baselines": results},
         sort_keys=True, indent=2) + "\n")
     for name, entry in results.items():
@@ -131,9 +141,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         values = [json.loads(v) for v in args.values]
     except json.JSONDecodeError as exc:
         raise ConfigError(f"sweep value {exc.doc!r} is not JSON") from exc
-    make_output_dir(Path(args.out_csv).parent)
+    out = _output_file(args.out_csv)
     rows = run_ablation(config, args.axis, values)
-    write_sweep_csv(rows, args.out_csv)
+    write_sweep_csv(rows, out)
     failed = [r for r in rows if r["status"] != "ok"]
     print(f"{len(rows)} grid points ({len(failed)} failed) -> {args.out_csv}")
     return 0
@@ -170,8 +180,7 @@ def _cmd_export_heatmap(args: argparse.Namespace) -> int:
                          bytes_back=ints["routing.bytes_back"])
     except DataError as exc:
         raise FormatError(f"{args.results}: {exc}") from exc
-    out = Path(args.out_csv)
-    make_output_dir(out.parent)
+    out = _output_file(args.out_csv)
     manifest = export_heatmap(log, out, k=ints["config.k"],
                               seed=ints["config.seed"], config_hash=digest)
     print(f"wrote {args.out_csv} and {manifest}")

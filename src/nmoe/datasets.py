@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FormatError
+from .errors import DataError, FormatError
 from .seeding import as_generator
 
 CIFAR_RECORD = 3073  # 1 label byte + 32 * 32 * 3 pixel bytes
@@ -82,23 +82,12 @@ class AugmentSpec:
     noise_std: float
     mask_prob: float
 
-    def __post_init__(self):
-        if self.noise_std < 0.0:
-            raise ConfigError(f"noise_std must be >= 0: {self.noise_std}")
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise ConfigError(f"mask_prob must be in [0, 1): {self.mask_prob}")
-
 
 def gen_synthetic(num_classes: int, dim: int, samples_per_class: int,
                   cluster_spread: float, seed) -> Dataset:
     """Isotropic Gaussian clusters around per-class means drawn once from
     the unit sphere. Deterministic in the seed; samples are grouped by
     class in the output."""
-    if min(num_classes, dim, samples_per_class) <= 0:
-        raise ConfigError("num_classes, dim and samples_per_class must be "
-                          "positive")
-    if cluster_spread < 0.0:
-        raise ConfigError(f"cluster_spread must be >= 0: {cluster_spread}")
     rng = as_generator(seed)
     means = rng.normal(size=(num_classes, dim))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
@@ -204,21 +193,6 @@ def partition_noniid(data: Dataset, num_clients: int, tau: float,
     overlap. test_distribution selects whether test shards follow the
     client's train distribution ("matched") or a uniform one ("iid").
     """
-    if not 0.0 < tau <= 1.0:
-        raise ConfigError(f"tau must be in (0, 1], got {tau}")
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be positive: {num_clients}")
-    if num_clients > data.num_classes:
-        raise ConfigError(
-            f"{num_clients} clients need at most {data.num_classes} "
-            f"(one distinct dominant class each)")
-    if test_distribution not in ("matched", "iid"):
-        raise ConfigError(
-            f"test_distribution must be 'matched' or 'iid', "
-            f"got {test_distribution!r}")
-    if min(train_per_client, test_per_client) < 1:
-        raise ConfigError("per-client sample counts must be positive")
-
     rng = as_generator(seed)
     c = data.num_classes
     pools = [rng.permutation(np.flatnonzero(data.labels == cls))

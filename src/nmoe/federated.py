@@ -218,17 +218,6 @@ def _check_latents(latents: np.ndarray, lead: tuple, width: int) -> None:
                           f"= {want}, got {latents.shape}")
 
 
-def _check_schedule(rounds: int, epochs: int, lr: float,
-                    batch_size: int) -> None:
-    if rounds < 1 or epochs < 1:
-        raise ConfigError(
-            f"rounds and epochs must be >= 1, got {rounds} and {epochs}")
-    if not lr > 0.0:
-        raise ConfigError(f"lr must be positive, got {lr}")
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-
-
 def _check_finite(loss: float, stage: str, client: int, round_index: int):
     if not math.isfinite(loss):
         raise TrainingError(
@@ -626,7 +615,6 @@ def stage1_fedce(features: np.ndarray, labels: np.ndarray, fe_spec: MlpSpec,
     On two CPUs the upper half of the clients trains in the stage's peer
     (see _fedavg_rounds), which gets their heads with the request.
     """
-    _check_schedule(rounds, local_epochs, lr, batch_size)
     spec = chain_specs(fe_spec, head_spec)
     m = len(features)
     head0 = init_mlp_params(
@@ -723,9 +711,6 @@ def stage1_fedsc(features: np.ndarray, fe_spec: MlpSpec, rounds: int,
     client's share, then, given every aggregate, every client's local
     epochs; on two CPUs each call's upper half runs in the stage's peer.
     """
-    _check_schedule(rounds, local_epochs, lr, batch_size)
-    if dp_noise_std < 0.0:
-        raise ConfigError(f"dp_noise_std must be >= 0, got {dp_noise_std}")
     m = len(features)
     # every shard has one size n, and n / (m n) rounds to 1 / m
     q = 1.0 / m
@@ -787,7 +772,6 @@ def stage2_experts(latents: np.ndarray, labels: np.ndarray,
     the clients' train shards, (m, n, expert input width), and their
     (m, n) labels, from fresh experts. No bytes move in this stage.
     """
-    _check_schedule(1, epochs, lr, batch_size)
     _check_latents(latents, labels.shape, expert_spec.in_width)
     rng = derive_rng(seed, seeding.INIT, seeding.INIT_EXPERT, 0)
     stack = stack_params(init_mlp_params(expert_spec, rng) for _ in labels)
@@ -824,10 +808,6 @@ def rollgate_pseudo_labels(num_experts: int, own_id: int, p: float,
                            rng: np.random.Generator) -> np.ndarray:
     """Pseudo client-id labels: fraction p keeps the owner's id, the rest
     spreads over the other ids by largest-remainder apportionment."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"p must lie in (0, 1), got {p}")
-    if num_experts < 2:
-        raise ConfigError("pseudo-labeling needs at least two clients")
     quotas = np.full(num_experts,
                      (1.0 - p) * num_samples / (num_experts - 1))
     quotas[own_id] = p * num_samples
@@ -853,10 +833,7 @@ def stage3_rollgate(latents: np.ndarray, gate_init: GateParams,
     stops once a full pass moves the pass-averaged loss by less than
     ROLLGATE_LOSS_TOL, or after max_passes.
     """
-    _check_schedule(max_passes, epochs_per_client, lr, batch_size)
     m = gate_init.num_experts
-    if m < 2:
-        raise ConfigError("rolling training needs at least two clients")
     _check_latents(latents, (m,) + latents.shape[1:2], gate_init.latent_dim)
     spec = gate_spec(gate_init.latent_dim, m)
     pseudo = [
@@ -1020,12 +997,6 @@ def stage3_fedgate(latents: np.ndarray, labels: np.ndarray,
     the stage's peer, forked by _fedavg_rounds, which inherits the
     latents.
     """
-    _check_schedule(rounds, local_epochs, lr, batch_size)
-    if not 0.0 < client_fraction <= 1.0:
-        raise ConfigError(
-            f"client_fraction must lie in (0, 1], got {client_fraction}")
-    if lambda_load < 0.0:
-        raise ConfigError(f"lambda_load must be >= 0, got {lambda_load}")
     m = len(labels)
     experts = tuple(experts)
     if len(experts) != m:

@@ -34,13 +34,6 @@ class CostModel:
     num_classes: int
     bytes_per_scalar: int = DEFAULT_BYTES_PER_SCALAR
 
-    def __post_init__(self):
-        for name in ("latent_dim", "num_classes", "bytes_per_scalar"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ConfigError(f"{name} must be a positive integer, "
-                                  f"got {value!r}")
-
 
 @dataclass(frozen=True)
 class RoutingLog:

@@ -487,8 +487,6 @@ def grad_normalize(grads: ParamSet, max_norm: float) -> ParamSet:
     other bounds, and the sets the dot product does not settle, NaN ones
     included, take the per-array sums.
     """
-    if max_norm <= 0.0:
-        raise ConfigError(f"max_norm must be positive, got {max_norm}")
     flat = grads.flat
     bound = max_norm * max_norm
     if flat.shape[-1] < 2 ** 26 and 2.0 ** -1000 < bound < 2.0 ** 1000 and \

@@ -22,6 +22,7 @@ Artifacts written under the output directory:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -240,13 +241,14 @@ def run_pipeline(config: RunConfig, *, with_baselines: bool = False
         shards = build_shards(config)
         features, labels = train_stack(shards)
         if with_baselines:
-            child = _CentralizedChild(config, shards)
+            child = _CentralizedChild(config, shards, features, labels)
         stage = "stage1"
         stage1 = _run_stage1(config, features, labels)
         stage = "stage2"
         latents = frozen_latents(config.model.fe_spec(), stage1.fe_params,
                                  features)
-        # stages 2 and 3 must not keep the features alive
+        # stages 2 and 3 must not keep the features alive; only a
+        # centralized mixture left to train in this process holds them
         del features
         # experts start fresh for every stage-1 method: warm-starting from
         # the FedCE heads would hand FedCE extra head epochs that the
@@ -501,26 +503,32 @@ def train_fedavg_classifier(config: RunConfig, features, labels
         bytes_per_scalar=config.bytes_per_scalar)
 
 
-def _centralized_entry(config: RunConfig, shards) -> dict:
-    """The centralized mixture's baseline entry: trained on the pooled
-    shards, then routed and evaluated like the pipeline's model."""
-    model, losses = train_centralized_moe(config, *train_stack(shards))
+def _centralized_entry(config: RunConfig, shards, features, labels
+                       ) -> dict:
+    """The centralized mixture's baseline entry: trained on the shards'
+    train_stack features and labels pooled, then routed over the shards
+    and evaluated like the pipeline's model."""
+    model, losses = train_centralized_moe(config, features, labels)
     inference, report = evaluate_model(config, model, shards, 1)
     return _baseline_entry(report, inference.log, 0, losses)
 
 
 class _CentralizedChild:
-    """_centralized_entry over the config and shards: a one-request
-    federated._Peer, asked at once, when this process may use two CPUs;
-    otherwise this process trains the mixture when result() is called,
-    and not at all when close() comes first."""
+    """_centralized_entry over the config, shards and their stack: a
+    one-request federated._Peer, asked at once, which inherits the stack
+    at fork, when this process may use two CPUs; otherwise this process
+    keeps the stack and trains the mixture when result() is called, and
+    not at all when close() comes first."""
 
-    def __init__(self, config: RunConfig, shards):
-        self._entry = lambda: _centralized_entry(config, shards)
+    def __init__(self, config: RunConfig, shards, features, labels):
+        self._entry = lambda: _centralized_entry(config, shards, features,
+                                                 labels)
         self._peer = None
         if federated._two_cpus():
             self._peer = _Peer(self._entry, "the centralized-mixture child")
             self._peer.ask()
+            # the child has the stack; the stages must not keep it alive
+            self._entry = None
 
     def result(self) -> dict:
         """The entry, or the error its training raised."""
@@ -537,39 +545,42 @@ class _CentralizedChild:
 def run_baselines(config: RunConfig, shards=None, child=None) -> dict:
     """The three reference systems, evaluated exactly like the pipeline:
     a centralized mixture on pooled data, purely local classifiers, and
-    a federated average of the full classifier. The centralized mixture
-    trains through `child`, a _CentralizedChild over these shards (one
-    is started here if none is given): beside the classifiers on two
-    CPUs, after them on one."""
+    a federated average of the full classifier. The shards are stacked
+    once, here, for both classifiers. The centralized mixture trains
+    through `child`, a _CentralizedChild over these shards; when none is
+    given, one is started here on this call's stack and closed before
+    returning. It trains beside the classifiers on two CPUs, after them
+    on one."""
     if shards is None:
         shards = build_shards(config)
-    if child is None:
-        child = _CentralizedChild(config, shards)
-        try:
-            return run_baselines(config, shards, child)
-        finally:
-            child.close()
+    stack = train_stack(shards)
     num_classes = config.data.num_classes
     spec = chain_specs(config.model.fe_spec(), config.model.expert_spec())
-    try:
-        stack = train_stack(shards)
-        local_params, local_losses = train_local_classifiers(config, *stack)
-        local_report, local_log = _inference_on_own_shard(
-            local_params, spec, shards, num_classes)
-        global_params, fedavg_rounds = train_fedavg_classifier(config, *stack)
-        fedavg_report, fedavg_log = _inference_on_own_shard(
-            {s.client_id: global_params for s in shards}, spec, shards,
-            num_classes)
-    except Exception:
-        # a sequential run trained the centralized mixture first, so its
-        # error, if it has one, is the one raised
-        child.result()
-        raise
+    with contextlib.ExitStack() as started:
+        if child is None:
+            child = _CentralizedChild(config, shards, *stack)
+            started.callback(child.close)
+        try:
+            local_params, local_losses = train_local_classifiers(config,
+                                                                 *stack)
+            local_report, local_log = _inference_on_own_shard(
+                local_params, spec, shards, num_classes)
+            global_params, fedavg_rounds = train_fedavg_classifier(config,
+                                                                   *stack)
+            fedavg_report, fedavg_log = _inference_on_own_shard(
+                {s.client_id: global_params for s in shards}, spec, shards,
+                num_classes)
+        except Exception:
+            # a sequential run trained the centralized mixture first, so
+            # its error, if it has one, is the one raised
+            child.result()
+            raise
+        centralized = child.result()
     fedavg_losses = [float(np.mean(list(r.client_losses.values())))
                      for r in fedavg_rounds]
     fedavg_bytes = sum(r.bytes_sent for r in fedavg_rounds)
     return {
-        "centralized_moe": child.result(),
+        "centralized_moe": centralized,
         "local_classifier": _baseline_entry(
             local_report, local_log, 0, local_losses),
         "fedavg_classifier": _baseline_entry(

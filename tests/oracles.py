@@ -13,7 +13,7 @@ import numpy as np
 from nmoe import kernels, seeding
 from nmoe.datasets import augment
 from nmoe.federated import (_batches, _ce_step, _chain_params,
-                            _check_finite, _check_schedule, _digest_group,
+                            _check_finite, _digest_group,
                             _epochs, _gate_step,
                             _spectral_step, _split_chain,
                             compute_correlation_share, fedavg)
@@ -488,7 +488,6 @@ def centralized_classifier(train, fe_spec, head_spec, rounds, local_epochs,
     Follows the same rounds-by-epochs schedule and stream derivations, so
     a single-client federation matches it bit for bit.
     """
-    _check_schedule(rounds, local_epochs, lr, batch_size)
     spec = chain_specs(fe_spec, head_spec)
     fe = init_mlp_params(
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
@@ -511,7 +510,6 @@ def centralized_spectral(train, fe_spec, rounds, local_epochs, lr, aug_spec,
                          seed, *, batch_size=64):
     """Spectral-contrastive counterpart of stage1_fedsc on one dataset;
     the aggregate term is zero, matching a lone federated client."""
-    _check_schedule(rounds, local_epochs, lr, batch_size)
     fe = init_mlp_params(
         fe_spec, derive_rng(seed, seeding.INIT, seeding.INIT_EXTRACTOR, 0))
     rbar = np.zeros((fe_spec.out_width, fe_spec.out_width))
@@ -534,7 +532,6 @@ def centralized_gate(train, latents, expert_spec, experts, gate_init,
     """Gate-training counterpart of stage3_fedgate on one dataset: a
     stack of one gate trained on one shard, from the shard's frozen
     latents, (1, n, d)."""
-    _check_schedule(rounds, local_epochs, lr, batch_size)
     params = stack_params([gate_init.params])
     losses = []
     for r in range(rounds):

@@ -396,6 +396,17 @@ def command_argv(command, cfg_file, trained, out):
     }[command]
 
 
+def forbid_work(monkeypatch):
+    """Make building data, training and routing fail, so that a command
+    must check its output path before any of them."""
+    def too_early(*args, **kwargs):
+        raise AssertionError("ran before the output path was made")
+
+    for name in ("build_dataset", "build_shards", "evaluate_model",
+                 "run_ablation", "run_baselines"):
+        monkeypatch.setattr(cli, name, too_early)
+
+
 @pytest.mark.parametrize("command", ["train", "evaluate", "baselines",
                                      "generate-data", "partition", "sweep",
                                      "export-heatmap"])
@@ -405,19 +416,29 @@ def test_an_output_path_that_cannot_be_made_is_a_config_error(
     # before any data is built, any model trained or any sample routed
     afile = tmp_path / "afile"
     afile.write_text("")
-
-    def too_early(*args, **kwargs):
-        raise AssertionError("ran before the output path was made")
-
-    for name in ("build_dataset", "build_shards", "evaluate_model",
-                 "run_ablation", "run_baselines"):
-        monkeypatch.setattr(cli, name, too_early)
+    forbid_work(monkeypatch)
     rc = main(command_argv(command, cfg_file, trained, afile))
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith(f"error (config): cannot create output "
                           f"directory {afile}")
     assert afile.read_text() == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "baselines", "sweep",
+                                     "export-heatmap"])
+def test_an_output_file_that_is_a_directory_is_a_config_error(
+        tmp_path, cfg_file, trained, capsys, monkeypatch, command):
+    # a directory where the output file must go is refused as early
+    out = tmp_path / "out"
+    argv = command_argv(command, cfg_file, trained, out)
+    target = next(Path(a) for a in argv if a.startswith(str(out)))
+    target.mkdir(parents=True)
+    forbid_work(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error (config): output file {target} is a directory\n"
+    assert list(target.iterdir()) == []
 
 
 def test_a_config_path_that_is_a_directory_is_a_config_error(tmp_path,

@@ -215,24 +215,68 @@ def test_rangate_rejects_learning_rate():
         config_from_dict(doc)
 
 
-@pytest.mark.parametrize("section,key,value,message", [
+# (section, key, value, message): the section is None for a top-level
+# key. These are the only checks of these values: the trainers, the data
+# builders and the cost model take them as given.
+BAD_VALUES = [
+    (None, "seed", -1, "nonnegative integer"),
+    (None, "k", 0, "positive integer"),
+    (None, "batch_size", 0, "positive integer"),
+    (None, "bytes_per_scalar", 0, "positive integer"),
+    ("data", "num_classes", 0, "positive integer"),
+    ("data", "dim", 0, "positive integer"),
+    ("data", "samples_per_class", 0, "positive integer"),
     ("data", "tau", 0.0, "tau"),
     ("data", "tau", 1.5, "tau"),
     ("data", "num_clients", 0, "positive integer"),
+    ("data", "train_per_client", 0, "positive integer"),
+    ("data", "test_per_client", 0, "positive integer"),
     ("data", "cluster_spread", -1.0, "positive number"),
     ("data", "test_distribution", "shifted", "matched"),
+    ("model", "gate_noise_std", -1.0, "nonnegative number"),
     ("stage1", "rounds", 0, "positive integer"),
+    ("stage1", "local_epochs", 0, "positive integer"),
+    ("stage1", "lr", 0.0, "positive number"),
+    ("stage1", "dp_noise_std", -0.1, "nonnegative number"),
+    ("stage1", "aug_noise_std", -0.1, "nonnegative number"),
     ("stage1", "aug_mask_prob", 1.0, "aug_mask_prob"),
     ("stage1", "aug_mask_prob", False, "aug_mask_prob"),
     ("stage1", "aug_mask_prob", "x", "aug_mask_prob"),
+    ("stage2", "epochs", 0, "positive integer"),
+    ("stage2", "lr", 0.0, "positive number"),
+    ("stage3", "rounds", 0, "positive integer"),
+    ("stage3", "local_epochs", 0, "positive integer"),
+    ("stage3", "lr", 0.0, "positive number"),
+    ("stage3", "grad_max_norm", 0.0, "positive number"),
     ("stage3", "client_fraction", 0.0, "client_fraction"),
+    ("stage3", "client_fraction", 1.5, "lie in (0, 1]"),
     ("stage3", "lambda_load", float("nan"), "lambda_load"),
-])
+    ("stage3", "max_passes", 0, "positive integer"),
+    ("stage3", "epochs_per_client", 0, "positive integer"),
+    ("stage3", "pseudo_ratio", 0.0, "positive number"),
+    ("stage3", "pseudo_ratio", 1.0, "lie in (0, 1)"),
+    ("baselines", "epochs", 0, "positive integer"),
+    ("baselines", "lr", 0.0, "positive number"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,message", BAD_VALUES)
 def test_bad_values_rejected(section, key, value, message):
+    # the key is set under the first selector value it applies to, so
+    # that its own check raises, not the rule on keys that do not apply
     doc = minimal()
-    doc[section] = {key: value}
-    with pytest.raises(ConfigError, match=message):
+    if section is None:
+        doc[key] = value
+    else:
+        keys = fields(type(getattr(RunConfig(), section)))
+        only = next(f for f in keys if f.name == key).metadata["only"]
+        doc[section] = {keys[0].name: only[0]} if only else {}
+        doc[section][key] = value
+    name = key if section is None else f"{section}.{key}"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must ") \
+            as got:
         config_from_dict(doc)
+    assert message in str(got.value)
 
 
 @pytest.mark.parametrize("key,widths", [("fe_widths", [16, 32, 32]),
@@ -443,6 +487,14 @@ def test_an_int_for_a_float_field_loads_as_that_float(key):
         loaded += 1
     # (0, 1) holds no integer
     assert (loaded > 0) == (key != "stage3.pseudo_ratio")
+
+
+def test_every_number_key_has_a_bad_value_row():
+    rows = {key if section is None else f"{section}.{key}"
+            for section, key, _, _ in BAD_VALUES}
+    numbers = {key for key in config_keys()
+               if type(default_of(key)) in (int, float)}
+    assert sorted(numbers - rows) == []
 
 
 def test_config_keys_are_every_leaf_but_output_dir():

@@ -54,16 +54,6 @@ class TestCostModel:
     def test_default_bytes_per_scalar(self):
         assert CostModel(latent_dim=8, num_classes=4).bytes_per_scalar == 4
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(latent_dim=0, num_classes=4),
-        dict(latent_dim=8, num_classes=-1),
-        dict(latent_dim=8, num_classes=4, bytes_per_scalar=0),
-        dict(latent_dim=2.5, num_classes=4),
-    ])
-    def test_rejects_nonpositive_fields(self, kwargs):
-        with pytest.raises(ConfigError):
-            CostModel(**kwargs)
-
 
 class TestRoutingLog:
     def test_validation(self):

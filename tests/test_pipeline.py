@@ -290,7 +290,8 @@ def baselines_match_in_process_bits():
     shards = build_shards(config)
     baselines = run_baselines(config, shards)
     assert run_pipeline(config, with_baselines=True).baselines == baselines
-    assert baselines["centralized_moe"] == _centralized_entry(config, shards)
+    assert baselines["centralized_moe"] == _centralized_entry(
+        config, shards, *train_stack(shards))
 
 
 def sleeping_child(monkeypatch):
@@ -298,7 +299,7 @@ def sleeping_child(monkeypatch):
     parent that waited for it rather than killing it would show; the
     autouse fixture of conftest.py checks that it was reaped."""
     monkeypatch.setattr(pipeline, "_centralized_entry",
-                        lambda config, shards: time.sleep(30))
+                        lambda *args: time.sleep(30))
 
 
 def stage_failure_kills_the_baselines_child(monkeypatch):
@@ -346,7 +347,7 @@ def test_interrupt_kills_the_baselines_child(monkeypatch):
 def test_baselines_child_that_dies_is_an_internal_error(monkeypatch):
     usable_cpus(monkeypatch, True)
     monkeypatch.setattr(pipeline, "_centralized_entry",
-                        lambda config, shards: os._exit(3))
+                        lambda *args: os._exit(3))
     with pytest.raises(InternalError, match=r"^the centralized-mixture "
                        r"child ended with code 3$"):
         run_baselines(small_config())
@@ -502,8 +503,8 @@ def test_local_classifiers_match_per_client_loop(num_clients, sizes, act):
 
 
 def test_local_classifiers_reject_unequal_train_shards():
-    # the baselines stack the shards once for both classifiers, and the
-    # centralized mixture, wherever it trains, stacks them too
+    # the baselines stack the shards once, for both classifiers and the
+    # centralized mixture, before the mixture's child starts
     config = small_config(data={"num_clients": 3, "train_per_client": 60})
     with pytest.raises(DataError, match=r"^train shards must share one "
                        r"size, got \[45, 60\]$"):
